@@ -8,9 +8,9 @@ and the final recovered values.
 
 import numpy as np
 
-from smfft import (ModulusPair, SampleLedger, Sampler, SparseSpectrum,
-                   SupportParams, aliased_spectrum, dealias_candidates,
-                   find_support, mod_inverse, plan_ladder)
+from smfft import (SampleLedger, Sampler, SparseSpectrum, SupportParams,
+                   aliased_spectrum, dealias_candidates, find_support,
+                   mod_inverse, plan_ladder)
 from smfft.value_recovery import compute_values
 
 N = 40
@@ -29,7 +29,6 @@ print("candidates when going 10 -> 20:", sorted(cands))
 q = 13
 print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
       f"(inverse multiplier {mod_inverse(q, N)})")
-ModulusPair.create(q, N)  # validates the pair
 
 # End-to-end recovery.
 params = SupportParams(r_bound=3)

@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from .md_transform import RankOneLattice, md_sample_adapter, md_sfft, relative_l2_error
+from .md_transform import (RankOneLattice, md_sample_adapter, md_sfft,
+                           relative_l2_error, unflatten_index)
 from .signal import NoiseModel, SampleLedger
 from .support_recovery import SupportParams
 
@@ -36,16 +37,17 @@ def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
         extra = np.unique(np.concatenate([flat, rng.integers(0, lattice.total, 4 * sparsity)]))
         flat = extra[:sparsity]
     amps = rng.uniform(0.5, 1.5, size=len(flat))
-    entries = {}
-    for j, v in zip(flat.tolist(), amps.tolist()):
-        digits, rest = [], int(j)
-        for _ in range(dims):
-            rest, d = divmod(rest, axis_size)
-            digits.append(d)
-        key = digits[0] if dims == 1 else tuple(digits)
-        entries[key] = float(v)
+    entries = {unflatten_index(int(j), lattice): float(v)
+               for j, v in zip(flat.tolist(), amps.tolist())}
     noise = NoiseModel(eta=eta, kind="gaussian", seed=seed + 1) if eta > 0 else NoiseModel()
     return entries, lattice, noise
+
+
+def meets_success_rule(recovered: dict, truth: dict, err: float,
+                       eta: float) -> bool:
+    """Exact support, and relative error <= 3*eta (<= 1e-8 when eta = 0)."""
+    err_cap = 1e-8 if eta == 0 else 3 * eta
+    return set(recovered) == set(truth) and err <= err_cap
 
 
 def make_params(sparsity: int, eta: float, **overrides) -> SupportParams:
@@ -66,9 +68,7 @@ def run_trial(axis_size: int, dims: int, sparsity: int, eta: float, seed: int,
     recovered = md_sfft(sampler, lattice, params, rng)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     err = relative_l2_error(recovered, entries, lattice)
-    err_cap = 1e-8 if eta == 0 else 3 * eta
-    rec_keys = set(recovered) if dims > 1 else {k[0] for k in recovered}
-    success = rec_keys == set(entries) and err <= err_cap
+    success = meets_success_rule(recovered, entries, err, eta)
     return {
         "N": lattice.total, "R": sparsity, "d": dims, "eta": eta, "seed": seed,
         "time_ms": elapsed_ms, "samples": ledger.unique_count,
@@ -76,12 +76,12 @@ def run_trial(axis_size: int, dims: int, sparsity: int, eta: float, seed: int,
     }
 
 
-def sweep(configs, trials: int, base_seed: int, warmup: bool = True) -> list[dict]:
+def sweep(configs, trials: int, base_seed: int) -> list[dict]:
     """Run ``trials`` seeded trials per (axis_size, dims, sparsity, eta) config."""
     rows = []
     for i, (axis_size, dims, sparsity, eta) in enumerate(configs):
-        if warmup:  # discard a warm-up run so timings exclude one-time costs
-            run_trial(axis_size, dims, sparsity, eta, base_seed + 1000003 * i)
+        # Discard a warm-up run so timings exclude one-time costs.
+        run_trial(axis_size, dims, sparsity, eta, base_seed + 1000003 * i)
         for t in range(trials):
             rows.append(run_trial(axis_size, dims, sparsity, eta,
                                   base_seed + 1000003 * i + 17 * (t + 1)))

@@ -1,8 +1,7 @@
 """Number-theoretic and transform primitives.
 
 Modular inverses, coprime sampling, a growing prime sieve, the wrapped
-(periodized) Gaussian window, the low-frequency index window, and a dense
-DFT wrapper that accepts arbitrary lengths (prime or composite).
+(periodized) Gaussian window, and the low-frequency index window.
 """
 
 from __future__ import annotations
@@ -12,33 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCoprime, OracleTooLarge
+from .errors import NotCoprime
 
 # Largest modulus for which int64 progression arithmetic stays exact
 # (see signal.Sampler): modulus * count must fit in 63 bits.
 MAX_MODULUS = 1 << 46
-
-# Guard for dense verification oracles.
-DENSE_ORACLE_GUARD = 1 << 20
-
-
-@dataclass(frozen=True)
-class ModulusPair:
-    """A multiplier q, a modulus m, and the inverse of q modulo m."""
-
-    q: int
-    m: int
-    q_inv: int
-
-    def __post_init__(self):
-        if not (0 < self.q < self.m and 0 < self.q_inv < self.m):
-            raise ValueError(f"multiplier/inverse out of range for modulus {self.m}")
-        if (self.q * self.q_inv) % self.m != 1:
-            raise ValueError("q_inv is not the inverse of q")
-
-    @classmethod
-    def create(cls, q: int, m: int) -> "ModulusPair":
-        return cls(q, m, mod_inverse(q, m))
 
 
 @dataclass(frozen=True)
@@ -124,58 +101,19 @@ def primes_greater_than(r: int, count: int) -> list[int]:
         limit *= 2
 
 
-def gaussian_filter_weight(m: int, spec: FilterSpec) -> float:
-    """Wrapped Gaussian g_sigma(m/M) = sqrt(pi)*sigma*sum_h exp(-(pi*sigma*(m/M+h))^2)."""
-    if not 0 <= m < spec.modulus:
-        raise ValueError("index must lie in [0, modulus)")
-    return float(gaussian_window(np.asarray([m]), spec)[0])
-
-
 def gaussian_window(offsets: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Vectorized wrapped-Gaussian weights at integer offsets (mod M implied)."""
+    """Wrapped Gaussian sqrt(pi)*sigma*sum_h exp(-(pi*sigma*(m/M+h))^2) at
+    integer offsets m (mod M implied), vectorized."""
     x = np.asarray(offsets, dtype=float)[:, None] / spec.modulus
     h = np.arange(-spec.wrap_terms, spec.wrap_terms + 1, dtype=float)[None, :]
     s = math.pi * spec.sigma
     return math.sqrt(math.pi) * spec.sigma * np.exp(-((s * (x + h)) ** 2)).sum(axis=1)
 
 
-def alias_window(k: int, m: int) -> list[int]:
-    """The K retained sample indices {n : n <= k/2 or |n - m| < k/2}, ascending."""
-    if not 1 <= k <= m:
-        raise ValueError("require 1 <= k <= m")
-    lo, hi = window_offsets(k)
-    return sorted({off % m for off in range(lo, hi + 1)})
-
-
 def window_offsets(k: int) -> tuple[int, int]:
-    """The same window as :func:`alias_window`, as a contiguous signed run.
-
-    Returns (lo, hi) with hi - lo + 1 == k; actual indices are offsets mod m.
+    """The K retained sample indices {n : n <= k/2 or |n - m| < k/2} as a
+    contiguous signed run (lo, hi), hi - lo + 1 == k; the indices are the
+    offsets mod m.
     """
     hi = k // 2
     return hi - k + 1, hi
-
-
-def dft(values: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Dense DFT with kernel exp(-2*pi*i*n*j/L); inverse applies 1/L and the
-    conjugate kernel.  Arbitrary lengths are supported (numpy's pocketfft
-    falls back to Rader/Bluestein for large prime factors, keeping the cost
-    at O(L log L)).
-    """
-    v = np.asarray(values, dtype=complex)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a nonempty 1-D vector")
-    return np.fft.ifft(v) if inverse else np.fft.fft(v)
-
-
-def dense_oracle_dft(entries: dict[int, float], ambient_size: int) -> np.ndarray:
-    """Materialize a sparse spectrum and return its dense sample vector.
-
-    Test/verification use only; guarded against accidental huge allocations.
-    """
-    if ambient_size > DENSE_ORACLE_GUARD:
-        raise OracleTooLarge(f"N={ambient_size} exceeds guard {DENSE_ORACLE_GUARD}")
-    spec = np.zeros(ambient_size, dtype=complex)
-    for j, v in entries.items():
-        spec[j] = v
-    return dft(spec)

@@ -13,10 +13,6 @@ class IndexOutOfRange(SmfftError):
     """A (multi-)index fell outside the grid it was declared on."""
 
 
-class OracleTooLarge(SmfftError):
-    """A dense verification oracle was requested beyond the size guard."""
-
-
 class CandidateBlowup(SmfftError):
     """The dealiasing candidate set exceeded its safety cap.
 

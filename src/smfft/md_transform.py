@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core_math import DENSE_ORACLE_GUARD
-from .errors import IndexOutOfRange, OracleTooLarge
+from .errors import IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from .support_recovery import SupportParams, find_support, plan_ladder
 from .value_recovery import compute_values
@@ -45,7 +44,11 @@ class RankOneLattice:
 
 def flatten_index(multi, lattice: RankOneLattice) -> int:
     """Base-M digits to flat index: sum multi[i] * M^i."""
-    multi = tuple(int(c) for c in multi)
+    try:
+        multi = tuple(int(c) for c in multi)
+    except (TypeError, ValueError) as exc:
+        raise IndexOutOfRange(
+            f"{multi!r} is not a {lattice.dims}-tuple of integers") from exc
     if len(multi) != lattice.dims:
         raise IndexOutOfRange(f"expected {lattice.dims} components")
     if any(not 0 <= c < lattice.axis_size for c in multi):
@@ -79,25 +82,22 @@ def md_sample_adapter(entries: dict, lattice: RankOneLattice,
 
     Restricting f to the rank-1 line gives a 1-D signal whose spectrum is
     the original one re-indexed by flatten_index, so no geometric point
-    evaluation is ever needed.  Plain int keys are accepted when d = 1.
+    evaluation is ever needed.  Keys are d-tuples, 1-D included.
     """
-    flat_entries = {}
-    for key, value in entries.items():
-        if isinstance(key, (int, np.integer)):
-            key = (int(key),) + (0,) * (lattice.dims - 1)
-        flat_entries[flatten_index(key, lattice)] = float(value)
+    flat_entries = {flatten_index(key, lattice): float(value)
+                    for key, value in entries.items()}
     spectrum = SparseSpectrum(lattice.total, flat_entries)
     return Sampler(spectrum, noise, ledger)
 
 
 def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
-            rng: np.random.Generator, value_accuracy: float | None = None,
+            rng: np.random.Generator,
             stats: dict | None = None) -> dict[tuple[int, ...], float]:
     """Recover a d-dimensional sparse nonnegative spectrum end to end.
 
     The sampler must be an oracle for the flattened 1-D problem (see
-    :func:`md_sample_adapter`).  ``value_accuracy`` defaults to the noise
-    level, or 1e-10 for noiseless data.
+    :func:`md_sample_adapter`).  Values are recovered to the noise level,
+    or to 1e-10 for noiseless data.
     """
     n_total = lattice.total
     support = find_support(sampler, n_total, params, rng)
@@ -108,49 +108,20 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
         stats["redraws"] = 0
     if not support:
         return {}
-    accuracy = value_accuracy
-    if accuracy is None:
-        accuracy = params.eta if params.eta > 0 else 1e-10
+    accuracy = params.eta if params.eta > 0 else 1e-10
     values = compute_values(support, params.r_bound, n_total, params.p_fail,
                             accuracy, sampler, rng, mu=params.mu, stats=stats)
     return {unflatten_index(j, lattice): v for j, v in values.items()}
 
 
-def dense_md_dft(entries: dict, lattice: RankOneLattice) -> np.ndarray:
-    """Dense d-dimensional sample grid of the spectrum (test/verify only).
-
-    Applies the dimension-by-dimension transform via repeated 1-D FFTs on
-    the materialized coefficient array; guarded by the oracle size cap.
-    """
-    if lattice.total > DENSE_ORACLE_GUARD:
-        raise OracleTooLarge(f"N={lattice.total} exceeds guard {DENSE_ORACLE_GUARD}")
-    shape = (lattice.axis_size,) * lattice.dims
-    spec = np.zeros(shape, dtype=complex)
-    for key, value in entries.items():
-        if isinstance(key, (int, np.integer)):
-            key = (int(key),) + (0,) * (lattice.dims - 1)
-        spec[tuple(key)] = value
-    samples = spec
-    for axis in range(lattice.dims):
-        samples = np.fft.fft(samples, axis=axis)
-    return samples
-
-
 def relative_l2_error(recovered: dict, truth: dict, lattice: RankOneLattice) -> float:
-    """|| fhat_rec - fhat_true ||_2 / || fhat_true ||_2 over the union support."""
+    """|| fhat_rec - fhat_true ||_2 / || fhat_true ||_2 over the union support.
 
-    def normalize(d):
-        out = {}
-        for key, value in d.items():
-            if isinstance(key, (int, np.integer)):
-                key = (int(key),) + (0,) * (lattice.dims - 1)
-            out[tuple(key)] = float(value)
-        return out
-
-    rec, tru = normalize(recovered), normalize(truth)
-    keys = sorted(set(rec) | set(tru))
-    diff = math.sqrt(sum((rec.get(k, 0.0) - tru.get(k, 0.0)) ** 2 for k in keys))
-    denom = math.sqrt(sum(v * v for v in tru.values()))
+    Both spectra are keyed by d-tuples on ``lattice``.
+    """
+    keys = sorted(set(recovered) | set(truth))
+    diff = math.sqrt(sum((recovered.get(k, 0.0) - truth.get(k, 0.0)) ** 2 for k in keys))
+    denom = math.sqrt(sum(v * v for v in truth.values()))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / denom

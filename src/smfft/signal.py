@@ -39,14 +39,6 @@ class SparseSpectrum:
             if not v > 0:
                 raise ValueError(f"amplitude at {j} must be > 0, got {v}")
 
-    @property
-    def sparsity(self) -> int:
-        return len(self.entries)
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -137,18 +129,6 @@ class Sampler:
         self._support = [int(j) for j in sorted(spectrum.entries)]
         self._amps = np.array([spectrum.entries[j] for j in self._support], dtype=float)
 
-    @property
-    def ambient_size(self) -> int:
-        return self.spectrum.ambient_size
-
-    def sample_at(self, numerator: int, denominator: int) -> complex:
-        """Single sample of f at (numerator mod denominator)/denominator."""
-        if denominator < 1:
-            raise ValueError("denominator must be >= 1")
-        q = numerator % denominator
-        value = self.sample_progression(q, 0, 1, denominator)[0]
-        return complex(value)
-
     def sample_progression(self, start: int, step: int, count: int,
                            den: int) -> np.ndarray:
         """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1."""
@@ -187,20 +167,6 @@ class Sampler:
             out = out + make_noise(self.noise, nums, den)
         return out
 
-    def batch_subsampled(self, modulus: int, multiplier: int = 1) -> np.ndarray:
-        """The modulus samples f((n*multiplier mod M)/M), n = 0..M-1.
-
-        With multiplier 1 this is the aliased Nyquist vector at rate M; with
-        multiplier [Q]^-1 it is additionally shuffled in frequency space.
-        """
-        return self.sample_progression(0, multiplier, modulus, modulus)
-
-
-def sample_at(spectrum: SparseSpectrum, noise: NoiseModel, numerator: int,
-              denominator: int, ledger: SampleLedger) -> complex:
-    """Convenience wrapper over :meth:`Sampler.sample_at`."""
-    return Sampler(spectrum, noise, ledger).sample_at(numerator, denominator)
-
 
 def aliased_spectrum(spectrum: SparseSpectrum, modulus: int) -> dict[int, float]:
     """Ground-truth aliasing: fold the sparse map mod ``modulus``."""
@@ -214,7 +180,8 @@ def load_signal_spec(path: str):
     """Parse a signal spec JSON file.
 
     Returns (dims, axis_size, entries, noise) where entries maps multi-index
-    tuples (or plain ints when dims == 1) to amplitudes.
+    tuples to amplitudes.  A 1-D file may list scalar indices; they become
+    1-tuples.
     """
     try:
         with open(path) as fh:
@@ -230,7 +197,7 @@ def load_signal_spec(path: str):
             raise ParseError("support and values lengths differ")
         entries = {}
         for idx, val in zip(support, values):
-            key = int(idx) if dims == 1 else tuple(int(c) for c in idx)
+            key = (int(idx),) if dims == 1 else tuple(int(c) for c in idx)
             entries[key] = float(val)
         noise_doc = doc.get("noise", {"kind": "none", "eta": 0.0, "seed": 0})
         noise = NoiseModel(eta=float(noise_doc.get("eta", 0.0)),

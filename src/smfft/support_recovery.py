@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import (FilterSpec, ModulusPair, gaussian_window, mod_inverse,
-                        sample_coprime, window_offsets)
+from .core_math import (FilterSpec, gaussian_window, sample_coprime,
+                        window_offsets)
 from .errors import CandidateBlowup
 from .signal import Sampler
 
@@ -167,12 +167,12 @@ def initial_aliased_support(sampler: Sampler, plan: LadderPlan,
     in the aliased support iff its coefficient clears the threshold.
     """
     m1 = plan.moduli[0]
-    samples = sampler.batch_subsampled(m1, 1)
+    samples = sampler.sample_progression(0, 1, m1, m1)
     fhat = np.fft.ifft(samples)
     return {int(l) for l in np.flatnonzero(np.abs(fhat) > params.threshold)}
 
 
-def compute_phi(sampler: Sampler, m_k: int, k_base: int, q: ModulusPair,
+def compute_phi(sampler: Sampler, m_k: int, k_base: int, q: int,
                 sigma: float) -> np.ndarray:
     """Probe spectrum phi at the K grid points j*M_k/K, j = 0..K-1.
 
@@ -189,7 +189,7 @@ def compute_phi(sampler: Sampler, m_k: int, k_base: int, q: ModulusPair,
     lo, hi = window_offsets(k_base)
     offsets = np.arange(lo, hi + 1)
     weights = gaussian_window(offsets, spec)
-    samples = sampler.sample_progression(lo * q.q, q.q, k_base, m_k)
+    samples = sampler.sample_progression(lo * q, q, k_base, m_k)
     folded = np.zeros(k_base, dtype=complex)
     np.add.at(folded, offsets % k_base, weights * samples / m_k)
     return np.fft.ifft(folded) * k_base
@@ -217,8 +217,7 @@ def find_aliased_support(candidate: set[int], m_k: int, k_base: int,
         if not survivors:
             break
         q = sample_coprime(m_k, rng)
-        pair = ModulusPair(q, m_k, mod_inverse(q, m_k))
-        phi = compute_phi(sampler, m_k, k_base, pair, sigma)
+        phi = compute_phi(sampler, m_k, k_base, q, sigma)
         survivors = {n for n in survivors
                      if abs(phi[probe_index(n, q, m_k, k_base)]) >= params.threshold}
     return survivors

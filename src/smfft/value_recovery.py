@@ -45,8 +45,7 @@ def prime_pool_size(r_bound: int, n_total: int) -> int:
 
 
 def draw_measurement(support: list[int], r_bound: int, n_total: int,
-                     rng: np.random.Generator, sampler: Sampler,
-                     t_blocks: int = BLOCKS) -> MeasurementSystem:
+                     rng: np.random.Generator, sampler: Sampler) -> MeasurementSystem:
     """Draw T primes i.i.d. from the pool and sample the corresponding grids.
 
     Draws are with replacement; a repeated prime simply weights its residue
@@ -55,9 +54,9 @@ def draw_measurement(support: list[int], r_bound: int, n_total: int,
     if not support:
         raise ValueError("support must be nonempty")
     pool = primes_greater_than(r_bound, prime_pool_size(r_bound, n_total))
-    picks = [pool[int(i)] for i in rng.integers(0, len(pool), t_blocks)]
+    picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
     residue_maps = [np.array([j % p for j in support], dtype=np.int64) for p in picks]
-    rhs = [sampler.batch_subsampled(p, 1) for p in picks]
+    rhs = [sampler.sample_progression(0, 1, p, p) for p in picks]
     return MeasurementSystem(picks, list(support), residue_maps, rhs)
 
 

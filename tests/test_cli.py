@@ -60,6 +60,18 @@ class TestVerify:
         code, _ = run(["verify", "--signal", signal_file], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_one_dimensional_file(self, command, tmp_path, capsys):
+        path = tmp_path / "sig1d.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40,
+                                    "support": [1, 23, 35],
+                                    "values": [1.0, 0.75, 1.25]}))
+        code, out = run([command, "--signal", str(path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["success"] is True
+        assert report["support"] == [[1], [23], [35]]
+
     def test_overestimated_mu_fails_support(self, signal_file, capsys):
         # mu far above the true amplitudes thresholds every line away,
         # so the recovered support is empty and verify must say so.
@@ -104,3 +116,12 @@ class TestParsing:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["bench-r", "--rho", "8"],
+        ["bench-n", "--m", "64"],
+        ["transform", "--format", "csv"],
+        ["selftest", "--trials", "99"],
+    ])
+    def test_flag_the_command_does_not_read(self, args, capsys):
+        assert main(args) == EXIT_PARSE

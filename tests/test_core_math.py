@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from smfft.core_math import (FilterSpec, ModulusPair, alias_window,
-                             dense_oracle_dft, dft, gaussian_filter_weight,
-                             gaussian_window, mod_inverse, primes_greater_than,
-                             sample_coprime, window_offsets)
-from smfft.errors import NotCoprime, OracleTooLarge
+from smfft.core_math import (FilterSpec, gaussian_window, mod_inverse,
+                             primes_greater_than, sample_coprime, window_offsets)
+from smfft.errors import NotCoprime
+from smfft.signal import Sampler, SparseSpectrum
 
 
 def naive_dft(values, inverse=False):
@@ -46,16 +45,6 @@ class TestModInverse:
             mod_inverse(5, 5)
 
 
-class TestModulusPair:
-    def test_create(self):
-        pair = ModulusPair.create(13, 40)
-        assert pair.q_inv == 37
-
-    def test_rejects_wrong_inverse(self):
-        with pytest.raises(ValueError):
-            ModulusPair(13, 40, 36)
-
-
 def test_sample_coprime_is_coprime_and_hits_all():
     rng = np.random.default_rng(0)
     seen = set()
@@ -85,10 +74,10 @@ class TestPrimes:
 
 class TestWindow:
     def test_known_small_window(self):
-        assert alias_window(4, 10) == [0, 1, 2, 9]
+        assert window_offsets(4) == (-1, 2)  # indices {9, 0, 1, 2} mod 10
 
     def test_single_point(self):
-        assert alias_window(1, 8) == [0]
+        assert window_offsets(1) == (0, 0)
 
     def test_window_offsets_contiguous(self):
         for k in range(1, 40):
@@ -97,29 +86,33 @@ class TestWindow:
             assert hi == k // 2
 
     def test_offsets_match_alias_window(self):
+        # The alias window is {n : n <= k/2 or |n - m| < k/2} within [0, m).
         for k, m in [(4, 10), (5, 11), (7, 7), (16, 64), (9, 10)]:
             lo, hi = window_offsets(k)
-            assert sorted({o % m for o in range(lo, hi + 1)}) == alias_window(k, m)
+            expected = {n for n in range(m) if 2 * n <= k or 2 * (m - n) < k}
+            assert {o % m for o in range(lo, hi + 1)} == expected
 
 
 class TestGaussianWindow:
     def test_matches_direct_wrap_sum(self):
         sigma, m = 2.5, 32
         spec = FilterSpec.create(sigma, m, 16)
+        weights = gaussian_window(np.arange(m), spec)
         for idx in range(m):
             expected = math.sqrt(math.pi) * sigma * sum(
                 math.exp(-math.pi**2 * sigma**2 * ((idx + h * m) / m) ** 2)
                 for h in range(-50, 51))
-            assert gaussian_filter_weight(idx, spec) == pytest.approx(
-                expected, abs=1e-13)
+            assert weights[idx] == pytest.approx(expected, abs=1e-13)
 
     def test_vectorized_agrees_with_scalar(self):
+        # One call over signed offsets equals point-by-point calls at the
+        # offsets reduced mod M.
         spec = FilterSpec.create(1.3, 100, 50)
         offs = np.arange(-25, 26)
         vec = gaussian_window(offs, spec)
         for o, v in zip(offs, vec):
-            assert v == pytest.approx(gaussian_filter_weight(int(o) % 100, spec),
-                                      abs=1e-12)
+            scalar = gaussian_window(np.array([int(o) % 100]), spec)[0]
+            assert v == pytest.approx(scalar, abs=1e-12)
 
     def test_symmetry(self):
         spec = FilterSpec.create(3.0, 64, 32)
@@ -134,22 +127,26 @@ class TestGaussianWindow:
 
 
 class TestDft:
+    """The oracle's full-rate samples are the dense DFT of the spectrum, and
+    the inverse FFT the pipeline applies to them reads the spectrum back, at
+    any length, prime or composite."""
+
     @pytest.mark.parametrize("length", [1, 2, 3, 8, 12, 17, 31, 97, 128])
     def test_matches_naive(self, length):
         rng = np.random.default_rng(length)
-        v = rng.normal(size=length) + 1j * rng.normal(size=length)
-        assert np.allclose(dft(v), naive_dft(v), atol=1e-9)
-        assert np.allclose(dft(v, inverse=True), naive_dft(v, inverse=True),
+        fhat = rng.uniform(0.5, 1.5, size=length)
+        sampler = Sampler(SparseSpectrum(length, dict(enumerate(fhat.tolist()))))
+        samples = sampler.sample_progression(0, 1, length, length)
+        assert np.allclose(samples, naive_dft(fhat), atol=1e-9)
+        assert np.allclose(np.fft.ifft(samples), naive_dft(samples, inverse=True),
                            atol=1e-9)
 
     def test_roundtrip_prime_length(self):
         rng = np.random.default_rng(1)
-        v = rng.normal(size=101) + 1j * rng.normal(size=101)
-        assert np.allclose(dft(dft(v), inverse=True), v, atol=1e-10)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            dft(np.zeros((2, 2)))
+        fhat = rng.uniform(0.5, 1.5, size=101)
+        sampler = Sampler(SparseSpectrum(101, dict(enumerate(fhat.tolist()))))
+        samples = sampler.sample_progression(0, 1, 101, 101)
+        assert np.allclose(np.fft.ifft(samples), fhat, atol=1e-10)
 
 
 def test_dense_oracle_matches_naive():
@@ -158,10 +155,5 @@ def test_dense_oracle_matches_naive():
     dense = np.zeros(n, dtype=complex)
     for j, v in entries.items():
         dense[j] = v
-    assert np.allclose(dense_oracle_dft(entries, n), naive_dft(dense),
-                       atol=1e-10)
-
-
-def test_dense_oracle_guard():
-    with pytest.raises(OracleTooLarge):
-        dense_oracle_dft({0: 1.0}, 1 << 21)
+    samples = Sampler(SparseSpectrum(n, entries)).sample_progression(0, 1, n, n)
+    assert np.allclose(samples, naive_dft(dense), atol=1e-10)

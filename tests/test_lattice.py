@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smfft.errors import IndexOutOfRange, OracleTooLarge
-from smfft.md_transform import (RankOneLattice, dense_md_dft, flatten_index,
-                                lattice_point, md_sample_adapter, md_sfft,
-                                relative_l2_error, unflatten_index)
+from smfft.errors import IndexOutOfRange
+from smfft.md_transform import (RankOneLattice, flatten_index, lattice_point,
+                                md_sample_adapter, md_sfft, relative_l2_error,
+                                unflatten_index)
 from smfft.signal import NoiseModel, SampleLedger
 from smfft.support_recovery import SupportParams
 
@@ -60,30 +60,21 @@ class TestAdapter:
             x = [float(c) for c in lattice_point(n, lat)]
             expected = sum(v * np.exp(-2j * np.pi * (k[0] * x[0] + k[1] * x[1]))
                            for k, v in entries.items())
-            assert sampler.sample_at(n, lat.total) == pytest.approx(expected,
-                                                                    abs=1e-10)
+            got = sampler.sample_progression(n, 0, 1, lat.total)[0]
+            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_int_keys_for_1d(self):
+        # 1-D spectra are keyed by 1-tuples like every other dimension.
         lat = RankOneLattice(1, 32)
-        sampler = md_sample_adapter({5: 1.0}, lat)
+        sampler = md_sample_adapter({(5,): 1.0}, lat)
         assert sampler.spectrum.entries == {5: 1.0}
+        with pytest.raises(IndexOutOfRange):
+            md_sample_adapter({5: 1.0}, lat)
 
-
-class TestDenseMdDft:
-    def test_matches_pointwise_evaluation(self):
-        lat = RankOneLattice(2, 4)
-        entries = {(1, 2): 1.0, (0, 3): 0.25}
-        grid = dense_md_dft(entries, lat)
-        for n0 in range(4):
-            for n1 in range(4):
-                expected = sum(
-                    v * np.exp(-2j * np.pi * (k[0] * n0 + k[1] * n1) / 4)
-                    for k, v in entries.items())
-                assert grid[n0, n1] == pytest.approx(expected, abs=1e-12)
-
-    def test_guard(self):
-        with pytest.raises(OracleTooLarge):
-            dense_md_dft({(0, 0, 0): 1.0}, RankOneLattice(3, 128))
+    @pytest.mark.parametrize("key", [5, np.int64(5), (5,), (1, 2), (1, 2, 3, 4)])
+    def test_rejects_key_that_is_not_a_d_tuple(self, key):
+        with pytest.raises(IndexOutOfRange):
+            md_sample_adapter({key: 1.0}, RankOneLattice(3, 8))
 
 
 class TestRelativeL2Error:
@@ -92,13 +83,9 @@ class TestRelativeL2Error:
         d = {(1, 2): 1.0}
         assert relative_l2_error(d, d, lat) == 0.0
 
-    def test_mixed_key_styles(self):
-        lat = RankOneLattice(1, 8)
-        assert relative_l2_error({(3,): 1.0}, {3: 1.0}, lat) == 0.0
-
     def test_missing_entry(self):
         lat = RankOneLattice(1, 8)
-        assert relative_l2_error({}, {3: 2.0}, lat) == pytest.approx(1.0)
+        assert relative_l2_error({}, {(3,): 2.0}, lat) == pytest.approx(1.0)
 
 
 class TestMdSfft:

@@ -87,7 +87,7 @@ def test_progression_consistent_with_single_samples(start, step, count):
     batch = sampler.sample_progression(start, step, count, den)
     for k in (0, count // 2, count - 1):
         assert batch[k] == pytest.approx(
-            sampler.sample_at(start + k * step, den), abs=1e-9)
+            sampler.sample_progression(start + k * step, 0, 1, den)[0], abs=1e-9)
 
 
 def test_probe_false_positive_rate_is_small():
@@ -96,7 +96,7 @@ def test_probe_false_positive_rate_is_small():
     # (the design rate is alpha up to constant-factor slack from grid
     # rounding and window truncation), so the intersection over L rounds
     # drives the false-positive rate toward zero geometrically.
-    from smfft.core_math import ModulusPair, sample_coprime
+    from smfft.core_math import sample_coprime
     from smfft.signal import aliased_spectrum
     from smfft.support_recovery import (SupportParams, compute_phi,
                                         probe_index)
@@ -113,8 +113,7 @@ def test_probe_false_positive_rate_is_small():
         truth = set(aliased_spectrum(spectrum, m))
         spurious = [x for x in rng.integers(0, m, 60) if x not in truth]
         q = sample_coprime(m, rng)
-        pair = ModulusPair.create(q, m)
-        phi = compute_phi(sampler, m, k, pair, params.sigma(m))
+        phi = compute_phi(sampler, m, k, q, params.sigma(m))
         for x in spurious:
             total += 1
             if abs(phi[probe_index(int(x), q, m, k)]) >= params.threshold:

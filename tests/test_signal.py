@@ -21,8 +21,8 @@ def direct_sample(entries, n, num, den):
 class TestSparseSpectrum:
     def test_basic(self):
         s = SparseSpectrum(40, {1: 1.0, 23: 2.0})
-        assert s.sparsity == 2
-        assert s.support == [1, 23]
+        assert s.ambient_size == 40
+        assert s.entries == {1: 1.0, 23: 2.0}
 
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
@@ -38,7 +38,7 @@ class TestSampler:
         entries = {1: 1.0, 23: 1.5, 35: 0.5}
         sampler = Sampler(SparseSpectrum(40, entries))
         for num, den in [(0, 1), (1, 40), (7, 40), (3, 10), (39, 40), (5, 13)]:
-            got = sampler.sample_at(num, den)
+            got = sampler.sample_progression(num, 0, 1, den)[0]
             assert got == pytest.approx(direct_sample(entries, 40, num, den),
                                         abs=1e-12)
 
@@ -79,7 +79,7 @@ class TestSampler:
         spectrum = SparseSpectrum(40, entries)
         sampler = Sampler(spectrum)
         for m in (10, 20, 40, 7):
-            batch = sampler.batch_subsampled(m)
+            batch = sampler.sample_progression(0, 1, m, m)
             fhat = np.fft.ifft(batch)
             expected = np.zeros(m)
             for j, v in aliased_spectrum(spectrum, m).items():
@@ -142,8 +142,8 @@ class TestNoise:
     def test_sampler_noise_is_repeatable(self):
         spectrum = SparseSpectrum(64, {3: 1.0})
         noise = NoiseModel(eta=0.01, kind="gaussian", seed=9)
-        s1 = Sampler(spectrum, noise).batch_subsampled(16)
-        s2 = Sampler(spectrum, noise).batch_subsampled(16)
+        s1 = Sampler(spectrum, noise).sample_progression(0, 1, 16, 16)
+        s2 = Sampler(spectrum, noise).sample_progression(0, 1, 16, 16)
         assert np.array_equal(s1, s2)
 
 
@@ -158,8 +158,8 @@ class TestLedger:
     def test_sampler_records(self):
         ledger = SampleLedger()
         sampler = Sampler(SparseSpectrum(16, {1: 1.0}), ledger=ledger)
-        sampler.batch_subsampled(8)
-        sampler.batch_subsampled(4)  # all 4 points already seen at rate 8
+        sampler.sample_progression(0, 1, 8, 8)
+        sampler.sample_progression(0, 1, 4, 4)  # all 4 points already seen at rate 8
         assert ledger.unique_count == 8
         assert ledger.total_requests == 12
 
@@ -181,7 +181,7 @@ class TestLoadSignalSpec:
         path = tmp_path / "sig.json"
         path.write_text(json.dumps(doc))
         dims, axis, entries, noise = load_signal_spec(str(path))
-        assert entries == {1: 1.0, 23: 2.0}
+        assert entries == {(1,): 1.0, (23,): 2.0}
         assert noise.kind == "none"
 
     def test_length_mismatch(self, tmp_path):

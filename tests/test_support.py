@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from smfft.core_math import ModulusPair
 from smfft.errors import CandidateBlowup
 from smfft.signal import Sampler, SparseSpectrum, aliased_spectrum
 from smfft.support_recovery import (SupportParams, build_ladder,
@@ -109,8 +108,7 @@ class TestComputePhi:
         k, m = params.k_base, 722
         sampler = Sampler(spectrum)
         q = 135
-        pair = ModulusPair.create(q, m)
-        phi = compute_phi(sampler, m, k, pair, params.sigma(m))
+        phi = compute_phi(sampler, m, k, q, params.sigma(m))
         assert len(phi) == k
         hot = set()
         for line in aliased_spectrum(spectrum, m):
@@ -123,7 +121,7 @@ class TestComputePhi:
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
         with pytest.raises(ValueError):
-            compute_phi(sampler, 10, 4, ModulusPair.create(3, 10), 1.0)
+            compute_phi(sampler, 10, 4, 3, 1.0)
 
 
 class TestFindAliasedSupport:
