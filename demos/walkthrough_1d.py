@@ -22,8 +22,8 @@ for m in (10, 20):
     print(f"aliased support mod {m}: {sorted(aliased_spectrum(spectrum, m))}")
 
 # Dealiasing doubles the modulus and considers both translated copies.
-cands = dealias_candidates({1, 3, 5}, 10, 2)
-print("candidates when going 10 -> 20:", sorted(cands))
+cands = dealias_candidates(np.array([1, 3, 5]), 10, 2)
+print("candidates when going 10 -> 20:", cands.tolist())
 
 # A coprime shuffle Q relabels line j to j*Q mod N, spreading out clusters.
 q = 13
@@ -39,7 +39,7 @@ print(f"base modulus K={params.k_base}, ladder moduli {plan.moduli} "
 ledger = SampleLedger()
 sampler = Sampler(spectrum, ledger=ledger)
 rng = np.random.default_rng(0)
-support = sorted(find_support(sampler, N, params, rng))
+support = find_support(sampler, N, params, rng).tolist()
 print("recovered support:", support)
 values = compute_values(support, 3, N, params.p_fail, 1e-10, sampler, rng,
                         mu=params.mu)

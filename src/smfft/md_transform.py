@@ -11,6 +11,7 @@ runs the 1-D support and value recovery, and unflattens the result.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,9 +44,13 @@ class RankOneLattice:
 
 
 def flatten_index(multi, lattice: RankOneLattice) -> int:
-    """Base-M digits to flat index: sum multi[i] * M^i."""
+    """Base-M digits to flat index: sum multi[i] * M^i.
+
+    Components must be integers (numpy integers included); a float such as
+    1.5 is rejected, never truncated.
+    """
     try:
-        multi = tuple(int(c) for c in multi)
+        multi = tuple(operator.index(c) for c in multi)
     except (TypeError, ValueError) as exc:
         raise IndexOutOfRange(
             f"{multi!r} is not a {lattice.dims}-tuple of integers") from exc
@@ -102,7 +107,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     n_total = lattice.total
     support = find_support(sampler, n_total, params, rng)
     # Ladder padding can admit indices beyond M^d; those cannot be real.
-    support = sorted(j for j in support if j < n_total)
+    support = support[support < n_total].tolist()
     if stats is not None:
         stats["ladder_steps"] = plan_ladder(n_total, params).levels
         stats["redraws"] = 0

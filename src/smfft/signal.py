@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,21 +63,98 @@ class NoiseModel:
             raise ValueError("gaussian noise requires eta > 0")
 
 
-@dataclass
-class SampleLedger:
-    """Counts distinct sample locations (as reduced rationals) and requests."""
+# Integers below 2^53 convert to float64 exactly, which the ledger's float
+# key needs.
+_DEN_LIMIT = 1 << 53
 
-    unique_points: set[tuple[int, int]] = field(default_factory=set)
-    total_requests: int = 0
+
+class SampleLedger:
+    """Counts sample requests and the distinct points they touch.
+
+    A point is a rational nums/den in [0, 1), counted once however it is
+    written (1/4 and 2/8 are one point).  ``record`` only logs its arguments;
+    ``unique_count`` deduplicates the log when read and caches the count
+    until the next ``record``.
+
+    Points over denominators with no common factor can coincide only at 0,
+    so the denominators split into classes linked by common factors, and
+    each class is deduplicated on its own.  A read recounts only the classes
+    that gained records since the last read: the ladder's moduli form one
+    class, and each prime grid of the value stage usually forms its own.
+    """
+
+    def __init__(self):
+        self.total_requests = 0
+        self._log: dict[int, list[np.ndarray]] = {}  # den -> recorded nums
+        self._class_counts: dict[tuple, tuple[int, bool]] = {}
+        self._unique: int | None = 0
 
     @property
     def unique_count(self) -> int:
-        return len(self.unique_points)
+        if self._unique is None:
+            counts = {}
+            for dens in _linked_classes(self._log):
+                key = tuple((d, len(self._log[d])) for d in dens)
+                counts[key] = self._class_counts.get(key) or self._count_class(dens)
+            self._class_counts = counts
+            self._unique = (sum(nonzero for nonzero, _ in counts.values())
+                            + any(zero for _, zero in counts.values()))
+        return self._unique
 
     def record(self, nums: np.ndarray, den: int) -> None:
-        self.total_requests += int(nums.size)
-        g = np.gcd(nums, den)
-        self.unique_points.update(zip((nums // g).tolist(), (den // g).tolist()))
+        """Log the points nums/den, 0 <= nums < den < 2^53; nums is copied."""
+        nums = np.array(nums, dtype=np.int64).ravel()
+        den = int(den)
+        if not 0 < den < _DEN_LIMIT or (
+                nums.size and (nums.min() < 0 or nums.max() >= den)):
+            raise ValueError(f"sample points must satisfy 0 <= num < den < 2^53, den={den}")
+        self.total_requests += nums.size
+        self._log.setdefault(den, []).append(nums)
+        self._unique = None
+
+    def _count_class(self, dens: list[int]) -> tuple[int, bool]:
+        """(distinct nonzero points, whether 0 was sampled) over one class.
+
+        Division is correctly rounded, so equal points give equal floats.
+        Distinct points a/d and b/e differ by at least 1/lcm(d, e), while two
+        values in [0, 1) that round to one float are at most 2^-53 apart, so
+        below lcm 2^53 (the ladder's moduli divide one another) distinct
+        floats are distinct points.  Otherwise the reduced denominator D
+        splits a float's run, as distinct a/D and b/D are over 2^-53 apart.
+        """
+        x = np.empty(sum(nums.size for d in dens for nums in self._log[d]))
+        end = 0
+        for d in dens:
+            for nums in self._log[d]:
+                start, end = end, end + nums.size
+                np.divide(nums, d, out=x[start:end])
+        if math.lcm(*dens) < _DEN_LIMIT:
+            x.sort()
+            new = x[1:] != x[:-1]
+        else:
+            nums = np.concatenate([n for d in dens for n in self._log[d]])
+            den = np.repeat(dens, [sum(n.size for n in self._log[d]) for d in dens])
+            reduced = den // np.gcd(nums, den)
+            order = np.lexsort((reduced, x))
+            x, reduced = x[order], reduced[order]
+            new = (x[1:] != x[:-1]) | (reduced[1:] != reduced[:-1])
+        zero = bool(x.size and x[0] == 0.0)
+        return int(np.count_nonzero(new) + (x.size > 0) - zero), zero
+
+
+def _linked_classes(dens) -> list[list[int]]:
+    """Partition denominators into sorted classes joined, transitively, by
+    common factors."""
+    classes: list[list[int]] = []
+    for d in sorted(dens):
+        joined, apart = [d], []
+        for c in classes:
+            if any(math.gcd(d, e) > 1 for e in c):
+                joined += c
+            else:
+                apart.append(c)
+        classes = apart + [sorted(joined)]
+    return classes
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -189,15 +267,17 @@ def load_signal_spec(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read signal spec {path}: {exc}") from exc
     try:
-        dims = int(doc["dims"])
-        axis = int(doc["axis_size"])
+        # operator.index rejects 1.5 where int() would truncate it.
+        dims = operator.index(doc["dims"])
+        axis = operator.index(doc["axis_size"])
         support = doc["support"]
         values = doc["values"]
         if len(support) != len(values):
             raise ParseError("support and values lengths differ")
         entries = {}
         for idx, val in zip(support, values):
-            key = (int(idx),) if dims == 1 else tuple(int(c) for c in idx)
+            key = ((operator.index(idx),) if dims == 1
+                   else tuple(operator.index(c) for c in idx))
             entries[key] = float(val)
         noise_doc = doc.get("noise", {"kind": "none", "eta": 0.0, "seed": 0})
         noise = NoiseModel(eta=float(noise_doc.get("eta", 0.0)),

@@ -152,16 +152,19 @@ def plan_ladder(requested_n: int, params: SupportParams) -> LadderPlan:
     return build_ladder(requested_n, params.k_base, params.rho)
 
 
-def dealias_candidates(aliased: set[int], m_k: int, rho_k: int) -> set[int]:
-    """Union of rho_k translated copies of the aliased support."""
-    if any(not 0 <= n < m_k for n in aliased):
+def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
+    """The rho_k translated copies n + m*m_k of the aliased support, as an
+    int64 array; sorted when ``aliased`` is."""
+    aliased = np.asarray(aliased, dtype=np.int64)
+    if aliased.size and (aliased.min() < 0 or aliased.max() >= m_k):
         raise ValueError("aliased indices must lie in [0, m_k)")
-    return {n + m * m_k for n in aliased for m in range(rho_k)}
+    return (m_k * np.arange(rho_k, dtype=np.int64)[:, None] + aliased).ravel()
 
 
 def initial_aliased_support(sampler: Sampler, plan: LadderPlan,
-                            params: SupportParams) -> set[int]:
-    """Aliased support at the base level via one full size-M_1 DFT.
+                            params: SupportParams) -> np.ndarray:
+    """Aliased support at the base level via one full size-M_1 DFT, as a
+    sorted int64 array.
 
     The aliased coefficients are sums of nonnegative entries, so an index is
     in the aliased support iff its coefficient clears the threshold.
@@ -169,67 +172,83 @@ def initial_aliased_support(sampler: Sampler, plan: LadderPlan,
     m1 = plan.moduli[0]
     samples = sampler.sample_progression(0, 1, m1, m1)
     fhat = np.fft.ifft(samples)
-    return {int(l) for l in np.flatnonzero(np.abs(fhat) > params.threshold)}
+    return np.flatnonzero(np.abs(fhat) > params.threshold).astype(np.int64, copy=False)
+
+
+def probe_window(sigma: float, m_k: int, k_base: int) -> np.ndarray:
+    """Wrapped-Gaussian weights at the K window offsets lo..hi of
+    :func:`window_offsets`; they depend only on the level, not the round."""
+    lo, hi = window_offsets(k_base)
+    return gaussian_window(np.arange(lo, hi + 1), FilterSpec.create(sigma, m_k, k_base))
 
 
 def compute_phi(sampler: Sampler, m_k: int, k_base: int, q: int,
-                sigma: float) -> np.ndarray:
+                weights: np.ndarray) -> np.ndarray:
     """Probe spectrum phi at the K grid points j*M_k/K, j = 0..K-1.
 
     Gathers the K window samples at locations (m*Q mod M)/M -- which, under
     the exp(-2*pi*i*x*j) signal convention, relabels spectral line l to
-    position l*Q -- weights them by the wrapped Gaussian, folds them mod K,
-    and applies a size-K DFT with the positive-sign kernel
-    exp(+2*pi*i*n*m/K).  A peak at grid point n then certifies a line near
-    n*M/K in the shuffled spectrum, matching :func:`probe_index`.
+    position l*Q -- weights them by the wrapped Gaussian ``weights`` of
+    :func:`probe_window`, folds them mod K, and applies a size-K DFT with the
+    positive-sign kernel exp(+2*pi*i*n*m/K).  A peak at grid point n then
+    certifies a line near n*M/K in the shuffled spectrum, matching
+    :func:`probe_index`.
     """
     if m_k % k_base != 0:
         raise ValueError("k_base must divide m_k")
-    spec = FilterSpec.create(sigma, m_k, k_base)
-    lo, hi = window_offsets(k_base)
-    offsets = np.arange(lo, hi + 1)
-    weights = gaussian_window(offsets, spec)
+    lo, _ = window_offsets(k_base)
     samples = sampler.sample_progression(lo * q, q, k_base, m_k)
-    folded = np.zeros(k_base, dtype=complex)
-    np.add.at(folded, offsets % k_base, weights * samples / m_k)
-    return np.fft.ifft(folded) * k_base
+    # The offsets lo..hi are one full residue system mod K, so folding them
+    # is a rotation that puts offset m at index m mod K.
+    return np.fft.ifft(np.roll(weights * samples / m_k, lo)) * k_base
 
 
-def probe_index(n: int, q: int, m_k: int, k_base: int) -> int:
-    """Grid index nearest (n*Q mod M_k)*K/M_k, rounding half up, mod K."""
-    s = (n * q) % m_k
-    return ((2 * s * k_base + m_k) // (2 * m_k)) % k_base
+def probe_index(n, q: int, m_k: int, k_base: int):
+    """Grid index nearest (n*Q mod M_k)*K/M_k, rounding half up, mod K.
+
+    ``n`` is an int or an int64 array of indices in [0, M_k).  Array
+    arithmetic is exact for M_k <= MAX_MODULUS = 2^46 and K <= 2^16: n*Q is
+    reduced mod M_k in 16-bit limbs of Q, so no product exceeds 2^62.
+    """
+    s = 0
+    for shift in (32, 16, 0):
+        s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m_k
+    return ((s * k_base + m_k // 2) // m_k) % k_base
 
 
-def find_aliased_support(candidate: set[int], m_k: int, k_base: int,
+def find_aliased_support(candidate: np.ndarray, m_k: int, k_base: int,
                          params: SupportParams, sampler: Sampler,
-                         rng: np.random.Generator) -> set[int]:
-    """Prune a candidate set down to the aliased support at modulus m_k.
+                         rng: np.random.Generator) -> np.ndarray:
+    """Prune a sorted int64 candidate array down to the aliased support at
+    modulus m_k, returned as a sorted int64 array.
 
     Runs L independent shuffle rounds; a candidate survives only if its probe
     clears the threshold in every round.  True aliased-support elements
     always survive (noiseless); each spurious candidate survives all rounds
     with probability at most about alpha^L = p_fail.
     """
-    sigma = params.sigma(m_k)
-    survivors = set(candidate)
+    weights = probe_window(params.sigma(m_k), m_k, k_base)
+    threshold = params.threshold
+    survivors = np.asarray(candidate, dtype=np.int64)
     for _ in range(params.probe_rounds):
-        if not survivors:
+        if not survivors.size:
             break
         q = sample_coprime(m_k, rng)
-        phi = compute_phi(sampler, m_k, k_base, q, sigma)
-        survivors = {n for n in survivors
-                     if abs(phi[probe_index(n, q, m_k, k_base)]) >= params.threshold}
+        phi = compute_phi(sampler, m_k, k_base, q, weights)
+        survivors = survivors[np.abs(phi[probe_index(survivors, q, m_k, k_base)]) >= threshold]
     return survivors
 
 
 def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
-                 rng: np.random.Generator) -> set[int]:
-    """Full support search: plan the ladder, then dealias level by level."""
+                 rng: np.random.Generator) -> np.ndarray:
+    """Full support search: plan the ladder, then dealias level by level.
+
+    Returns the support as a sorted int64 array.
+    """
     plan = plan_ladder(requested_n, params)
     aliased = initial_aliased_support(sampler, plan, params)
-    if not aliased:
-        return set()
+    if not aliased.size:
+        return aliased
     cap = CANDIDATE_CAP_FACTOR * params.rho * plan.k_base
     for level in range(1, plan.levels):
         rho_k = plan.factors[level - 1]

@@ -71,6 +71,14 @@ class TestAdapter:
         with pytest.raises(IndexOutOfRange):
             md_sample_adapter({5: 1.0}, lat)
 
+    def test_rejects_non_integer_components(self):
+        # Truncating (1.5, 2.9) to (1, 2) would build a wrong spectrum silently.
+        with pytest.raises(IndexOutOfRange):
+            md_sample_adapter({(1.5, 2.9): 1.0}, RankOneLattice(2, 8))
+        sampler = md_sample_adapter({(np.int64(1), np.int32(2)): 1.0},
+                                    RankOneLattice(2, 8))
+        assert sampler.spectrum.entries == {17: 1.0}
+
     @pytest.mark.parametrize("key", [5, np.int64(5), (5,), (1, 2), (1, 2, 3, 4)])
     def test_rejects_key_that_is_not_a_d_tuple(self, key):
         with pytest.raises(IndexOutOfRange):

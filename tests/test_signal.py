@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfft.errors import ParseError
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
@@ -147,6 +150,30 @@ class TestNoise:
         assert np.array_equal(s1, s2)
 
 
+@st.composite
+def ledger_log(draw):
+    """Records (nums, den) rich in repeats: equal points written over several
+    denominators, and near pairs n/d, (n - j)/(d - k) with n close to j*d/k,
+    which are distinct points sharing one float unless k*n == j*d."""
+    log = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            base = draw(st.integers(1, 60))
+            scale = draw(st.sampled_from((1, 2, 3, 12, 1 << 20, (1 << 40) + 1)))
+            nums = draw(st.lists(st.integers(0, base - 1), max_size=40))
+            log.append(([n * scale for n in nums], base * scale))
+        else:
+            k = draw(st.integers(2, 8))
+            j = draw(st.integers(1, k - 1))
+            d = draw(st.integers(1 << 45, (1 << 46) - 1))
+            if draw(st.booleans()):
+                d -= d % k
+            n = j * d // k + draw(st.integers(-(1 << 20), 1 << 20))
+            log.append(([n, draw(st.integers(0, d - 1))], d))
+            log.append(([n - j], d - k))
+    return log
+
+
 class TestLedger:
     def test_counts_reduced_points(self):
         ledger = SampleLedger()
@@ -162,6 +189,42 @@ class TestLedger:
         sampler.sample_progression(0, 1, 4, 4)  # all 4 points already seen at rate 8
         assert ledger.unique_count == 8
         assert ledger.total_requests == 12
+
+    @given(ledger_log())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_count(self, log):
+        # Read after every record: each read must see the records before it.
+        ledger, points, requests = SampleLedger(), set(), 0
+        for nums, den in log:
+            ledger.record(np.array(nums, dtype=np.int64), den)
+            points.update(Fraction(n, den) for n in nums)
+            requests += len(nums)
+            assert ledger.unique_count == len(points)
+            assert ledger.total_requests == requests
+            assert type(ledger.unique_count) is int
+
+    def test_distinct_points_sharing_a_float(self):
+        a, b = (23456248071566, (1 << 46) - 1), (23456248071565, (1 << 46) - 4)
+        assert a[0] / a[1] == b[0] / b[1] and Fraction(*a) != Fraction(*b)
+        ledger = SampleLedger()
+        ledger.record(np.array([a[0], 0]), a[1])
+        ledger.record(np.array([b[0]]), b[1])
+        assert ledger.unique_count == 3
+        ledger.record(np.array([2 * b[0]]), 2 * b[1])  # b again
+        assert ledger.unique_count == 3
+
+    def test_record_copies_nums(self):
+        ledger = SampleLedger()
+        nums = np.array([1, 2, 3])
+        ledger.record(nums, 8)
+        nums[:] = 1  # the caller reuses its buffer
+        assert ledger.unique_count == 3
+
+    @pytest.mark.parametrize("nums,den", [([4], 4), ([-1], 4), ([0], 0),
+                                          ([0], 1 << 53)])
+    def test_rejects_point_outside_exact_range(self, nums, den):
+        with pytest.raises(ValueError):
+            SampleLedger().record(np.array(nums), den)
 
 
 class TestLoadSignalSpec:
@@ -188,6 +251,15 @@ class TestLoadSignalSpec:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dims": 1, "axis_size": 4,
                                     "support": [1], "values": [1, 2]}))
+        with pytest.raises(ParseError):
+            load_signal_spec(str(path))
+
+    @pytest.mark.parametrize("dims,axis,support", [(1, 8, [1.5]), (2, 8, [[1, 2.9]]),
+                                                   (2.5, 8, [[1, 2]]), (2, 8.5, [[1, 2]])])
+    def test_rejects_non_integer(self, tmp_path, dims, axis, support):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dims": dims, "axis_size": axis,
+                                    "support": support, "values": [1.0]}))
         with pytest.raises(ParseError):
             load_signal_spec(str(path))
 

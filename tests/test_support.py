@@ -1,13 +1,49 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smfft.core_math import (FilterSpec, gaussian_window, sample_coprime,
+                             window_offsets)
 from smfft.errors import CandidateBlowup
-from smfft.signal import Sampler, SparseSpectrum, aliased_spectrum
+from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
+                          aliased_spectrum)
 from smfft.support_recovery import (SupportParams, build_ladder,
                                     compute_phi, dealias_candidates,
                                     find_aliased_support, find_support,
                                     initial_aliased_support, plan_ladder,
-                                    probe_index)
+                                    probe_index, probe_window)
+
+
+def reference_probe_index(n, q, m, k):
+    """Grid index nearest (n*q mod m)*k/m, rounding half up, in Python ints."""
+    s = (n * q) % m
+    return ((2 * s * k + m) // (2 * m)) % k
+
+
+def reference_phi(sampler, m, k, q, sigma):
+    """Probe spectrum with the window built here and an np.add.at fold."""
+    lo, hi = window_offsets(k)
+    offsets = np.arange(lo, hi + 1)
+    weights = gaussian_window(offsets, FilterSpec.create(sigma, m, k))
+    samples = sampler.sample_progression(lo * q, q, k, m)
+    folded = np.zeros(k, dtype=complex)
+    np.add.at(folded, offsets % k, weights * samples / m)
+    return np.fft.ifft(folded) * k
+
+
+def reference_find_aliased_support(candidate, m, k, params, sampler, rng):
+    """The set-based probe loop: a window and an np.add.at fold per round, and
+    one Python-int probe index per candidate."""
+    survivors = set(candidate)
+    for _ in range(params.probe_rounds):
+        if not survivors:
+            break
+        q = sample_coprime(m, rng)
+        phi = reference_phi(sampler, m, k, q, params.sigma(m))
+        survivors = {n for n in survivors
+                     if abs(phi[reference_probe_index(n, q, m, k)]) >= params.threshold}
+    return survivors
 
 
 class TestSupportParams:
@@ -73,14 +109,16 @@ class TestLadder:
 
 class TestDealias:
     def test_doubling_translates(self):
-        assert dealias_candidates({1, 3, 5}, 10, 2) == {1, 3, 5, 11, 13, 15}
+        got = dealias_candidates(np.array([1, 3, 5]), 10, 2)
+        assert got.tolist() == [1, 3, 5, 11, 13, 15]
 
     def test_triple_factor(self):
-        assert dealias_candidates({0, 2}, 4, 3) == {0, 2, 4, 6, 8, 10}
+        got = dealias_candidates(np.array([0, 2]), 4, 3)
+        assert got.tolist() == [0, 2, 4, 6, 8, 10]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            dealias_candidates({10}, 10, 2)
+            dealias_candidates(np.array([10]), 10, 2)
 
 
 class TestProbeIndex:
@@ -95,6 +133,20 @@ class TestProbeIndex:
         for n in range(20):
             assert probe_index(n, 1, 20, 10) == round(n / 2 + 1e-9) % 10
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_array_matches_python_ints(self, data):
+        m = data.draw(st.integers(2, 1 << 46))
+        k = data.draw(st.integers(1, min(m, 1 << 16)))
+        if data.draw(st.booleans()):
+            m -= m % k  # the ladder's case: K divides M_k
+        q = data.draw(st.integers(1, m - 1))
+        ns = data.draw(st.lists(st.integers(0, m - 1), max_size=20)) + [0, m - 1]
+        got = probe_index(np.array(ns, dtype=np.int64), q, m, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == [probe_index(n, q, m, k) for n in ns]
+        assert got.tolist() == [reference_probe_index(n, q, m, k) for n in ns]
+
 
 class TestComputePhi:
     def test_peaks_at_shuffled_lines(self):
@@ -108,7 +160,7 @@ class TestComputePhi:
         k, m = params.k_base, 722
         sampler = Sampler(spectrum)
         q = 135
-        phi = compute_phi(sampler, m, k, q, params.sigma(m))
+        phi = compute_phi(sampler, m, k, q, probe_window(params.sigma(m), m, k))
         assert len(phi) == k
         hot = set()
         for line in aliased_spectrum(spectrum, m):
@@ -118,10 +170,19 @@ class TestComputePhi:
         cold = [abs(phi[i]) for i in range(k) if i not in hot]
         assert np.median(cold) < params.threshold
 
+    @pytest.mark.parametrize("k", [361, 362])
+    def test_matches_add_at_fold(self, k):
+        # Odd and even K: the rotation puts every offset where np.add.at did.
+        spectrum = SparseSpectrum(8 * k, {3: 1.0, 5 * k + 7: 0.75})
+        sampler, m, sigma = Sampler(spectrum), 4 * k, 40.0
+        for q in (1, 3, 4 * k - 1):
+            phi = compute_phi(sampler, m, k, q, probe_window(sigma, m, k))
+            assert np.array_equal(phi, reference_phi(sampler, m, k, q, sigma))
+
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
         with pytest.raises(ValueError):
-            compute_phi(sampler, 10, 4, 3, 1.0)
+            compute_phi(sampler, 10, 4, 3, np.ones(4))
 
 
 class TestFindAliasedSupport:
@@ -136,9 +197,36 @@ class TestFindAliasedSupport:
         candidates = set(truth)
         while len(candidates) < 3 * len(truth):
             candidates.add(int(rng.integers(0, m)))
-        got = find_aliased_support(candidates, m, params.k_base, params,
-                                   Sampler(spectrum), np.random.default_rng(1))
-        assert got == truth
+        got = find_aliased_support(np.array(sorted(candidates)), m, params.k_base,
+                                   params, Sampler(spectrum), np.random.default_rng(1))
+        assert got.tolist() == sorted(truth)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("doublings", [1, 30])
+    def test_matches_set_reference(self, seed, doublings):
+        # Same rng, same samples, same survivors as the set-based loop, at
+        # M_k ~ 2^10 and ~ 2^39, where n*Q no longer fits in int64.
+        rng = np.random.default_rng(seed)
+        params = SupportParams(r_bound=16, eta=0.01)
+        k = params.k_base
+        m = k << doublings
+        lines = np.unique(rng.integers(0, 2 * m, 16))
+        spectrum = SparseSpectrum(2 * m, {int(j): float(a) for j, a in
+                                          zip(lines, rng.uniform(0.5, 1.5, lines.size))})
+        noise = NoiseModel(eta=0.01, kind="gaussian", seed=seed)
+        truth = list(aliased_spectrum(spectrum, m))
+        candidate = np.unique(np.concatenate([truth, rng.integers(0, m, 48)]))
+
+        def run(find, cand):
+            ledger, probe_rng = SampleLedger(), np.random.default_rng(seed + 10)
+            survivors = find(cand, m, k, params, Sampler(spectrum, noise, ledger), probe_rng)
+            return (sorted(int(n) for n in survivors), ledger.unique_count,
+                    ledger.total_requests, probe_rng.integers(1 << 62))
+
+        got = run(find_aliased_support, candidate)
+        # Python ints for the reference, whose n*q must not wrap.
+        assert got == run(reference_find_aliased_support, candidate.tolist())
+        assert set(truth) <= set(got[0])
 
 
 class TestFindSupport:
@@ -147,7 +235,7 @@ class TestFindSupport:
         params = SupportParams(r_bound=3)
         plan = plan_ladder(40, params)
         got = initial_aliased_support(Sampler(spectrum), plan, params)
-        assert got == {1, 23, 35}  # K=59 > 40: no folding at all
+        assert got.tolist() == [1, 23, 35]  # K=59 > 40: no folding at all
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_ladder_random_instances(self, seed):
@@ -160,13 +248,13 @@ class TestFindSupport:
         params = SupportParams(r_bound=16)
         got = find_support(Sampler(spectrum), n, params,
                            np.random.default_rng(seed + 100))
-        assert got == set(int(j) for j in support)
+        assert got.tolist() == sorted(int(j) for j in support)
 
     def test_empty_spectrum(self):
         spectrum = SparseSpectrum(64, {})
         params = SupportParams(r_bound=4)
         assert find_support(Sampler(spectrum), 64, params,
-                            np.random.default_rng(0)) == set()
+                            np.random.default_rng(0)).size == 0
 
     def test_candidate_blowup_guard(self):
         # A wildly wrong mu makes every index pass the initial threshold.
