@@ -1,7 +1,8 @@
 """Number-theoretic and transform primitives.
 
-Modular inverses, coprime sampling, a growing prime sieve, the wrapped
-(periodized) Gaussian window, and the low-frequency index window.
+Exact modular products, modular inverses, coprime sampling, a growing
+prime sieve, the wrapped (periodized) Gaussian window, and the
+low-frequency index window.
 """
 
 from __future__ import annotations
@@ -14,8 +15,21 @@ import numpy as np
 from .errors import NotCoprime
 
 # Largest modulus for which int64 progression arithmetic stays exact
-# (see signal.Sampler): modulus * count must fit in 63 bits.
+# (see signal.Sampler and mulmod): modulus * count must fit in 63 bits.
 MAX_MODULUS = 1 << 46
+
+
+def mulmod(n, q: int, m: int):
+    """(n * q) mod m, exact in int64 for m <= MAX_MODULUS = 2^46.
+
+    ``n`` is an int or an int64 array with entries in [0, m), and q is an
+    int in [0, m).  The product is reduced in 16-bit limbs of q, so no
+    intermediate exceeds 2^62.
+    """
+    s = 0
+    for shift in (32, 16, 0):
+        s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m
+    return s
 
 
 @dataclass(frozen=True)

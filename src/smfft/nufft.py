@@ -1,12 +1,12 @@
 """Fast evaluation of sparse exponential sums on integer grids.
 
-Computes F(k) = sum_j c_j exp(-2*pi*i*(k0 + k)*nu_j), k = 0..count-1, by
-Gaussian gridding: spread each source onto an oversampled grid with a
-narrow Gaussian, take one FFT, and divide out the kernel's transform
-(Dutt-Rokhlin / Greengard-Lee type 1).  With spreading width 28 and
-2x oversampling the relative error is ~1e-13 of sum |c_j|, far below
-the accuracy targets of the recovery pipeline; the direct O(count * R)
-evaluation stays worthwhile only for small problems.
+Computes F(k) = sum_j c_j exp(-2*pi*i*k*nu_j), k = 0..count-1, by Gaussian
+gridding: spread each source onto an oversampled grid with a narrow
+Gaussian, take one FFT, and divide out the kernel's transform
+(Dutt-Rokhlin / Greengard-Lee type 1).  One call costs O(R + count log
+count).  With spreading width 28 and 2x oversampling the relative error is
+~1e-13 of sum |c_j|, far below the accuracy targets of the recovery
+pipeline.
 """
 
 from __future__ import annotations
@@ -15,36 +15,38 @@ import math
 
 import numpy as np
 
-try:  # scipy's 5-smooth sizes beat the next power of two when available
-    from scipy.fft import next_fast_len as _next_fast_len
-except ImportError:  # pragma: no cover
-    def _next_fast_len(n: int, real: bool = False) -> int:
-        return 1 << max(0, (n - 1).bit_length())
-
 # Half-width of the spreading kernel in fine-grid points.  The aliasing and
 # truncation errors balance at exp(-pi * MSP / (2 * sqrt(2))) ~ 3e-14.
 _SPREAD_HALF = 14
 _MSP = 2 * _SPREAD_HALF
 
-# Below this work estimate the direct evaluation is at least as fast.
-DIRECT_CUTOFF = 1 << 17
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: a size pocketfft transforms fast."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
-def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray, k0: int,
+def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
                   count: int) -> np.ndarray:
-    """Approximate F(k) = sum_j coeffs_j * exp(-2*pi*i*(k0+k)*nu_j).
+    """Approximate F(k) = sum_j coeffs_j * exp(-2*pi*i*k*nu_j).
 
     Parameters
     ----------
     coeffs : complex array (R,)
     nu : float array (R,), frequencies in [0, 1)
-    k0 : int, first grid index
-    count : int, number of consecutive indices
+    count : int, number of grid indices k = 0..count-1
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     nu = np.asarray(nu, dtype=float)
     # Center the mode range at zero so the kernel correction stays tame.
-    kc = k0 + count // 2
+    kc = count // 2
     shifted = coeffs * np.exp(-2j * np.pi * ((kc * nu) % 1.0))
     s = np.arange(count) - count // 2  # modes in [-count//2, count - count//2)
 
@@ -69,8 +71,3 @@ def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray, k0: int,
     correction = np.exp(tau * s.astype(float) ** 2) * (
         2.0 * np.pi / (grid * math.sqrt(4.0 * math.pi * tau)))
     return spectrum[s % grid] * correction
-
-
-def worth_nufft(count: int, sparsity: int) -> bool:
-    """Whether the gridded path beats direct evaluation for this shape."""
-    return count * sparsity > DIRECT_CUTOFF and count > 4 * _MSP

@@ -1,8 +1,9 @@
 """Sparse spectrum model, sampling oracle, noise, and sample accounting.
 
 The ground truth always lives in frequency space; time-domain samples are
-synthesized on demand in O(R) per point.  N is never materialized, which is
-what lets the ambient size run to 2^40 and beyond.
+synthesized on demand, a batch of count points in O(R + count log count).
+N is never materialized, which is what lets the ambient size run to 2^40
+and beyond.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import MAX_MODULUS
+from .core_math import MAX_MODULUS, mulmod
 from .errors import ParseError
-from .nufft import nufft_exp_sum, worth_nufft
+from .nufft import nufft_exp_sum
 
 _TWO_PI = 2.0 * math.pi
-
-# Resynchronize the cumulative phase product this often to bound drift.
-_RESYNC = 2048
 
 
 @dataclass(frozen=True)
@@ -194,9 +192,10 @@ class Sampler:
     """Oracle access to f(x) = sum_j exp(-2*pi*i*x*j) fhat_j at rationals q/P.
 
     Wraps a sparse spectrum (possibly the flattened image of a d-dimensional
-    one), a noise model, and a ledger.  All batch requests used by the
-    recovery pipeline are arithmetic progressions mod the denominator, which
-    permits an O(count * R) evaluation by cumulative phase products.
+    one), a noise model, and a ledger.  Every batch request is an
+    arithmetic progression mod the denominator, so sample k is a sum over
+    lines j with phases (start*j + k*step*j) mod den: one exponential sum
+    in k, evaluated by gridded nufft in O(R + count log count).
     """
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
@@ -204,8 +203,12 @@ class Sampler:
         self.spectrum = spectrum
         self.noise = noise or NoiseModel()
         self.ledger = ledger if ledger is not None else SampleLedger()
-        self._support = [int(j) for j in sorted(spectrum.entries)]
-        self._amps = np.array([spectrum.entries[j] for j in self._support], dtype=float)
+        support = [int(j) for j in sorted(spectrum.entries)]
+        self._amps = np.array([spectrum.entries[j] for j in support], dtype=float)
+        # Indices past int64 stay Python ints; either dtype reduces mod den
+        # exactly.
+        wide = support and support[-1] >= 1 << 63
+        self._support = np.array(support, dtype=object if wide else np.int64)
 
     def sample_progression(self, start: int, step: int, count: int,
                            den: int) -> np.ndarray:
@@ -219,28 +222,10 @@ class Sampler:
         nums = (start + step * np.arange(count, dtype=np.int64)) % den
         self.ledger.record(nums, den)
 
-        out = np.zeros(count, dtype=complex)
-        if self._support:
-            jr = [j % den for j in self._support]
-            step_frac = np.array([((step * j) % den) / den for j in jr])
-            start_phase = np.exp(
-                np.array([(-_TWO_PI * ((start * j) % den)) / den for j in jr]) * 1j)
-            if worth_nufft(count, len(jr)):
-                # Large batches: gridded evaluation in O(R + count log count).
-                out = nufft_exp_sum(self._amps * start_phase, step_frac, 0, count)
-            else:
-                ratio = np.exp(-_TWO_PI * 1j * step_frac)
-                powers = np.empty((count, len(jr)), dtype=complex)
-                for lo in range(0, count, _RESYNC):
-                    hi = min(lo + _RESYNC, count)
-                    base = start + lo * step
-                    powers[lo] = np.exp(
-                        np.array([(-_TWO_PI * ((base * j) % den)) / den for j in jr]) * 1j)
-                    if hi > lo + 1:
-                        block = powers[lo:hi]
-                        block[1:] = ratio
-                        np.cumprod(block, axis=0, out=block)
-                out = powers @ self._amps
+        jr = (self._support % den).astype(np.int64)
+        step_frac = mulmod(jr, step, den) / den
+        start_phase = np.exp((-_TWO_PI * mulmod(jr, start, den)) / den * 1j)
+        out = nufft_exp_sum(self._amps * start_phase, step_frac, count)
         if self.noise.kind != "none":
             out = out + make_noise(self.noise, nums, den)
         return out

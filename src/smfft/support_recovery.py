@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import (FilterSpec, gaussian_window, sample_coprime,
+from .core_math import (FilterSpec, gaussian_window, mulmod, sample_coprime,
                         window_offsets)
 from .errors import CandidateBlowup
 from .signal import Sampler
@@ -208,11 +208,9 @@ def probe_index(n, q: int, m_k: int, k_base: int):
 
     ``n`` is an int or an int64 array of indices in [0, M_k).  Array
     arithmetic is exact for M_k <= MAX_MODULUS = 2^46 and K <= 2^16: n*Q is
-    reduced mod M_k in 16-bit limbs of Q, so no product exceeds 2^62.
+    reduced by :func:`mulmod`, and s*K stays below 2^62.
     """
-    s = 0
-    for shift in (32, 16, 0):
-        s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m_k
+    s = mulmod(n, q, m_k)
     return ((s * k_base + m_k // 2) // m_k) % k_base
 
 

@@ -54,7 +54,7 @@ class TestSampler:
                 direct_sample(entries, 100, 3 + 7 * k, 101), abs=1e-10)
 
     def test_progression_resync_long_run(self):
-        # Longer than one resync block: drift must stay at rounding level.
+        # A long run: phase drift along k must stay at rounding level.
         entries = {12345: 1.0, 999983: 0.5}
         sampler = Sampler(SparseSpectrum(1 << 21, entries))
         count = 5000
@@ -70,11 +70,41 @@ class TestSampler:
         entries = {int(j): float(v) for j, v in zip(
             rng.choice(n, 64, replace=False), rng.uniform(0.5, 1.5, 64))}
         sampler = Sampler(SparseSpectrum(n, entries))
-        count = 4096  # count * R > 2^17 forces the gridded evaluation
+        count = 4096
         got = sampler.sample_progression(5, 97, count, 10007)
         for k in (0, 1, 100, 2048, 4095):
             assert got[k] == pytest.approx(
                 direct_sample(entries, n, 5 + 97 * k, 10007), abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_progression_matches_exact_reference(self, data):
+        # Small moduli, and moduli near 2^46 with start, step and indices
+        # near the modulus, which fills every 16-bit limb of the reduction.
+        den = data.draw(st.one_of(st.integers(1, 1 << 12),
+                                  st.integers((1 << 46) - (1 << 20), 1 << 46)))
+        residue = st.one_of(st.integers(0, den - 1),
+                            st.integers(max(0, den - 64), den - 1))
+        start, step = data.draw(residue), data.draw(residue)
+        # Short batches, batches with count * R <= 2^17, and single points.
+        count, r = data.draw(st.one_of(
+            st.tuples(st.integers(1, 112), st.integers(1, 64)),
+            st.tuples(st.integers(1, 2048), st.integers(1, 64)).filter(
+                lambda shape: shape[0] * shape[1] <= 1 << 17),
+            st.tuples(st.just(1), st.integers(1, 64))))
+        # Indices beyond int64 take the sampler's Python-int reduction.
+        top = 1 << (70 if data.draw(st.booleans()) else 62)
+        index = st.one_of(residue, st.integers(den, top))
+        support = data.draw(st.lists(index, min_size=1, max_size=r, unique=True))
+        entries = {j: data.draw(st.floats(0.5, 1.5)) for j in support}
+        sampler = Sampler(SparseSpectrum(max(support) + 1, entries))
+        got = sampler.sample_progression(start, step, count, den)
+        ks = np.arange(count, dtype=object)[:, None]
+        js = np.array(support, dtype=object)[None, :]
+        phase = ((start + ks * step) * js % den).astype(float) / den
+        want = np.exp(-2j * np.pi * phase) @ np.array(list(entries.values()))
+        scale = sum(entries.values())
+        assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
     def test_batch_subsampled_is_aliased_spectrum(self):
         # Inverse DFT of the rate-M batch recovers the spectrum folded mod M.
