@@ -32,15 +32,15 @@ print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
 
 # End-to-end recovery.
 params = SupportParams(r_bound=3)
-plan = plan_ladder(N, params)
-print(f"base modulus K={params.k_base}, ladder moduli {plan.moduli} "
+moduli = plan_ladder(N, params.k_base, params.rho)
+print(f"base modulus K={params.k_base}, ladder moduli {moduli} "
       "(K already exceeds N here, so one level suffices)")
 
 ledger = SampleLedger()
 sampler = Sampler(spectrum, ledger=ledger)
 rng = np.random.default_rng(0)
-support = find_support(sampler, N, params, rng).tolist()
-print("recovered support:", support)
+support = find_support(sampler, N, params, rng)
+print("recovered support:", support.tolist())
 values = compute_values(support, 3, N, params.p_fail, 1e-10, sampler, rng,
                         mu=params.mu)
 for j in support:

@@ -6,8 +6,7 @@ dimension, with failure probability decaying like the number of probe
 rounds.  See README.md for usage.
 """
 
-from .core_math import (FilterSpec, mod_inverse, primes_greater_than,
-                        sample_coprime)
+from .core_math import mod_inverse, primes_greater_than, sample_coprime
 from .errors import (CandidateBlowup, ContractionFailure, IndexOutOfRange,
                      NotCoprime, ParseError, SmfftError)
 from .md_transform import (RankOneLattice, flatten_index, lattice_point,
@@ -15,24 +14,23 @@ from .md_transform import (RankOneLattice, flatten_index, lattice_point,
                            unflatten_index)
 from .signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                      aliased_spectrum, load_signal_spec, make_noise)
-from .support_recovery import (LadderPlan, SupportParams, build_ladder,
-                               dealias_candidates, find_aliased_support,
-                               find_support, plan_ladder)
+from .support_recovery import (SupportParams, dealias_candidates,
+                               find_aliased_support, find_support, plan_ladder)
 from .value_recovery import (MeasurementSystem, apply_normal, back_project,
                              compute_values, draw_measurement)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FilterSpec", "mod_inverse", "primes_greater_than", "sample_coprime",
+    "mod_inverse", "primes_greater_than", "sample_coprime",
     "CandidateBlowup", "ContractionFailure", "IndexOutOfRange", "NotCoprime",
     "ParseError", "SmfftError",
     "RankOneLattice", "flatten_index", "lattice_point", "md_sample_adapter",
     "md_sfft", "relative_l2_error", "unflatten_index",
     "NoiseModel", "SampleLedger", "Sampler", "SparseSpectrum",
     "aliased_spectrum", "load_signal_spec", "make_noise",
-    "LadderPlan", "SupportParams", "build_ladder", "dealias_candidates",
-    "find_aliased_support", "find_support", "plan_ladder",
+    "SupportParams", "dealias_candidates", "find_aliased_support",
+    "find_support", "plan_ladder",
     "MeasurementSystem", "apply_normal", "back_project", "compute_values",
     "draw_measurement",
 ]

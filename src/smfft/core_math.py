@@ -8,7 +8,6 @@ low-frequency index window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,35 +29,6 @@ def mulmod(n, q: int, m: int):
     for shift in (32, 16, 0):
         s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m
     return s
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Wrapped-Gaussian window of width sigma (in index units) on Z_M.
-
-    ``wrap_terms`` truncates the periodization sum to |h| <= wrap_terms,
-    chosen so the dropped tail is below 1e-15 relative.
-    """
-
-    sigma: float
-    modulus: int
-    wrap_terms: int
-    bandwidth: int
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not (1 <= self.bandwidth <= self.modulus):
-            raise ValueError("bandwidth must lie in [1, modulus]")
-        if self.wrap_terms < 0:
-            raise ValueError("wrap_terms must be nonnegative")
-
-    @classmethod
-    def create(cls, sigma: float, modulus: int, bandwidth: int) -> "FilterSpec":
-        # Terms with (pi*sigma*|m/M + h|)^2 > 35 are below 1e-15 of the peak.
-        reach = math.sqrt(35.0) * modulus / (math.pi * sigma)
-        wrap = max(2, math.ceil((reach + bandwidth / 2 + 1) / modulus))
-        return cls(sigma, modulus, wrap, bandwidth)
 
 
 def mod_inverse(q: int, m: int) -> int:
@@ -115,13 +85,22 @@ def primes_greater_than(r: int, count: int) -> list[int]:
         limit *= 2
 
 
-def gaussian_window(offsets: np.ndarray, spec: FilterSpec) -> np.ndarray:
+def gaussian_window(offsets: np.ndarray, sigma: float, modulus: int) -> np.ndarray:
     """Wrapped Gaussian sqrt(pi)*sigma*sum_h exp(-(pi*sigma*(m/M+h))^2) at
-    integer offsets m (mod M implied), vectorized."""
-    x = np.asarray(offsets, dtype=float)[:, None] / spec.modulus
-    h = np.arange(-spec.wrap_terms, spec.wrap_terms + 1, dtype=float)[None, :]
-    s = math.pi * spec.sigma
-    return math.sqrt(math.pi) * spec.sigma * np.exp(-((s * (x + h)) ** 2)).sum(axis=1)
+    integer offsets m (mod M implied), vectorized.
+
+    The sum runs over |h| <= wrap, with wrap sized from the largest |m| so
+    the dropped tail is below 1e-15 relative: terms with
+    (pi*sigma*|m/M + h|)^2 > 35 are below 1e-15 of the peak.
+    """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    x = np.asarray(offsets, dtype=float)
+    reach = math.sqrt(35.0) * modulus / (math.pi * sigma)
+    wrap = max(2, math.ceil((reach + np.abs(x).max(initial=0.0) + 1) / modulus))
+    h = np.arange(-wrap, wrap + 1, dtype=float)[None, :]
+    s = math.pi * sigma
+    return math.sqrt(math.pi) * sigma * np.exp(-((s * (x[:, None] / modulus + h)) ** 2)).sum(axis=1)
 
 
 def window_offsets(k: int) -> tuple[int, int]:

@@ -107,11 +107,11 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     n_total = lattice.total
     support = find_support(sampler, n_total, params, rng)
     # Ladder padding can admit indices beyond M^d; those cannot be real.
-    support = support[support < n_total].tolist()
+    support = support[support < n_total]
     if stats is not None:
-        stats["ladder_steps"] = plan_ladder(n_total, params).levels
+        stats["ladder_steps"] = len(plan_ladder(n_total, params.k_base, params.rho))
         stats["redraws"] = 0
-    if not support:
+    if not support.size:
         return {}
     accuracy = params.eta if params.eta > 0 else 1e-10
     values = compute_values(support, params.r_bound, n_total, params.p_fail,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (FilterSpec, gaussian_window, mod_inverse,
-                        primes_greater_than, window_offsets)
+from .core_math import (gaussian_window, mod_inverse, primes_greater_than,
+                        window_offsets)
 from .md_transform import RankOneLattice, lattice_point
 from .value_recovery import BLOCKS, prime_pool_size
 
@@ -182,12 +182,11 @@ def check_window(seed: int = 0) -> SuiteResult:
         m = int(rng.integers(16, 256))
         k = int(rng.integers(4, m))
         sigma = float(rng.uniform(0.5, m / 4))
-        spec = FilterSpec.create(sigma, m, k)
         lo, hi = window_offsets(k)
         offsets = np.arange(lo, hi + 1)
         if len(offsets) != k or len(set(offsets % m)) != k:
             sizes_ok = False
-        got = gaussian_window(offsets, spec)
+        got = gaussian_window(offsets, sigma, m)
         h = np.arange(-64, 65)
         brute = np.array([
             math.sqrt(math.pi) * sigma * np.sum(

@@ -13,12 +13,11 @@ spurious candidates fail some round with high probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (FilterSpec, gaussian_window, mulmod, sample_coprime,
-                        window_offsets)
+from .core_math import gaussian_window, mulmod, sample_coprime, window_offsets
 from .errors import CandidateBlowup
 from .signal import Sampler
 
@@ -87,28 +86,6 @@ class SupportParams:
         return self.alpha * (modulus / (2 * r)) / math.sqrt(l1)
 
 
-@dataclass(frozen=True)
-class LadderPlan:
-    """The moduli ladder M_1 = K, M_{k+1} = rho_k * M_k up to the padded N."""
-
-    k_base: int
-    factors: tuple[int, ...]
-    n_padded: int
-    moduli: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        moduli = [self.k_base]
-        for f in self.factors:
-            moduli.append(moduli[-1] * f)
-        if moduli[-1] != self.n_padded:
-            raise ValueError("factors do not multiply out to n_padded")
-        object.__setattr__(self, "moduli", tuple(moduli))
-
-    @property
-    def levels(self) -> int:
-        return len(self.moduli)
-
-
 def _min_product_with_factors(target: int, count: int, rho: int) -> tuple[int, ...]:
     """Smallest product >= target using exactly ``count`` factors in [2, rho]."""
     best: list[tuple[int, ...] | None] = [None]
@@ -129,27 +106,25 @@ def _min_product_with_factors(target: int, count: int, rho: int) -> tuple[int, .
     return best[0]
 
 
-def build_ladder(requested_n: int, k_base: int, rho: int) -> LadderPlan:
-    """Choose the padded size N = K * prod(rho_i) >= requested_n.
+def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
+    """The ladder moduli M_1 = K, M_{k+1} = rho_k * M_k, rho_k in [2, rho].
 
-    The number of ladder steps is minimized first (factors as large as
-    allowed), then the overshoot: among plans with that many steps, the
-    smallest padded N wins.
+    The last modulus is the padded size N >= requested_n.  The number of
+    ladder steps is minimized first (factors as large as allowed), then the
+    overshoot: among plans with that many steps, the smallest padded N wins.
     """
     if requested_n < 1:
         raise ValueError("requested_n must be positive")
     if k_base >= requested_n:
-        return LadderPlan(k_base, (), k_base)
+        return (k_base,)
     target = -(-requested_n // k_base)  # ceil division
     steps = max(1, math.ceil(math.log(target) / math.log(rho)))
     while rho**steps < target:  # guard against float log rounding
         steps += 1
-    factors = _min_product_with_factors(target, steps, rho)
-    return LadderPlan(k_base, factors, k_base * math.prod(factors))
-
-
-def plan_ladder(requested_n: int, params: SupportParams) -> LadderPlan:
-    return build_ladder(requested_n, params.k_base, params.rho)
+    moduli = [k_base]
+    for f in _min_product_with_factors(target, steps, rho):
+        moduli.append(moduli[-1] * f)
+    return tuple(moduli)
 
 
 def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
@@ -161,7 +136,7 @@ def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
     return (m_k * np.arange(rho_k, dtype=np.int64)[:, None] + aliased).ravel()
 
 
-def initial_aliased_support(sampler: Sampler, plan: LadderPlan,
+def initial_aliased_support(sampler: Sampler, m1: int,
                             params: SupportParams) -> np.ndarray:
     """Aliased support at the base level via one full size-M_1 DFT, as a
     sorted int64 array.
@@ -169,7 +144,6 @@ def initial_aliased_support(sampler: Sampler, plan: LadderPlan,
     The aliased coefficients are sums of nonnegative entries, so an index is
     in the aliased support iff its coefficient clears the threshold.
     """
-    m1 = plan.moduli[0]
     samples = sampler.sample_progression(0, 1, m1, m1)
     fhat = np.fft.ifft(samples)
     return np.flatnonzero(np.abs(fhat) > params.threshold).astype(np.int64, copy=False)
@@ -179,7 +153,7 @@ def probe_window(sigma: float, m_k: int, k_base: int) -> np.ndarray:
     """Wrapped-Gaussian weights at the K window offsets lo..hi of
     :func:`window_offsets`; they depend only on the level, not the round."""
     lo, hi = window_offsets(k_base)
-    return gaussian_window(np.arange(lo, hi + 1), FilterSpec.create(sigma, m_k, k_base))
+    return gaussian_window(np.arange(lo, hi + 1), sigma, m_k)
 
 
 def compute_phi(sampler: Sampler, m_k: int, k_base: int, q: int,
@@ -243,18 +217,17 @@ def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
 
     Returns the support as a sorted int64 array.
     """
-    plan = plan_ladder(requested_n, params)
-    aliased = initial_aliased_support(sampler, plan, params)
+    moduli = plan_ladder(requested_n, params.k_base, params.rho)
+    k_base = moduli[0]
+    aliased = initial_aliased_support(sampler, k_base, params)
     if not aliased.size:
         return aliased
-    cap = CANDIDATE_CAP_FACTOR * params.rho * plan.k_base
-    for level in range(1, plan.levels):
-        rho_k = plan.factors[level - 1]
-        candidate = dealias_candidates(aliased, plan.moduli[level - 1], rho_k)
+    cap = CANDIDATE_CAP_FACTOR * params.rho * k_base
+    for level, (m_prev, m_k) in enumerate(zip(moduli, moduli[1:]), 1):
+        candidate = dealias_candidates(aliased, m_prev, m_k // m_prev)
         if len(candidate) > cap:
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check mu/delta_ratio estimates")
-        aliased = find_aliased_support(candidate, plan.moduli[level],
-                                       plan.k_base, params, sampler, rng)
+        aliased = find_aliased_support(candidate, m_k, k_base, params, sampler, rng)
     return aliased

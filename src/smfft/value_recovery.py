@@ -27,13 +27,8 @@ class MeasurementSystem:
     """T prime-modulus sample blocks plus the implicit aliasing maps."""
 
     primes: list[int]
-    support: list[int]
     residue_maps: list[np.ndarray]  # per block: support index -> residue class
     rhs: list[np.ndarray]           # per block: the P^(t) samples
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.support)
 
 
 def prime_pool_size(r_bound: int, n_total: int) -> int:
@@ -44,20 +39,19 @@ def prime_pool_size(r_bound: int, n_total: int) -> int:
     return max(1, math.ceil(size - 1e-9))
 
 
-def draw_measurement(support: list[int], r_bound: int, n_total: int,
+def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
                      rng: np.random.Generator, sampler: Sampler) -> MeasurementSystem:
     """Draw T primes i.i.d. from the pool and sample the corresponding grids.
 
-    Draws are with replacement; a repeated prime simply weights its residue
-    blocks twice in the normal equations.
+    ``support`` is an int64 array.  Draws are with replacement; a repeated
+    prime simply weights its residue blocks twice in the normal equations.
     """
-    if not support:
+    if not support.size:
         raise ValueError("support must be nonempty")
     pool = primes_greater_than(r_bound, prime_pool_size(r_bound, n_total))
     picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
-    residue_maps = [np.array([j % p for j in support], dtype=np.int64) for p in picks]
     rhs = [sampler.sample_progression(0, 1, p, p) for p in picks]
-    return MeasurementSystem(picks, list(support), residue_maps, rhs)
+    return MeasurementSystem(picks, [support % p for p in picks], rhs)
 
 
 def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
@@ -74,7 +68,7 @@ def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
 def back_project(system: MeasurementSystem) -> np.ndarray:
     """(1/T) (FB)* f0: per block, correlate the samples with the DFT kernel
     at the support residues, then average the blocks."""
-    out = np.zeros(system.sparsity, dtype=complex)
+    out = np.zeros(len(system.residue_maps[0]), dtype=complex)
     for p, res, block in zip(system.primes, system.residue_maps, system.rhs):
         # ifft folds the spectrum mod p: u_l = sum_{j = l mod p} fhat_j,
         # which is exactly B^(t) fhat read off at the residue classes.
@@ -112,11 +106,12 @@ def contraction_ok(norms: list[float]) -> bool:
     return norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
 
 
-def compute_values(support: list[int], r_bound: int, n_total: int,
+def compute_values(support: np.ndarray, r_bound: int, n_total: int,
                    p_fail: float, eta: float, sampler: Sampler,
                    rng: np.random.Generator, mu: float = 0.0,
                    stats: dict | None = None) -> dict[int, float]:
-    """Recover the spectrum values on ``support`` to accuracy O(eta).
+    """Recover the spectrum values on the int64 array ``support`` to
+    accuracy O(eta).
 
     Up to L = ceil(log2(1/p)) measurement draws are attempted; each accepted
     draw is solved with Z = ceil(log2(1/eta)) Neumann terms.  When mu > 0,
@@ -124,8 +119,8 @@ def compute_values(support: list[int], r_bound: int, n_total: int,
     the smallest true amplitude, such entries can only be spurious support
     survivors (their exact value is zero).
     """
-    support = sorted(support)
-    if not support:
+    support = np.sort(support)
+    if not support.size:
         return {}
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1); pass the target accuracy "
@@ -138,10 +133,7 @@ def compute_values(support: list[int], r_bound: int, n_total: int,
         if contraction_ok(norms):
             if stats is not None:
                 stats["redraws"] = attempt
-            values = {}
-            for j, v in zip(support, solution.real):
-                if v > mu / 2:
-                    values[j] = float(v)
-            return values
+            return {j: float(v) for j, v in zip(support.tolist(), solution.real)
+                    if v > mu / 2}
     raise ContractionFailure(
         f"all {attempts} measurement draws rejected for |support|={len(support)}")

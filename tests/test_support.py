@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft.core_math import (FilterSpec, gaussian_window, sample_coprime,
-                             window_offsets)
+from smfft.core_math import gaussian_window, sample_coprime, window_offsets
 from smfft.errors import CandidateBlowup
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           aliased_spectrum)
-from smfft.support_recovery import (SupportParams, build_ladder,
-                                    compute_phi, dealias_candidates,
+from smfft.support_recovery import (SupportParams, compute_phi,
+                                    dealias_candidates,
                                     find_aliased_support, find_support,
                                     initial_aliased_support, plan_ladder,
                                     probe_index, probe_window)
@@ -25,7 +24,7 @@ def reference_phi(sampler, m, k, q, sigma):
     """Probe spectrum with the window built here and an np.add.at fold."""
     lo, hi = window_offsets(k)
     offsets = np.arange(lo, hi + 1)
-    weights = gaussian_window(offsets, FilterSpec.create(sigma, m, k))
+    weights = gaussian_window(offsets, sigma, m)
     samples = sampler.sample_progression(lo * q, q, k, m)
     folded = np.zeros(k, dtype=complex)
     np.add.at(folded, offsets % k, weights * samples / m)
@@ -82,29 +81,24 @@ class TestSupportParams:
 
 class TestLadder:
     def test_degenerate_when_k_exceeds_n(self):
-        plan = build_ladder(40, 59, 2)
-        assert plan.moduli == (59,)
-        assert plan.n_padded == 59
+        assert plan_ladder(40, 59, 2) == (59,)
 
     def test_growth_factors_bounded(self):
-        plan = build_ladder(10**6, 100, 4)
-        assert all(2 <= f <= 4 for f in plan.factors)
-        assert plan.n_padded >= 10**6
-        assert plan.moduli[0] == 100
+        moduli = plan_ladder(10**6, 100, 4)
+        assert all(b % a == 0 and 2 <= b // a <= 4 for a, b in zip(moduli, moduli[1:]))
+        assert moduli[-1] >= 10**6
+        assert moduli[0] == 100
 
     def test_minimal_depth_then_size(self):
         # 5 -> 45 needs two factor-3 steps; 40 = 5*2*2*2 would use three.
-        plan = build_ladder(40, 5, 3)
-        assert plan.factors == (3, 3)
-        assert plan.n_padded == 45
+        assert plan_ladder(40, 5, 3) == (5, 15, 45)
 
     def test_doubling_ladder(self):
-        plan = build_ladder(4096, 361, 2)
-        assert plan.moduli == (361, 722, 1444, 2888, 5776)
+        assert plan_ladder(4096, 361, 2) == (361, 722, 1444, 2888, 5776)
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p).moduli == (59,)
+        assert plan_ladder(40, p.k_base, p.rho) == (59,)
 
 
 class TestDealias:
@@ -233,8 +227,7 @@ class TestFindSupport:
     def test_initial_level(self):
         spectrum = SparseSpectrum(40, {1: 1.0, 23: 1.0, 35: 1.0})
         params = SupportParams(r_bound=3)
-        plan = plan_ladder(40, params)
-        got = initial_aliased_support(Sampler(spectrum), plan, params)
+        got = initial_aliased_support(Sampler(spectrum), params.k_base, params)
         assert got.tolist() == [1, 23, 35]  # K=59 > 40: no folding at all
 
     @pytest.mark.parametrize("seed", range(5))
