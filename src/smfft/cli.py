@@ -9,6 +9,7 @@ Reports are deterministic for a fixed seed except for timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,6 +31,16 @@ EXIT_PARSE = 2
 EXIT_SUPPORT = 3
 EXIT_VALUES = 4
 
+# SupportParams fields settable from transform/verify; unset ones keep its defaults.
+TUNING_FLAGS = (
+    ("--alpha", "alpha", float, "probe survival rate per round"),
+    ("--delta", "delta", float, "threshold fraction"),
+    ("--rho", "rho", int, "max ladder growth factor"),
+    ("--p", "p_fail", float, "per-stage failure probability"),
+    ("--mu", "mu", float, "lower bound on the smallest amplitude"),
+    ("--delta-ratio", "delta_ratio", float, "dynamic range bound"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse multidimensional FFT for nonnegative spectra.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: f.default for f in dataclasses.fields(SupportParams)}
 
     def add_run(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=int, default=0,
@@ -52,20 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="axis size M")
         p.add_argument("--d", type=int, help="dimensions d")
         p.add_argument("--r", type=int, help="sparsity bound R")
-        p.add_argument("--alpha", type=float, default=0.15,
-                       help="probe survival rate per round (default 0.15)")
-        p.add_argument("--delta", type=float, default=0.1,
-                       help="threshold fraction (default 0.1)")
-        p.add_argument("--rho", type=int, default=2,
-                       help="max ladder growth factor (default 2)")
-        p.add_argument("--p", type=float, default=1e-4, dest="p_fail",
-                       help="per-stage failure probability (default 1e-4)")
-        p.add_argument("--eta", type=float, default=None,
-                       help="noise level / value accuracy")
-        p.add_argument("--mu", type=float, default=0.5,
-                       help="lower bound on the smallest amplitude (default 0.5)")
-        p.add_argument("--delta-ratio", type=float, default=3.0,
-                       help="dynamic range bound (default 3)")
+        for flag, dest, kind, what in TUNING_FLAGS:
+            p.add_argument(flag, type=kind, dest=dest,
+                           help=f"{what} (default {defaults[dest]:g})")
+        p.add_argument("--eta", type=float, help="noise level / value accuracy")
         add_run(p)
 
     for name, text, flag, flag_help in (
@@ -122,9 +124,9 @@ def _run_file(args, check: bool) -> tuple[str, int]:
         eta = noise.eta
     lattice = RankOneLattice(dims, axis)
     r_bound = args.r if args.r is not None else len(entries)
-    params = SupportParams(r_bound=r_bound, alpha=args.alpha, delta=args.delta,
-                           rho=args.rho, p_fail=args.p_fail, mu=args.mu,
-                           delta_ratio=args.delta_ratio, eta=eta)
+    tuning = {dest: getattr(args, dest) for _, dest, _, _ in TUNING_FLAGS
+              if getattr(args, dest) is not None}
+    params = SupportParams(r_bound=r_bound, eta=eta, **tuning)
     seed = _effective_seed(args)
     ledger = SampleLedger()
     sampler = md_sample_adapter(entries, lattice, noise, ledger)

@@ -89,9 +89,8 @@ def gaussian_window(offsets: np.ndarray, sigma: float, modulus: int) -> np.ndarr
     """Wrapped Gaussian sqrt(pi)*sigma*sum_h exp(-(pi*sigma*(m/M+h))^2) at
     integer offsets m (mod M implied), vectorized.
 
-    The sum runs over |h| <= wrap, with wrap sized from the largest |m| so
-    the dropped tail is below 1e-15 relative: terms with
-    (pi*sigma*|m/M + h|)^2 > 35 are below 1e-15 of the peak.
+    The sum runs over |h| <= wrap, sized from the largest |m| so that every
+    dropped term has (pi*sigma*|m/M + h|)^2 > 35, below 1e-15 of the peak.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")

@@ -2,8 +2,8 @@
 
 The ground truth always lives in frequency space; time-domain samples are
 synthesized on demand, a batch of count points in O(R + count log count).
-N is never materialized, which is what lets the ambient size run to 2^40
-and beyond.
+N is never materialized, which is what lets the ambient size run to
+core_math.MAX_MODULUS = 2^46 after the ladder's padding.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ class SparseSpectrum:
 class NoiseModel:
     """Per-sample complex Gaussian noise of standard deviation eta.
 
-    The realization is a fixed function of the (reduced) sample location and
-    the seed, so re-requesting the same point yields the same noisy value --
-    the oracle behaves like a single noisy signal, not a fresh draw per call.
+    The realization is a fixed function of the sample location and the seed,
+    so re-requesting the same point yields the same noisy value -- the
+    oracle behaves like a single noisy signal, not a fresh draw per call.
+    Locations are keyed by their float64 value, so 1/4 and 2/8 share a draw,
+    as do distinct points that round to one float (denominator lcm > 2^53).
     """
 
     eta: float = 0.0
@@ -168,17 +170,16 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def make_noise(noise: NoiseModel, nums: np.ndarray, den: int) -> np.ndarray:
     """Deterministic complex Gaussian draws for sample points nums/den.
 
-    Each point's draw is keyed by its reduced fraction and the seed
+    Each point's draw is keyed by the float64 bits of nums/den and the seed
     (counter-based generation; no sequential RNG state), scaled so the
     per-sample standard deviation is eta.
     """
     nums = np.asarray(nums, dtype=np.int64)
     if noise.kind == "none":
         return np.zeros(nums.shape, dtype=complex)
-    g = np.gcd(nums, den)
+    bits = (nums / den).view(np.uint64)
     with np.errstate(over="ignore"):
-        key = _splitmix64((nums // g).astype(np.uint64))
-        key ^= _splitmix64((den // g).astype(np.uint64) ^ np.uint64(noise.seed * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF))
+        key = _splitmix64(bits ^ np.uint64(noise.seed * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF))
         u1 = (_splitmix64(key) >> np.uint64(11)).astype(float) * 2.0**-53
         u2 = (_splitmix64(key ^ np.uint64(0xD1B54A32D192ED03)) >> np.uint64(11)).astype(float) * 2.0**-53
     u1 = np.clip(u1, 2.0**-53, None)
@@ -244,7 +245,8 @@ def load_signal_spec(path: str):
 
     Returns (dims, axis_size, entries, noise) where entries maps multi-index
     tuples to amplitudes.  A 1-D file may list scalar indices; they become
-    1-tuples.
+    1-tuples.  An index with the wrong number of components, a component
+    outside [0, axis_size), or a repeated index is a ParseError.
     """
     try:
         with open(path) as fh:
@@ -261,8 +263,12 @@ def load_signal_spec(path: str):
             raise ParseError("support and values lengths differ")
         entries = {}
         for idx, val in zip(support, values):
-            key = ((operator.index(idx),) if dims == 1
-                   else tuple(operator.index(c) for c in idx))
+            key = tuple(map(operator.index, [idx] if dims == 1 and
+                            not isinstance(idx, list) else idx))
+            if len(key) != dims or not all(0 <= c < axis for c in key):
+                raise ParseError(f"index {idx} is not {dims} integers in [0, {axis})")
+            if key in entries:
+                raise ParseError(f"index {idx} is listed twice")
             entries[key] = float(val)
         noise_doc = doc.get("noise", {"kind": "none", "eta": 0.0, "seed": 0})
         noise = NoiseModel(eta=float(noise_doc.get("eta", 0.0)),

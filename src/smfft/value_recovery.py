@@ -99,9 +99,7 @@ def contraction_ok(norms: list[float]) -> bool:
     Checks geometric halving of the first two Neumann residuals.  A zero
     initial residual (exactly consistent data) is trivially accepted.
     """
-    if len(norms) < 3:
-        return True
-    if norms[0] == 0.0:
+    if len(norms) < 3 or norms[0] == 0.0:
         return True
     return norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
 

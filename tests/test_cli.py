@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from smfft import cli
 from smfft.cli import (EXIT_PARSE, EXIT_SUPPORT, main)
+from smfft.support_recovery import SupportParams
 
 
 @pytest.fixture()
@@ -53,6 +55,54 @@ class TestTransform:
     def test_bad_env_seed(self, signal_file, capsys, monkeypatch):
         monkeypatch.setenv("SMFFT_SEED", "not-a-number")
         assert main(["transform", "--signal", signal_file]) == EXIT_PARSE
+
+    def test_unset_tuning_flags_keep_support_params_defaults(
+            self, signal_file, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "md_sfft",
+                            lambda sampler, lattice, params, rng: seen.append(params) or {})
+        main(["transform", "--signal", signal_file])
+        main(["transform", "--signal", signal_file, "--rho", "4", "--p", "0.01"])
+        assert seen == [SupportParams(r_bound=3, eta=0.0),
+                        SupportParams(r_bound=3, eta=0.0, rho=4, p_fail=0.01)]
+
+
+def write_spec(tmp_path, dims, axis, support):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dims": dims, "axis_size": axis, "support": support,
+                                "values": [1.0] * len(support)}))
+    return str(path)
+
+
+class TestSpecIndices:
+    """Indices are checked where the file is read: a bad one is a parse
+    error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("support,message", [
+        ([[1, 9]], "not 2 integers in [0, 8)"),
+        ([[1, 2, 3]], "not 2 integers in [0, 8)"),
+        ([[1, 2], [1, 2]], "listed twice"),
+    ])
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_bad_index_is_parse_error(self, command, support, message, tmp_path, capsys):
+        assert main([command, "--signal", write_spec(tmp_path, 2, 8, support)]) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
+    def test_one_dimensional_list_index(self, tmp_path, capsys):
+        code, out = run(["transform", "--signal",
+                         write_spec(tmp_path, 1, 40, [[5], 23])], capsys)
+        assert code == 0
+        assert json.loads(out)["support"] == [[5], [23]]
+
+    def test_one_dimensional_report_round_trip(self, tmp_path, capsys):
+        # The support a 1-D report prints reads back as a spec file.
+        _, out = run(["transform", "--signal",
+                      write_spec(tmp_path, 1, 40, [1, 23, 35])], capsys)
+        support = json.loads(out)["support"]
+        assert support == [[1], [23], [35]]
+        code, out = run(["verify", "--signal", write_spec(tmp_path, 1, 40, support)],
+                        capsys)
+        assert code == 0 and json.loads(out)["support"] == support
 
 
 class TestVerify:

@@ -145,12 +145,21 @@ class TestNoise:
         b = make_noise(noise, np.array([3, 7, 9]), 20)
         assert np.array_equal(a, b)
 
-    def test_reduced_fraction_identified(self):
-        # 6/20 and 3/10 are the same sample point -> same noise draw.
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_fraction_identified(self, data):
+        # 6/20 and 3/10 are the same sample point -> same noise draw; so are
+        # n/d and nk/(dk) for any dk up to MAX_MODULUS = 2^46.
         noise = NoiseModel(eta=0.1, kind="gaussian", seed=5)
         a = make_noise(noise, np.array([6]), 20)
         b = make_noise(noise, np.array([3]), 10)
         assert a[0] == b[0]
+        d = data.draw(st.integers(1, 1 << 45))
+        k = data.draw(st.integers(1, (1 << 46) // d))
+        n = data.draw(st.integers(0, d - 1))
+        noise = NoiseModel(eta=0.1, kind="gaussian", seed=data.draw(st.integers(0, 99)))
+        assert make_noise(noise, np.array([n]), d)[0] == \
+            make_noise(noise, np.array([n * k]), d * k)[0]
 
     def test_seed_changes_draw(self):
         a = make_noise(NoiseModel(0.1, "gaussian", 1), np.array([3]), 20)
