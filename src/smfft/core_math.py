@@ -1,8 +1,8 @@
 """Number-theoretic and transform primitives.
 
 Exact modular products, modular inverses, coprime sampling, a growing
-prime sieve, the wrapped (periodized) Gaussian window, and the
-low-frequency index window.
+prime sieve, fast FFT sizes, the wrapped (periodized) Gaussian window, and
+the low-frequency index window.
 """
 
 from __future__ import annotations
@@ -83,6 +83,18 @@ def primes_greater_than(r: int, count: int) -> list[int]:
         if len(out) >= count:
             return out[:count]
         limit *= 2
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: a size pocketfft transforms fast."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def gaussian_window(offsets: np.ndarray, sigma: float, modulus: int) -> np.ndarray:

@@ -15,22 +15,12 @@ import math
 
 import numpy as np
 
+from .core_math import next_fast_len
+
 # Half-width of the spreading kernel in fine-grid points.  The aliasing and
 # truncation errors balance at exp(-pi * MSP / (2 * sqrt(2))) ~ 3e-14.
 _SPREAD_HALF = 14
 _MSP = 2 * _SPREAD_HALF
-
-
-def _next_fast_len(n: int) -> int:
-    """Smallest 11-smooth integer >= n: a size pocketfft transforms fast."""
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
 
 
 def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
@@ -51,7 +41,7 @@ def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
     s = np.arange(count) - count // 2  # modes in [-count//2, count - count//2)
 
     half_span = count - count // 2
-    grid = _next_fast_len(max(4 * half_span + 2, 4 * _MSP))
+    grid = next_fast_len(max(4 * half_span + 2, 4 * _MSP))
     tau = math.pi * _MSP / (math.sqrt(2.0) * grid * grid)
 
     # Spread each source onto 2*_SPREAD_HALF+1 nearest fine-grid points.

@@ -185,8 +185,11 @@ def make_noise(noise: NoiseModel, nums: np.ndarray, den: int) -> np.ndarray:
     u1 = np.clip(u1, 2.0**-53, None)
     # Box-Muller: two unit Gaussians become the real/imag parts.
     radius = np.sqrt(-2.0 * np.log(u1))
-    z = radius * (np.cos(_TWO_PI * u2) + 1j * np.sin(_TWO_PI * u2))
-    return (noise.eta / math.sqrt(2.0)) * z
+    scale = noise.eta / math.sqrt(2.0)
+    z = np.empty(nums.shape, dtype=complex)
+    z.real = scale * (radius * np.cos(_TWO_PI * u2))
+    z.imag = scale * (radius * np.sin(_TWO_PI * u2))
+    return z
 
 
 class Sampler:
@@ -240,13 +243,23 @@ def aliased_spectrum(spectrum: SparseSpectrum, modulus: int) -> dict[int, float]
     return out
 
 
+def _spec_int(value) -> int:
+    """An integer field of a spec file.  operator.index rejects 1.5 where
+    int() would truncate it; a JSON boolean is rejected too, although
+    Python's bool is an int."""
+    if isinstance(value, bool):
+        raise TypeError(f"boolean {json.dumps(value)} is not an integer")
+    return operator.index(value)
+
+
 def load_signal_spec(path: str):
     """Parse a signal spec JSON file.
 
     Returns (dims, axis_size, entries, noise) where entries maps multi-index
     tuples to amplitudes.  A 1-D file may list scalar indices; they become
     1-tuples.  An index with the wrong number of components, a component
-    outside [0, axis_size), or a repeated index is a ParseError.
+    outside [0, axis_size), or a repeated index is a ParseError, as is a
+    boolean or fractional dims, axis_size or index component.
     """
     try:
         with open(path) as fh:
@@ -254,16 +267,15 @@ def load_signal_spec(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read signal spec {path}: {exc}") from exc
     try:
-        # operator.index rejects 1.5 where int() would truncate it.
-        dims = operator.index(doc["dims"])
-        axis = operator.index(doc["axis_size"])
+        dims = _spec_int(doc["dims"])
+        axis = _spec_int(doc["axis_size"])
         support = doc["support"]
         values = doc["values"]
         if len(support) != len(values):
             raise ParseError("support and values lengths differ")
         entries = {}
         for idx, val in zip(support, values):
-            key = tuple(map(operator.index, [idx] if dims == 1 and
+            key = tuple(map(_spec_int, [idx] if dims == 1 and
                             not isinstance(idx, list) else idx))
             if len(key) != dims or not all(0 <= c < axis for c in key):
                 raise ParseError(f"index {idx} is not {dims} integers in [0, {axis})")

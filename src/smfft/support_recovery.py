@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import gaussian_window, mulmod, sample_coprime, window_offsets
+from .core_math import (gaussian_window, mulmod, next_fast_len, sample_coprime,
+                        window_offsets)
 from .errors import CandidateBlowup
 from .signal import Sampler
 
@@ -61,12 +62,15 @@ class SupportParams:
 
     @property
     def k_base(self) -> int:
-        """Base modulus K = ceil(max{8, 2/a}/pi * R * sqrt(log(2RD/d) log(2D/d)))."""
+        """Base modulus K: the paper's bound ceil(max{8, 2/a}/pi * R *
+        sqrt(log(2RD/d) log(2D/d))) rounded up to the next 11-smooth size,
+        so every size-K FFT takes a fast radix path (a larger K only
+        widens the filter's margin)."""
         r = max(self.r_bound, 1)
         l1 = math.log(2 * r * self.delta_ratio / self.delta)
         l2 = math.log(2 * self.delta_ratio / self.delta)
         c = max(8.0, 2.0 / self.alpha) / math.pi
-        return math.ceil(c * r * math.sqrt(l1 * l2))
+        return next_fast_len(math.ceil(c * r * math.sqrt(l1 * l2)))
 
     @property
     def probe_rounds(self) -> int:

@@ -27,8 +27,11 @@ class MeasurementSystem:
     """T prime-modulus sample blocks plus the implicit aliasing maps."""
 
     primes: list[int]
-    residue_maps: list[np.ndarray]  # per block: support index -> residue class
-    rhs: list[np.ndarray]           # per block: the P^(t) samples
+    # Per block: the distinct residues of the support mod p, sorted, and for
+    # each support index the position of its residue among them.
+    classes: list[np.ndarray]
+    class_ids: list[np.ndarray]
+    rhs: list[np.ndarray]  # per block: the P^(t) samples
 
 
 def prime_pool_size(r_bound: int, n_total: int) -> int:
@@ -51,29 +54,32 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
     pool = primes_greater_than(r_bound, prime_pool_size(r_bound, n_total))
     picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
     rhs = [sampler.sample_progression(0, 1, p, p) for p in picks]
-    return MeasurementSystem(picks, [support % p for p in picks], rhs)
+    classes, class_ids = zip(*(np.unique(support % p, return_inverse=True)
+                               for p in picks))
+    return MeasurementSystem(picks, list(classes), list(class_ids), rhs)
 
 
 def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
-    """(1/T) B*B x, computed residue-wise in O(T*R)."""
+    """(1/T) B*B x, computed class-wise in O(T*R)."""
     x = np.asarray(x, dtype=complex)
     out = np.zeros_like(x)
-    for p, res in zip(system.primes, system.residue_maps):
-        sums = np.zeros(p, dtype=complex)
-        np.add.at(sums, res, x)
-        out += sums[res]
+    for ids in system.class_ids:
+        # bincount adds in index order, so each class sum is the same
+        # sequence of additions as an np.add.at scatter.
+        out.real += np.bincount(ids, weights=x.real)[ids]
+        out.imag += np.bincount(ids, weights=x.imag)[ids]
     return out / len(system.primes)
 
 
 def back_project(system: MeasurementSystem) -> np.ndarray:
     """(1/T) (FB)* f0: per block, correlate the samples with the DFT kernel
     at the support residues, then average the blocks."""
-    out = np.zeros(len(system.residue_maps[0]), dtype=complex)
-    for p, res, block in zip(system.primes, system.residue_maps, system.rhs):
+    out = np.zeros(len(system.class_ids[0]), dtype=complex)
+    for classes, ids, block in zip(system.classes, system.class_ids, system.rhs):
         # ifft folds the spectrum mod p: u_l = sum_{j = l mod p} fhat_j,
         # which is exactly B^(t) fhat read off at the residue classes.
         correlation = np.fft.ifft(block)
-        out += correlation[res]
+        out += correlation[classes][ids]
     return out / len(system.primes)
 
 

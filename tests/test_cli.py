@@ -88,6 +88,17 @@ class TestSpecIndices:
         assert main([command, "--signal", write_spec(tmp_path, 2, 8, support)]) == EXIT_PARSE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims,axis,support", [
+        (2, 8, [[True, 2]]),
+        (True, 8, [[1]]),
+        (2, True, [[0, 0]]),
+    ], ids=["index", "dims", "axis_size"])
+    def test_boolean_is_parse_error(self, dims, axis, support, tmp_path, capsys):
+        # bool is an int in Python, so true would otherwise read as 1.
+        assert main(["transform", "--signal",
+                     write_spec(tmp_path, dims, axis, support)]) == EXIT_PARSE
+        assert "boolean true is not an integer" in capsys.readouterr().err
+
     def test_one_dimensional_list_index(self, tmp_path, capsys):
         code, out = run(["transform", "--signal",
                          write_spec(tmp_path, 1, 40, [[5], 23])], capsys)

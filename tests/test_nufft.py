@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smfft.nufft import _next_fast_len, nufft_exp_sum
+from smfft.core_math import next_fast_len
+from smfft.nufft import nufft_exp_sum
 
 
 def direct(coeffs, nu, k0, count):
@@ -53,7 +54,7 @@ def _is_11_smooth(n):
 
 @given(st.integers(1, 1 << 20))
 def test_next_fast_len_is_next_11_smooth(n):
-    got = _next_fast_len(n)
+    got = next_fast_len(n)
     assert got >= n and _is_11_smooth(got)
     assert not any(_is_11_smooth(m) for m in range(n, got))
 
@@ -62,4 +63,4 @@ def test_next_fast_len_matches_scipy():
     scipy_fft = pytest.importorskip("scipy.fft")
     # Every size up to 2^14, and the grids of the largest batches (2^16).
     for n in [*range(1, 1 << 14), *range((1 << 17) - 512, (1 << 17) + 512)]:
-        assert _next_fast_len(n) == scipy_fft.next_fast_len(n), n
+        assert next_fast_len(n) == scipy_fft.next_fast_len(n), n

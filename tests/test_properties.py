@@ -102,9 +102,10 @@ def test_probe_false_positive_rate_is_small():
                                         probe_index, probe_window)
 
     rng = np.random.default_rng(0)
-    n, m = 1 << 14, 1444
+    n = 1 << 14
     params = SupportParams(r_bound=16)
     k = params.k_base
+    m = 4 * k
     survived = total = 0
     for trial in range(8):
         support = rng.choice(n, 16, replace=False)

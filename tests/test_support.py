@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,11 +49,27 @@ def reference_find_aliased_support(candidate, m, k, params, sampler, rng):
 
 class TestSupportParams:
     def test_k_base_default_sparsity_3(self):
-        # ceil(13.333/pi * 3 * sqrt(ln(180) * ln(60))) = 59
-        assert SupportParams(r_bound=3).k_base == 59
+        # ceil(13.333/pi * 3 * sqrt(ln(180) * ln(60))) = 59, rounded up to
+        # the 11-smooth 60
+        assert SupportParams(r_bound=3).k_base == 60
 
     def test_k_base_table_defaults_r50(self):
         assert SupportParams(r_bound=50).k_base == 1215
+
+    def test_k_base_is_next_smooth_size_over_bound(self):
+        # Over R = 1..2250 (K <= 2^16) rounding up costs at most 6%.
+        def smooth(n):
+            for f in (2, 3, 5, 7, 11):
+                while n % f == 0:
+                    n //= f
+            return n == 1
+
+        for r in range(1, 2251):
+            p = SupportParams(r_bound=r)
+            l1 = math.log(2 * r * p.delta_ratio / p.delta)
+            l2 = math.log(2 * p.delta_ratio / p.delta)
+            bound = math.ceil(max(8, 2 / p.alpha) / math.pi * r * math.sqrt(l1 * l2))
+            assert bound <= p.k_base <= 1.06 * bound and smooth(p.k_base), r
 
     def test_probe_rounds(self):
         # ceil(ln(1e-4) / ln(0.15)) = 5
@@ -98,7 +116,7 @@ class TestLadder:
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p.k_base, p.rho) == (59,)
+        assert plan_ladder(40, p.k_base, p.rho) == (60,)
 
 
 class TestDealias:
@@ -151,9 +169,10 @@ class TestComputePhi:
         support = rng.choice(n, 16, replace=False)
         spectrum = SparseSpectrum(n, {int(j): 1.0 for j in support})
         params = SupportParams(r_bound=16)
-        k, m = params.k_base, 722
+        k = params.k_base
+        m = 2 * k
         sampler = Sampler(spectrum)
-        q = 135
+        q = 137  # coprime to m = 726
         phi = compute_phi(sampler, m, k, q, probe_window(params.sigma(m), m, k))
         assert len(phi) == k
         hot = set()
@@ -186,7 +205,7 @@ class TestFindAliasedSupport:
         support = rng.choice(n, 16, replace=False)
         spectrum = SparseSpectrum(n, {int(j): 1.0 for j in support})
         params = SupportParams(r_bound=16)
-        m = 722
+        m = 2 * params.k_base
         truth = set(aliased_spectrum(spectrum, m))
         candidates = set(truth)
         while len(candidates) < 3 * len(truth):
@@ -228,7 +247,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(40, {1: 1.0, 23: 1.0, 35: 1.0})
         params = SupportParams(r_bound=3)
         got = initial_aliased_support(Sampler(spectrum), params.k_base, params)
-        assert got.tolist() == [1, 23, 35]  # K=59 > 40: no folding at all
+        assert got.tolist() == [1, 23, 35]  # K=60 > 40: no folding at all
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_ladder_random_instances(self, seed):

@@ -29,10 +29,12 @@ class TestMeasurement:
         sys_ = draw_measurement(np.array([3, 77, 150]), 3, 200,
                                 np.random.default_rng(0), sampler)
         assert len(sys_.primes) == BLOCKS
-        for p, res, rhs in zip(sys_.primes, sys_.residue_maps, sys_.rhs):
+        for p, classes, ids, rhs in zip(sys_.primes, sys_.classes,
+                                        sys_.class_ids, sys_.rhs):
             assert p > 3
             assert len(rhs) == p
-            assert np.array_equal(res, np.array([3, 77, 150]) % p)
+            assert np.array_equal(classes[ids], np.array([3, 77, 150]) % p)
+            assert np.array_equal(classes, np.unique(classes))
 
     def test_empty_support_rejected(self):
         _, sampler = make_instance(8, [1], [1.0])
@@ -43,9 +45,10 @@ class TestMeasurement:
 
 class TestOperators:
     def _dense_normal(self, system):
-        r = len(system.residue_maps[0])
+        r = len(system.class_ids[0])
         a = np.zeros((r, r))
-        for res in system.residue_maps:
+        for classes, ids in zip(system.classes, system.class_ids):
+            res = classes[ids]
             a += (res[:, None] == res[None, :])
         return a / len(system.primes)
 
@@ -57,6 +60,24 @@ class TestOperators:
         dense = self._dense_normal(system)
         x = rng.normal(size=20) + 1j * rng.normal(size=20)
         assert np.allclose(apply_normal(system, x), dense @ x, atol=1e-12)
+
+    def test_apply_normal_matches_add_at_scatter(self):
+        # bincount adds each class in index order, as a size-p np.add.at
+        # scatter does, so the two agree bit for bit.  300 indices over the
+        # primes of an r_bound = 5 pool (below 2500) share classes of three
+        # and more, where the order of additions shows.
+        rng = np.random.default_rng(5)
+        support = np.sort(rng.choice(1 << 40, 300, replace=False))
+        _, sampler = make_instance(1 << 40, support.tolist(), [1.0] * 300)
+        system = draw_measurement(support, 5, 1 << 40, rng, sampler)
+        x = rng.normal(size=300) + 1j * rng.normal(size=300)
+        expected = np.zeros_like(x)
+        for p, classes, ids in zip(system.primes, system.classes, system.class_ids):
+            assert np.bincount(ids).max() >= 3
+            sums = np.zeros(p, dtype=complex)
+            np.add.at(sums, classes[ids], x)
+            expected += sums[classes[ids]]
+        assert np.array_equal(apply_normal(system, x), expected / BLOCKS)
 
     def test_back_project_noiseless_is_normal_times_truth(self):
         # With exact samples, (1/T)(FB)* f0 equals (1/T) B*B fhat.
