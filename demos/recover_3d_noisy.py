@@ -22,7 +22,7 @@ for j in flat:
     key = (j % M, (j // M) % M, j // (M * M))
     truth[key] = float(rng.uniform(0.5, 1.5))
 
-noise = NoiseModel(eta=ETA, kind="gaussian", seed=7)
+noise = NoiseModel(eta=ETA, seed=7)
 ledger = SampleLedger()
 sampler = md_sample_adapter(truth, lattice, noise, ledger)
 

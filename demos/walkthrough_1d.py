@@ -41,8 +41,7 @@ sampler = Sampler(spectrum, ledger=ledger)
 rng = np.random.default_rng(0)
 support = find_support(sampler, N, params, rng)
 print("recovered support:", support.tolist())
-values = compute_values(support, 3, N, params.p_fail, 1e-10, sampler, rng,
-                        mu=params.mu)
+values = compute_values(support, N, params, sampler, rng)
 for j in support:
     print(f"  fhat[{j}] = {values[j]:.12f}")
 print(f"{ledger.unique_count} distinct samples of a length-{N} signal")

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
-import time
-
-import numpy as np
 
 from . import __version__
-from .bench import bench_n_rows, bench_r_rows, meets_success_rule, rows_to_csv
+from .bench import bench_n_rows, bench_r_rows, rows_to_csv, scored_run
 from .errors import CandidateBlowup, ContractionFailure, ParseError
-from .md_transform import (RankOneLattice, md_sample_adapter, md_sfft,
-                           relative_l2_error)
+from .md_transform import RankOneLattice
 from .selftest import run_selftest
-from .signal import NoiseModel, SampleLedger, load_signal_spec
+from .signal import NoiseModel, load_signal_spec
 from .support_recovery import SupportParams
 
 EXIT_OK = 0
@@ -42,9 +39,23 @@ TUNING_FLAGS = (
 )
 
 
+# bench_n_rows/bench_r_rows parameters settable from bench-n/bench-r; unset
+# ones keep those functions' defaults.
+BENCH_COMMANDS = {"bench-n": bench_n_rows, "bench-r": bench_r_rows}
+BENCH_FLAGS = (
+    ("--r", "sparsity", int, "sparsity R"),
+    ("--m", "axis_size", int, "axis size M"),
+    ("--d", "dims", int, "dimensions d"),
+    ("--eta", "eta", float, "noise level"),
+    ("--trials", "trials", int, "trials per configuration"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --m must not silently
+    # select --mu.
     parser = argparse.ArgumentParser(
-        prog="smfft",
+        prog="smfft", allow_abbrev=False,
         description="Sparse multidimensional FFT for nonnegative spectra.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,35 +69,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, text in (("transform", "recover the sparse spectrum of a signal"),
                        ("verify", "recover and check against ground truth")):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--signal", metavar="FILE",
-                       help="signal spec JSON file")
-        p.add_argument("--m", type=int, help="axis size M")
-        p.add_argument("--d", type=int, help="dimensions d")
+                       help="signal spec JSON file (sets d, M and the noise)")
         p.add_argument("--r", type=int, help="sparsity bound R")
         for flag, dest, kind, what in TUNING_FLAGS:
             p.add_argument(flag, type=kind, dest=dest,
                            help=f"{what} (default {defaults[dest]:g})")
-        p.add_argument("--eta", type=float, help="noise level / value accuracy")
+        p.add_argument("--eta", type=float,
+                       help="noise level (default the file's)")
         add_run(p)
 
-    for name, text, flag, flag_help in (
-            ("bench-n", "timing sweep over the ambient size N",
-             "--r", "sparsity R (default 50)"),
-            ("bench-r", "timing sweep over the sparsity R",
-             "--m", "axis size M (default 465)")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument(flag, type=int, help=flag_help)
-        p.add_argument("--d", type=int, help="dimensions d (default 3)")
-        p.add_argument("--eta", type=float, default=1e-2,
-                       help="noise level (default 1e-2)")
-        p.add_argument("--trials", type=int, default=5,
-                       help="trials per configuration (default 5)")
+    for name, text in (("bench-n", "timing sweep over the ambient size N"),
+                       ("bench-r", "timing sweep over the sparsity R")):
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        params = inspect.signature(BENCH_COMMANDS[name]).parameters
+        for flag, dest, kind, what in BENCH_FLAGS:
+            if dest in params:
+                p.add_argument(flag, type=kind, dest=dest,
+                               help=f"{what} (default {params[dest].default:g})")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format (default csv)")
         add_run(p)
 
-    add_run(sub.add_parser("selftest", help="run the built-in lemma checks"))
+    add_run(sub.add_parser("selftest", help="run the built-in lemma checks",
+                           allow_abbrev=False))
     return parser
 
 
@@ -112,57 +119,30 @@ def _run_file(args, check: bool) -> tuple[str, int]:
     if not args.signal:
         raise ParseError("--signal FILE is required for this command")
     dims, axis, entries, noise = load_signal_spec(args.signal)
-    if args.d is not None and args.d != dims:
-        raise ParseError(f"--d {args.d} contradicts file dims {dims}")
-    if args.m is not None and args.m != axis:
-        raise ParseError(f"--m {args.m} contradicts file axis_size {axis}")
     if args.eta is not None:
-        eta = args.eta
-        noise = NoiseModel(eta=eta, kind="gaussian", seed=noise.seed) if (
-            eta > 0) else NoiseModel()
-    else:
-        eta = noise.eta
-    lattice = RankOneLattice(dims, axis)
+        noise = NoiseModel(args.eta, noise.seed)
     r_bound = args.r if args.r is not None else len(entries)
     tuning = {dest: getattr(args, dest) for _, dest, _, _ in TUNING_FLAGS
               if getattr(args, dest) is not None}
-    params = SupportParams(r_bound=r_bound, eta=eta, **tuning)
+    params = SupportParams(r_bound=r_bound, eta=noise.eta, **tuning)
     seed = _effective_seed(args)
-    ledger = SampleLedger()
-    sampler = md_sample_adapter(entries, lattice, noise, ledger)
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    recovered = md_sfft(sampler, lattice, params, rng)
-    time_ms = (time.perf_counter() - start) * 1e3
-
-    err = relative_l2_error(recovered, entries, lattice)
-    success = meets_success_rule(recovered, entries, err, eta)
-    report = {
-        "N": lattice.total, "R": r_bound, "d": dims, "eta": eta, "seed": seed,
-        "time_ms": round(time_ms, 3), "samples": ledger.unique_count,
-        "rel_l2_error": err, "success": bool(success),
-        "support": [list(k) for k in sorted(recovered)],
-        "values": [recovered[k] for k in sorted(recovered)],
-    }
+    recovered, report = scored_run(entries, RankOneLattice(dims, axis), noise,
+                                   params, seed, seed)
+    report.update(time_ms=round(report["time_ms"], 3),
+                  success=bool(report["success"]),
+                  support=[list(k) for k in sorted(recovered)],
+                  values=[recovered[k] for k in sorted(recovered)])
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     code = EXIT_OK
-    if check and not success:
+    if check and not report["success"]:
         code = EXIT_SUPPORT if set(recovered) != set(entries) else EXIT_VALUES
     return text, code
 
 
-def _run_bench(args, which: str) -> tuple[str, int]:
-    kwargs = dict(eta=args.eta, trials=args.trials, base_seed=_effective_seed(args))
-    if args.d is not None:
-        kwargs["dims"] = args.d
-    if which == "n":
-        if args.r is not None:
-            kwargs["sparsity"] = args.r
-        rows = bench_n_rows(**kwargs)
-    else:
-        if args.m is not None:
-            kwargs["axis_size"] = args.m
-        rows = bench_r_rows(**kwargs)
+def _run_bench(args) -> tuple[str, int]:
+    kwargs = {dest: getattr(args, dest) for _, dest, _, _ in BENCH_FLAGS
+              if getattr(args, dest, None) is not None}
+    rows = BENCH_COMMANDS[args.command](base_seed=_effective_seed(args), **kwargs)
     if args.format == "csv":
         return rows_to_csv(rows), EXIT_OK
     return json.dumps(rows, indent=2, sort_keys=True) + "\n", EXIT_OK
@@ -188,10 +168,8 @@ def main(argv=None) -> int:
             text, code = _run_file(args, check=False)
         elif args.command == "verify":
             text, code = _run_file(args, check=True)
-        elif args.command == "bench-n":
-            text, code = _run_bench(args, "n")
-        elif args.command == "bench-r":
-            text, code = _run_bench(args, "r")
+        elif args.command in BENCH_COMMANDS:
+            text, code = _run_bench(args)
         else:
             text, code = _run_selftest(args)
     except ParseError as exc:

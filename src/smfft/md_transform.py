@@ -101,8 +101,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     """Recover a d-dimensional sparse nonnegative spectrum end to end.
 
     The sampler must be an oracle for the flattened 1-D problem (see
-    :func:`md_sample_adapter`).  Values are recovered to the noise level,
-    or to 1e-10 for noiseless data.
+    :func:`md_sample_adapter`).
     """
     n_total = lattice.total
     support = find_support(sampler, n_total, params, rng)
@@ -113,9 +112,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
         stats["redraws"] = 0
     if not support.size:
         return {}
-    accuracy = params.eta if params.eta > 0 else 1e-10
-    values = compute_values(support, params.r_bound, n_total, params.p_fail,
-                            accuracy, sampler, rng, mu=params.mu, stats=stats)
+    values = compute_values(support, n_total, params, sampler, rng, stats=stats)
     return {unflatten_index(j, lattice): v for j, v in values.items()}
 
 

@@ -4,9 +4,7 @@ Each suite verifies one ingredient against brute force on small sizes:
 the coprime-shuffle isomorphism, the spectrum-permutation identity behind
 the shuffled sampling, prime separation of support differences, the
 contraction probability of the value-recovery normal operator, rank-1
-lattice exactness, and the wrapped-Gaussian window.  The ``inverse_fn``
-hook exists so tests can confirm the battery actually detects a broken
-modular inverse.
+lattice exactness, and the wrapped-Gaussian window.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ class SuiteResult:
     detail: str
 
 
-def check_shuffle_isomorphism(max_modulus: int = 200,
-                              inverse_fn=mod_inverse) -> SuiteResult:
+def check_shuffle_isomorphism(max_modulus: int = 200) -> SuiteResult:
     """j -> j*Q mod M permutes [0, M) with inverse j -> j*Q^-1, exhaustively."""
     identity_failures = 0
     checked = 0
@@ -40,7 +37,7 @@ def check_shuffle_isomorphism(max_modulus: int = 200,
             if math.gcd(q, m) != 1:
                 continue
             checked += 1
-            q_inv = inverse_fn(q, m)
+            q_inv = mod_inverse(q, m)
             forward = (n * q) % m
             if not np.array_equal(np.sort(forward), n):
                 identity_failures += 1
@@ -54,8 +51,7 @@ def check_shuffle_isomorphism(max_modulus: int = 200,
 
 
 def check_shuffle_spectrum_identity(max_modulus: int = 64, trials: int = 200,
-                                    seed: int = 0,
-                                    inverse_fn=mod_inverse) -> SuiteResult:
+                                    seed: int = 0) -> SuiteResult:
     """Sampling at (n*Q mod M)/M permutes the spectrum by j -> j*Q mod M.
 
     With g(n) = f((n*Q mod M)/M) under the exp(-2*pi*i*x*j) convention, the
@@ -68,7 +64,7 @@ def check_shuffle_spectrum_identity(max_modulus: int = 64, trials: int = 200,
         m = int(rng.integers(2, max_modulus + 1))
         coprimes = [q for q in range(1, m) if math.gcd(q, m) == 1]
         q = int(coprimes[rng.integers(0, len(coprimes))])
-        q_inv = inverse_fn(q, m)
+        q_inv = mod_inverse(q, m)
         fhat = rng.uniform(0.0, 1.0, m)
         f = np.fft.fft(fhat)  # f(n/M) = sum_j fhat_j exp(-2 pi i n j / M)
         g = f[(np.arange(m) * q) % m]
@@ -200,11 +196,11 @@ def check_window(seed: int = 0) -> SuiteResult:
                        f"max wrap error {worst:.3e}")
 
 
-def run_selftest(seed: int = 0, inverse_fn=mod_inverse) -> list[SuiteResult]:
+def run_selftest(seed: int = 0) -> list[SuiteResult]:
     """Run every suite; all-passed iff the returned results all pass."""
     return [
-        check_shuffle_isomorphism(inverse_fn=inverse_fn),
-        check_shuffle_spectrum_identity(seed=seed, inverse_fn=inverse_fn),
+        check_shuffle_isomorphism(),
+        check_shuffle_spectrum_identity(seed=seed),
         check_crt_separation(seed=seed),
         check_contraction_probability(seed=seed),
         check_rank1_exactness(seed=seed),

@@ -41,7 +41,8 @@ class SparseSpectrum:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-sample complex Gaussian noise of standard deviation eta.
+    """Per-sample complex Gaussian noise of standard deviation eta; eta = 0
+    means noiseless samples.
 
     The realization is a fixed function of the sample location and the seed,
     so re-requesting the same point yields the same noisy value -- the
@@ -51,16 +52,11 @@ class NoiseModel:
     """
 
     eta: float = 0.0
-    kind: str = "none"
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.kind == "gaussian" and self.eta == 0:
-            raise ValueError("gaussian noise requires eta > 0")
+        if not self.eta >= 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
 
 
 # Integers below 2^53 convert to float64 exactly, which the ledger's float
@@ -175,7 +171,7 @@ def make_noise(noise: NoiseModel, nums: np.ndarray, den: int) -> np.ndarray:
     per-sample standard deviation is eta.
     """
     nums = np.asarray(nums, dtype=np.int64)
-    if noise.kind == "none":
+    if noise.eta == 0:
         return np.zeros(nums.shape, dtype=complex)
     bits = (nums / den).view(np.uint64)
     with np.errstate(over="ignore"):
@@ -230,7 +226,7 @@ class Sampler:
         step_frac = mulmod(jr, step, den) / den
         start_phase = np.exp((-_TWO_PI * mulmod(jr, start, den)) / den * 1j)
         out = nufft_exp_sum(self._amps * start_phase, step_frac, count)
-        if self.noise.kind != "none":
+        if self.noise.eta > 0:
             out = out + make_noise(self.noise, nums, den)
         return out
 
@@ -259,7 +255,9 @@ def load_signal_spec(path: str):
     tuples to amplitudes.  A 1-D file may list scalar indices; they become
     1-tuples.  An index with the wrong number of components, a component
     outside [0, axis_size), or a repeated index is a ParseError, as is a
-    boolean or fractional dims, axis_size or index component.
+    boolean or fractional dims, axis_size or index component.  The noise
+    section's "kind" must be "gaussian" when eta > 0 and "none" (the
+    default) when eta = 0.
     """
     try:
         with open(path) as fh:
@@ -282,10 +280,13 @@ def load_signal_spec(path: str):
             if key in entries:
                 raise ParseError(f"index {idx} is listed twice")
             entries[key] = float(val)
-        noise_doc = doc.get("noise", {"kind": "none", "eta": 0.0, "seed": 0})
+        noise_doc = doc.get("noise", {})
         noise = NoiseModel(eta=float(noise_doc.get("eta", 0.0)),
-                           kind=noise_doc.get("kind", "none"),
                            seed=int(noise_doc.get("seed", 0)))
+        kind = noise_doc.get("kind", "none")
+        if kind != ("gaussian" if noise.eta > 0 else "none"):
+            raise ParseError(f"noise kind {kind!r} does not match eta {noise.eta}: "
+                             'use "gaussian" when eta > 0, "none" when eta = 0')
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -32,7 +32,8 @@ class SupportParams:
 
     mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
     upper bound on the dynamic range ||fhat||_inf / mu.  Neither is estimated
-    from data; defaults match an amplitude range of [0.5, 1.5].
+    from data; defaults match an amplitude range of [0.5, 1.5].  eta is the
+    samples' noise level (0 when noiseless), at most delta*mu/2.
     """
 
     r_bound: int
@@ -57,8 +58,9 @@ class SupportParams:
             raise ValueError("p_fail must lie in (0, 1)")
         if self.mu <= 0 or self.delta_ratio < 1:
             raise ValueError("mu must be > 0 and delta_ratio >= 1")
-        if self.eta > self.delta * self.mu / 2:
-            raise ValueError("noise level violates eta <= delta*mu/2")
+        if not 0 <= self.eta <= self.delta * self.mu / 2:
+            raise ValueError(f"noise level eta = {self.eta} violates "
+                             "0 <= eta <= delta*mu/2")
 
     @property
     def k_base(self) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 from .core_math import primes_greater_than
 from .errors import ContractionFailure
 from .signal import Sampler
+from .support_recovery import SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
 
@@ -110,34 +111,31 @@ def contraction_ok(norms: list[float]) -> bool:
     return norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
 
 
-def compute_values(support: np.ndarray, r_bound: int, n_total: int,
-                   p_fail: float, eta: float, sampler: Sampler,
-                   rng: np.random.Generator, mu: float = 0.0,
+def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
+                   sampler: Sampler, rng: np.random.Generator,
                    stats: dict | None = None) -> dict[int, float]:
     """Recover the spectrum values on the int64 array ``support`` to
-    accuracy O(eta).
+    accuracy O(eta), or to 1e-10 when the samples are noiseless (eta = 0).
 
     Up to L = ceil(log2(1/p)) measurement draws are attempted; each accepted
-    draw is solved with Z = ceil(log2(1/eta)) Neumann terms.  When mu > 0,
-    recovered entries below mu/2 are dropped: with mu a valid lower bound on
-    the smallest true amplitude, such entries can only be spurious support
+    draw is solved with Z = ceil(log2(1/accuracy)) Neumann terms.  Recovered
+    entries below mu/2 are dropped: with mu a valid lower bound on the
+    smallest true amplitude, such entries can only be spurious support
     survivors (their exact value is zero).
     """
     support = np.sort(support)
     if not support.size:
         return {}
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1); pass the target accuracy "
-                         "when the data is noiseless")
-    z_terms = max(2, math.ceil(math.log2(1.0 / eta)))
-    attempts = max(1, math.ceil(math.log2(1.0 / p_fail)))
+    accuracy = params.eta or 1e-10
+    z_terms = max(2, math.ceil(math.log2(1.0 / accuracy)))
+    attempts = max(1, math.ceil(math.log2(1.0 / params.p_fail)))
     for attempt in range(attempts):
-        system = draw_measurement(support, r_bound, n_total, rng, sampler)
+        system = draw_measurement(support, params.r_bound, n_total, rng, sampler)
         solution, norms = neumann_solve(system, z_terms)
         if contraction_ok(norms):
             if stats is not None:
                 stats["redraws"] = attempt
             return {j: float(v) for j, v in zip(support.tolist(), solution.real)
-                    if v > mu / 2}
+                    if v > params.mu / 2}
     raise ContractionFailure(
         f"all {attempts} measurement draws rejected for |support|={len(support)}")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smfft import cli
+from smfft import bench
 from smfft.cli import (EXIT_PARSE, EXIT_SUPPORT, main)
 from smfft.support_recovery import SupportParams
 
@@ -43,9 +43,6 @@ class TestTransform:
         code = main(["transform"])
         assert code == EXIT_PARSE
 
-    def test_contradicting_dims(self, signal_file, capsys):
-        assert main(["transform", "--signal", signal_file, "--d", "3"]) == EXIT_PARSE
-
     def test_env_seed_overrides(self, signal_file, capsys, monkeypatch):
         monkeypatch.setenv("SMFFT_SEED", "77")
         _, out = run(["transform", "--signal", signal_file, "--seed", "3"],
@@ -59,12 +56,28 @@ class TestTransform:
     def test_unset_tuning_flags_keep_support_params_defaults(
             self, signal_file, capsys, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "md_sfft",
+        monkeypatch.setattr(bench, "md_sfft",
                             lambda sampler, lattice, params, rng: seen.append(params) or {})
         main(["transform", "--signal", signal_file])
         main(["transform", "--signal", signal_file, "--rho", "4", "--p", "0.01"])
         assert seen == [SupportParams(r_bound=3, eta=0.0),
                         SupportParams(r_bound=3, eta=0.0, rho=4, p_fail=0.01)]
+
+    @pytest.mark.parametrize("noise", [{"kind": "none", "eta": 0.01},
+                                       {"kind": "gaussian", "eta": 0.0}],
+                             ids=["none-with-eta", "gaussian-zero-eta"])
+    def test_noise_kind_disagreeing_with_eta(self, noise, tmp_path, capsys):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1],
+                                    "values": [1.0], "noise": noise}))
+        assert main(["transform", "--signal", str(path)]) == EXIT_PARSE
+        assert "does not match eta" in capsys.readouterr().err
+
+    def test_negative_eta_is_parse_error(self, signal_file, capsys):
+        # It used to recover the spectrum exactly and then report a value
+        # failure (exit 4) against a negative error cap.
+        assert main(["verify", "--signal", signal_file, "--eta=-0.5"]) == EXIT_PARSE
+        assert "eta" in capsys.readouterr().err
 
 
 def write_spec(tmp_path, dims, axis, support):
@@ -154,6 +167,23 @@ class TestBench:
         assert first[0] == str(64**3)
         assert first[-1] == "1"
 
+    @pytest.mark.parametrize("command,args,kwargs", [
+        ("bench-n", [], {}),
+        ("bench-n", ["--r", "4", "--trials", "2"], {"sparsity": 4, "trials": 2}),
+        ("bench-r", [], {}),
+        ("bench-r", ["--m", "64", "--d", "2", "--eta", "0"],
+         {"axis_size": 64, "dims": 2, "eta": 0.0}),
+    ])
+    def test_unset_flags_keep_function_defaults(self, command, args, kwargs,
+                                                capsys, monkeypatch):
+        # The CLI passes on only the flags that were set, so it runs the
+        # sweep the bench function itself runs with those arguments.
+        seen = []
+        monkeypatch.setattr(bench, "sweep", lambda *a: seen.append(a) or [])
+        assert main([command] + args) == 0
+        {"bench-n": bench.bench_n_rows, "bench-r": bench.bench_r_rows}[command](**kwargs)
+        assert seen[0] == seen[1]
+
     def test_bench_n_json(self, capsys):
         code, out = run(["bench-n", "--trials", "1", "--r", "4", "--d", "2",
                          "--format", "json"], capsys)
@@ -183,6 +213,20 @@ class TestParsing:
         ["bench-n", "--m", "64"],
         ["transform", "--format", "csv"],
         ["selftest", "--trials", "99"],
+        ["transform", "--m", "32"],
+        ["verify", "--d", "2"],
     ])
-    def test_flag_the_command_does_not_read(self, args, capsys):
+    def test_flag_the_command_does_not_read(self, args, signal_file, capsys):
+        # The spec file is the only source of dims and axis size, so --m
+        # and --d could only agree with it (as they do here) or contradict.
+        if args[0] in ("transform", "verify"):
+            args = args + ["--signal", signal_file]
+        assert main(args) == EXIT_PARSE
+
+    @pytest.mark.parametrize("flag", [["--sig", "other.json"],
+                                      ["--delta-r", "4"], ["--rh", "4"]])
+    def test_abbreviated_flag_is_parse_error(self, flag, signal_file, capsys):
+        # Flags take their exact names only: an abbreviation let
+        # transform --m 32 set mu.
+        args = ["transform"] + flag + ["--signal", signal_file]
         assert main(args) == EXIT_PARSE

@@ -118,7 +118,7 @@ class TestMdSfft:
                    for j, a in zip(flat, rng.uniform(0.5, 1.5, 20))}
         ledger = SampleLedger()
         sampler = md_sample_adapter(entries, lat,
-                                    NoiseModel(0.01, "gaussian", 2), ledger)
+                                    NoiseModel(0.01, 2), ledger)
         stats = {}
         got = md_sfft(sampler, lat, SupportParams(r_bound=20, eta=0.01),
                       np.random.default_rng(3), stats=stats)

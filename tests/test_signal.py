@@ -140,7 +140,7 @@ class TestAliasedSpectrum:
 
 class TestNoise:
     def test_deterministic_per_point(self):
-        noise = NoiseModel(eta=0.1, kind="gaussian", seed=5)
+        noise = NoiseModel(eta=0.1, seed=5)
         a = make_noise(noise, np.array([3, 7, 9]), 20)
         b = make_noise(noise, np.array([3, 7, 9]), 20)
         assert np.array_equal(a, b)
@@ -150,40 +150,50 @@ class TestNoise:
     def test_reduced_fraction_identified(self, data):
         # 6/20 and 3/10 are the same sample point -> same noise draw; so are
         # n/d and nk/(dk) for any dk up to MAX_MODULUS = 2^46.
-        noise = NoiseModel(eta=0.1, kind="gaussian", seed=5)
+        noise = NoiseModel(eta=0.1, seed=5)
         a = make_noise(noise, np.array([6]), 20)
         b = make_noise(noise, np.array([3]), 10)
         assert a[0] == b[0]
         d = data.draw(st.integers(1, 1 << 45))
         k = data.draw(st.integers(1, (1 << 46) // d))
         n = data.draw(st.integers(0, d - 1))
-        noise = NoiseModel(eta=0.1, kind="gaussian", seed=data.draw(st.integers(0, 99)))
+        noise = NoiseModel(eta=0.1, seed=data.draw(st.integers(0, 99)))
         assert make_noise(noise, np.array([n]), d)[0] == \
             make_noise(noise, np.array([n * k]), d * k)[0]
 
     def test_seed_changes_draw(self):
-        a = make_noise(NoiseModel(0.1, "gaussian", 1), np.array([3]), 20)
-        b = make_noise(NoiseModel(0.1, "gaussian", 2), np.array([3]), 20)
+        a = make_noise(NoiseModel(0.1, 1), np.array([3]), 20)
+        b = make_noise(NoiseModel(0.1, 2), np.array([3]), 20)
         assert a[0] != b[0]
 
     def test_scale(self):
-        noise = NoiseModel(eta=0.05, kind="gaussian", seed=0)
+        noise = NoiseModel(eta=0.05, seed=0)
         draws = make_noise(noise, np.arange(1, 20001), 1 << 30)
         std = np.sqrt(np.mean(np.abs(draws) ** 2))
         assert std == pytest.approx(0.05, rel=0.05)
 
     def test_none_kind_is_zero(self):
+        # eta = 0 is the noiseless model, whatever the seed.
         assert not make_noise(NoiseModel(), np.array([1, 2]), 7).any()
+        assert not make_noise(NoiseModel(0.0, 3), np.array([1, 2]), 7).any()
+
+    def test_positive_eta_draws_noise(self):
+        # Noise is its level: eta > 0 alone makes the samples noisy.
+        assert make_noise(NoiseModel(eta=0.1), np.array([1, 2]), 7).all()
+        spectrum = SparseSpectrum(64, {3: 1.0})
+        clean = Sampler(spectrum).sample_progression(0, 1, 16, 16)
+        noisy = Sampler(spectrum, NoiseModel(eta=0.1)).sample_progression(0, 1, 16, 16)
+        assert (clean != noisy).all()
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            NoiseModel(eta=0.1, kind="pink")
+            NoiseModel(eta=-0.1)
         with pytest.raises(ValueError):
-            NoiseModel(eta=0.0, kind="gaussian")
+            NoiseModel(eta=float("nan"))
 
     def test_sampler_noise_is_repeatable(self):
         spectrum = SparseSpectrum(64, {3: 1.0})
-        noise = NoiseModel(eta=0.01, kind="gaussian", seed=9)
+        noise = NoiseModel(eta=0.01, seed=9)
         s1 = Sampler(spectrum, noise).sample_progression(0, 1, 16, 16)
         s2 = Sampler(spectrum, noise).sample_progression(0, 1, 16, 16)
         assert np.array_equal(s1, s2)
@@ -276,7 +286,7 @@ class TestLoadSignalSpec:
         dims, axis, entries, noise = load_signal_spec(str(path))
         assert (dims, axis) == (3, 16)
         assert entries == {(1, 2, 3): 1.0, (0, 0, 1): 0.5}
-        assert noise == NoiseModel(eta=0.01, kind="gaussian", seed=4)
+        assert noise == NoiseModel(eta=0.01, seed=4)
 
     def test_scalar_support_1d(self, tmp_path):
         doc = {"dims": 1, "axis_size": 40, "support": [1, 23], "values": [1, 2]}
@@ -284,7 +294,22 @@ class TestLoadSignalSpec:
         path.write_text(json.dumps(doc))
         dims, axis, entries, noise = load_signal_spec(str(path))
         assert entries == {(1,): 1.0, (23,): 2.0}
-        assert noise.kind == "none"
+        assert noise == NoiseModel()
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "none", "eta": 0.01}, {"eta": 0.01},
+        {"kind": "gaussian", "eta": 0.0}, {"kind": "gaussian"},
+        {"kind": "pink", "eta": 0.01},
+    ], ids=["none-with-eta", "no-kind-with-eta", "gaussian-zero-eta",
+            "gaussian-no-eta", "unknown-kind"])
+    def test_noise_kind_must_match_eta(self, tmp_path, noise):
+        # "none" with eta > 0 used to run noiseless samples against an eta
+        # target; the kind now only confirms what eta says.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 8, "support": [1],
+                                    "values": [1.0], "noise": noise}))
+        with pytest.raises(ParseError, match="does not match eta"):
+            load_signal_spec(str(path))
 
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -86,6 +86,12 @@ class TestSupportParams:
         with pytest.raises(ValueError):
             SupportParams(r_bound=3, eta=0.03)  # > delta*mu/2 = 0.025
 
+    def test_rejects_negative_eta(self):
+        # A negative noise level used to construct, and then every run
+        # failed the success rule's negative error cap.
+        with pytest.raises(ValueError, match="0 <= eta"):
+            SupportParams(r_bound=3, eta=-1.0)
+
     def test_sigma_scales_with_modulus(self):
         p = SupportParams(r_bound=50)
         assert p.sigma(2430) == pytest.approx(2 * p.sigma(1215))
@@ -226,7 +232,7 @@ class TestFindAliasedSupport:
         lines = np.unique(rng.integers(0, 2 * m, 16))
         spectrum = SparseSpectrum(2 * m, {int(j): float(a) for j, a in
                                           zip(lines, rng.uniform(0.5, 1.5, lines.size))})
-        noise = NoiseModel(eta=0.01, kind="gaussian", seed=seed)
+        noise = NoiseModel(eta=0.01, seed=seed)
         truth = list(aliased_spectrum(spectrum, m))
         candidate = np.unique(np.concatenate([truth, rng.integers(0, m, 48)]))
 

@@ -3,6 +3,7 @@ import pytest
 
 from smfft.errors import ContractionFailure
 from smfft.signal import NoiseModel, Sampler, SparseSpectrum
+from smfft.support_recovery import SupportParams
 from smfft.value_recovery import (BLOCKS, MeasurementSystem, apply_normal,
                                   back_project, compute_values,
                                   contraction_ok, draw_measurement,
@@ -126,8 +127,8 @@ class TestComputeValues:
         support = sorted(int(j) for j in rng.choice(n, 30, replace=False))
         amps = rng.uniform(0.5, 1.5, 30)
         _, sampler = make_instance(n, support, amps)
-        values = compute_values(np.array(support), 30, n, 1e-4, 1e-10, sampler,
-                                np.random.default_rng(seed + 50), mu=0.5)
+        values = compute_values(np.array(support), n, SupportParams(r_bound=30),
+                                sampler, np.random.default_rng(seed + 50))
         assert sorted(values) == support
         for j, a in zip(support, amps):
             assert values[j] == pytest.approx(a, abs=1e-8)
@@ -139,8 +140,8 @@ class TestComputeValues:
         true = [100, 5000, 12000]
         _, sampler = make_instance(n, true, [1.0, 1.0, 1.0])
         padded = sorted(true + [7, 9999])
-        values = compute_values(np.array(padded), 5, n, 1e-4, 1e-10, sampler,
-                                np.random.default_rng(1), mu=0.5)
+        values = compute_values(np.array(padded), n, SupportParams(r_bound=5),
+                                sampler, np.random.default_rng(1))
         assert sorted(values) == true
 
     def test_noisy_accuracy(self):
@@ -149,9 +150,10 @@ class TestComputeValues:
         support = sorted(int(j) for j in rng.choice(n, 50, replace=False))
         amps = rng.uniform(0.5, 1.5, 50)
         spectrum = SparseSpectrum(n, dict(zip(support, amps)))
-        sampler = Sampler(spectrum, NoiseModel(0.01, "gaussian", 3))
-        values = compute_values(np.array(support), 50, n, 1e-4, 0.01, sampler,
-                                np.random.default_rng(2), mu=0.5)
+        sampler = Sampler(spectrum, NoiseModel(0.01, 3))
+        values = compute_values(np.array(support), n,
+                                SupportParams(r_bound=50, eta=0.01), sampler,
+                                np.random.default_rng(2))
         err = np.sqrt(sum((values.get(j, 0.0) - a) ** 2
                           for j, a in zip(support, amps)))
         assert err / np.linalg.norm(amps) < 3e-2
@@ -159,19 +161,14 @@ class TestComputeValues:
     def test_stats_records_redraws(self):
         _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
         stats = {}
-        compute_values(np.array([1, 2000]), 2, 4096, 1e-4, 1e-10, sampler,
-                       np.random.default_rng(0), stats=stats)
+        compute_values(np.array([1, 2000]), 4096, SupportParams(r_bound=2),
+                       sampler, np.random.default_rng(0), stats=stats)
         assert stats["redraws"] >= 0
-
-    def test_invalid_eta(self):
-        _, sampler = make_instance(64, [1], [1.0])
-        with pytest.raises(ValueError):
-            compute_values(np.array([1]), 1, 64, 1e-4, 0.0, sampler,
-                           np.random.default_rng(0))
 
     def test_empty_support(self):
         _, sampler = make_instance(64, [1], [1.0])
-        assert compute_values(np.array([], dtype=np.int64), 1, 64, 1e-4, 1e-10, sampler,
+        assert compute_values(np.array([], dtype=np.int64), 64,
+                              SupportParams(r_bound=1), sampler,
                               np.random.default_rng(0)) == {}
 
     def test_contraction_failure_raised(self, monkeypatch):
@@ -180,5 +177,6 @@ class TestComputeValues:
         monkeypatch.setattr(vr, "contraction_ok", lambda norms: False)
         _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
         with pytest.raises(ContractionFailure):
-            compute_values(np.array([1, 2000]), 2, 4096, 1e-2, 1e-10, sampler,
+            compute_values(np.array([1, 2000]), 4096,
+                           SupportParams(r_bound=2, p_fail=1e-2), sampler,
                            np.random.default_rng(0))
