@@ -18,12 +18,12 @@ from .errors import NotCoprime
 MAX_MODULUS = 1 << 46
 
 
-def mulmod(n, q: int, m: int):
+def mulmod(n, q, m: int):
     """(n * q) mod m, exact in int64 for m <= MAX_MODULUS = 2^46.
 
     ``n`` is an int or an int64 array with entries in [0, m), and q is an
-    int in [0, m).  The product is reduced in 16-bit limbs of q, so no
-    intermediate exceeds 2^62.
+    int or an int64 array in [0, m) that broadcasts against n.  The product
+    is reduced in 16-bit limbs of q, so no intermediate exceeds 2^62.
     """
     s = 0
     for shift in (32, 16, 0):
@@ -101,14 +101,14 @@ def gaussian_window(offsets: np.ndarray, sigma: float, modulus: int) -> np.ndarr
     """Wrapped Gaussian sqrt(pi)*sigma*sum_h exp(-(pi*sigma*(m/M+h))^2) at
     integer offsets m (mod M implied), vectorized.
 
-    The sum runs over |h| <= wrap, sized from the largest |m| so that every
-    dropped term has (pi*sigma*|m/M + h|)^2 > 35, below 1e-15 of the peak.
+    The sum runs over |h| <= floor((reach + max|m|)/M), reach = sqrt(35)*M/
+    (pi*sigma): the least range keeping every term above e^-35 of the peak.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(offsets, dtype=float)
     reach = math.sqrt(35.0) * modulus / (math.pi * sigma)
-    wrap = max(2, math.ceil((reach + np.abs(x).max(initial=0.0) + 1) / modulus))
+    wrap = math.floor((reach + np.abs(x).max(initial=0.0)) / modulus)
     h = np.arange(-wrap, wrap + 1, dtype=float)[None, :]
     s = math.pi * sigma
     return math.sqrt(math.pi) * sigma * np.exp(-((s * (x[:, None] / modulus + h)) ** 2)).sum(axis=1)

@@ -248,6 +248,13 @@ def _spec_int(value) -> int:
     return operator.index(value)
 
 
+def _spec_float(value) -> float:
+    """A real field of a spec file: a JSON number, not a boolean or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{json.dumps(value)} is not a number")
+    return float(value)
+
+
 def load_signal_spec(path: str):
     """Parse a signal spec JSON file.
 
@@ -255,9 +262,9 @@ def load_signal_spec(path: str):
     tuples to amplitudes.  A 1-D file may list scalar indices; they become
     1-tuples.  An index with the wrong number of components, a component
     outside [0, axis_size), or a repeated index is a ParseError, as is a
-    boolean or fractional dims, axis_size or index component.  The noise
-    section's "kind" must be "gaussian" when eta > 0 and "none" (the
-    default) when eta = 0.
+    boolean or fractional dims, axis_size, index or noise seed, a value or
+    eta that is not a JSON number, or a noise section that is not an object
+    or whose "kind" is not "gaussian" when eta > 0 and "none" when eta = 0.
     """
     try:
         with open(path) as fh:
@@ -279,16 +286,16 @@ def load_signal_spec(path: str):
                 raise ParseError(f"index {idx} is not {dims} integers in [0, {axis})")
             if key in entries:
                 raise ParseError(f"index {idx} is listed twice")
-            entries[key] = float(val)
+            entries[key] = _spec_float(val)
         noise_doc = doc.get("noise", {})
-        noise = NoiseModel(eta=float(noise_doc.get("eta", 0.0)),
-                           seed=int(noise_doc.get("seed", 0)))
+        if not isinstance(noise_doc, dict):
+            raise ParseError(f"noise section {json.dumps(noise_doc)} is not an object")
+        noise = NoiseModel(eta=_spec_float(noise_doc.get("eta", 0.0)),
+                           seed=_spec_int(noise_doc.get("seed", 0)))
         kind = noise_doc.get("kind", "none")
         if kind != ("gaussian" if noise.eta > 0 else "none"):
             raise ParseError(f"noise kind {kind!r} does not match eta {noise.eta}: "
                              'use "gaussian" when eta > 0, "none" when eta = 0')
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed signal spec {path}: {exc}") from exc
     return dims, axis, entries, noise

@@ -3,11 +3,14 @@
 The ladder starts at a base modulus K sized so a full size-K DFT is cheap,
 then grows the working modulus by bounded factors.  At each level the
 candidate set (translated copies of the previous aliased support) is pruned
-by randomized probes: shuffle frequencies by a random coprime multiplier,
-apply a wrapped-Gaussian window to O(K) samples, take a size-K FFT, and
-threshold the probe value at each candidate's grid point.  Nonnegativity of
-the spectrum guarantees true support always survives; random shuffling makes
-spurious candidates fail some round with high probability.
+by L randomized probe rounds, run as one batch: shuffle frequencies by L
+random coprime multipliers q (one oracle call each), weight the L x K
+samples by a wrapped-Gaussian window, take one batched size-K FFT, and keep
+the candidates whose probe clears the threshold in every round.
+Nonnegativity of the spectrum guarantees true support always survives;
+random shuffling makes spurious candidates fail some round with high
+probability.  compute_phi, probe_index and core_math.mulmod take q as an
+int64 array that broadcasts.
 """
 
 from __future__ import annotations
@@ -162,33 +165,33 @@ def probe_window(sigma: float, m_k: int, k_base: int) -> np.ndarray:
     return gaussian_window(np.arange(lo, hi + 1), sigma, m_k)
 
 
-def compute_phi(sampler: Sampler, m_k: int, k_base: int, q: int,
+def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
                 weights: np.ndarray) -> np.ndarray:
-    """Probe spectrum phi at the K grid points j*M_k/K, j = 0..K-1.
+    """Probe spectra phi at the K grid points j*M_k/K, one row per Q in the
+    ints or int64 array ``qs``.
 
-    Gathers the K window samples at locations (m*Q mod M)/M -- which, under
-    the exp(-2*pi*i*x*j) signal convention, relabels spectral line l to
-    position l*Q -- weights them by the wrapped Gaussian ``weights`` of
-    :func:`probe_window`, folds them mod K, and applies a size-K DFT with the
-    positive-sign kernel exp(+2*pi*i*n*m/K).  A peak at grid point n then
-    certifies a line near n*M/K in the shuffled spectrum, matching
-    :func:`probe_index`.
+    Row Q takes the K window samples at (m*Q mod M)/M in one oracle call,
+    which under the exp(-2*pi*i*x*j) convention relabels line l to l*Q.  All
+    rows are weighted by ``weights`` (:func:`probe_window`), folded mod K and
+    transformed by a size-K DFT with kernel exp(+2*pi*i*n*m/K), so a peak at
+    grid point n of a row certifies a line near n*M/K in that row's shuffled
+    spectrum, matching :func:`probe_index`.
     """
     if m_k % k_base != 0:
         raise ValueError("k_base must divide m_k")
     lo, _ = window_offsets(k_base)
-    samples = sampler.sample_progression(lo * q, q, k_base, m_k)
+    samples = np.array([sampler.sample_progression(lo * q, q, k_base, m_k) for q in qs])
     # The offsets lo..hi are one full residue system mod K, so folding them
     # is a rotation that puts offset m at index m mod K.
-    return np.fft.ifft(np.roll(weights * samples / m_k, lo)) * k_base
+    return np.fft.ifft(np.roll(weights * samples / m_k, lo, axis=1), axis=1) * k_base
 
 
-def probe_index(n, q: int, m_k: int, k_base: int):
+def probe_index(n, q, m_k: int, k_base: int):
     """Grid index nearest (n*Q mod M_k)*K/M_k, rounding half up, mod K.
 
-    ``n`` is an int or an int64 array of indices in [0, M_k).  Array
-    arithmetic is exact for M_k <= MAX_MODULUS = 2^46 and K <= 2^16: n*Q is
-    reduced by :func:`mulmod`, and s*K stays below 2^62.
+    ``n`` is an int or int64 array in [0, M_k), ``q`` an int or int64 array
+    that broadcasts against it.  Exact for M_k <= MAX_MODULUS = 2^46 and
+    K <= 2^16: n*Q is reduced by :func:`mulmod`, and s*K stays below 2^62.
     """
     s = mulmod(n, q, m_k)
     return ((s * k_base + m_k // 2) // m_k) % k_base
@@ -200,21 +203,15 @@ def find_aliased_support(candidate: np.ndarray, m_k: int, k_base: int,
     """Prune a sorted int64 candidate array down to the aliased support at
     modulus m_k, returned as a sorted int64 array.
 
-    Runs L independent shuffle rounds; a candidate survives only if its probe
-    clears the threshold in every round.  True aliased-support elements
-    always survive (noiseless); each spurious candidate survives all rounds
-    with probability at most about alpha^L = p_fail.
+    Probes L independent shuffle rounds as one batch; a candidate survives
+    only if its probe clears the threshold in every round.  True aliased
+    support always survives (noiseless); each spurious candidate survives
+    all rounds with probability at most about alpha^L = p_fail.
     """
-    weights = probe_window(params.sigma(m_k), m_k, k_base)
-    threshold = params.threshold
-    survivors = np.asarray(candidate, dtype=np.int64)
-    for _ in range(params.probe_rounds):
-        if not survivors.size:
-            break
-        q = sample_coprime(m_k, rng)
-        phi = compute_phi(sampler, m_k, k_base, q, weights)
-        survivors = survivors[np.abs(phi[probe_index(survivors, q, m_k, k_base)]) >= threshold]
-    return survivors
+    qs = np.array([sample_coprime(m_k, rng) for _ in range(params.probe_rounds)])
+    phi = compute_phi(sampler, m_k, k_base, qs, probe_window(params.sigma(m_k), m_k, k_base))
+    probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
+    return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
 
 
 def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
@@ -226,10 +223,10 @@ def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
     moduli = plan_ladder(requested_n, params.k_base, params.rho)
     k_base = moduli[0]
     aliased = initial_aliased_support(sampler, k_base, params)
-    if not aliased.size:
-        return aliased
     cap = CANDIDATE_CAP_FACTOR * params.rho * k_base
     for level, (m_prev, m_k) in enumerate(zip(moduli, moduli[1:]), 1):
+        if not aliased.size:  # an empty support stays empty
+            break
         candidate = dealias_candidates(aliased, m_prev, m_k // m_prev)
         if len(candidate) > cap:
             raise CandidateBlowup(

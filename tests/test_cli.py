@@ -112,6 +112,29 @@ class TestSpecIndices:
                      write_spec(tmp_path, dims, axis, support)]) == EXIT_PARSE
         assert "boolean true is not an integer" in capsys.readouterr().err
 
+    def test_noise_section_not_object_is_parse_error(self, tmp_path, capsys):
+        # It used to exit 1 with an AttributeError traceback.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1],
+                                    "values": [1.0], "noise": [0.01]}))
+        assert main(["transform", "--signal", str(path)]) == EXIT_PARSE
+        assert "noise section [0.01] is not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values,noise,message", [
+        ([1.0], {"kind": "gaussian", "eta": 0.01, "seed": 2.7}, "float"),
+        ([True], {}, "true is not a number"),
+        (["0.75"], {}, '"0.75" is not a number'),
+        ([1.0], {"eta": "0"}, '"0" is not a number'),
+    ], ids=["fractional-seed", "boolean-value", "string-value", "string-eta"])
+    def test_non_number_is_parse_error(self, values, noise, message, tmp_path, capsys):
+        # Each of these used to run to exit 0: the seed truncated to 2, true
+        # read as amplitude 1.0, and the strings read as 0.75 and 0.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1],
+                                    "values": values, "noise": noise}))
+        assert main(["transform", "--signal", str(path)]) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
     def test_one_dimensional_list_index(self, tmp_path, capsys):
         code, out = run(["transform", "--signal",
                          write_spec(tmp_path, 1, 40, [[5], 23])], capsys)

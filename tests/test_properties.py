@@ -116,7 +116,7 @@ def test_probe_false_positive_rate_is_small():
         truth = set(aliased_spectrum(spectrum, m))
         spurious = [x for x in rng.integers(0, m, 60) if x not in truth]
         q = sample_coprime(m, rng)
-        phi = compute_phi(sampler, m, k, q, probe_window(params.sigma(m), m, k))
+        phi, = compute_phi(sampler, m, k, [q], probe_window(params.sigma(m), m, k))
         for x in spurious:
             total += 1
             if abs(phi[probe_index(int(x), q, m, k)]) >= params.threshold:

@@ -165,6 +165,21 @@ class TestProbeIndex:
         assert got.tolist() == [probe_index(n, q, m, k) for n in ns]
         assert got.tolist() == [reference_probe_index(n, q, m, k) for n in ns]
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_multiplier_column_matches_python_ints(self, data):
+        # A column of L multipliers against the candidate row gives one row
+        # of grid indices per multiplier, up to M_k = 2^46.
+        m = data.draw(st.integers(2, 1 << 46))
+        k = data.draw(st.integers(1, min(m, 1 << 16)))
+        qs = data.draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=6))
+        ns = data.draw(st.lists(st.integers(0, m - 1), max_size=20)) + [0, m - 1]
+        got = probe_index(np.array(ns, dtype=np.int64),
+                          np.array(qs, dtype=np.int64)[:, None], m, k)
+        assert got.dtype == np.int64 and got.shape == (len(qs), len(ns))
+        assert got.tolist() == [[reference_probe_index(n, q, m, k) for n in ns]
+                                for q in qs]
+
 
 class TestComputePhi:
     def test_peaks_at_shuffled_lines(self):
@@ -179,7 +194,7 @@ class TestComputePhi:
         m = 2 * k
         sampler = Sampler(spectrum)
         q = 137  # coprime to m = 726
-        phi = compute_phi(sampler, m, k, q, probe_window(params.sigma(m), m, k))
+        phi, = compute_phi(sampler, m, k, [q], probe_window(params.sigma(m), m, k))
         assert len(phi) == k
         hot = set()
         for line in aliased_spectrum(spectrum, m):
@@ -191,17 +206,20 @@ class TestComputePhi:
 
     @pytest.mark.parametrize("k", [361, 362])
     def test_matches_add_at_fold(self, k):
-        # Odd and even K: the rotation puts every offset where np.add.at did.
+        # Odd and even K: the rotation puts every offset where np.add.at did,
+        # and each row of the batch is the one-multiplier transform.
         spectrum = SparseSpectrum(8 * k, {3: 1.0, 5 * k + 7: 0.75})
         sampler, m, sigma = Sampler(spectrum), 4 * k, 40.0
-        for q in (1, 3, 4 * k - 1):
-            phi = compute_phi(sampler, m, k, q, probe_window(sigma, m, k))
-            assert np.array_equal(phi, reference_phi(sampler, m, k, q, sigma))
+        qs = (1, 3, 4 * k - 1)
+        phi = compute_phi(sampler, m, k, qs, probe_window(sigma, m, k))
+        assert phi.shape == (len(qs), k)
+        for row, q in zip(phi, qs):
+            assert np.array_equal(row, reference_phi(sampler, m, k, q, sigma))
 
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
         with pytest.raises(ValueError):
-            compute_phi(sampler, 10, 4, 3, np.ones(4))
+            compute_phi(sampler, 10, 4, [3], np.ones(4))
 
 
 class TestFindAliasedSupport:
@@ -246,6 +264,30 @@ class TestFindAliasedSupport:
         # Python ints for the reference, whose n*q must not wrap.
         assert got == run(reference_find_aliased_support, candidate.tolist())
         assert set(truth) <= set(got[0])
+
+    def test_every_round_prunes(self):
+        # Every index of [0, M) is a candidate.  For each round some spurious
+        # index fails that round alone, so a threshold that skipped any round
+        # would keep it; the survivors match the round-by-round set loop.
+        rng = np.random.default_rng(3)
+        params = SupportParams(r_bound=16, eta=0.01)
+        k = params.k_base
+        m = 2 * k
+        spectrum = SparseSpectrum(4 * m, {int(j): 1.0 for j in
+                                          rng.choice(4 * m, 16, replace=False)})
+        sampler = Sampler(spectrum, NoiseModel(eta=0.01, seed=3))
+        candidate = np.arange(m, dtype=np.int64)
+        got = find_aliased_support(candidate, m, k, params, sampler,
+                                   np.random.default_rng(5))
+        assert got.tolist() == sorted(reference_find_aliased_support(
+            candidate.tolist(), m, k, params, sampler, np.random.default_rng(5)))
+        probe_rng = np.random.default_rng(5)
+        qs = [sample_coprime(m, probe_rng) for _ in range(params.probe_rounds)]
+        phi = compute_phi(sampler, m, k, qs, probe_window(params.sigma(m), m, k))
+        passes = np.array([np.abs(row[probe_index(candidate, q, m, k)]) >= params.threshold
+                           for row, q in zip(phi, qs)])
+        fails_once = (~passes).sum(axis=0) == 1
+        assert all((fails_once & ~row).any() for row in passes)
 
 
 class TestFindSupport:
