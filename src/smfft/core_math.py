@@ -7,6 +7,7 @@ the low-frequency index window.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -57,11 +58,15 @@ def sample_coprime(m: int, rng: np.random.Generator) -> int:
             return q
 
 
+# Every prime up to _SIEVED_LIMIT, ascending.  The limit is kept apart
+# because the largest prime below it is almost never the limit itself.
 _PRIME_CACHE: list[int] = [2, 3, 5, 7, 11, 13]
+_SIEVED_LIMIT = 13
 
 
 def _extend_sieve(limit: int) -> None:
-    if _PRIME_CACHE[-1] >= limit:
+    global _SIEVED_LIMIT
+    if _SIEVED_LIMIT >= limit:
         return
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
@@ -69,6 +74,7 @@ def _extend_sieve(limit: int) -> None:
         if sieve[p]:
             sieve[p * p :: p] = False
     _PRIME_CACHE[:] = np.flatnonzero(sieve).tolist()
+    _SIEVED_LIMIT = limit
 
 
 def primes_greater_than(r: int, count: int) -> list[int]:
@@ -79,9 +85,9 @@ def primes_greater_than(r: int, count: int) -> list[int]:
     limit = max(64, 2 * r, int(2.2 * (r + count) * math.log(r + count + 10)))
     while True:
         _extend_sieve(limit)
-        out = [p for p in _PRIME_CACHE if p > r]
-        if len(out) >= count:
-            return out[:count]
+        start = bisect.bisect_right(_PRIME_CACHE, r)
+        if len(_PRIME_CACHE) - start >= count:
+            return _PRIME_CACHE[start:start + count]
         limit *= 2
 
 

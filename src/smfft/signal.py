@@ -3,7 +3,9 @@
 The ground truth always lives in frequency space; time-domain samples are
 synthesized on demand, a batch of count points in O(R + count log count).
 N is never materialized, which is what lets the ambient size run to
-core_math.MAX_MODULUS = 2^46 after the ladder's padding.
+core_math.MAX_MODULUS = 2^46 after the ladder's padding.  One request holds
+at most 2^16 points; the pipeline requests half of each FFT period, so K
+and the value-stage primes must stay below 2^17.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ Nonnegativity of the spectrum guarantees true support always survives;
 random shuffling makes spurious candidates fail some round with high
 probability.  compute_phi, probe_index and core_math.mulmod take q as an
 int64 array that broadcasts.
+
+The spectrum is real, so f(-x) = conj f(x): every period of samples, the
+base level's and each probe round's, is requested for its offsets
+0..P//2 only (:func:`sample_period`) and the rest filled by conjugation.
 """
 
 from __future__ import annotations
@@ -145,6 +149,18 @@ def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
     return (m_k * np.arange(rho_k, dtype=np.int64)[:, None] + aliased).ravel()
 
 
+def sample_period(sampler: Sampler, step: int, period: int, den: int) -> np.ndarray:
+    """Samples of f at offsets i*step/den for one period of P = ``period``
+    offsets, in mod-P order: entry i holds offset i, or offset i - P once i
+    passes P//2.
+
+    Only offsets 0..P//2 are requested, in one oracle call; the others are
+    their conjugates, since a real spectrum gives f(-x) = conj f(x).
+    """
+    half = sampler.sample_progression(0, step, period // 2 + 1, den)
+    return np.concatenate([half, half[(period + 1) // 2 - 1:0:-1].conj()])
+
+
 def initial_aliased_support(sampler: Sampler, m1: int,
                             params: SupportParams) -> np.ndarray:
     """Aliased support at the base level via one full size-M_1 DFT, as a
@@ -153,8 +169,7 @@ def initial_aliased_support(sampler: Sampler, m1: int,
     The aliased coefficients are sums of nonnegative entries, so an index is
     in the aliased support iff its coefficient clears the threshold.
     """
-    samples = sampler.sample_progression(0, 1, m1, m1)
-    fhat = np.fft.ifft(samples)
+    fhat = np.fft.ifft(sample_period(sampler, 1, m1, m1))
     return np.flatnonzero(np.abs(fhat) > params.threshold).astype(np.int64, copy=False)
 
 
@@ -170,9 +185,10 @@ def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
     """Probe spectra phi at the K grid points j*M_k/K, one row per Q in the
     ints or int64 array ``qs``.
 
-    Row Q takes the K window samples at (m*Q mod M)/M in one oracle call,
-    which under the exp(-2*pi*i*x*j) convention relabels line l to l*Q.  All
-    rows are weighted by ``weights`` (:func:`probe_window`), folded mod K and
+    Row Q takes the K window samples at (m*Q mod M)/M, m = lo..hi, which
+    under the exp(-2*pi*i*x*j) convention relabels line l to l*Q; one oracle
+    call per row covers m = 0..K//2 (:func:`sample_period`).  All rows are
+    weighted by ``weights`` (:func:`probe_window`), folded mod K and
     transformed by a size-K DFT with kernel exp(+2*pi*i*n*m/K), so a peak at
     grid point n of a row certifies a line near n*M/K in that row's shuffled
     spectrum, matching :func:`probe_index`.
@@ -180,10 +196,13 @@ def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
     if m_k % k_base != 0:
         raise ValueError("k_base must divide m_k")
     lo, _ = window_offsets(k_base)
-    samples = np.array([sampler.sample_progression(lo * q, q, k_base, m_k) for q in qs])
-    # The offsets lo..hi are one full residue system mod K, so folding them
-    # is a rotation that puts offset m at index m mod K.
-    return np.fft.ifft(np.roll(weights * samples / m_k, lo, axis=1), axis=1) * k_base
+    samples = np.empty((len(qs), k_base), dtype=complex)
+    for row, q in zip(samples, qs):
+        row[:] = sample_period(sampler, q, k_base, m_k)
+    # The samples sit at offset m mod K.  The offsets lo..hi are one full
+    # residue system mod K, so folding the weights is a rotation.
+    samples *= np.roll(weights, lo) / m_k
+    return np.fft.ifft(samples, axis=1, norm="forward")
 
 
 def probe_index(n, q, m_k: int, k_base: int):
@@ -191,7 +210,8 @@ def probe_index(n, q, m_k: int, k_base: int):
 
     ``n`` is an int or int64 array in [0, M_k), ``q`` an int or int64 array
     that broadcasts against it.  Exact for M_k <= MAX_MODULUS = 2^46 and
-    K <= 2^16: n*Q is reduced by :func:`mulmod`, and s*K stays below 2^62.
+    K < 2^17: n*Q is reduced by :func:`mulmod`, and s*K + M_k/2 <
+    (2^46 - 1)(2^17 - 1) + 2^45 < 2^63.
     """
     s = mulmod(n, q, m_k)
     return ((s * k_base + m_k // 2) // m_k) % k_base

@@ -6,6 +6,9 @@ F^(t) is a dense DFT block.  (1/T) B*B is a small perturbation of the
 identity with probability >= 1/2 per draw, so the system is solved by a
 truncated Neumann series; draws failing an observable contraction test are
 rejected and redrawn.
+
+Each prime grid k/p is requested for k = 0..p//2 only; the spectrum is
+real, so the other half of the grid is the conjugate of the first.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .core_math import primes_greater_than
 from .errors import ContractionFailure
 from .signal import Sampler
-from .support_recovery import SupportParams
+from .support_recovery import SupportParams, sample_period
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
 
@@ -54,7 +57,7 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
         raise ValueError("support must be nonempty")
     pool = primes_greater_than(r_bound, prime_pool_size(r_bound, n_total))
     picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
-    rhs = [sampler.sample_progression(0, 1, p, p) for p in picks]
+    rhs = [sample_period(sampler, 1, p, p) for p in picks]
     classes, class_ids = zip(*(np.unique(support % p, return_inverse=True)
                                for p in picks))
     return MeasurementSystem(picks, list(classes), list(class_ids), rhs)

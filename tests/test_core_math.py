@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smfft import core_math
 from smfft.core_math import (gaussian_window, mod_inverse, primes_greater_than,
                              sample_coprime, window_offsets)
 from smfft.errors import NotCoprime
@@ -72,6 +73,27 @@ class TestPrimes:
     def test_large_r(self):
         pool = primes_greater_than(256, 10)
         assert pool[0] == 257
+
+    def test_second_identical_call_does_not_sieve(self, monkeypatch):
+        # From an empty cache: the first call sieves, a repeat reads the
+        # cache, though its largest prime lies below the sieved limit.
+        sieves = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def ones(self, *args, **kwargs):
+                sieves.append(args)
+                return np.ones(*args, **kwargs)
+
+        monkeypatch.setattr(core_math, "np", CountingNumpy())
+        monkeypatch.setattr(core_math, "_PRIME_CACHE", [2, 3, 5, 7, 11, 13])
+        monkeypatch.setattr(core_math, "_SIEVED_LIMIT", 13)
+        first = primes_greater_than(256, 100)
+        assert len(sieves) == 1
+        assert primes_greater_than(256, 100) == first
+        assert len(sieves) == 1
 
 
 class TestWindow:

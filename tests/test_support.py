@@ -13,7 +13,7 @@ from smfft.support_recovery import (SupportParams, compute_phi,
                                     dealias_candidates,
                                     find_aliased_support, find_support,
                                     initial_aliased_support, plan_ladder,
-                                    probe_index, probe_window)
+                                    probe_index, probe_window, sample_period)
 
 
 def reference_probe_index(n, q, m, k):
@@ -23,14 +23,17 @@ def reference_probe_index(n, q, m, k):
 
 
 def reference_phi(sampler, m, k, q, sigma):
-    """Probe spectrum with the window built here and an np.add.at fold."""
+    """Probe spectrum with the window built here, one request for the
+    offsets 0..K//2, the negative offsets conjugated here, and an np.add.at
+    fold."""
     lo, hi = window_offsets(k)
     offsets = np.arange(lo, hi + 1)
     weights = gaussian_window(offsets, sigma, m)
-    samples = sampler.sample_progression(lo * q, q, k, m)
+    half = sampler.sample_progression(0, q, k // 2 + 1, m)
+    samples = np.array([half[o] if o >= 0 else np.conj(half[-o]) for o in offsets])
     folded = np.zeros(k, dtype=complex)
-    np.add.at(folded, offsets % k, weights * samples / m)
-    return np.fft.ifft(folded) * k
+    np.add.at(folded, offsets % k, samples * (weights / m))
+    return np.fft.ifft(folded, norm="forward")
 
 
 def reference_find_aliased_support(candidate, m, k, params, sampler, rng):
@@ -57,14 +60,14 @@ class TestSupportParams:
         assert SupportParams(r_bound=50).k_base == 1215
 
     def test_k_base_is_next_smooth_size_over_bound(self):
-        # Over R = 1..2250 (K <= 2^16) rounding up costs at most 6%.
+        # Over R = 1..4300 (K < 2^17) rounding up costs at most 6%.
         def smooth(n):
             for f in (2, 3, 5, 7, 11):
                 while n % f == 0:
                     n //= f
             return n == 1
 
-        for r in range(1, 2251):
+        for r in range(1, 4301):
             p = SupportParams(r_bound=r)
             l1 = math.log(2 * r * p.delta_ratio / p.delta)
             l2 = math.log(2 * p.delta_ratio / p.delta)
@@ -155,7 +158,7 @@ class TestProbeIndex:
     @settings(max_examples=300, deadline=None)
     def test_array_matches_python_ints(self, data):
         m = data.draw(st.integers(2, 1 << 46))
-        k = data.draw(st.integers(1, min(m, 1 << 16)))
+        k = data.draw(st.integers(1, min(m, (1 << 17) - 1)))
         if data.draw(st.booleans()):
             m -= m % k  # the ladder's case: K divides M_k
         q = data.draw(st.integers(1, m - 1))
@@ -171,7 +174,7 @@ class TestProbeIndex:
         # A column of L multipliers against the candidate row gives one row
         # of grid indices per multiplier, up to M_k = 2^46.
         m = data.draw(st.integers(2, 1 << 46))
-        k = data.draw(st.integers(1, min(m, 1 << 16)))
+        k = data.draw(st.integers(1, min(m, (1 << 17) - 1)))
         qs = data.draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=6))
         ns = data.draw(st.lists(st.integers(0, m - 1), max_size=20)) + [0, m - 1]
         got = probe_index(np.array(ns, dtype=np.int64),
@@ -179,6 +182,52 @@ class TestProbeIndex:
         assert got.dtype == np.int64 and got.shape == (len(qs), len(ns))
         assert got.tolist() == [[reference_probe_index(n, q, m, k) for n in ns]
                                 for q in qs]
+
+
+class TestSamplePeriod:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_conjugates_match_direct_samples(self, parity, data):
+        # Noiseless, each conjugate-filled entry is the sample at its
+        # negative offset, up to the oracle's nufft error.
+        period = 2 * data.draw(st.integers(2, 40)) + parity
+        den = data.draw(st.integers(2, 1 << 46))
+        step = data.draw(st.integers(0, den - 1))
+        lines = data.draw(st.lists(st.integers(0, (1 << 46) - 1), min_size=1,
+                                   max_size=8, unique=True))
+        amps = data.draw(st.lists(st.floats(0.1, 2.0), min_size=len(lines),
+                                  max_size=len(lines)))
+        sampler = Sampler(SparseSpectrum(1 << 46, dict(zip(lines, amps))))
+        got = sample_period(sampler, step, period, den)
+        half = period // 2 + 1
+        assert got.shape == (period,)
+        assert np.array_equal(got[:half], sampler.sample_progression(0, step, half, den))
+        direct = sampler.sample_progression((half - period) * step, step, period - half, den)
+        assert np.abs(got[half:] - direct).max() <= 1e-12 * sum(amps)
+
+    def test_request_guard(self):
+        # 2^16 points per request: a period of up to 2^17 - 1 fits.
+        sampler = Sampler(SparseSpectrum(1 << 20, {5: 1.0}))
+        assert sample_period(sampler, 1, (1 << 17) - 1, 1 << 20).shape == ((1 << 17) - 1,)
+        with pytest.raises(ValueError, match="guards"):
+            sample_period(sampler, 1, 1 << 17, 1 << 20)
+
+    @pytest.mark.parametrize("r_bound", [16, 18])
+    def test_request_counts(self, r_bound):
+        # One request of K//2 + 1 points per period: the base level, then
+        # each of a level's L probe rounds (odd K = 363, even K = 420).
+        params = SupportParams(r_bound=r_bound)
+        k = params.k_base
+        m = 2 * k
+        spectrum = SparseSpectrum(4 * m, {3: 1.0, m + 7: 0.75})
+        ledger = SampleLedger()
+        sampler = Sampler(spectrum, ledger=ledger)
+        aliased = initial_aliased_support(sampler, k, params)
+        assert ledger.total_requests == k // 2 + 1
+        find_aliased_support(dealias_candidates(aliased, k, 2), m, k, params,
+                             sampler, np.random.default_rng(0))
+        assert ledger.total_requests == (1 + params.probe_rounds) * (k // 2 + 1)
 
 
 class TestComputePhi:

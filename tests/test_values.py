@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from smfft import bench
 from smfft.errors import ContractionFailure
-from smfft.signal import NoiseModel, Sampler, SparseSpectrum
+from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from smfft.support_recovery import SupportParams
 from smfft.value_recovery import (BLOCKS, MeasurementSystem, apply_normal,
                                   back_project, compute_values,
@@ -36,6 +37,19 @@ class TestMeasurement:
             assert len(rhs) == p
             assert np.array_equal(classes[ids], np.array([3, 77, 150]) % p)
             assert np.array_equal(classes, np.unique(classes))
+
+    def test_one_request_per_conjugate_pair(self):
+        spectrum = SparseSpectrum(200, {3: 1.0, 77: 1.0, 150: 1.0})
+        ledger = SampleLedger()
+        sys_ = draw_measurement(np.array([3, 77, 150]), 3, 200,
+                                np.random.default_rng(0), Sampler(spectrum, ledger=ledger))
+        assert ledger.total_requests == sum(p // 2 + 1 for p in sys_.primes)
+
+    def test_prime_grids_above_2_16(self):
+        # R = 1024 on 1024^2 draws value-stage primes above 2^16, past the
+        # 2^16 points one request may hold; half a grid still fits.
+        row = bench.run_trial(1024, 2, 1024, 0.0, 40)
+        assert row["success"] == 1
 
     def test_empty_support_rejected(self):
         _, sampler = make_instance(8, [1], [1.0])
