@@ -7,8 +7,8 @@ rounds.  See README.md for usage.
 """
 
 from .core_math import mod_inverse, primes_greater_than, sample_coprime
-from .errors import (CandidateBlowup, ContractionFailure, IndexOutOfRange,
-                     NotCoprime, ParseError, SmfftError)
+from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
+                     IndexOutOfRange, NotCoprime, ParseError, SmfftError)
 from .md_transform import (RankOneLattice, flatten_index, lattice_point,
                            md_sample_adapter, md_sfft, relative_l2_error,
                            unflatten_index)
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "mod_inverse", "primes_greater_than", "sample_coprime",
-    "CandidateBlowup", "ContractionFailure", "IndexOutOfRange", "NotCoprime",
-    "ParseError", "SmfftError",
+    "CandidateBlowup", "ContractionFailure", "EnvelopeError", "IndexOutOfRange",
+    "NotCoprime", "ParseError", "SmfftError",
     "RankOneLattice", "flatten_index", "lattice_point", "md_sample_adapter",
     "md_sfft", "relative_l2_error", "unflatten_index",
     "NoiseModel", "SampleLedger", "Sampler", "SparseSpectrum",

@@ -17,7 +17,8 @@ import sys
 
 from . import __version__
 from .bench import bench_n_rows, bench_r_rows, rows_to_csv, scored_run
-from .errors import CandidateBlowup, ContractionFailure, ParseError
+from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
+                     ParseError)
 from .md_transform import RankOneLattice
 from .selftest import run_selftest
 from .signal import NoiseModel, load_signal_spec
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SUPPORT = 3
 EXIT_VALUES = 4
+EXIT_ENVELOPE = 5
 
 # SupportParams fields settable from transform/verify; unset ones keep its defaults.
 TUNING_FLAGS = (
@@ -181,6 +183,9 @@ def main(argv=None) -> int:
     except ContractionFailure as exc:
         print(f"value recovery failed: {exc}", file=sys.stderr)
         return EXIT_VALUES
+    except EnvelopeError as exc:
+        print(f"outside the supported envelope: {exc}", file=sys.stderr)
+        return EXIT_ENVELOPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

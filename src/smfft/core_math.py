@@ -18,6 +18,10 @@ from .errors import NotCoprime
 # (see signal.Sampler and mulmod): modulus * count must fit in 63 bits.
 MAX_MODULUS = 1 << 46
 
+# Most points one sample request may hold (see signal.Sampler); a period of
+# P points is requested as its half, P//2 + 1 points, so P < 2^17.
+MAX_REQUEST = 1 << 16
+
 
 def mulmod(n, q, m: int):
     """(n * q) mod m, exact in int64 for m <= MAX_MODULUS = 2^46.

@@ -25,5 +25,10 @@ class ContractionFailure(SmfftError):
     """Every measurement re-draw was rejected by the contraction test."""
 
 
+class EnvelopeError(SmfftError):
+    """The problem is too large for the sampler's exact arithmetic; raised
+    while planning, before any sample is drawn."""
+
+
 class ParseError(SmfftError):
     """A signal spec file could not be parsed."""

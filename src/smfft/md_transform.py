@@ -17,10 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .core_math import MAX_MODULUS, MAX_REQUEST
+from .errors import EnvelopeError, IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from .support_recovery import SupportParams, find_support, plan_ladder
-from .value_recovery import compute_values
+from .value_recovery import compute_values, prime_pool
 
 
 @dataclass(frozen=True)
@@ -95,20 +96,37 @@ def md_sample_adapter(entries: dict, lattice: RankOneLattice,
     return Sampler(spectrum, noise, ledger)
 
 
+def _planned_ladder(n_total: int, params: SupportParams) -> tuple[int, ...]:
+    """The ladder's moduli for a grid of ``n_total`` points, once every
+    request of the run is known to fit the sampler's guards."""
+    moduli = plan_ladder(n_total, params.k_base, params.rho)
+    if moduli[-1] > MAX_MODULUS:
+        raise EnvelopeError(f"padded grid size {moduli[-1]} exceeds 2^46")
+    for name, period in (("base modulus K", moduli[0]),
+                         ("value-stage prime", prime_pool(params.r_bound, n_total)[-1])):
+        if period // 2 + 1 > MAX_REQUEST:
+            raise EnvelopeError(f"{name} {period} reaches 2^17: its half "
+                                f"period exceeds the {MAX_REQUEST} points of a request")
+    return moduli
+
+
 def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
             rng: np.random.Generator,
             stats: dict | None = None) -> dict[tuple[int, ...], float]:
     """Recover a d-dimensional sparse nonnegative spectrum end to end.
 
     The sampler must be an oracle for the flattened 1-D problem (see
-    :func:`md_sample_adapter`).
+    :func:`md_sample_adapter`).  A padded N above MAX_MODULUS = 2^46, or a
+    base modulus K or value-stage prime of 2^17 or more, raises EnvelopeError
+    before any sample is drawn.
     """
     n_total = lattice.total
+    moduli = _planned_ladder(n_total, params)
     support = find_support(sampler, n_total, params, rng)
     # Ladder padding can admit indices beyond M^d; those cannot be real.
     support = support[support < n_total]
     if stats is not None:
-        stats["ladder_steps"] = len(plan_ladder(n_total, params.k_base, params.rho))
+        stats["ladder_steps"] = len(moduli)
         stats["redraws"] = 0
     if not support.size:
         return {}

@@ -1,12 +1,19 @@
-"""Fast evaluation of sparse exponential sums on integer grids.
+"""Fast exponential sums between integer modes and arbitrary frequencies.
 
-Computes F(k) = sum_j c_j exp(-2*pi*i*k*nu_j), k = 0..count-1, by Gaussian
-gridding: spread each source onto an oversampled grid with a narrow
-Gaussian, take one FFT, and divide out the kernel's transform
-(Dutt-Rokhlin / Greengard-Lee type 1).  One call costs O(R + count log
-count).  With spreading width 28 and 2x oversampling the relative error is
-~1e-13 of sum |c_j|, far below the accuracy targets of the recovery
-pipeline.
+Both directions use Gaussian gridding (Dutt-Rokhlin / Greengard-Lee) on
+one oversampled grid with one spreading kernel:
+
+- :func:`nufft_exp_sum` (type 1) computes F(k) = sum_j c_j exp(-2*pi*i*k*nu_j)
+  at k = 0..count-1: spread each source onto the grid, take one FFT, and
+  divide out the kernel's transform.
+- :func:`hermitian_exp_sum` (type 2, its adjoint) computes the real
+  S(nu) = sum_{k mod P} y_k exp(+2*pi*i*k*nu) of a Hermitian period given
+  by its half: divide by the kernel's transform, take one real inverse FFT
+  onto the grid, and interpolate at each nu with the same kernel.
+
+One call costs O(R + count log count).  With spreading width 28 and 2x
+oversampling the relative error is ~1e-13 of the l1 norm of the input, far
+below the accuracy targets of the recovery pipeline.
 """
 
 from __future__ import annotations
@@ -21,6 +28,35 @@ from .core_math import next_fast_len
 # truncation errors balance at exp(-pi * MSP / (2 * sqrt(2))) ~ 3e-14.
 _SPREAD_HALF = 14
 _MSP = 2 * _SPREAD_HALF
+
+
+def _grid(half_span: int) -> tuple[int, float]:
+    """Fine grid size, 2x oversampled for modes |s| <= half_span, and the
+    Gaussian's parameter tau on it."""
+    grid = next_fast_len(max(4 * half_span + 2, 4 * _MSP))
+    return grid, math.pi * _MSP / (math.sqrt(2.0) * grid * grid)
+
+
+def _spread(nu: np.ndarray, grid: int, tau: float):
+    """The 2*_SPREAD_HALF+1 fine-grid cells nearest each nu*grid, and the
+    Gaussian kernel's weight at each, both of shape (R, _MSP + 1)."""
+    pos = nu * grid
+    nearest = np.rint(pos).astype(np.int64)
+    offs = np.arange(-_SPREAD_HALF, _SPREAD_HALF + 1)
+    cells = (nearest[:, None] + offs[None, :]) % grid
+    dist = (2 * np.pi / grid) * (nearest[:, None] + offs[None, :] - pos[:, None])
+    return cells, np.exp(-(dist * dist) / (4.0 * tau))
+
+
+def _correction(modes: np.ndarray, grid: int, tau: float) -> np.ndarray:
+    """Inverse of the spread Gaussian's DFT at integer ``modes``.
+
+    Poisson summation: the DFT of the spread Gaussian is (grid/2pi) *
+    sqrt(4 pi tau) * exp(-s^2 tau) * exp(-i s x), plus aliasing below the
+    spreading truncation level.
+    """
+    return np.exp(tau * modes.astype(float) ** 2) * (
+        2.0 * np.pi / (grid * math.sqrt(4.0 * math.pi * tau)))
 
 
 def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
@@ -40,24 +76,34 @@ def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
     shifted = coeffs * np.exp(-2j * np.pi * ((kc * nu) % 1.0))
     s = np.arange(count) - count // 2  # modes in [-count//2, count - count//2)
 
-    half_span = count - count // 2
-    grid = next_fast_len(max(4 * half_span + 2, 4 * _MSP))
-    tau = math.pi * _MSP / (math.sqrt(2.0) * grid * grid)
-
-    # Spread each source onto 2*_SPREAD_HALF+1 nearest fine-grid points.
-    pos = nu * grid
-    nearest = np.rint(pos).astype(np.int64)
-    offs = np.arange(-_SPREAD_HALF, _SPREAD_HALF + 1)
-    cells = (nearest[:, None] + offs[None, :]) % grid
-    dist = (2 * np.pi / grid) * (nearest[:, None] + offs[None, :] - pos[:, None])
-    kernel = np.exp(-(dist * dist) / (4.0 * tau))
+    grid, tau = _grid(count - count // 2)
+    cells, kernel = _spread(nu, grid, tau)
     fine = np.zeros(grid, dtype=complex)
     np.add.at(fine, cells.ravel(), (shifted[:, None] * kernel).ravel())
 
     spectrum = np.fft.fft(fine)
-    # Poisson summation: DFT of the spread Gaussian = (grid/2pi) *
-    # sqrt(4 pi tau) * exp(-s^2 tau) * exp(-i s x), plus aliasing below the
-    # spreading truncation level.
-    correction = np.exp(tau * s.astype(float) ** 2) * (
-        2.0 * np.pi / (grid * math.sqrt(4.0 * math.pi * tau)))
-    return spectrum[s % grid] * correction
+    return spectrum[s % grid] * _correction(s, grid, tau)
+
+
+def hermitian_exp_sum(half: np.ndarray, period: int,
+                      nu: np.ndarray) -> np.ndarray:
+    """Approximate the real S(nu) = sum_{k mod P} y_k * exp(+2*pi*i*k*nu).
+
+    The period y of P = ``period`` points is Hermitian, y_{-k} = conj(y_k),
+    and given by its half y_0..y_{P//2} (``half``).  Only the real part of
+    y_0 enters; for even P the Nyquist term y_{P/2} is split evenly over the
+    modes +-P/2, so at the grid points nu = l/P only its real part enters.
+    The modes |k| <= P//2 are centered already, so the sum needs no phase
+    shift.  ``nu`` is a float array of frequencies in [0, 1).
+    """
+    half = np.asarray(half, dtype=complex)
+    if len(half) != period // 2 + 1:
+        raise ValueError(f"a period of {period} points has a half of "
+                         f"{period // 2 + 1}, got {len(half)}")
+    grid, tau = _grid(len(half))
+    coeffs = half * _correction(np.arange(len(half)), grid, tau)
+    if period % 2 == 0:
+        coeffs[-1] /= 2  # irfft counts y_{P/2} twice, as the pair +-P/2
+    fine = np.fft.irfft(coeffs, n=grid, norm="forward")
+    cells, kernel = _spread(np.asarray(nu, dtype=float), grid, tau)
+    return (fine[cells] * kernel).sum(axis=1)

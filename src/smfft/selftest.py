@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (gaussian_window, mod_inverse, primes_greater_than,
-                        window_offsets)
+from .core_math import gaussian_window, mod_inverse, window_offsets
 from .md_transform import RankOneLattice, lattice_point
-from .value_recovery import BLOCKS, prime_pool_size
+from .value_recovery import BLOCKS, prime_pool
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,7 @@ def check_crt_separation(max_n: int = 1 << 14, trials: int = 50,
     for _ in range(trials):
         r_bound = int(rng.integers(4, 21))
         n_total = int(rng.integers(r_bound * r_bound, max_n + 1))
-        pool = np.array(primes_greater_than(
-            r_bound, prime_pool_size(r_bound, n_total)), dtype=np.int64)
+        pool = np.array(prime_pool(r_bound, n_total), dtype=np.int64)
         support = rng.choice(n_total, size=min(r_bound, n_total), replace=False)
         limit = math.log(n_total) / math.log(r_bound)
         for i in range(len(support)):
@@ -118,7 +116,7 @@ def check_contraction_probability(draws: int = 200, sparsity: int = 12,
     standard deviations.
     """
     rng = np.random.default_rng(seed)
-    pool = primes_greater_than(sparsity, prime_pool_size(sparsity, n_total))
+    pool = prime_pool(sparsity, n_total)
     failures = 0
     for _ in range(draws):
         support = rng.choice(n_total, size=sparsity, replace=False)

@@ -5,7 +5,8 @@ synthesized on demand, a batch of count points in O(R + count log count).
 N is never materialized, which is what lets the ambient size run to
 core_math.MAX_MODULUS = 2^46 after the ladder's padding.  One request holds
 at most 2^16 points; the pipeline requests half of each FFT period, so K
-and the value-stage primes must stay below 2^17.
+and the value-stage primes must stay below 2^17 (md_sfft checks both, and
+the padded N, while planning).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import MAX_MODULUS, mulmod
+from .core_math import MAX_MODULUS, MAX_REQUEST, mulmod
 from .errors import ParseError
 from .nufft import nufft_exp_sum
 
@@ -217,7 +218,7 @@ class Sampler:
         """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1."""
         if den < 1 or count < 1:
             raise ValueError("need den >= 1 and count >= 1")
-        if den > MAX_MODULUS or count > (1 << 16):
+        if den > MAX_MODULUS or count > MAX_REQUEST:
             raise ValueError("progression exceeds exact-arithmetic guards")
         start %= den
         step %= den

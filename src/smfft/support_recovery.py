@@ -13,8 +13,10 @@ probability.  compute_phi, probe_index and core_math.mulmod take q as an
 int64 array that broadcasts.
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
-base level's and each probe round's, is requested for its offsets
-0..P//2 only (:func:`sample_period`) and the rest filled by conjugation.
+base level's and each probe round's, is requested for its offsets 0..P//2
+only, in one oracle call, and transformed from that half by a real inverse
+FFT of size K.  The window is even, so the weighted period stays Hermitian,
+and irfft reads only the real part of the K/2 sample when K is even.
 """
 
 from __future__ import annotations
@@ -149,18 +151,6 @@ def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
     return (m_k * np.arange(rho_k, dtype=np.int64)[:, None] + aliased).ravel()
 
 
-def sample_period(sampler: Sampler, step: int, period: int, den: int) -> np.ndarray:
-    """Samples of f at offsets i*step/den for one period of P = ``period``
-    offsets, in mod-P order: entry i holds offset i, or offset i - P once i
-    passes P//2.
-
-    Only offsets 0..P//2 are requested, in one oracle call; the others are
-    their conjugates, since a real spectrum gives f(-x) = conj f(x).
-    """
-    half = sampler.sample_progression(0, step, period // 2 + 1, den)
-    return np.concatenate([half, half[(period + 1) // 2 - 1:0:-1].conj()])
-
-
 def initial_aliased_support(sampler: Sampler, m1: int,
                             params: SupportParams) -> np.ndarray:
     """Aliased support at the base level via one full size-M_1 DFT, as a
@@ -169,7 +159,7 @@ def initial_aliased_support(sampler: Sampler, m1: int,
     The aliased coefficients are sums of nonnegative entries, so an index is
     in the aliased support iff its coefficient clears the threshold.
     """
-    fhat = np.fft.ifft(sample_period(sampler, 1, m1, m1))
+    fhat = np.fft.irfft(sampler.sample_progression(0, 1, m1 // 2 + 1, m1), n=m1)
     return np.flatnonzero(np.abs(fhat) > params.threshold).astype(np.int64, copy=False)
 
 
@@ -187,22 +177,23 @@ def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
 
     Row Q takes the K window samples at (m*Q mod M)/M, m = lo..hi, which
     under the exp(-2*pi*i*x*j) convention relabels line l to l*Q; one oracle
-    call per row covers m = 0..K//2 (:func:`sample_period`).  All rows are
-    weighted by ``weights`` (:func:`probe_window`), folded mod K and
-    transformed by a size-K DFT with kernel exp(+2*pi*i*n*m/K), so a peak at
-    grid point n of a row certifies a line near n*M/K in that row's shuffled
-    spectrum, matching :func:`probe_index`.
+    call per row requests m = 0..K//2, and the rest are their conjugates.
+    All rows are weighted by ``weights`` (:func:`probe_window`), folded mod K
+    and transformed by a size-K DFT with kernel exp(+2*pi*i*n*m/K), so a
+    peak at grid point n of a row certifies a line near n*M/K in that row's
+    shuffled spectrum, matching :func:`probe_index`.  The result is real.
     """
     if m_k % k_base != 0:
         raise ValueError("k_base must divide m_k")
     lo, _ = window_offsets(k_base)
-    samples = np.empty((len(qs), k_base), dtype=complex)
-    for row, q in zip(samples, qs):
-        row[:] = sample_period(sampler, q, k_base, m_k)
-    # The samples sit at offset m mod K.  The offsets lo..hi are one full
-    # residue system mod K, so folding the weights is a rotation.
-    samples *= np.roll(weights, lo) / m_k
-    return np.fft.ifft(samples, axis=1, norm="forward")
+    half = np.empty((len(qs), k_base // 2 + 1), dtype=complex)
+    for row, q in zip(half, qs):
+        row[:] = sampler.sample_progression(0, q, k_base // 2 + 1, m_k)
+    # The offsets lo..hi are one full residue system mod K, and the window
+    # is even, so the weighted period is Hermitian and set by its offsets
+    # 0..K//2, the window's last K//2 + 1 weights.
+    half *= weights[-lo:] / m_k
+    return np.fft.irfft(half, n=k_base, axis=1, norm="forward")
 
 
 def probe_index(n, q, m_k: int, k_base: int):

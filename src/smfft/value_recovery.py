@@ -7,8 +7,12 @@ identity with probability >= 1/2 per draw, so the system is solved by a
 truncated Neumann series; draws failing an observable contraction test are
 rejected and redrawn.
 
-Each prime grid k/p is requested for k = 0..p//2 only; the spectrum is
-real, so the other half of the grid is the conjugate of the first.
+The spectrum is real, so f(-x) = conj f(x), and each prime grid k/p is
+requested for k = 0..p//2 only.  The whole system is real: the back
+projection reads each grid's Hermitian period at the support residues with
+one gridded sum (:func:`nufft.hermitian_exp_sum`, a real FFT of an
+11-smooth size), never a prime-length FFT, and the Neumann series runs on
+float64 vectors.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import numpy as np
 
 from .core_math import primes_greater_than
 from .errors import ContractionFailure
+from .nufft import hermitian_exp_sum
 from .signal import Sampler
-from .support_recovery import SupportParams, sample_period
+from .support_recovery import SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
 
@@ -35,7 +40,7 @@ class MeasurementSystem:
     # each support index the position of its residue among them.
     classes: list[np.ndarray]
     class_ids: list[np.ndarray]
-    rhs: list[np.ndarray]  # per block: the P^(t) samples
+    rhs: list[np.ndarray]  # per block: the samples at k/p, k = 0..p//2
 
 
 def prime_pool_size(r_bound: int, n_total: int) -> int:
@@ -44,6 +49,11 @@ def prime_pool_size(r_bound: int, n_total: int) -> int:
     size = 4 * max(r_bound, 1) * math.log(n_total) / math.log(base)
     # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
     return max(1, math.ceil(size - 1e-9))
+
+
+def prime_pool(r_bound: int, n_total: int) -> list[int]:
+    """The ascending primes the measurement blocks are drawn from."""
+    return primes_greater_than(max(r_bound, 1), prime_pool_size(r_bound, n_total))
 
 
 def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
@@ -55,35 +65,34 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
     """
     if not support.size:
         raise ValueError("support must be nonempty")
-    pool = primes_greater_than(r_bound, prime_pool_size(r_bound, n_total))
+    pool = prime_pool(r_bound, n_total)
     picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
-    rhs = [sample_period(sampler, 1, p, p) for p in picks]
+    rhs = [sampler.sample_progression(0, 1, p // 2 + 1, p) for p in picks]
     classes, class_ids = zip(*(np.unique(support % p, return_inverse=True)
                                for p in picks))
     return MeasurementSystem(picks, list(classes), list(class_ids), rhs)
 
 
 def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
-    """(1/T) B*B x, computed class-wise in O(T*R)."""
-    x = np.asarray(x, dtype=complex)
-    out = np.zeros_like(x)
+    """(1/T) B*B x for a float64 vector x, computed class-wise in O(T*R)."""
+    out = np.zeros(len(x))
     for ids in system.class_ids:
         # bincount adds in index order, so each class sum is the same
         # sequence of additions as an np.add.at scatter.
-        out.real += np.bincount(ids, weights=x.real)[ids]
-        out.imag += np.bincount(ids, weights=x.imag)[ids]
+        out += np.bincount(ids, weights=x)[ids]
     return out / len(system.primes)
 
 
 def back_project(system: MeasurementSystem) -> np.ndarray:
-    """(1/T) (FB)* f0: per block, correlate the samples with the DFT kernel
-    at the support residues, then average the blocks."""
-    out = np.zeros(len(system.class_ids[0]), dtype=complex)
-    for classes, ids, block in zip(system.classes, system.class_ids, system.rhs):
-        # ifft folds the spectrum mod p: u_l = sum_{j = l mod p} fhat_j,
-        # which is exactly B^(t) fhat read off at the residue classes.
-        correlation = np.fft.ifft(block)
-        out += correlation[classes][ids]
+    """(1/T) (FB)* f0 as float64: per block, correlate the samples with the
+    DFT kernel at the support residues, then average the blocks."""
+    out = np.zeros(len(system.class_ids[0]))
+    for p, classes, ids, half in zip(system.primes, system.classes,
+                                     system.class_ids, system.rhs):
+        # The correlation folds the spectrum mod p: u_l = (1/p) sum_k y_k
+        # exp(2*pi*i*k*l/p) = sum_{j = l mod p} fhat_j, which is exactly
+        # B^(t) fhat read off at the residue classes.
+        out += (hermitian_exp_sum(half, p, classes / p) / p)[ids]
     return out / len(system.primes)
 
 
@@ -138,7 +147,7 @@ def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
         if contraction_ok(norms):
             if stats is not None:
                 stats["redraws"] = attempt
-            return {j: float(v) for j, v in zip(support.tolist(), solution.real)
+            return {j: float(v) for j, v in zip(support.tolist(), solution)
                     if v > params.mu / 2}
     raise ContractionFailure(
         f"all {attempts} measurement draws rejected for |support|={len(support)}")

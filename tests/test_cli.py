@@ -3,7 +3,7 @@ import json
 import pytest
 
 from smfft import bench
-from smfft.cli import (EXIT_PARSE, EXIT_SUPPORT, main)
+from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, main
 from smfft.support_recovery import SupportParams
 
 
@@ -150,6 +150,18 @@ class TestSpecIndices:
         code, out = run(["verify", "--signal", write_spec(tmp_path, 1, 40, support)],
                         capsys)
         assert code == 0 and json.loads(out)["support"] == support
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_outside_envelope_has_its_own_exit_code(self, command, tmp_path,
+                                                    capsys):
+        # d = 3, M = 2^16 is N = 2^48, past the 2^46 the exact arithmetic
+        # covers.  It used to fail inside the sampler and exit 2, as if the
+        # file could not be parsed.
+        code = main([command, "--signal", write_spec(tmp_path, 3, 1 << 16, [[1, 2, 3]])])
+        assert code == EXIT_ENVELOPE
+        assert "outside the supported envelope: padded grid size" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smfft.errors import IndexOutOfRange
+from smfft.errors import EnvelopeError, IndexOutOfRange
 from smfft.md_transform import (RankOneLattice, flatten_index, lattice_point,
                                 md_sample_adapter, md_sfft, relative_l2_error,
                                 unflatten_index)
@@ -132,3 +132,35 @@ class TestMdSfft:
         sampler = md_sample_adapter({}, lat)
         assert md_sfft(sampler, lat, SupportParams(r_bound=4),
                        np.random.default_rng(0)) == {}
+
+
+class TestEnvelope:
+    """A problem outside the envelope raises EnvelopeError while planning,
+    before any sample is requested."""
+
+    @pytest.mark.parametrize("dims,axis,r_bound,message", [
+        (3, 1 << 16, 4, "padded grid size"),       # N = 2^48
+        (1, 1 << 20, 4400, "base modulus K"),      # K = 133650
+        (2, 1024, 2048, "value-stage prime"),      # pool up to 166399
+    ])
+    def test_rejected_before_sampling(self, dims, axis, r_bound, message):
+        lat = RankOneLattice(dims, axis)
+        ledger = SampleLedger()
+        sampler = md_sample_adapter({(5,) + (0,) * (dims - 1): 1.0}, lat,
+                                    ledger=ledger)
+        with pytest.raises(EnvelopeError, match=message):
+            md_sfft(sampler, lat, SupportParams(r_bound=r_bound),
+                    np.random.default_rng(0))
+        assert ledger.total_requests == 0
+
+    def test_edge_of_envelope_runs(self):
+        # At R = 1 (K = 18) the ladder pads N = 9 * 2^42 to itself, inside
+        # 2^46, and one more point would pad to 9 * 2^43, past it.
+        lat = RankOneLattice(1, 9 << 42)
+        sampler = md_sample_adapter({(5,): 1.0}, lat)
+        got = md_sfft(sampler, lat, SupportParams(r_bound=1), np.random.default_rng(0))
+        assert set(got) == {(5,)}
+        lat = RankOneLattice(1, (9 << 42) + 1)
+        with pytest.raises(EnvelopeError, match="padded grid size"):
+            md_sfft(md_sample_adapter({(5,): 1.0}, lat), lat,
+                    SupportParams(r_bound=1), np.random.default_rng(0))

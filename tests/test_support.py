@@ -13,7 +13,7 @@ from smfft.support_recovery import (SupportParams, compute_phi,
                                     dealias_candidates,
                                     find_aliased_support, find_support,
                                     initial_aliased_support, plan_ladder,
-                                    probe_index, probe_window, sample_period)
+                                    probe_index, probe_window)
 
 
 def reference_probe_index(n, q, m, k):
@@ -185,33 +185,14 @@ class TestProbeIndex:
 
 
 class TestSamplePeriod:
-    @pytest.mark.parametrize("parity", [0, 1])
-    @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_conjugates_match_direct_samples(self, parity, data):
-        # Noiseless, each conjugate-filled entry is the sample at its
-        # negative offset, up to the oracle's nufft error.
-        period = 2 * data.draw(st.integers(2, 40)) + parity
-        den = data.draw(st.integers(2, 1 << 46))
-        step = data.draw(st.integers(0, den - 1))
-        lines = data.draw(st.lists(st.integers(0, (1 << 46) - 1), min_size=1,
-                                   max_size=8, unique=True))
-        amps = data.draw(st.lists(st.floats(0.1, 2.0), min_size=len(lines),
-                                  max_size=len(lines)))
-        sampler = Sampler(SparseSpectrum(1 << 46, dict(zip(lines, amps))))
-        got = sample_period(sampler, step, period, den)
-        half = period // 2 + 1
-        assert got.shape == (period,)
-        assert np.array_equal(got[:half], sampler.sample_progression(0, step, half, den))
-        direct = sampler.sample_progression((half - period) * step, step, period - half, den)
-        assert np.abs(got[half:] - direct).max() <= 1e-12 * sum(amps)
-
     def test_request_guard(self):
-        # 2^16 points per request: a period of up to 2^17 - 1 fits.
+        # 2^16 points per request: the half of a base period of 2^17 - 1
+        # fits, and a period of 2^17 asks for one point more.
         sampler = Sampler(SparseSpectrum(1 << 20, {5: 1.0}))
-        assert sample_period(sampler, 1, (1 << 17) - 1, 1 << 20).shape == ((1 << 17) - 1,)
+        params = SupportParams(r_bound=1)
+        assert initial_aliased_support(sampler, (1 << 17) - 1, params).tolist() == [5]
         with pytest.raises(ValueError, match="guards"):
-            sample_period(sampler, 1, 1 << 17, 1 << 20)
+            initial_aliased_support(sampler, 1 << 17, params)
 
     @pytest.mark.parametrize("r_bound", [16, 18])
     def test_request_counts(self, r_bound):
@@ -255,15 +236,21 @@ class TestComputePhi:
 
     @pytest.mark.parametrize("k", [361, 362])
     def test_matches_add_at_fold(self, k):
-        # Odd and even K: the rotation puts every offset where np.add.at did,
-        # and each row of the batch is the one-multiplier transform.
+        # Odd and even K: each row of the batch is the real part of the
+        # one-multiplier complex transform of the np.add.at fold.  For odd K
+        # the weighted period is Hermitian, so that transform is real; for
+        # even K its imaginary part comes from the K/2 sample alone, whose
+        # real part is all the real transform reads.
         spectrum = SparseSpectrum(8 * k, {3: 1.0, 5 * k + 7: 0.75})
         sampler, m, sigma = Sampler(spectrum), 4 * k, 40.0
         qs = (1, 3, 4 * k - 1)
         phi = compute_phi(sampler, m, k, qs, probe_window(sigma, m, k))
-        assert phi.shape == (len(qs), k)
+        assert phi.shape == (len(qs), k) and phi.dtype == np.float64
         for row, q in zip(phi, qs):
-            assert np.array_equal(row, reference_phi(sampler, m, k, q, sigma))
+            reference = reference_phi(sampler, m, k, q, sigma)
+            assert np.abs(row - reference.real).max() <= 1e-12
+            if k % 2:
+                assert np.abs(reference.imag).max() <= 1e-12
 
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
@@ -339,7 +326,42 @@ class TestFindAliasedSupport:
         assert all((fails_once & ~row).any() for row in passes)
 
 
+# Sparsity bounds up to 24 whose base modulus K is even (parity 0) or odd.
+R_BY_K_PARITY = {parity: [r for r in range(1, 25)
+                          if SupportParams(r_bound=r).k_base % 2 == parity]
+                 for parity in (0, 1)}
+
+
 class TestFindSupport:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_true_lines_clear_every_probe(self, parity, data):
+        # The nonnegativity invariant, noiseless: replaying find_support's
+        # ladder, every true aliased line clears the threshold at the base
+        # level and in every probe round of every level, for odd and even K
+        # (for even K the real transform reads only the real part of the
+        # K/2 sample).
+        r = data.draw(st.sampled_from(R_BY_K_PARITY[parity]))
+        n = data.draw(st.integers(2, 1 << 20))
+        lines = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=r, unique=True))
+        amps = data.draw(st.lists(st.floats(0.5, 1.5), min_size=len(lines),
+                                  max_size=len(lines)))
+        spectrum = SparseSpectrum(n, dict(zip(lines, amps)))
+        params, sampler = SupportParams(r_bound=r), Sampler(spectrum)
+        rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
+        moduli = plan_ladder(n, params.k_base, params.rho)
+        k = moduli[0]
+        base = initial_aliased_support(sampler, k, params)
+        assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
+        for m in moduli[1:]:
+            qs = np.array([sample_coprime(m, rng) for _ in range(params.probe_rounds)])
+            phi = compute_phi(sampler, m, k, qs, probe_window(params.sigma(m), m, k))
+            truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
+            probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
+            assert (probes >= params.threshold).all(), (m, probes.min())
+
     def test_initial_level(self):
         spectrum = SparseSpectrum(40, {1: 1.0, 23: 1.0, 35: 1.0})
         params = SupportParams(r_bound=3)

@@ -34,7 +34,7 @@ class TestMeasurement:
         for p, classes, ids, rhs in zip(sys_.primes, sys_.classes,
                                         sys_.class_ids, sys_.rhs):
             assert p > 3
-            assert len(rhs) == p
+            assert len(rhs) == p // 2 + 1
             assert np.array_equal(classes[ids], np.array([3, 77, 150]) % p)
             assert np.array_equal(classes, np.unique(classes))
 
@@ -73,8 +73,10 @@ class TestOperators:
         _, sampler = make_instance(4096, support, [1.0] * 20)
         system = draw_measurement(np.array(support), 20, 4096, rng, sampler)
         dense = self._dense_normal(system)
-        x = rng.normal(size=20) + 1j * rng.normal(size=20)
-        assert np.allclose(apply_normal(system, x), dense @ x, atol=1e-12)
+        x = rng.normal(size=20)
+        got = apply_normal(system, x)
+        assert got.dtype == np.float64
+        assert np.allclose(got, dense @ x, atol=1e-12)
 
     def test_apply_normal_matches_add_at_scatter(self):
         # bincount adds each class in index order, as a size-p np.add.at
@@ -85,11 +87,11 @@ class TestOperators:
         support = np.sort(rng.choice(1 << 40, 300, replace=False))
         _, sampler = make_instance(1 << 40, support.tolist(), [1.0] * 300)
         system = draw_measurement(support, 5, 1 << 40, rng, sampler)
-        x = rng.normal(size=300) + 1j * rng.normal(size=300)
+        x = rng.normal(size=300)
         expected = np.zeros_like(x)
         for p, classes, ids in zip(system.primes, system.classes, system.class_ids):
             assert np.bincount(ids).max() >= 3
-            sums = np.zeros(p, dtype=complex)
+            sums = np.zeros(p)
             np.add.at(sums, classes[ids], x)
             expected += sums[classes[ids]]
         assert np.array_equal(apply_normal(system, x), expected / BLOCKS)
@@ -105,6 +107,24 @@ class TestOperators:
         expected = self._dense_normal(system) @ amps
         assert np.allclose(got, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.01])
+    def test_back_project_matches_prime_length_ifft(self, eta):
+        # The gridded sum agrees with the real part of a complex ifft of the
+        # conjugate-filled prime period, noisy samples included.
+        rng = np.random.default_rng(6)
+        support = np.sort(rng.choice(1 << 30, 40, replace=False))
+        spectrum = SparseSpectrum(1 << 30, {int(j): 1.0 for j in support})
+        system = draw_measurement(support, 40, 1 << 30, rng,
+                                  Sampler(spectrum, NoiseModel(eta, 1)))
+        expected = np.zeros(len(support))
+        for p, classes, ids, half in zip(system.primes, system.classes,
+                                         system.class_ids, system.rhs):
+            full = np.concatenate([half, half[(p + 1) // 2 - 1:0:-1].conj()])
+            expected += np.fft.ifft(full).real[classes][ids]
+        got = back_project(system)
+        assert got.dtype == np.float64
+        assert np.abs(got - expected / BLOCKS).max() <= 1e-12 * len(support)
+
     def test_neumann_converges_to_solution(self):
         rng = np.random.default_rng(3)
         support = sorted(int(j) for j in rng.choice(10000, 12, replace=False))
@@ -113,7 +133,7 @@ class TestOperators:
         system = draw_measurement(np.array(support), 12, 10000, rng, sampler)
         solution, norms = neumann_solve(system, 40)
         if contraction_ok(norms):
-            assert np.allclose(solution.real, amps, atol=1e-8)
+            assert np.allclose(solution, amps, atol=1e-8)
             assert norms[-1] < norms[0] * 2**-30
 
 
