@@ -89,6 +89,8 @@ def run_trial(axis_size: int, dims: int, sparsity: int, eta: float, seed: int,
 
 def sweep(configs, trials: int, base_seed: int) -> list[dict]:
     """Run ``trials`` seeded trials per (axis_size, dims, sparsity, eta) config."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rows = []
     for i, (axis_size, dims, sparsity, eta) in enumerate(configs):
         # Discard a warm-up run so timings exclude one-time costs.

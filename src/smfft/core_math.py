@@ -1,8 +1,7 @@
 """Number-theoretic and transform primitives.
 
 Exact modular products, modular inverses, coprime sampling, a growing
-prime sieve, fast FFT sizes, the wrapped (periodized) Gaussian window, and
-the low-frequency index window.
+prime sieve, fast FFT sizes and the wrapped (periodized) Gaussian window.
 """
 
 from __future__ import annotations
@@ -123,11 +122,3 @@ def gaussian_window(offsets: np.ndarray, sigma: float, modulus: int) -> np.ndarr
     s = math.pi * sigma
     return math.sqrt(math.pi) * sigma * np.exp(-((s * (x[:, None] / modulus + h)) ** 2)).sum(axis=1)
 
-
-def window_offsets(k: int) -> tuple[int, int]:
-    """The K retained sample indices {n : n <= k/2 or |n - m| < k/2} as a
-    contiguous signed run (lo, hi), hi - lo + 1 == k; the indices are the
-    offsets mod m.
-    """
-    hi = k // 2
-    return hi - k + 1, hi

@@ -4,9 +4,9 @@ The ladder starts at a base modulus K sized so a full size-K DFT is cheap,
 then grows the working modulus by bounded factors.  At each level the
 candidate set (translated copies of the previous aliased support) is pruned
 by L randomized probe rounds, run as one batch: shuffle frequencies by L
-random coprime multipliers q (one oracle call each), weight the L x K
-samples by a wrapped-Gaussian window, take one batched size-K FFT, and keep
-the candidates whose probe clears the threshold in every round.
+random coprime multipliers q (one oracle call each), weight each round's
+samples by a wrapped-Gaussian window, take one batched size-K transform,
+and keep the candidates whose probe clears the threshold in every round.
 Nonnegativity of the spectrum guarantees true support always survives;
 random shuffling makes spurious candidates fail some round with high
 probability.  compute_phi, probe_index and core_math.mulmod take q as an
@@ -15,8 +15,9 @@ int64 array that broadcasts.
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
 only, in one oracle call, and transformed from that half by a real inverse
-FFT of size K.  The window is even, so the weighted period stays Hermitian,
-and irfft reads only the real part of the K/2 sample when K is even.
+FFT of size K.  The window is even, so it is evaluated on that half alone,
+the weighted period stays Hermitian, and irfft reads only the real part of
+the K/2 sample when K is even.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (gaussian_window, mulmod, next_fast_len, sample_coprime,
-                        window_offsets)
+from .core_math import gaussian_window, mulmod, next_fast_len, sample_coprime
 from .errors import CandidateBlowup
 from .signal import Sampler
 
@@ -65,8 +65,10 @@ class SupportParams:
             raise ValueError("rho must be >= 2")
         if not 0 < self.p_fail < 1:
             raise ValueError("p_fail must lie in (0, 1)")
-        if self.mu <= 0 or self.delta_ratio < 1:
-            raise ValueError("mu must be > 0 and delta_ratio >= 1")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 1 <= self.delta_ratio < math.inf:
+            raise ValueError(f"delta_ratio must be finite and >= 1, got {self.delta_ratio}")
         if not 0 <= self.eta <= self.delta * self.mu / 2:
             raise ValueError(f"noise level eta = {self.eta} violates "
                              "0 <= eta <= delta*mu/2")
@@ -160,39 +162,30 @@ def initial_aliased_support(sampler: Sampler, m1: int,
     in the aliased support iff its coefficient clears the threshold.
     """
     fhat = np.fft.irfft(sampler.sample_progression(0, 1, m1 // 2 + 1, m1), n=m1)
-    return np.flatnonzero(np.abs(fhat) > params.threshold).astype(np.int64, copy=False)
-
-
-def probe_window(sigma: float, m_k: int, k_base: int) -> np.ndarray:
-    """Wrapped-Gaussian weights at the K window offsets lo..hi of
-    :func:`window_offsets`; they depend only on the level, not the round."""
-    lo, hi = window_offsets(k_base)
-    return gaussian_window(np.arange(lo, hi + 1), sigma, m_k)
+    return np.flatnonzero(np.abs(fhat) >= params.threshold).astype(np.int64, copy=False)
 
 
 def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
-                weights: np.ndarray) -> np.ndarray:
+                sigma: float) -> np.ndarray:
     """Probe spectra phi at the K grid points j*M_k/K, one row per Q in the
     ints or int64 array ``qs``.
 
-    Row Q takes the K window samples at (m*Q mod M)/M, m = lo..hi, which
-    under the exp(-2*pi*i*x*j) convention relabels line l to l*Q; one oracle
-    call per row requests m = 0..K//2, and the rest are their conjugates.
-    All rows are weighted by ``weights`` (:func:`probe_window`), folded mod K
-    and transformed by a size-K DFT with kernel exp(+2*pi*i*n*m/K), so a
-    peak at grid point n of a row certifies a line near n*M/K in that row's
-    shuffled spectrum, matching :func:`probe_index`.  The result is real.
+    Row Q samples f at (m*Q mod M)/M, which under the exp(-2*pi*i*x*j)
+    convention relabels line l to l*Q.  One oracle call per row requests
+    the half m = 0..K//2 of the K-point window -(K-1)//2..K//2; the rest
+    are its conjugates.  The half is weighted by the even wrapped Gaussian
+    of width ``sigma`` and transformed by a real size-K inverse DFT (kernel
+    exp(+2*pi*i*n*m/K)), so a peak at grid point n of a row certifies a
+    line near n*M/K in that row's shuffled spectrum, matching
+    :func:`probe_index`.
     """
     if m_k % k_base != 0:
         raise ValueError("k_base must divide m_k")
-    lo, _ = window_offsets(k_base)
-    half = np.empty((len(qs), k_base // 2 + 1), dtype=complex)
+    offsets = np.arange(k_base // 2 + 1)
+    half = np.empty((len(qs), len(offsets)), dtype=complex)
     for row, q in zip(half, qs):
-        row[:] = sampler.sample_progression(0, q, k_base // 2 + 1, m_k)
-    # The offsets lo..hi are one full residue system mod K, and the window
-    # is even, so the weighted period is Hermitian and set by its offsets
-    # 0..K//2, the window's last K//2 + 1 weights.
-    half *= weights[-lo:] / m_k
+        row[:] = sampler.sample_progression(0, q, len(offsets), m_k)
+    half *= gaussian_window(offsets, sigma, m_k) / m_k
     return np.fft.irfft(half, n=k_base, axis=1, norm="forward")
 
 
@@ -208,7 +201,7 @@ def probe_index(n, q, m_k: int, k_base: int):
     return ((s * k_base + m_k // 2) // m_k) % k_base
 
 
-def find_aliased_support(candidate: np.ndarray, m_k: int, k_base: int,
+def find_aliased_support(candidate: np.ndarray, m_k: int,
                          params: SupportParams, sampler: Sampler,
                          rng: np.random.Generator) -> np.ndarray:
     """Prune a sorted int64 candidate array down to the aliased support at
@@ -219,8 +212,9 @@ def find_aliased_support(candidate: np.ndarray, m_k: int, k_base: int,
     support always survives (noiseless); each spurious candidate survives
     all rounds with probability at most about alpha^L = p_fail.
     """
+    k_base = params.k_base
     qs = np.array([sample_coprime(m_k, rng) for _ in range(params.probe_rounds)])
-    phi = compute_phi(sampler, m_k, k_base, qs, probe_window(params.sigma(m_k), m_k, k_base))
+    phi = compute_phi(sampler, m_k, k_base, qs, params.sigma(m_k))
     probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
     return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
 
@@ -231,8 +225,8 @@ def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
 
     Returns the support as a sorted int64 array.
     """
-    moduli = plan_ladder(requested_n, params.k_base, params.rho)
-    k_base = moduli[0]
+    k_base = params.k_base
+    moduli = plan_ladder(requested_n, k_base, params.rho)
     aliased = initial_aliased_support(sampler, k_base, params)
     cap = CANDIDATE_CAP_FACTOR * params.rho * k_base
     for level, (m_prev, m_k) in enumerate(zip(moduli, moduli[1:]), 1):
@@ -243,5 +237,5 @@ def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check mu/delta_ratio estimates")
-        aliased = find_aliased_support(candidate, m_k, k_base, params, sampler, rng)
+        aliased = find_aliased_support(candidate, m_k, params, sampler, rng)
     return aliased

@@ -43,17 +43,14 @@ class MeasurementSystem:
     rhs: list[np.ndarray]  # per block: the samples at k/p, k = 0..p//2
 
 
-def prime_pool_size(r_bound: int, n_total: int) -> int:
-    """Size 4*R*log_R(N) of the prime drawing pool (base clamped to 2)."""
-    base = max(r_bound, 2)
-    size = 4 * max(r_bound, 1) * math.log(n_total) / math.log(base)
-    # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
-    return max(1, math.ceil(size - 1e-9))
-
-
 def prime_pool(r_bound: int, n_total: int) -> list[int]:
-    """The ascending primes the measurement blocks are drawn from."""
-    return primes_greater_than(max(r_bound, 1), prime_pool_size(r_bound, n_total))
+    """The ascending primes the measurement blocks are drawn from: the
+    4*R*log_R(N) smallest primes above R (R clamped to 1, the log base
+    to 2)."""
+    r = max(r_bound, 1)
+    size = 4 * r * math.log(n_total) / math.log(max(r_bound, 2))
+    # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
+    return primes_greater_than(r, max(1, math.ceil(size - 1e-9)))
 
 
 def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,

@@ -79,6 +79,16 @@ class TestTransform:
         assert main(["verify", "--signal", signal_file, "--eta=-0.5"]) == EXIT_PARSE
         assert "eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--mu", "--delta-ratio"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_estimate_is_parse_error(self, flag, value, signal_file,
+                                                capsys):
+        # --delta-ratio inf used to die with an OverflowError traceback and
+        # --mu inf to run and exit 3 with nothing recovered.
+        assert main(["verify", "--signal", signal_file, flag, value]) == EXIT_PARSE
+        field = flag[2:].replace("-", "_")
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
 
 def write_spec(tmp_path, dims, axis, support):
     path = tmp_path / "spec.json"
@@ -156,12 +166,15 @@ class TestEnvelope:
     @pytest.mark.parametrize("command", ["transform", "verify"])
     def test_outside_envelope_has_its_own_exit_code(self, command, tmp_path,
                                                     capsys):
-        # d = 3, M = 2^16 is N = 2^48, past the 2^46 the exact arithmetic
-        # covers.  It used to fail inside the sampler and exit 2, as if the
-        # file could not be parsed.
-        code = main([command, "--signal", write_spec(tmp_path, 3, 1 << 16, [[1, 2, 3]])])
-        assert code == EXIT_ENVELOPE
-        assert "outside the supported envelope: padded grid size" in capsys.readouterr().err
+        # M = 2^16 with d = 3 is N = 2^48, past the 2^46 the exact
+        # arithmetic covers.  It used to fail inside the sampler and exit 2,
+        # as if the file could not be parsed.  With d = 5 (N = 2^80) the
+        # flat index is past int64 as well.
+        for key in ([1, 2, 3], [5, 0, 0, 0, (1 << 16) - 1]):
+            code = main([command, "--signal", write_spec(tmp_path, len(key), 1 << 16, [key])])
+            assert code == EXIT_ENVELOPE
+            assert ("outside the supported envelope: padded grid size"
+                    in capsys.readouterr().err)
 
 
 class TestVerify:
@@ -218,6 +231,15 @@ class TestBench:
         assert main([command] + args) == 0
         {"bench-n": bench.bench_n_rows, "bench-r": bench.bench_r_rows}[command](**kwargs)
         assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("command", ["bench-n", "bench-r"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_is_parse_error(self, command, trials, capsys, monkeypatch):
+        # It used to run a warm-up trial per configuration and exit 0 with
+        # an empty report; now it fails before any trial runs.
+        monkeypatch.setattr(bench, "run_trial", lambda *a: pytest.fail("trial ran"))
+        assert main([command, "--trials", trials]) == EXIT_PARSE
+        assert "trials must be >= 1" in capsys.readouterr().err
 
     def test_bench_n_json(self, capsys):
         code, out = run(["bench-n", "--trials", "1", "--r", "4", "--d", "2",

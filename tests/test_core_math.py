@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smfft import core_math
 from smfft.core_math import (gaussian_window, mod_inverse, primes_greater_than,
-                             sample_coprime, window_offsets)
+                             sample_coprime)
 from smfft.errors import NotCoprime
 from smfft.signal import Sampler, SparseSpectrum
 
@@ -94,27 +94,6 @@ class TestPrimes:
         assert len(sieves) == 1
         assert primes_greater_than(256, 100) == first
         assert len(sieves) == 1
-
-
-class TestWindow:
-    def test_known_small_window(self):
-        assert window_offsets(4) == (-1, 2)  # indices {9, 0, 1, 2} mod 10
-
-    def test_single_point(self):
-        assert window_offsets(1) == (0, 0)
-
-    def test_window_offsets_contiguous(self):
-        for k in range(1, 40):
-            lo, hi = window_offsets(k)
-            assert hi - lo + 1 == k
-            assert hi == k // 2
-
-    def test_offsets_match_alias_window(self):
-        # The alias window is {n : n <= k/2 or |n - m| < k/2} within [0, m).
-        for k, m in [(4, 10), (5, 11), (7, 7), (16, 64), (9, 10)]:
-            lo, hi = window_offsets(k)
-            expected = {n for n in range(m) if 2 * n <= k or 2 * (m - n) < k}
-            assert {o % m for o in range(lo, hi + 1)} == expected
 
 
 class TestGaussianWindow:

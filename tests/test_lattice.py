@@ -140,13 +140,16 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("dims,axis,r_bound,message", [
         (3, 1 << 16, 4, "padded grid size"),       # N = 2^48
+        (5, 1 << 16, 4, "padded grid size"),       # N = 2^80
         (1, 1 << 20, 4400, "base modulus K"),      # K = 133650
         (2, 1024, 2048, "value-stage prime"),      # pool up to 166399
     ])
     def test_rejected_before_sampling(self, dims, axis, r_bound, message):
         lat = RankOneLattice(dims, axis)
         ledger = SampleLedger()
-        sampler = md_sample_adapter({(5,) + (0,) * (dims - 1): 1.0}, lat,
+        # The last component is the top digit, so at d = 5 the flat index
+        # (2^16 - 1) * 2^64 is past int64 and the sampler holds Python ints.
+        sampler = md_sample_adapter({(0,) * (dims - 1) + (axis - 1,): 1.0}, lat,
                                     ledger=ledger)
         with pytest.raises(EnvelopeError, match=message):
             md_sfft(sampler, lat, SupportParams(r_bound=r_bound),

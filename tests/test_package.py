@@ -19,3 +19,14 @@ def test_readme_library_example_runs():
     scope = {}
     exec(example, scope)
     assert set(scope["recovered"]) == set(scope["truth"])
+
+
+def test_readme_states_the_package_line_count():
+    # The tracked size of the package is stated once, in the README; this
+    # keeps that number equal to the source it describes.
+    root = Path(__file__).parents[1]
+    (stated,) = re.findall(r"The package under `src/` is (\d+) lines",
+                           (root / "README.md").read_text())
+    total = sum(len(path.read_text().splitlines())
+                for path in (root / "src" / "smfft").glob("*.py"))
+    assert int(stated) == total

@@ -100,8 +100,7 @@ def test_probe_false_positive_rate_is_small():
     # drives the false-positive rate toward zero geometrically.
     from smfft.core_math import sample_coprime
     from smfft.signal import aliased_spectrum
-    from smfft.support_recovery import (SupportParams, compute_phi,
-                                        probe_index, probe_window)
+    from smfft.support_recovery import SupportParams, compute_phi, probe_index
 
     rng = np.random.default_rng(0)
     n = 1 << 14
@@ -116,7 +115,7 @@ def test_probe_false_positive_rate_is_small():
         truth = set(aliased_spectrum(spectrum, m))
         spurious = [x for x in rng.integers(0, m, 60) if x not in truth]
         q = sample_coprime(m, rng)
-        phi, = compute_phi(sampler, m, k, [q], probe_window(params.sigma(m), m, k))
+        phi, = compute_phi(sampler, m, k, [q], params.sigma(m))
         for x in spurious:
             total += 1
             if abs(phi[probe_index(int(x), q, m, k)]) >= params.threshold:

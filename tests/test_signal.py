@@ -64,6 +64,15 @@ class TestSampler:
                 direct_sample(entries, 1 << 21, 11 + 13 * k, 1 << 21),
                 abs=1e-9)
 
+    def test_indices_past_int64_match_direct(self):
+        # A flat index of 2^63 or more keeps the support as Python ints.
+        entries = {(1 << 79) + 5: 1.0, 3: 0.5}
+        sampler = Sampler(SparseSpectrum(1 << 80, entries))
+        got = sampler.sample_progression(0, 1, 4, 7)
+        for k in range(4):
+            assert got[k] == pytest.approx(direct_sample(entries, 1 << 80, k, 7),
+                                           abs=1e-12)
+
     def test_large_batch_nufft_path_matches_direct(self):
         rng = np.random.default_rng(3)
         n = 465**3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft.core_math import gaussian_window, sample_coprime, window_offsets
+from smfft.core_math import gaussian_window, sample_coprime
 from smfft.errors import CandidateBlowup
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           aliased_spectrum)
@@ -13,7 +13,7 @@ from smfft.support_recovery import (SupportParams, compute_phi,
                                     dealias_candidates,
                                     find_aliased_support, find_support,
                                     initial_aliased_support, plan_ladder,
-                                    probe_index, probe_window)
+                                    probe_index)
 
 
 def reference_probe_index(n, q, m, k):
@@ -23,11 +23,12 @@ def reference_probe_index(n, q, m, k):
 
 
 def reference_phi(sampler, m, k, q, sigma):
-    """Probe spectrum with the window built here, one request for the
-    offsets 0..K//2, the negative offsets conjugated here, and an np.add.at
-    fold."""
-    lo, hi = window_offsets(k)
-    offsets = np.arange(lo, hi + 1)
+    """Probe spectrum with the full K-point window built here, one request
+    for the offsets 0..K//2, the negative offsets conjugated here, and an
+    np.add.at fold."""
+    # The alias window {n : n <= K/2 or |n - M| < K/2} as signed offsets:
+    # -(K-1)//2..K//2, one full residue system mod K.
+    offsets = np.arange(k // 2 - k + 1, k // 2 + 1)
     weights = gaussian_window(offsets, sigma, m)
     half = sampler.sample_progression(0, q, k // 2 + 1, m)
     samples = np.array([half[o] if o >= 0 else np.conj(half[-o]) for o in offsets])
@@ -36,9 +37,10 @@ def reference_phi(sampler, m, k, q, sigma):
     return np.fft.ifft(folded, norm="forward")
 
 
-def reference_find_aliased_support(candidate, m, k, params, sampler, rng):
+def reference_find_aliased_support(candidate, m, params, sampler, rng):
     """The set-based probe loop: a window and an np.add.at fold per round, and
     one Python-int probe index per candidate."""
+    k = params.k_base
     survivors = set(candidate)
     for _ in range(params.probe_rounds):
         if not survivors:
@@ -94,6 +96,16 @@ class TestSupportParams:
         # failed the success rule's negative error cap.
         with pytest.raises(ValueError, match="0 <= eta"):
             SupportParams(r_bound=3, eta=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("mu", math.inf), ("mu", math.nan),
+        ("delta_ratio", math.inf), ("delta_ratio", math.nan)])
+    def test_rejects_non_finite_estimates(self, field, value):
+        # An infinite delta_ratio used to overflow in k_base, an infinite mu
+        # to threshold every line away, and a NaN mu to read as an eta
+        # violation; the message names the field, checked before eta.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SupportParams(r_bound=3, eta=0.01, **{field: value})
 
     def test_sigma_scales_with_modulus(self):
         p = SupportParams(r_bound=50)
@@ -206,7 +218,7 @@ class TestSamplePeriod:
         sampler = Sampler(spectrum, ledger=ledger)
         aliased = initial_aliased_support(sampler, k, params)
         assert ledger.total_requests == k // 2 + 1
-        find_aliased_support(dealias_candidates(aliased, k, 2), m, k, params,
+        find_aliased_support(dealias_candidates(aliased, k, 2), m, params,
                              sampler, np.random.default_rng(0))
         assert ledger.total_requests == (1 + params.probe_rounds) * (k // 2 + 1)
 
@@ -224,7 +236,7 @@ class TestComputePhi:
         m = 2 * k
         sampler = Sampler(spectrum)
         q = 137  # coprime to m = 726
-        phi, = compute_phi(sampler, m, k, [q], probe_window(params.sigma(m), m, k))
+        phi, = compute_phi(sampler, m, k, [q], params.sigma(m))
         assert len(phi) == k
         hot = set()
         for line in aliased_spectrum(spectrum, m):
@@ -244,7 +256,7 @@ class TestComputePhi:
         spectrum = SparseSpectrum(8 * k, {3: 1.0, 5 * k + 7: 0.75})
         sampler, m, sigma = Sampler(spectrum), 4 * k, 40.0
         qs = (1, 3, 4 * k - 1)
-        phi = compute_phi(sampler, m, k, qs, probe_window(sigma, m, k))
+        phi = compute_phi(sampler, m, k, qs, sigma)
         assert phi.shape == (len(qs), k) and phi.dtype == np.float64
         for row, q in zip(phi, qs):
             reference = reference_phi(sampler, m, k, q, sigma)
@@ -255,7 +267,7 @@ class TestComputePhi:
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
         with pytest.raises(ValueError):
-            compute_phi(sampler, 10, 4, [3], np.ones(4))
+            compute_phi(sampler, 10, 4, [3], 1.0)
 
 
 class TestFindAliasedSupport:
@@ -270,8 +282,8 @@ class TestFindAliasedSupport:
         candidates = set(truth)
         while len(candidates) < 3 * len(truth):
             candidates.add(int(rng.integers(0, m)))
-        got = find_aliased_support(np.array(sorted(candidates)), m, params.k_base,
-                                   params, Sampler(spectrum), np.random.default_rng(1))
+        got = find_aliased_support(np.array(sorted(candidates)), m, params,
+                                   Sampler(spectrum), np.random.default_rng(1))
         assert got.tolist() == sorted(truth)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -292,7 +304,7 @@ class TestFindAliasedSupport:
 
         def run(find, cand):
             ledger, probe_rng = SampleLedger(), np.random.default_rng(seed + 10)
-            survivors = find(cand, m, k, params, Sampler(spectrum, noise, ledger), probe_rng)
+            survivors = find(cand, m, params, Sampler(spectrum, noise, ledger), probe_rng)
             return (sorted(int(n) for n in survivors), ledger.unique_count,
                     ledger.total_requests, probe_rng.integers(1 << 62))
 
@@ -313,13 +325,13 @@ class TestFindAliasedSupport:
                                           rng.choice(4 * m, 16, replace=False)})
         sampler = Sampler(spectrum, NoiseModel(eta=0.01, seed=3))
         candidate = np.arange(m, dtype=np.int64)
-        got = find_aliased_support(candidate, m, k, params, sampler,
+        got = find_aliased_support(candidate, m, params, sampler,
                                    np.random.default_rng(5))
         assert got.tolist() == sorted(reference_find_aliased_support(
-            candidate.tolist(), m, k, params, sampler, np.random.default_rng(5)))
+            candidate.tolist(), m, params, sampler, np.random.default_rng(5)))
         probe_rng = np.random.default_rng(5)
         qs = [sample_coprime(m, probe_rng) for _ in range(params.probe_rounds)]
-        phi = compute_phi(sampler, m, k, qs, probe_window(params.sigma(m), m, k))
+        phi = compute_phi(sampler, m, k, qs, params.sigma(m))
         passes = np.array([np.abs(row[probe_index(candidate, q, m, k)]) >= params.threshold
                            for row, q in zip(phi, qs)])
         fails_once = (~passes).sum(axis=0) == 1
@@ -357,7 +369,7 @@ class TestFindSupport:
         assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
         for m in moduli[1:]:
             qs = np.array([sample_coprime(m, rng) for _ in range(params.probe_rounds)])
-            phi = compute_phi(sampler, m, k, qs, probe_window(params.sigma(m), m, k))
+            phi = compute_phi(sampler, m, k, qs, params.sigma(m))
             truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
             probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
             assert (probes >= params.threshold).all(), (m, probes.min())

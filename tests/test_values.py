@@ -8,7 +8,7 @@ from smfft.support_recovery import SupportParams
 from smfft.value_recovery import (BLOCKS, MeasurementSystem, apply_normal,
                                   back_project, compute_values,
                                   contraction_ok, draw_measurement,
-                                  neumann_solve, prime_pool_size)
+                                  neumann_solve, prime_pool)
 
 
 def make_instance(n, support, amps):
@@ -19,10 +19,10 @@ def make_instance(n, support, amps):
 class TestPrimePool:
     def test_pool_size_exact_power(self):
         # 4 * 5 * log_5(5^3) = 60
-        assert prime_pool_size(5, 5**3) == 60
+        assert len(prime_pool(5, 5**3)) == 60
 
     def test_base_clamped_for_tiny_r(self):
-        assert prime_pool_size(1, 1024) == 40  # 4 * 1 * log2(1024)
+        assert len(prime_pool(1, 1024)) == 40  # 4 * 1 * log2(1024)
 
 
 class TestMeasurement:
