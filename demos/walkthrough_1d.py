@@ -39,7 +39,7 @@ print(f"base modulus K={params.k_base}, ladder moduli {moduli} "
 ledger = SampleLedger()
 sampler = Sampler(spectrum, ledger=ledger)
 rng = np.random.default_rng(0)
-support = find_support(sampler, N, params, rng)
+support = find_support(sampler, moduli, params, rng)
 print("recovered support:", support.tolist())
 values = compute_values(support, N, params, sampler, rng)
 for j in support:

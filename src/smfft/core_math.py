@@ -13,13 +13,9 @@ import numpy as np
 
 from .errors import NotCoprime
 
-# Largest modulus for which int64 progression arithmetic stays exact
-# (see signal.Sampler and mulmod): modulus * count must fit in 63 bits.
+# Largest modulus for which mulmod stays exact in int64: with operands
+# below 2^46, its 16-bit limb products stay below 2^62.
 MAX_MODULUS = 1 << 46
-
-# Most points one sample request may hold (see signal.Sampler); a period of
-# P points is requested as its half, P//2 + 1 points, so P < 2^17.
-MAX_REQUEST = 1 << 16
 
 
 def mulmod(n, q, m: int):

@@ -26,8 +26,8 @@ class ContractionFailure(SmfftError):
 
 
 class EnvelopeError(SmfftError):
-    """The problem is too large for the sampler's exact arithmetic; raised
-    while planning, before any sample is drawn."""
+    """The problem is too large for the ladder's exact int64 arithmetic;
+    raised by plan_ladder, before any sample is drawn."""
 
 
 class ParseError(SmfftError):

@@ -17,11 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core_math import MAX_MODULUS, MAX_REQUEST
-from .errors import EnvelopeError, IndexOutOfRange
+from .errors import IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from .support_recovery import SupportParams, find_support, plan_ladder
-from .value_recovery import compute_values, prime_pool
+from .value_recovery import compute_values
 
 
 @dataclass(frozen=True)
@@ -96,33 +95,19 @@ def md_sample_adapter(entries: dict, lattice: RankOneLattice,
     return Sampler(spectrum, noise, ledger)
 
 
-def _planned_ladder(n_total: int, params: SupportParams) -> tuple[int, ...]:
-    """The ladder's moduli for a grid of ``n_total`` points, once every
-    request of the run is known to fit the sampler's guards."""
-    moduli = plan_ladder(n_total, params.k_base, params.rho)
-    if moduli[-1] > MAX_MODULUS:
-        raise EnvelopeError(f"padded grid size {moduli[-1]} exceeds 2^46")
-    for name, period in (("base modulus K", moduli[0]),
-                         ("value-stage prime", prime_pool(params.r_bound, n_total)[-1])):
-        if period // 2 + 1 > MAX_REQUEST:
-            raise EnvelopeError(f"{name} {period} reaches 2^17: its half "
-                                f"period exceeds the {MAX_REQUEST} points of a request")
-    return moduli
-
-
 def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
             rng: np.random.Generator,
             stats: dict | None = None) -> dict[tuple[int, ...], float]:
     """Recover a d-dimensional sparse nonnegative spectrum end to end.
 
     The sampler must be an oracle for the flattened 1-D problem (see
-    :func:`md_sample_adapter`).  A padded N above MAX_MODULUS = 2^46, or a
-    base modulus K or value-stage prime of 2^17 or more, raises EnvelopeError
-    before any sample is drawn.
+    :func:`md_sample_adapter`).  The ladder is planned before the first
+    sample, so a padded N above 2^46 or a base modulus K of 2^17 or more
+    raises EnvelopeError (see :func:`plan_ladder`) with nothing sampled.
     """
     n_total = lattice.total
-    moduli = _planned_ladder(n_total, params)
-    support = find_support(sampler, n_total, params, rng)
+    moduli = plan_ladder(n_total, params.k_base, params.rho)
+    support = find_support(sampler, moduli, params, rng)
     # Ladder padding can admit indices beyond M^d; those cannot be real.
     support = support[support < n_total]
     if stats is not None:
@@ -140,8 +125,8 @@ def relative_l2_error(recovered: dict, truth: dict, lattice: RankOneLattice) -> 
     Both spectra are keyed by d-tuples on ``lattice``.
     """
     keys = sorted(set(recovered) | set(truth))
-    diff = math.sqrt(sum((recovered.get(k, 0.0) - truth.get(k, 0.0)) ** 2 for k in keys))
-    denom = math.sqrt(sum(v * v for v in truth.values()))
+    diff = math.hypot(*(recovered.get(k, 0.0) - truth.get(k, 0.0) for k in keys))
+    denom = math.hypot(*truth.values())
     if denom == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / denom

@@ -3,10 +3,10 @@
 The ground truth always lives in frequency space; time-domain samples are
 synthesized on demand, a batch of count points in O(R + count log count).
 N is never materialized, which is what lets the ambient size run to
-core_math.MAX_MODULUS = 2^46 after the ladder's padding.  One request holds
-at most 2^16 points; the pipeline requests half of each FFT period, so K
-and the value-stage primes must stay below 2^17 (md_sfft checks both, and
-the padded N, while planning).
+core_math.MAX_MODULUS = 2^46 after the ladder's padding.  A request of
+count points over den is exact while (den - 1) * count < 2^63, the bound on
+its largest numerator; support_recovery.plan_ladder keeps every request of
+the pipeline inside it before the first sample.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import MAX_MODULUS, MAX_REQUEST, mulmod
+from .core_math import MAX_MODULUS, mulmod
 from .errors import ParseError
 from .nufft import nufft_exp_sum
 
@@ -38,8 +38,8 @@ class SparseSpectrum:
         for j, v in self.entries.items():
             if not 0 <= j < self.ambient_size:
                 raise ValueError(f"index {j} outside [0, {self.ambient_size})")
-            if not v > 0:
-                raise ValueError(f"amplitude at {j} must be > 0, got {v}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"amplitude at {j} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,9 @@ class Sampler:
         """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1."""
         if den < 1 or count < 1:
             raise ValueError("need den >= 1 and count >= 1")
-        if den > MAX_MODULUS or count > MAX_REQUEST:
+        # In Python ints: the largest numerator, start + (count-1)*step, is
+        # at most (den - 1) * count, and int64 must hold it.
+        if den > MAX_MODULUS or (int(den) - 1) * int(count) >= 1 << 63:
             raise ValueError("progression exceeds exact-arithmetic guards")
         start %= den
         step %= den

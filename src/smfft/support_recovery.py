@@ -22,13 +22,15 @@ the K/2 sample when K is even.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import gaussian_window, mulmod, next_fast_len, sample_coprime
-from .errors import CandidateBlowup
+from .core_math import (MAX_MODULUS, gaussian_window, mulmod, next_fast_len,
+                        sample_coprime)
+from .errors import CandidateBlowup, EnvelopeError
 from .signal import Sampler
 
 # Candidate sets beyond this multiple of K signal parameter misuse.
@@ -73,7 +75,7 @@ class SupportParams:
             raise ValueError(f"noise level eta = {self.eta} violates "
                              "0 <= eta <= delta*mu/2")
 
-    @property
+    @functools.cached_property
     def k_base(self) -> int:
         """Base modulus K: the paper's bound ceil(max{8, 2/a}/pi * R *
         sqrt(log(2RD/d) log(2D/d))) rounded up to the next 11-smooth size,
@@ -129,9 +131,16 @@ def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
     The last modulus is the padded size N >= requested_n.  The number of
     ladder steps is minimized first (factors as large as allowed), then the
     overshoot: among plans with that many steps, the smallest padded N wins.
+
+    This is where the envelope is decided, before any sample is drawn: a K
+    of 2^17 or more, or a padded N above MAX_MODULUS = 2^46, raises
+    EnvelopeError.  Both bounds keep probe_index exact (s*K + M/2 < 2^63),
+    and with them every request of the pipeline passes the sampler's guard.
     """
     if requested_n < 1:
         raise ValueError("requested_n must be positive")
+    if k_base >= 1 << 17:
+        raise EnvelopeError(f"base modulus K {k_base} reaches 2^17")
     if k_base >= requested_n:
         return (k_base,)
     target = -(-requested_n // k_base)  # ceil division
@@ -141,6 +150,8 @@ def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
     moduli = [k_base]
     for f in _min_product_with_factors(target, steps, rho):
         moduli.append(moduli[-1] * f)
+    if moduli[-1] > MAX_MODULUS:
+        raise EnvelopeError(f"padded grid size {moduli[-1]} exceeds 2^46")
     return tuple(moduli)
 
 
@@ -219,16 +230,15 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
     return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
 
 
-def find_support(sampler: Sampler, requested_n: int, params: SupportParams,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Full support search: plan the ladder, then dealias level by level.
+def find_support(sampler: Sampler, moduli: tuple[int, ...],
+                 params: SupportParams, rng: np.random.Generator) -> np.ndarray:
+    """Full support search: dealias level by level along the ladder
+    ``moduli`` planned by :func:`plan_ladder`, whose first modulus is K.
 
     Returns the support as a sorted int64 array.
     """
-    k_base = params.k_base
-    moduli = plan_ladder(requested_n, k_base, params.rho)
-    aliased = initial_aliased_support(sampler, k_base, params)
-    cap = CANDIDATE_CAP_FACTOR * params.rho * k_base
+    aliased = initial_aliased_support(sampler, moduli[0], params)
+    cap = CANDIDATE_CAP_FACTOR * params.rho * moduli[0]
     for level, (m_prev, m_k) in enumerate(zip(moduli, moduli[1:]), 1):
         if not aliased.size:  # an empty support stays empty
             break

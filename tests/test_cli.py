@@ -89,6 +89,29 @@ class TestTransform:
         field = flag[2:].replace("-", "_")
         assert f"error: {field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_non_finite_amplitude_is_parse_error(self, command, value, tmp_path,
+                                                 capsys):
+        # json reads Infinity; transform used to exit 0 with nothing
+        # recovered and verify to exit 3.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1, 23],
+                                    "values": [1.0, value]}))
+        assert main([command, "--signal", str(path)]) == EXIT_PARSE
+        assert "must be finite and > 0" in capsys.readouterr().err
+
+    def test_huge_amplitudes_give_a_finite_error(self, tmp_path, capsys):
+        # Squaring 1e300 in the error's norms used to die with an
+        # OverflowError traceback; mu above the amplitudes recovers nothing.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 2, "axis_size": 32,
+                                    "support": [[1, 2], [30, 17], [0, 5]],
+                                    "values": [1e300, 0.75e300, 1.25e300]}))
+        code, out = run(["transform", "--signal", str(path), "--mu", "1e303"], capsys)
+        assert code == 0
+        assert json.loads(out)["rel_l2_error"] == pytest.approx(1.0)
+
 
 def write_spec(tmp_path, dims, axis, support):
     path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,11 @@ class TestSparseSpectrum:
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
             SparseSpectrum(10, {3: -0.5})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_amplitude(self, value):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            SparseSpectrum(10, {3: value})
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
@@ -129,10 +135,18 @@ class TestSampler:
             assert np.allclose(fhat, expected, atol=1e-10)
 
     def test_guards(self):
+        # A request is exact while den <= 2^46 and its largest numerator,
+        # at most (den - 1) * count, stays below 2^63.
         sampler = Sampler(SparseSpectrum(8, {1: 1.0}))
-        with pytest.raises(ValueError):
-            sampler.sample_progression(0, 1, 1 << 17, 8)
-        with pytest.raises(ValueError):
+        den = 1 << 46
+        out = sampler.sample_progression(0, den - 1, 1 << 17, den)
+        assert len(out) == 1 << 17
+        last = (1 << 17) - 1
+        assert out[last] == pytest.approx(direct_sample({1: 1.0}, 8, last * (den - 1), den))
+        with pytest.raises(ValueError, match="exact-arithmetic guards"):
+            sampler.sample_progression(0, 1, (1 << 17) + 1, den)
+        assert len(sampler.sample_progression(0, 1, (1 << 17) + 1, 8)) == (1 << 17) + 1
+        with pytest.raises(ValueError, match="exact-arithmetic guards"):
             sampler.sample_progression(0, 1, 4, (1 << 46) + 2)
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft.core_math import gaussian_window, sample_coprime
-from smfft.errors import CandidateBlowup
+from smfft import support_recovery
+from smfft.core_math import gaussian_window, next_fast_len, sample_coprime
+from smfft.errors import CandidateBlowup, EnvelopeError
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           aliased_spectrum)
 from smfft.support_recovery import (SupportParams, compute_phi,
@@ -111,6 +112,19 @@ class TestSupportParams:
         p = SupportParams(r_bound=50)
         assert p.sigma(2430) == pytest.approx(2 * p.sigma(1215))
 
+    def test_k_base_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return next_fast_len(n)
+
+        monkeypatch.setattr(support_recovery, "next_fast_len", counting)
+        p, q = SupportParams(r_bound=50), SupportParams(r_bound=50)
+        assert p.k_base == p.k_base == 1215
+        assert len(calls) == 1
+        assert p == q and hash(p) == hash(q)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SupportParams(r_bound=3, alpha=1.5)
@@ -138,6 +152,15 @@ class TestLadder:
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
         assert plan_ladder(40, p.k_base, p.rho) == (60,)
+
+    def test_envelope(self):
+        # probe_index is exact for K < 2^17 and a padded N <= 2^46.
+        assert plan_ladder(1 << 46, 1 << 10, 2)[-1] == 1 << 46
+        with pytest.raises(EnvelopeError, match="padded grid size"):
+            plan_ladder((1 << 46) + 1, 1 << 10, 2)
+        assert plan_ladder(10, (1 << 17) - 1, 2) == ((1 << 17) - 1,)
+        with pytest.raises(EnvelopeError, match="base modulus K"):
+            plan_ladder(10, 1 << 17, 2)
 
 
 class TestDealias:
@@ -197,15 +220,6 @@ class TestProbeIndex:
 
 
 class TestSamplePeriod:
-    def test_request_guard(self):
-        # 2^16 points per request: the half of a base period of 2^17 - 1
-        # fits, and a period of 2^17 asks for one point more.
-        sampler = Sampler(SparseSpectrum(1 << 20, {5: 1.0}))
-        params = SupportParams(r_bound=1)
-        assert initial_aliased_support(sampler, (1 << 17) - 1, params).tolist() == [5]
-        with pytest.raises(ValueError, match="guards"):
-            initial_aliased_support(sampler, 1 << 17, params)
-
     @pytest.mark.parametrize("r_bound", [16, 18])
     def test_request_counts(self, r_bound):
         # One request of K//2 + 1 points per period: the base level, then
@@ -389,15 +403,15 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, {int(j): float(a)
                                       for j, a in zip(support, amps)})
         params = SupportParams(r_bound=16)
-        got = find_support(Sampler(spectrum), n, params,
-                           np.random.default_rng(seed + 100))
+        got = find_support(Sampler(spectrum), plan_ladder(n, params.k_base, params.rho),
+                           params, np.random.default_rng(seed + 100))
         assert got.tolist() == sorted(int(j) for j in support)
 
     def test_empty_spectrum(self):
         spectrum = SparseSpectrum(64, {})
         params = SupportParams(r_bound=4)
-        assert find_support(Sampler(spectrum), 64, params,
-                            np.random.default_rng(0)).size == 0
+        assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base, params.rho),
+                            params, np.random.default_rng(0)).size == 0
 
     def test_candidate_blowup_guard(self):
         # A wildly wrong mu makes every index pass the initial threshold.
@@ -407,4 +421,5 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, {int(j): 1.0 for j in support})
         params = SupportParams(r_bound=2, mu=0.01)
         with pytest.raises(CandidateBlowup):
-            find_support(Sampler(spectrum), n, params, np.random.default_rng(0))
+            find_support(Sampler(spectrum), plan_ladder(n, params.k_base, params.rho),
+                         params, np.random.default_rng(0))

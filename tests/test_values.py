@@ -45,10 +45,13 @@ class TestMeasurement:
                                 np.random.default_rng(0), Sampler(spectrum, ledger=ledger))
         assert ledger.total_requests == sum(p // 2 + 1 for p in sys_.primes)
 
-    def test_prime_grids_above_2_16(self):
-        # R = 1024 on 1024^2 draws value-stage primes above 2^16, past the
-        # 2^16 points one request may hold; half a grid still fits.
-        row = bench.run_trial(1024, 2, 1024, 0.0, 40)
+    @pytest.mark.parametrize("axis,dims,sparsity", [
+        (1024, 2, 1024), (1024, 3, 1024), (256, 2, 2100)])
+    def test_prime_grids_above_2_16(self, axis, dims, sparsity):
+        # The prime pools reach 86017, 133541 and 133999, so some grids hold
+        # more than 2^16 points; every request is exact all the same, as
+        # (den - 1) * count stays far below 2^63.
+        row = bench.run_trial(axis, dims, sparsity, 0.0, 40)
         assert row["success"] == 1
 
     def test_empty_support_rejected(self):
