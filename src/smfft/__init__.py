@@ -16,8 +16,8 @@ from .signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                      aliased_spectrum, load_signal_spec, make_noise)
 from .support_recovery import (SupportParams, dealias_candidates,
                                find_aliased_support, find_support, plan_ladder)
-from .value_recovery import (MeasurementSystem, apply_normal, back_project,
-                             compute_values, draw_measurement)
+from .value_recovery import (MeasurementSystem, apply_normal, compute_values,
+                             draw_measurement)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "aliased_spectrum", "load_signal_spec", "make_noise",
     "SupportParams", "dealias_candidates", "find_aliased_support",
     "find_support", "plan_ladder",
-    "MeasurementSystem", "apply_normal", "back_project", "compute_values",
-    "draw_measurement",
+    "MeasurementSystem", "apply_normal", "compute_values", "draw_measurement",
 ]

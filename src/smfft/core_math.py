@@ -1,12 +1,11 @@
 """Number-theoretic and transform primitives.
 
-Exact modular products, modular inverses, coprime sampling, a growing
-prime sieve, fast FFT sizes and the wrapped (periodized) Gaussian window.
+Exact modular products, modular inverses, coprime sampling, a prime
+sieve, fast FFT sizes and the wrapped (periodized) Gaussian window.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -57,36 +56,21 @@ def sample_coprime(m: int, rng: np.random.Generator) -> int:
             return q
 
 
-# Every prime up to _SIEVED_LIMIT, ascending.  The limit is kept apart
-# because the largest prime below it is almost never the limit itself.
-_PRIME_CACHE: list[int] = [2, 3, 5, 7, 11, 13]
-_SIEVED_LIMIT = 13
-
-
-def _extend_sieve(limit: int) -> None:
-    global _SIEVED_LIMIT
-    if _SIEVED_LIMIT >= limit:
-        return
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    _PRIME_CACHE[:] = np.flatnonzero(sieve).tolist()
-    _SIEVED_LIMIT = limit
-
-
 def primes_greater_than(r: int, count: int) -> list[int]:
     """The ``count`` smallest primes strictly greater than r, ascending."""
     if r < 1 or count < 1:
         raise ValueError("require r >= 1 and count >= 1")
-    # Rough upper bound on the count-th prime past r, grown on demand.
+    # Rough upper bound on the count-th prime past r, doubled on demand.
     limit = max(64, 2 * r, int(2.2 * (r + count) * math.log(r + count + 10)))
     while True:
-        _extend_sieve(limit)
-        start = bisect.bisect_right(_PRIME_CACHE, r)
-        if len(_PRIME_CACHE) - start >= count:
-            return _PRIME_CACHE[start:start + count]
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, int(limit**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.flatnonzero(sieve[r + 1:]) + (r + 1)
+        if len(primes) >= count:
+            return primes[:count].tolist()
         limit *= 2
 
 

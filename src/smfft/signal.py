@@ -157,7 +157,7 @@ def _linked_classes(dens) -> list[list[int]]:
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    x = x + np.uint64(0x9E3779B97F4A7C15)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)

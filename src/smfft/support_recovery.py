@@ -80,12 +80,16 @@ class SupportParams:
         """Base modulus K: the paper's bound ceil(max{8, 2/a}/pi * R *
         sqrt(log(2RD/d) log(2D/d))) rounded up to the next 11-smooth size,
         so every size-K FFT takes a fast radix path (a larger K only
-        widens the filter's margin)."""
+        widens the filter's margin).  A bound of 2^17 or more, an infinite
+        one included, raises EnvelopeError before it is rounded."""
         r = max(self.r_bound, 1)
         l1 = math.log(2 * r * self.delta_ratio / self.delta)
         l2 = math.log(2 * self.delta_ratio / self.delta)
         c = max(8.0, 2.0 / self.alpha) / math.pi
-        return next_fast_len(math.ceil(c * r * math.sqrt(l1 * l2)))
+        bound = c * r * math.sqrt(l1 * l2)
+        if not bound < 1 << 17:
+            raise EnvelopeError(f"base modulus K bound {bound:.4g} reaches 2^17")
+        return next_fast_len(math.ceil(bound))
 
     @property
     def probe_rounds(self) -> int:

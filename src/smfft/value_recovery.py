@@ -8,15 +8,15 @@ truncated Neumann series; draws failing an observable contraction test are
 rejected and redrawn.
 
 The spectrum is real, so f(-x) = conj f(x), and each prime grid k/p is
-requested for k = 0..p//2 only.  The whole system is real: the back
-projection reads each grid's Hermitian period at the support residues with
-one gridded sum (:func:`nufft.hermitian_exp_sum`, a real FFT of an
-11-smooth size), never a prime-length FFT, and the Neumann series runs on
-float64 vectors.
+requested for k = 0..p//2 only.  The whole system is real: each grid is
+read at the support residues as soon as it is sampled, with one gridded sum
+(:func:`nufft.hermitian_exp_sum`, a real FFT of an 11-smooth size), never a
+prime-length FFT, and the Neumann series runs on float64 vectors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,29 +33,30 @@ BLOCKS = 4  # T; the contraction probability bound needs T >= 4
 
 @dataclass
 class MeasurementSystem:
-    """T prime-modulus sample blocks plus the implicit aliasing maps."""
+    """The normal equations (1/T) B*B fhat = f0hat of T prime-modulus blocks:
+    f0hat = (1/T) (FB)* f0 as float64, and per block each support index's
+    position among the sorted distinct residues mod p, all B*B needs."""
 
     primes: list[int]
-    # Per block: the distinct residues of the support mod p, sorted, and for
-    # each support index the position of its residue among them.
-    classes: list[np.ndarray]
     class_ids: list[np.ndarray]
-    rhs: list[np.ndarray]  # per block: the samples at k/p, k = 0..p//2
+    f0hat: np.ndarray
 
 
-def prime_pool(r_bound: int, n_total: int) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def prime_pool(r_bound: int, n_total: int) -> tuple[int, ...]:
     """The ascending primes the measurement blocks are drawn from: the
     4*R*log_R(N) smallest primes above R (R clamped to 1, the log base
-    to 2)."""
+    to 2).  Every draw of a run asks for the same pool: the last is kept."""
     r = max(r_bound, 1)
     size = 4 * r * math.log(n_total) / math.log(max(r_bound, 2))
     # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
-    return primes_greater_than(r, max(1, math.ceil(size - 1e-9)))
+    return tuple(primes_greater_than(r, max(1, math.ceil(size - 1e-9))))
 
 
 def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
                      rng: np.random.Generator, sampler: Sampler) -> MeasurementSystem:
-    """Draw T primes i.i.d. from the pool and sample the corresponding grids.
+    """Draw T primes i.i.d. from the pool, sample each grid and fold it into
+    the right-hand side f0hat at the support residues.
 
     ``support`` is an int64 array.  Draws are with replacement; a repeated
     prime simply weights its residue blocks twice in the normal equations.
@@ -64,10 +65,17 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
         raise ValueError("support must be nonempty")
     pool = prime_pool(r_bound, n_total)
     picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
-    rhs = [sampler.sample_progression(0, 1, p // 2 + 1, p) for p in picks]
-    classes, class_ids = zip(*(np.unique(support % p, return_inverse=True)
-                               for p in picks))
-    return MeasurementSystem(picks, list(classes), list(class_ids), rhs)
+    class_ids = []
+    f0hat = np.zeros(len(support))
+    for p in picks:
+        half = sampler.sample_progression(0, 1, p // 2 + 1, p)
+        classes, ids = np.unique(support % p, return_inverse=True)
+        # The correlation folds the spectrum mod p: u_l = (1/p) sum_k y_k
+        # exp(2*pi*i*k*l/p) = sum_{j = l mod p} fhat_j, which is exactly
+        # B^(t) fhat read off at the residue classes.
+        f0hat += (hermitian_exp_sum(half, p, classes / p) / p)[ids]
+        class_ids.append(ids)
+    return MeasurementSystem(picks, class_ids, f0hat / len(picks))
 
 
 def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
@@ -80,33 +88,24 @@ def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
     return out / len(system.primes)
 
 
-def back_project(system: MeasurementSystem) -> np.ndarray:
-    """(1/T) (FB)* f0 as float64: per block, correlate the samples with the
-    DFT kernel at the support residues, then average the blocks."""
-    out = np.zeros(len(system.class_ids[0]))
-    for p, classes, ids, half in zip(system.primes, system.classes,
-                                     system.class_ids, system.rhs):
-        # The correlation folds the spectrum mod p: u_l = (1/p) sum_k y_k
-        # exp(2*pi*i*k*l/p) = sum_{j = l mod p} fhat_j, which is exactly
-        # B^(t) fhat read off at the residue classes.
-        out += (hermitian_exp_sum(half, p, classes / p) / p)[ids]
-    return out / len(system.primes)
-
-
 def neumann_solve(system: MeasurementSystem, terms: int):
     """Truncated Neumann series sum_{n=0}^{Z} (I - (1/T)B*B)^n f0hat.
 
-    Returns (solution, residual_norms).  The residual norms certify the
-    contraction: an accepted draw must halve them at each recorded step.
+    Returns (solution, residual_norms).  The norms are in units of the power
+    of two at the largest |f0hat| entry, so their squares stay finite; they
+    certify the contraction: an accepted draw must halve them at each
+    recorded step.
     """
-    residual = back_project(system)
+    # The series is linear, so solving in those units is exact.
+    unit = math.ldexp(1.0, -math.frexp(float(np.abs(system.f0hat).max()))[1])
+    residual = system.f0hat * unit
     solution = residual.copy()
     norms = [float(np.linalg.norm(residual))]
     for _ in range(terms):
         residual = residual - apply_normal(system, residual)
         solution += residual
         norms.append(float(np.linalg.norm(residual)))
-    return solution, norms
+    return solution / unit, norms
 
 
 def contraction_ok(norms: list[float]) -> bool:

@@ -112,6 +112,17 @@ class TestTransform:
         assert code == 0
         assert json.loads(out)["rel_l2_error"] == pytest.approx(1.0)
 
+    def test_huge_amplitudes_verify(self, tmp_path, capsys):
+        # At 1e200 the value stage runs, and its residual norms must stay
+        # finite: an overflow warning is an error under pytest.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 2, "axis_size": 32,
+                                    "support": [[1, 2], [30, 17], [0, 5]],
+                                    "values": [1e200, 0.75e200, 1.25e200]}))
+        code, out = run(["verify", "--signal", str(path), "--mu", "5e199"], capsys)
+        assert code == 0
+        assert json.loads(out)["rel_l2_error"] < 1e-9
+
 
 def write_spec(tmp_path, dims, axis, support):
     path = tmp_path / "spec.json"
@@ -198,6 +209,17 @@ class TestEnvelope:
             assert code == EXIT_ENVELOPE
             assert ("outside the supported envelope: padded grid size"
                     in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [["--alpha", "1e-12"], ["--alpha", "1e-310"],
+                                       ["--delta-ratio", "1e307"]],
+                             ids=["alpha-1e-12", "alpha-1e-310", "delta-ratio-1e307"])
+    def test_k_bound_past_2_17(self, flags, signal_file, capsys):
+        # These estimates put K's bound past 1e12 or at infinity, which is
+        # rejected before it is rounded up to an 11-smooth size.
+        code = main(["transform", "--signal", signal_file] + flags)
+        assert code == EXIT_ENVELOPE
+        assert ("outside the supported envelope: base modulus K bound"
+                in capsys.readouterr().err)
 
 
 class TestVerify:

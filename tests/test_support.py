@@ -77,6 +77,15 @@ class TestSupportParams:
             bound = math.ceil(max(8, 2 / p.alpha) / math.pi * r * math.sqrt(l1 * l2))
             assert bound <= p.k_base <= 1.06 * bound and smooth(p.k_base), r
 
+    @pytest.mark.parametrize("fields", [
+        {"alpha": 1e-12}, {"alpha": 1e-310}, {"delta_ratio": 1e307}],
+        ids=["alpha-1e-12", "alpha-1e-310", "delta-ratio-1e307"])
+    def test_k_bound_checked_before_rounding(self, fields):
+        # A bound past 1e12 would take minutes to round up to an 11-smooth
+        # size, and an infinite one cannot be rounded; both raise at once.
+        with pytest.raises(EnvelopeError, match="base modulus K bound"):
+            SupportParams(r_bound=2, **fields).k_base
+
     def test_probe_rounds(self):
         # ceil(ln(1e-4) / ln(0.15)) = 5
         assert SupportParams(r_bound=3).probe_rounds == 5

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import smfft.value_recovery as vr
 from smfft import bench
 from smfft.errors import ContractionFailure
+from smfft.md_transform import md_sample_adapter, md_sfft, relative_l2_error
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from smfft.support_recovery import SupportParams
-from smfft.value_recovery import (BLOCKS, MeasurementSystem, apply_normal,
-                                  back_project, compute_values,
+from smfft.value_recovery import (BLOCKS, apply_normal, compute_values,
                                   contraction_ok, draw_measurement,
                                   neumann_solve, prime_pool)
 
@@ -24,6 +25,22 @@ class TestPrimePool:
     def test_base_clamped_for_tiny_r(self):
         assert len(prime_pool(1, 1024)) == 40  # 4 * 1 * log2(1024)
 
+    def test_second_draw_does_not_sieve(self, monkeypatch):
+        # Every draw of a run asks for the same pool; only the first sieves.
+        sieve, calls = vr.primes_greater_than, []
+        monkeypatch.setattr(vr, "primes_greater_than",
+                            lambda r, count: calls.append(r) or sieve(r, count))
+        prime_pool.cache_clear()
+        _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
+        first = draw_measurement(np.array([1, 2000]), 2, 4096,
+                                 np.random.default_rng(0), sampler)
+        assert len(calls) == 1
+        second = draw_measurement(np.array([1, 2000]), 2, 4096,
+                                  np.random.default_rng(1), sampler)
+        assert len(calls) == 1
+        assert set(first.primes + second.primes) <= set(prime_pool(2, 4096))
+        prime_pool.cache_clear()
+
 
 class TestMeasurement:
     def test_residue_maps_and_rhs_shapes(self):
@@ -31,12 +48,12 @@ class TestMeasurement:
         sys_ = draw_measurement(np.array([3, 77, 150]), 3, 200,
                                 np.random.default_rng(0), sampler)
         assert len(sys_.primes) == BLOCKS
-        for p, classes, ids, rhs in zip(sys_.primes, sys_.classes,
-                                        sys_.class_ids, sys_.rhs):
+        assert sys_.f0hat.shape == (3,) and sys_.f0hat.dtype == np.float64
+        for p, ids in zip(sys_.primes, sys_.class_ids):
             assert p > 3
-            assert len(rhs) == p // 2 + 1
-            assert np.array_equal(classes[ids], np.array([3, 77, 150]) % p)
-            assert np.array_equal(classes, np.unique(classes))
+            residues = np.array([3, 77, 150]) % p
+            # ids ranks each residue among the block's distinct residues.
+            assert np.array_equal(np.unique(residues)[ids], residues)
 
     def test_one_request_per_conjugate_pair(self):
         spectrum = SparseSpectrum(200, {3: 1.0, 77: 1.0, 150: 1.0})
@@ -62,11 +79,11 @@ class TestMeasurement:
 
 
 class TestOperators:
-    def _dense_normal(self, system):
-        r = len(system.class_ids[0])
+    def _dense_normal(self, system, support):
+        r = len(support)
         a = np.zeros((r, r))
-        for classes, ids in zip(system.classes, system.class_ids):
-            res = classes[ids]
+        for p in system.primes:
+            res = np.asarray(support) % p
             a += (res[:, None] == res[None, :])
         return a / len(system.primes)
 
@@ -75,7 +92,7 @@ class TestOperators:
         support = sorted(int(j) for j in rng.choice(4096, 20, replace=False))
         _, sampler = make_instance(4096, support, [1.0] * 20)
         system = draw_measurement(np.array(support), 20, 4096, rng, sampler)
-        dense = self._dense_normal(system)
+        dense = self._dense_normal(system, support)
         x = rng.normal(size=20)
         got = apply_normal(system, x)
         assert got.dtype == np.float64
@@ -92,39 +109,39 @@ class TestOperators:
         system = draw_measurement(support, 5, 1 << 40, rng, sampler)
         x = rng.normal(size=300)
         expected = np.zeros_like(x)
-        for p, classes, ids in zip(system.primes, system.classes, system.class_ids):
+        for p, ids in zip(system.primes, system.class_ids):
             assert np.bincount(ids).max() >= 3
             sums = np.zeros(p)
-            np.add.at(sums, classes[ids], x)
-            expected += sums[classes[ids]]
+            np.add.at(sums, support % p, x)
+            expected += sums[support % p]
         assert np.array_equal(apply_normal(system, x), expected / BLOCKS)
 
-    def test_back_project_noiseless_is_normal_times_truth(self):
-        # With exact samples, (1/T)(FB)* f0 equals (1/T) B*B fhat.
+    def test_f0hat_noiseless_is_normal_times_truth(self):
+        # With exact samples, f0hat = (1/T)(FB)* f0 equals (1/T) B*B fhat.
         rng = np.random.default_rng(2)
         support = sorted(int(j) for j in rng.choice(4096, 15, replace=False))
         amps = rng.uniform(0.5, 1.5, 15)
         _, sampler = make_instance(4096, support, amps)
         system = draw_measurement(np.array(support), 15, 4096, rng, sampler)
-        got = back_project(system)
-        expected = self._dense_normal(system) @ amps
-        assert np.allclose(got, expected, atol=1e-9)
+        expected = self._dense_normal(system, support) @ amps
+        assert np.allclose(system.f0hat, expected, atol=1e-9)
 
     @pytest.mark.parametrize("eta", [0.0, 0.01])
-    def test_back_project_matches_prime_length_ifft(self, eta):
+    def test_f0hat_matches_prime_length_ifft(self, eta):
         # The gridded sum agrees with the real part of a complex ifft of the
-        # conjugate-filled prime period, noisy samples included.
+        # conjugate-filled prime period, noisy samples included.  The oracle
+        # is deterministic per point, so each grid is sampled again here.
         rng = np.random.default_rng(6)
         support = np.sort(rng.choice(1 << 30, 40, replace=False))
         spectrum = SparseSpectrum(1 << 30, {int(j): 1.0 for j in support})
-        system = draw_measurement(support, 40, 1 << 30, rng,
-                                  Sampler(spectrum, NoiseModel(eta, 1)))
+        sampler = Sampler(spectrum, NoiseModel(eta, 1))
+        system = draw_measurement(support, 40, 1 << 30, rng, sampler)
         expected = np.zeros(len(support))
-        for p, classes, ids, half in zip(system.primes, system.classes,
-                                         system.class_ids, system.rhs):
+        for p in system.primes:
+            half = sampler.sample_progression(0, 1, p // 2 + 1, p)
             full = np.concatenate([half, half[(p + 1) // 2 - 1:0:-1].conj()])
-            expected += np.fft.ifft(full).real[classes][ids]
-        got = back_project(system)
+            expected += np.fft.ifft(full).real[support % p]
+        got = system.f0hat
         assert got.dtype == np.float64
         assert np.abs(got - expected / BLOCKS).max() <= 1e-12 * len(support)
 
@@ -196,11 +213,29 @@ class TestComputeValues:
         assert err / np.linalg.norm(amps) < 3e-2
 
     def test_stats_records_redraws(self):
-        _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
+        # On this instance the first draw fails the contraction check; the
+        # second is accepted and recovers the spectrum.
+        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 1)
         stats = {}
-        compute_values(np.array([1, 2000]), 4096, SupportParams(r_bound=2),
-                       sampler, np.random.default_rng(0), stats=stats)
-        assert stats["redraws"] >= 0
+        got = md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
+                      bench.make_params(256, 0.0), np.random.default_rng(3),
+                      stats=stats)
+        assert stats["redraws"] == 1
+        assert set(got) == set(entries)
+        assert relative_l2_error(got, entries, lattice) <= 1e-8
+
+    def test_huge_amplitudes(self):
+        # The residual norms are taken in units of the largest entry, so
+        # their sums of squares stay finite at 1e200 amplitudes.
+        support = [5, 300, 900]
+        amps = [1e200, 0.75e200, 1.25e200]
+        _, sampler = make_instance(1024, support, amps)
+        values = compute_values(np.array(support), 1024,
+                                SupportParams(r_bound=3, mu=5e199), sampler,
+                                np.random.default_rng(0))
+        assert sorted(values) == support
+        for j, a in zip(support, amps):
+            assert values[j] == pytest.approx(a, rel=1e-12)
 
     def test_empty_support(self):
         _, sampler = make_instance(64, [1], [1.0])
@@ -210,7 +245,6 @@ class TestComputeValues:
 
     def test_contraction_failure_raised(self, monkeypatch):
         # If no draw ever certifies contraction, the redraw loop gives up.
-        import smfft.value_recovery as vr
         monkeypatch.setattr(vr, "contraction_ok", lambda norms: False)
         _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
         with pytest.raises(ContractionFailure):
