@@ -32,10 +32,12 @@ EXIT_ENVELOPE = 5
 
 # SupportParams fields settable from transform/verify; unset ones keep its defaults.
 TUNING_FLAGS = (
-    ("--alpha", "alpha", float, "probe survival rate per round"),
+    ("--alpha", "alpha", float, "bound on a spurious candidate's chance to "
+     "pass one probe round"),
     ("--delta", "delta", float, "threshold fraction"),
     ("--rho", "rho", int, "max ladder growth factor"),
-    ("--p", "p_fail", float, "per-stage failure probability"),
+    ("--p", "p_fail", float, "bound on the chance of a spurious support line, "
+     "and on that of no accepted value draw"),
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
     ("--delta-ratio", "delta_ratio", float, "dynamic range bound"),
 )

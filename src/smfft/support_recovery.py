@@ -50,7 +50,7 @@ class SupportParams:
     r_bound: int
     alpha: float = 0.15
     delta: float = 0.1
-    rho: int = 2
+    rho: int = 8
     p_fail: float = 1e-4
     mu: float = 0.5
     delta_ratio: float = 3.0
@@ -93,40 +93,80 @@ class SupportParams:
 
     @property
     def probe_rounds(self) -> int:
-        """L = ceil(log_alpha(p)) independent shuffle rounds per level."""
-        return max(1, math.ceil(math.log(self.p_fail) / math.log(self.alpha)))
+        """L = ceil(log(p / ((rho - 1) R)) / log(alpha)) shuffle rounds per level.
+
+        p bounds the chance that any spurious line reaches the support's
+        output.  A spurious candidate survives one round with probability
+        at most alpha.  A spurious survivor of an inner level only adds rho
+        candidates to the next, which die at the same rate, so only the
+        last level's (rho - 1) R spurious candidates can reach the output,
+        each with probability alpha^L.
+        """
+        spurious = (self.rho - 1) * max(self.r_bound, 1)
+        rounds = math.log(self.p_fail / spurious) / math.log(self.alpha)
+        return max(1, math.ceil(rounds))
 
     @property
     def threshold(self) -> float:
-        """delta*mu/2 probe threshold, halved again when noise is present."""
-        t = self.delta * self.mu / 2
-        return t / 2 if self.eta > 0 else t
+        """Probe threshold t = delta*mu/2, with or without noise.
+
+        The noise is complex Gaussian with standard deviation eta per sample
+        (NoiseModel), so a probe's noise is Gaussian with standard deviation
+        eta*||w||_2/M, about 1.1*eta/sqrt(K) at the width :meth:`sigma`
+        gives.  With eta <= t that is below t/3 once K >= 12, while a true
+        line of amplitude mu half a grid step off its probe point reads
+        about 0.77*mu, which is 15t at the default delta = 0.1.  A true line
+        then fails a round only beyond about 40 standard deviations, so the
+        threshold is not lowered for noise.  (Halving it would cover noise
+        bounded by eta, which can move a probe by 0.85*eta.)
+        """
+        return self.delta * self.mu / 2
 
     def sigma(self, modulus: int) -> float:
-        """Gaussian width alpha*(M/2R)/sqrt(log(2*R*Delta/delta))."""
-        r = max(self.r_bound, 1)
-        l1 = math.log(2 * r * self.delta_ratio / self.delta)
-        return self.alpha * (modulus / (2 * r)) / math.sqrt(l1)
+        """Width of the probe's Gaussian response exp(-(d/sigma)^2) to a
+        line at distance d, for the window cut at the K sampled offsets.
+
+        A line of amplitude a lights the probe points where its response
+        reaches the threshold t.  The main lobe reaches sigma*sqrt(log(a/t)).
+        The cut adds sidelobes of envelope a*sigma*exp(-x^2)/(sqrt(pi)*d),
+        x = pi*sigma*K/(2M) being the cut in the window's exponent.  At the
+        probe points they scale with |sin(pi*f)| for the line's offset f
+        from the grid, 2/pi on average, so they reach
+        (2/pi)*a*sigma*exp(-x^2)/(sqrt(pi)*t).  A wider sigma lengthens the
+        main lobe and shortens the sidelobes.  For the largest amplitude,
+        a/t = 2*Delta/delta = exp(l2), the two reaches are equal at
+        x^2 = l2 - log(pi^1.5*sqrt(l2)/2).  There the share of probe points
+        one line lights is least, and with it a spurious candidate's chance
+        to pass a round.  The cut is never below the paper's x^2 = l2/4
+        (its sigma at its K); that floor binds only when 2*Delta/delta < 5.8.
+        """
+        l2 = math.log(2 * self.delta_ratio / self.delta)
+        x = math.sqrt(max(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2), l2 / 4))
+        return 2 * x * modulus / (math.pi * self.k_base)
 
 
 def _min_product_with_factors(target: int, count: int, rho: int) -> tuple[int, ...]:
-    """Smallest product >= target using exactly ``count`` factors in [2, rho]."""
-    best: list[tuple[int, ...] | None] = [None]
+    """Smallest product >= target using exactly ``count`` >= 1 factors in
+    [2, rho]; of several, the first in lexicographic order."""
+    best, best_product = (), math.inf
 
-    def recur(chosen: list[int], product: int, remaining: int, min_f: int):
-        if product * (rho**remaining) < target:
+    def recur(chosen: tuple[int, ...], product: int, remaining: int, min_f: int):
+        nonlocal best, best_product
+        # Nondecreasing factors avoid enumerating permutations, so every
+        # completion's product lies in [product*min_f^r, product*rho^r].
+        if (product * rho**remaining < target
+                or product * min_f**remaining >= best_product):
             return
-        if remaining == 0:
-            if best[0] is None or product < math.prod(best[0]):
-                best[0] = tuple(chosen)
+        if remaining == 1:
+            f = max(min_f, -(-target // product))
+            if product * f < best_product:
+                best, best_product = chosen + (f,), product * f
             return
-        # Nondecreasing factors avoid enumerating permutations.
         for f in range(min_f, rho + 1):
-            recur(chosen + [f], product * f, remaining - 1, f)
+            recur(chosen + (f,), product * f, remaining - 1, f)
 
-    recur([], 1, count, 2)
-    assert best[0] is not None
-    return best[0]
+    recur((), 1, count, 2)
+    return best
 
 
 def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
@@ -148,8 +188,8 @@ def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
     if k_base >= requested_n:
         return (k_base,)
     target = -(-requested_n // k_base)  # ceil division
-    steps = max(1, math.ceil(math.log(target) / math.log(rho)))
-    while rho**steps < target:  # guard against float log rounding
+    steps = 1
+    while rho**steps < target:  # exact: a float log overshoots at powers of rho
         steps += 1
     moduli = [k_base]
     for f in _min_product_with_factors(target, steps, rho):
@@ -225,7 +265,8 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
     Probes L independent shuffle rounds as one batch; a candidate survives
     only if its probe clears the threshold in every round.  True aliased
     support always survives (noiseless); each spurious candidate survives
-    all rounds with probability at most about alpha^L = p_fail.
+    all rounds with probability at most alpha^L (see
+    :attr:`SupportParams.probe_rounds`).
     """
     k_base = params.k_base
     qs = np.array([sample_coprime(m_k, rng) for _ in range(params.probe_rounds)])

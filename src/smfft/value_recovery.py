@@ -111,12 +111,15 @@ def neumann_solve(system: MeasurementSystem, terms: int):
 def contraction_ok(norms: list[float]) -> bool:
     """Observable certificate for ||I - (1/T)B*B||_2 < 1/2.
 
-    Checks geometric halving of the first two Neumann residuals.  A zero
-    initial residual (exactly consistent data) is trivially accepted.
+    Checks geometric halving of the first two Neumann residuals, and that
+    the last of the Z recorded after the first is at most 2^-Z times it,
+    as that event implies.  A zero initial residual (exactly consistent
+    data) is trivially accepted.
     """
     if len(norms) < 3 or norms[0] == 0.0:
         return True
-    return norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
+    return (norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
+            and norms[-1] <= math.ldexp(norms[0], 1 - len(norms)))
 
 
 def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
@@ -126,10 +129,12 @@ def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
     accuracy O(eta), or to 1e-10 when the samples are noiseless (eta = 0).
 
     Up to L = ceil(log2(1/p)) measurement draws are attempted; each accepted
-    draw is solved with Z = ceil(log2(1/accuracy)) Neumann terms.  Recovered
-    entries below mu/2 are dropped: with mu a valid lower bound on the
-    smallest true amplitude, such entries can only be spurious support
-    survivors (their exact value is zero).
+    draw is solved with Z = ceil(log2(1/accuracy)) Neumann terms.  The
+    prime pool is sized by max(R, |support|), so a support larger than R
+    (an R set too low, or spurious survivors) does not lower the chance of
+    a contracting draw.  Recovered entries below mu/2 are dropped: with mu
+    a valid lower bound on the smallest true amplitude, such entries can
+    only be spurious support survivors (their exact value is zero).
     """
     support = np.sort(support)
     if not support.size:
@@ -138,7 +143,8 @@ def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
     z_terms = max(2, math.ceil(math.log2(1.0 / accuracy)))
     attempts = max(1, math.ceil(math.log2(1.0 / params.p_fail)))
     for attempt in range(attempts):
-        system = draw_measurement(support, params.r_bound, n_total, rng, sampler)
+        system = draw_measurement(support, max(params.r_bound, len(support)),
+                                  n_total, rng, sampler)
         solution, norms = neumann_solve(system, z_terms)
         if contraction_ok(norms):
             if stats is not None:

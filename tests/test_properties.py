@@ -122,6 +122,6 @@ def test_probe_false_positive_rate_is_small():
                 survived += 1
     rate = survived / total
     assert rate < 0.5
-    # Five independent rounds then leave roughly rate^5 < 4% of spurious
+    # L independent rounds then leave roughly rate^L < 4% of spurious
     # candidates, which the value-recovery pruning mops up.
     assert rate ** params.probe_rounds < 0.04

@@ -1,4 +1,7 @@
+import contextlib
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +56,64 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng):
     return survivors
 
 
+def reference_plan(requested_n, k_base, rho):
+    """The fewest steps, then the smallest padded N, by enumerating every
+    nondecreasing tuple of factors; of several, the first in order."""
+    target = -(-requested_n // k_base)
+    steps = next(s for s in itertools.count(1) if rho**s >= target)
+    factors = min((c for c in itertools.combinations_with_replacement(
+        range(2, rho + 1), steps) if math.prod(c) >= target), key=math.prod)
+    return tuple(k_base * math.prod(factors[:i]) for i in range(steps + 1))
+
+
+def planner_nodes(requested_n, k_base, rho):
+    """Calls of the planner's recursive search made by one plan_ladder call."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "recur":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.suppress(EnvelopeError):
+            plan_ladder(requested_n, k_base, rho)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def probe_survival(shape, eta, seeds):
+    """Replay find_support's ladder on random instances of ``shape`` =
+    (N, R), keeping each level's survivors as it does, and count the probe
+    rounds that spurious and true candidates pass: (spurious passes,
+    spurious rounds, true failures)."""
+    n, r = shape
+    passed = rounds = true_failures = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        lines = rng.choice(n, r, replace=False)
+        spectrum = SparseSpectrum(n, {int(j): float(a) for j, a in
+                                      zip(lines, rng.uniform(0.5, 1.5, r))})
+        sampler = Sampler(spectrum, NoiseModel(eta, seed))
+        params = SupportParams(r_bound=r, eta=eta)
+        moduli = plan_ladder(n, params.k_base, params.rho)
+        k = moduli[0]
+        aliased = initial_aliased_support(sampler, k, params)
+        for m_prev, m in zip(moduli, moduli[1:]):
+            candidate = dealias_candidates(aliased, m_prev, m // m_prev)
+            qs = np.array([sample_coprime(m, rng) for _ in range(params.probe_rounds)])
+            phi = compute_phi(sampler, m, k, qs, params.sigma(m))
+            probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
+            passes = np.abs(probes) >= params.threshold
+            true = np.isin(candidate, lines % m)
+            passed += int(passes[:, ~true].sum())
+            rounds += passes[:, ~true].size
+            true_failures += int((~passes[:, true]).sum())
+            aliased = candidate[passes.all(axis=0)]
+    return passed, rounds, true_failures
+
+
 class TestSupportParams:
     def test_k_base_default_sparsity_3(self):
         # ceil(13.333/pi * 3 * sqrt(ln(180) * ln(60))) = 59, rounded up to
@@ -87,15 +148,20 @@ class TestSupportParams:
             SupportParams(r_bound=2, **fields).k_base
 
     def test_probe_rounds(self):
-        # ceil(ln(1e-4) / ln(0.15)) = 5
-        assert SupportParams(r_bound=3).probe_rounds == 5
-        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 3
+        # ceil(ln(p / ((rho - 1) R)) / ln(0.15)): (rho - 1) R = 21 spurious
+        # lines can reach the output at the default rho = 8, 3 at rho = 2.
+        assert SupportParams(r_bound=3).probe_rounds == 7  # 6.46
+        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 5  # 4.03
+        assert SupportParams(r_bound=3, rho=2).probe_rounds == 6  # 5.43
+        assert SupportParams(r_bound=0, rho=2, p_fail=0.5).probe_rounds == 1
 
     def test_threshold(self):
+        # delta*mu/2 for Gaussian noise as for none: a probe's noise is
+        # about 1.1*eta/sqrt(K), far below the margin of a true line.
         p = SupportParams(r_bound=3)
         assert p.threshold == pytest.approx(0.025)
-        noisy = SupportParams(r_bound=3, eta=0.01)
-        assert noisy.threshold == pytest.approx(0.0125)
+        noisy = SupportParams(r_bound=3, eta=0.025)
+        assert noisy.threshold == p.threshold
 
     def test_noise_cap(self):
         with pytest.raises(ValueError):
@@ -120,6 +186,23 @@ class TestSupportParams:
     def test_sigma_scales_with_modulus(self):
         p = SupportParams(r_bound=50)
         assert p.sigma(2430) == pytest.approx(2 * p.sigma(1215))
+
+    @pytest.mark.parametrize("r_bound", [1, 50, 256])
+    def test_window_cut_where_reaches_balance(self, r_bound):
+        # At the defaults, exp(-x^2) = pi^1.5*sqrt(l2)/2 * delta/(2*Delta)
+        # = 0.094: the window's edge at offset K/2 sits at 9.4% of its peak
+        # whatever R is (the paper's width cut it at 36%).
+        p = SupportParams(r_bound=r_bound)
+        k, m = p.k_base, 1 << 40
+        edge, peak = gaussian_window(np.array([k / 2, 0]), p.sigma(m), m)
+        assert edge / peak == pytest.approx(0.0939, abs=1e-4)
+
+    def test_sigma_floor(self):
+        # With 2*Delta/delta below 5.8 the cut stays at the paper's
+        # x^2 = l2/4 rather than leaving the reals.
+        p = SupportParams(r_bound=3, delta=0.9, delta_ratio=1.0)
+        x = math.pi * p.sigma(1 << 20) * p.k_base / (2 << 20)
+        assert x * x == pytest.approx(math.log(2 / 0.9) / 4)
 
     def test_k_base_computed_once(self, monkeypatch):
         calls = []
@@ -170,6 +253,30 @@ class TestLadder:
         assert plan_ladder(10, (1 << 17) - 1, 2) == ((1 << 17) - 1,)
         with pytest.raises(EnvelopeError, match="base modulus K"):
             plan_ladder(10, 1 << 17, 2)
+
+    @pytest.mark.parametrize("rho", [2, 3, 5, 8, 16])
+    def test_plans_match_brute_force(self, rho):
+        # Seeded requests of 1 to 5 steps, and the edges of each step count.
+        rng = np.random.default_rng(rho)
+        k = 7
+        requests = {k + 1, k * rho + 1}
+        for steps in range(1, 6):
+            top = k * rho**steps
+            requests.update({top - 1, top, *rng.integers(k + 1, top, 6).tolist()})
+        for n in sorted(requests):
+            assert plan_ladder(n, k, rho) == reference_plan(n, k, rho), n
+
+    @pytest.mark.parametrize("r_bound,requested_n", [
+        (1, 9952744261968), (2, 21990232555520), (16, 25160244722316),
+        (50, 10436770529280), (256, 58926951301120)])
+    def test_planner_search_budget(self, r_bound, requested_n):
+        # The N <= 2^46 with the largest search found for each R at the
+        # default rho.  The search depends on ceil(N/K) alone; over every
+        # such target of up to 4 steps and 40000 more drawn log-uniformly up
+        # to 2^46/18, the most is 581 calls, about 0.4 ms.  The search
+        # without its bound and last-factor shortcut made 2486 at R = 1.
+        params = SupportParams(r_bound=r_bound)
+        assert planner_nodes(requested_n, params.k_base, params.rho) <= 600
 
 
 class TestDealias:
@@ -340,8 +447,11 @@ class TestFindAliasedSupport:
         # Every index of [0, M) is a candidate.  For each round some spurious
         # index fails that round alone, so a threshold that skipped any round
         # would keep it; the survivors match the round-by-round set loop.
+        # Three rounds (rho = 2, p = 0.1) leave such indices in every round;
+        # with many more rounds an index that fails only one is rare.
         rng = np.random.default_rng(3)
-        params = SupportParams(r_bound=16, eta=0.01)
+        params = SupportParams(r_bound=16, eta=0.01, rho=2, p_fail=0.1)
+        assert params.probe_rounds == 3
         k = params.k_base
         m = 2 * k
         spectrum = SparseSpectrum(4 * m, {int(j): 1.0 for j in
@@ -359,6 +469,22 @@ class TestFindAliasedSupport:
                            for row, q in zip(phi, qs)])
         fails_once = (~passes).sum(axis=0) == 1
         assert all((fails_once & ~row).any() for row in passes)
+
+
+class TestProbeSurvival:
+    @pytest.mark.parametrize("eta", [0.0, 0.01])
+    def test_spurious_rate_per_round_within_alpha(self, eta):
+        # A spurious candidate passes one probe round with probability at
+        # most alpha = 0.15, which the rounds per level assume.  Measured
+        # here over about 7000 candidate-rounds on N = 2^20, R = 16; the
+        # margin 0.02 is about four binomial standard deviations.  (With
+        # the paper's width and a threshold halved under noise this read
+        # 0.25 noiseless and 0.45 at eta = 0.01.)  No true line fails a
+        # round.
+        passed, rounds, true_failures = probe_survival((1 << 20, 16), eta, (31, 32))
+        assert rounds >= 2000
+        assert passed / rounds <= SupportParams(r_bound=16).alpha + 0.02
+        assert true_failures == 0
 
 
 # Sparsity bounds up to 24 whose base modulus K is even (parity 0) or odd.

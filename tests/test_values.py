@@ -3,7 +3,7 @@ import pytest
 
 import smfft.value_recovery as vr
 from smfft import bench
-from smfft.errors import ContractionFailure
+from smfft.errors import ContractionFailure, SmfftError
 from smfft.md_transform import md_sample_adapter, md_sfft, relative_l2_error
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from smfft.support_recovery import SupportParams
@@ -160,7 +160,15 @@ class TestOperators:
 class TestContractionCertificate:
     def test_accepts_halving(self):
         assert contraction_ok([1.0, 0.5, 0.25])
-        assert contraction_ok([1.0, 0.3, 0.01, 0.5])  # only first two checked
+        assert contraction_ok([1.0, 0.3, 0.01, 0.1, 0.05])
+
+    def test_rejects_a_stalled_tail(self):
+        # The first two ratios halve but the last of Z = 3 terms is above
+        # 2^-3 of the first: ||I - A|| < 1/2 would rule that out.  Such
+        # draws were accepted, and exact-shallow trials ended 1e-8 to
+        # 1.2e-5 off.
+        assert not contraction_ok([1.0, 0.3, 0.01, 0.5])
+        assert not contraction_ok([1.0, 0.5, 0.25, 0.2])
 
     def test_rejects_slow_decay(self):
         assert not contraction_ok([1.0, 0.9, 0.8])
@@ -215,7 +223,7 @@ class TestComputeValues:
     def test_stats_records_redraws(self):
         # On this instance the first draw fails the contraction check; the
         # second is accepted and recovers the spectrum.
-        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 1)
+        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 11)
         stats = {}
         got = md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
                       bench.make_params(256, 0.0), np.random.default_rng(3),
@@ -223,6 +231,27 @@ class TestComputeValues:
         assert stats["redraws"] == 1
         assert set(got) == set(entries)
         assert relative_l2_error(got, entries, lattice) <= 1e-8
+
+    @pytest.mark.parametrize("r_true", [512, 1024])
+    def test_support_past_r_bound(self, r_true):
+        # R = 256 underestimates the support.  The support stage still finds
+        # it, and each trial meets the success rule or raises a typed error,
+        # never a silently wrong value: with the prime pool sized by R and
+        # a contraction check of two ratios, 5 of 12 at 1024 ended 2e-8 to
+        # 9e-6 off.  The pool is sized by the support found, so the draws
+        # keep contracting: sized by R, 7 of 12 at 1024 raised
+        # ContractionFailure.
+        params = bench.make_params(256, 0.0)
+        recovered = 0
+        for seed in range(5000, 5012):
+            entries, lattice, noise = bench.random_instance(256, 2, r_true, 0.0, seed)
+            try:
+                row = bench.scored_run(entries, lattice, noise, params, seed, seed + 2)[1]
+            except SmfftError:
+                continue
+            assert row["success"] == 1, (seed, row["rel_l2_error"])
+            recovered += 1
+        assert recovered >= 11
 
     def test_huge_amplitudes(self):
         # The residual norms are taken in units of the largest entry, so
