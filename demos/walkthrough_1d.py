@@ -10,7 +10,7 @@ import numpy as np
 
 from smfft import (SampleLedger, Sampler, SparseSpectrum, SupportParams,
                    aliased_spectrum, dealias_candidates, find_support,
-                   mod_inverse, plan_ladder)
+                   plan_ladder)
 from smfft.value_recovery import compute_values
 
 N = 40
@@ -28,7 +28,7 @@ print("candidates when going 10 -> 20:", cands.tolist())
 # A coprime shuffle Q relabels line j to j*Q mod N, spreading out clusters.
 q = 13
 print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
-      f"(inverse multiplier {mod_inverse(q, N)})")
+      f"(inverse multiplier {pow(q, -1, N)})")
 
 # End-to-end recovery.
 params = SupportParams(r_bound=3)

@@ -2,16 +2,16 @@
 
 Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
-dimension, with failure probability decaying like the number of probe
-rounds.  See README.md for usage.
+dimension, with a failure probability that decays exponentially in the
+number of probe rounds: a spurious candidate survives L rounds with
+probability at most alpha^L.  See README.md for usage.
 """
 
-from .core_math import mod_inverse, primes_greater_than, sample_coprime
+from .core_math import primes_greater_than, sample_coprime
 from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
-                     IndexOutOfRange, NotCoprime, ParseError, SmfftError)
-from .md_transform import (RankOneLattice, flatten_index, lattice_point,
-                           md_sample_adapter, md_sfft, relative_l2_error,
-                           unflatten_index)
+                     IndexOutOfRange, ParseError, SmfftError)
+from .md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
+                           md_sfft, relative_l2_error, unflatten_index)
 from .signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                      aliased_spectrum, load_signal_spec, make_noise)
 from .support_recovery import (SupportParams, dealias_candidates,
@@ -22,11 +22,11 @@ from .value_recovery import (MeasurementSystem, apply_normal, compute_values,
 __version__ = "0.1.0"
 
 __all__ = [
-    "mod_inverse", "primes_greater_than", "sample_coprime",
+    "primes_greater_than", "sample_coprime",
     "CandidateBlowup", "ContractionFailure", "EnvelopeError", "IndexOutOfRange",
-    "NotCoprime", "ParseError", "SmfftError",
-    "RankOneLattice", "flatten_index", "lattice_point", "md_sample_adapter",
-    "md_sfft", "relative_l2_error", "unflatten_index",
+    "ParseError", "SmfftError",
+    "RankOneLattice", "flatten_index", "md_sample_adapter", "md_sfft",
+    "relative_l2_error", "unflatten_index",
     "NoiseModel", "SampleLedger", "Sampler", "SparseSpectrum",
     "aliased_spectrum", "load_signal_spec", "make_noise",
     "SupportParams", "dealias_candidates", "find_aliased_support",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``transform`` (recover a spectrum from a signal spec file),
-``verify`` (recover and check against the file's ground truth), ``bench-n``
-and ``bench-r`` (scaling sweeps), and ``selftest`` (the lemma battery).
+``verify`` (recover and check against the file's ground truth), and
+``bench-n`` and ``bench-r`` (scaling sweeps).
 Reports are deterministic for a fixed seed except for timing fields.
 """
 
@@ -20,7 +20,6 @@ from .bench import bench_n_rows, bench_r_rows, rows_to_csv, scored_run
 from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
                      ParseError)
 from .md_transform import RankOneLattice
-from .selftest import run_selftest
 from .signal import NoiseModel, load_signal_spec
 from .support_recovery import SupportParams
 
@@ -35,7 +34,7 @@ TUNING_FLAGS = (
     ("--alpha", "alpha", float, "bound on a spurious candidate's chance to "
      "pass one probe round"),
     ("--delta", "delta", float, "threshold fraction"),
-    ("--rho", "rho", int, "max ladder growth factor"),
+    ("--rho", "rho", int, "largest ladder growth factor, in [2, 8]"),
     ("--p", "p_fail", float, "bound on the chance of a spurious support line, "
      "and on that of no accepted value draw"),
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
@@ -95,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format (default csv)")
         add_run(p)
-
-    add_run(sub.add_parser("selftest", help="run the built-in lemma checks",
-                           allow_abbrev=False))
     return parser
 
 
@@ -152,15 +148,6 @@ def _run_bench(args) -> tuple[str, int]:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n", EXIT_OK
 
 
-def _run_selftest(args) -> tuple[str, int]:
-    results = run_selftest(seed=_effective_seed(args))
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
-             for r in results]
-    ok = all(r.passed for r in results)
-    lines.append(f"{'all suites passed' if ok else 'SELFTEST FAILED'}")
-    return "\n".join(lines) + "\n", EXIT_OK if ok else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -172,10 +159,8 @@ def main(argv=None) -> int:
             text, code = _run_file(args, check=False)
         elif args.command == "verify":
             text, code = _run_file(args, check=True)
-        elif args.command in BENCH_COMMANDS:
-            text, code = _run_bench(args)
         else:
-            text, code = _run_selftest(args)
+            text, code = _run_bench(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,7 +1,7 @@
 """Number-theoretic and transform primitives.
 
-Exact modular products, modular inverses, coprime sampling, a prime
-sieve, fast FFT sizes and the wrapped (periodized) Gaussian window.
+Exact modular products, coprime sampling, a prime sieve, fast FFT sizes
+and the wrapped (periodized) Gaussian window.
 """
 
 from __future__ import annotations
@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import NotCoprime
 
 # Largest modulus for which mulmod stays exact in int64: with operands
 # below 2^46, its 16-bit limb products stay below 2^62.
@@ -28,16 +26,6 @@ def mulmod(n, q, m: int):
     for shift in (32, 16, 0):
         s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m
     return s
-
-
-def mod_inverse(q: int, m: int) -> int:
-    """Return the unique r in (0, m) with (q * r) % m == 1."""
-    if not 0 < q < m:
-        raise ValueError(f"require 0 < q < m, got q={q}, m={m}")
-    try:
-        return pow(q, -1, m)
-    except ValueError as exc:
-        raise NotCoprime(f"gcd({q}, {m}) = {math.gcd(q, m)} != 1") from exc
 
 
 def sample_coprime(m: int, rng: np.random.Generator) -> int:

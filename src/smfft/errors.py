@@ -5,10 +5,6 @@ class SmfftError(Exception):
     """Base class for all smfft-specific failures."""
 
 
-class NotCoprime(SmfftError):
-    """A modular inverse was requested for non-coprime arguments."""
-
-
 class IndexOutOfRange(SmfftError):
     """A (multi-)index fell outside the grid it was declared on."""
 

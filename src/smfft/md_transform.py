@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,14 +69,6 @@ def unflatten_index(flat: int, lattice: RankOneLattice) -> tuple[int, ...]:
         flat, digit = divmod(flat, lattice.axis_size)
         digits.append(digit)
     return tuple(digits)
-
-
-def lattice_point(n: int, lattice: RankOneLattice) -> tuple[Fraction, ...]:
-    """The n-th rank-1 quadrature point ((n * M^i mod N) / N)_i in [0,1)^d."""
-    if not 0 <= n < lattice.total:
-        raise IndexOutOfRange(f"{n} outside [0, {lattice.total})")
-    total = lattice.total
-    return tuple(Fraction((n * g) % total, total) for g in lattice.generator)
 
 
 def md_sample_adapter(entries: dict, lattice: RankOneLattice,

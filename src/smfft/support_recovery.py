@@ -44,7 +44,10 @@ class SupportParams:
     mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
     upper bound on the dynamic range ||fhat||_inf / mu.  Neither is estimated
     from data; defaults match an amplitude range of [0.5, 1.5].  eta is the
-    samples' noise level (0 when noiseless), at most delta*mu/2.
+    samples' noise level (0 when noiseless), at most delta*mu/2.  rho, the
+    largest ladder growth factor, lies in [2, 8], where probe_rounds' bound
+    alpha per round was checked: above 8 a parent's translates can sit so
+    few probe-grid steps from its true line that they pass most rounds.
     """
 
     r_bound: int
@@ -63,8 +66,8 @@ class SupportParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.rho < 2:
-            raise ValueError("rho must be >= 2")
+        if not 2 <= self.rho <= 8:
+            raise ValueError(f"rho must lie in [2, 8], got {self.rho}")
         if not 0 < self.p_fail < 1:
             raise ValueError("p_fail must lie in (0, 1)")
         if not 0 < self.mu < math.inf:

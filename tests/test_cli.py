@@ -63,6 +63,12 @@ class TestTransform:
         assert seen == [SupportParams(r_bound=3, eta=0.0),
                         SupportParams(r_bound=3, eta=0.0, rho=4, p_fail=0.01)]
 
+    def test_rho_above_8_is_parse_error(self, signal_file, capsys):
+        # Above 8 a spurious line passes a probe round more often than
+        # alpha, the bound the number of rounds is derived from.
+        assert main(["transform", "--signal", signal_file, "--rho", "16"]) == EXIT_PARSE
+        assert "rho must lie in [2, 8]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("noise", [{"kind": "none", "eta": 0.01},
                                        {"kind": "gaussian", "eta": 0.0}],
                              ids=["none-with-eta", "gaussian-zero-eta"])
@@ -294,18 +300,11 @@ class TestBench:
         assert all(row["R"] == 4 and row["d"] == 2 for row in rows)
 
 
-class TestSelftest:
-    def test_all_suites_pass(self, capsys):
-        code, out = run(["selftest"], capsys)
-        assert code == 0
-        assert "all suites passed" in out
-        assert out.count("PASS") == 6
-        assert "FAIL" not in out
-
-
 class TestParsing:
     def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == EXIT_PARSE
+        # The lemma battery runs in the test suite; the CLI has no selftest.
+        for command in ("frobnicate", "selftest"):
+            assert main([command]) == EXIT_PARSE
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
@@ -314,7 +313,6 @@ class TestParsing:
         ["bench-r", "--rho", "8"],
         ["bench-n", "--m", "64"],
         ["transform", "--format", "csv"],
-        ["selftest", "--trials", "99"],
         ["transform", "--m", "32"],
         ["verify", "--d", "2"],
     ])

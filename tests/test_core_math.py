@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft.core_math import (gaussian_window, mod_inverse, primes_greater_than,
-                             sample_coprime)
-from smfft.errors import NotCoprime
+from smfft.core_math import gaussian_window, primes_greater_than, sample_coprime
 from smfft.signal import Sampler, SparseSpectrum
 
 
@@ -19,32 +17,6 @@ def naive_dft(values, inverse=False):
     kernel = np.exp(sign * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     out = kernel @ v
     return out / n if inverse else out
-
-
-class TestModInverse:
-    def test_inverse_of_13_mod_40(self):
-        assert mod_inverse(13, 40) == 37
-
-    def test_small_cases(self):
-        assert mod_inverse(1, 2) == 1
-        assert mod_inverse(3, 7) == 5
-        assert mod_inverse(7, 10) == 3
-
-    def test_all_coprime_pairs_up_to_50(self):
-        for m in range(2, 51):
-            for q in range(1, m):
-                if math.gcd(q, m) == 1:
-                    assert (q * mod_inverse(q, m)) % m == 1
-
-    def test_not_coprime_raises(self):
-        with pytest.raises(NotCoprime):
-            mod_inverse(6, 40)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mod_inverse(0, 5)
-        with pytest.raises(ValueError):
-            mod_inverse(5, 5)
 
 
 def test_sample_coprime_is_coprime_and_hits_all():

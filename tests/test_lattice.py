@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from smfft.errors import EnvelopeError, IndexOutOfRange
-from smfft.md_transform import (RankOneLattice, flatten_index, lattice_point,
-                                md_sample_adapter, md_sfft, relative_l2_error,
-                                unflatten_index)
+from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
+                                md_sfft, relative_l2_error, unflatten_index)
 from smfft.signal import NoiseModel, SampleLedger
 from smfft.support_recovery import SupportParams
 
@@ -28,18 +25,12 @@ class TestLattice:
         for flat in range(lat.total):
             assert flatten_index(unflatten_index(flat, lat), lat) == flat
 
-    def test_lattice_point_known_value(self):
-        lat = RankOneLattice(2, 4)
-        assert lattice_point(3, lat) == (Fraction(3, 16), Fraction(12, 16))
-
     def test_bounds(self):
         lat = RankOneLattice(2, 4)
         with pytest.raises(IndexOutOfRange):
             flatten_index((4, 0), lat)
         with pytest.raises(IndexOutOfRange):
             unflatten_index(16, lat)
-        with pytest.raises(IndexOutOfRange):
-            lattice_point(-1, lat)
 
     def test_no_collisions(self):
         # Distinct multi-indices flatten to distinct 1-D frequencies.
@@ -57,7 +48,7 @@ class TestAdapter:
         entries = {(1, 2): 1.0, (7, 0): 0.5, (3, 3): 2.0}
         sampler = md_sample_adapter(entries, lat)
         for n in (0, 1, 5, 17, 63):
-            x = [float(c) for c in lattice_point(n, lat)]
+            x = [(n * g) % lat.total / lat.total for g in lat.generator]
             expected = sum(v * np.exp(-2j * np.pi * (k[0] * x[0] + k[1] * x[1]))
                            for k, v in entries.items())
             got = sampler.sample_progression(n, 0, 1, lat.total)[0]

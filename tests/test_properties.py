@@ -1,71 +1,16 @@
-"""Randomized property checks and the built-in lemma battery."""
+"""Randomized property checks.
 
-import math
+The lemma battery, and the check that it catches a broken modular inverse,
+are in test_acceptance.py.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smfft.selftest
-from smfft.core_math import mod_inverse
 from smfft.md_transform import RankOneLattice, flatten_index, unflatten_index
-from smfft.selftest import (check_contraction_probability, check_crt_separation,
-                            check_rank1_exactness,
-                            check_shuffle_isomorphism,
-                            check_shuffle_spectrum_identity, check_window,
-                            run_selftest)
 from smfft.signal import Sampler, SparseSpectrum
-
-
-class TestLemmaBattery:
-    def test_shuffle_isomorphism_exhaustive(self):
-        result = check_shuffle_isomorphism(max_modulus=200)
-        assert result.passed, result.detail
-
-    def test_shuffle_spectrum_identity(self):
-        result = check_shuffle_spectrum_identity(max_modulus=64, seed=0)
-        assert result.passed, result.detail
-
-    def test_crt_separation(self):
-        result = check_crt_separation(max_n=1 << 14, seed=0)
-        assert result.passed, result.detail
-
-    def test_contraction_probability(self):
-        result = check_contraction_probability(draws=200, seed=0)
-        assert result.passed, result.detail
-
-    def test_rank1_exactness(self):
-        result = check_rank1_exactness(max_axis=8, max_dims=3, tol=1e-10)
-        assert result.passed, result.detail
-
-    def test_window(self):
-        result = check_window(seed=0)
-        assert result.passed, result.detail
-
-    def test_full_battery(self):
-        results = run_selftest(seed=0)
-        assert len(results) == 6
-        assert all(r.passed for r in results)
-
-    def test_battery_detects_broken_inverse(self, monkeypatch):
-        # Sanity of the battery itself: a corrupted modular inverse must
-        # be caught, not silently accepted.
-        def bad_inverse(q, m):
-            r = mod_inverse(q, m)
-            return r % m + 1 if r + 1 < m else 1
-
-        monkeypatch.setattr(smfft.selftest, "mod_inverse", bad_inverse)
-        results = run_selftest(seed=0)
-        assert not all(r.passed for r in results)
-
-
-@given(st.integers(min_value=2, max_value=5000), st.data())
-@settings(max_examples=80, deadline=None)
-def test_mod_inverse_property(m, data):
-    coprimes = [q for q in range(1, min(m, 60)) if math.gcd(q, m) == 1]
-    q = data.draw(st.sampled_from(coprimes))
-    assert (q * mod_inverse(q, m)) % m == 1
 
 
 @given(st.integers(min_value=1, max_value=4),

@@ -220,8 +220,10 @@ class TestSupportParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SupportParams(r_bound=3, alpha=1.5)
-        with pytest.raises(ValueError):
-            SupportParams(r_bound=3, rho=1)
+        for rho in (1, 9):
+            with pytest.raises(ValueError, match=r"rho must lie in \[2, 8\]"):
+                SupportParams(r_bound=3, rho=rho)
+        assert SupportParams(r_bound=3, rho=8).rho == 8
 
 
 class TestLadder:
