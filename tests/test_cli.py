@@ -313,6 +313,7 @@ class TestParsing:
         ["bench-r", "--rho", "8"],
         ["bench-n", "--m", "64"],
         ["transform", "--format", "csv"],
+        ["verify", "--format", "json"],
         ["transform", "--m", "32"],
         ["verify", "--d", "2"],
     ])

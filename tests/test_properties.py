@@ -1,7 +1,8 @@
-"""Randomized property checks.
+"""Randomized property checks, and the lemma battery one lemma per test.
 
-The lemma battery, and the check that it catches a broken modular inverse,
-are in test_acceptance.py.
+The battery's measurements (lemma_checks.py) are shared with
+test_acceptance.py, which also holds the check that it catches a broken
+modular inverse.
 """
 
 import numpy as np
@@ -11,6 +12,38 @@ from hypothesis import strategies as st
 
 from smfft.md_transform import RankOneLattice, flatten_index, unflatten_index
 from smfft.signal import Sampler, SparseSpectrum
+
+from lemma_checks import LEMMAS, measure
+
+
+def assert_holds(name):
+    value, bound = measure(name)
+    assert value <= bound, f"{name} {value:.3g} exceeds its bound {bound:.3g}"
+
+
+class TestLemmaBattery:
+    def test_shuffle_isomorphism_exhaustive(self):
+        assert_holds("isomorphism failures")
+
+    def test_shuffle_spectrum_identity(self):
+        assert_holds("spectrum identity error")
+
+    def test_crt_separation(self):
+        assert_holds("separation violations")
+
+    def test_contraction_probability(self):
+        assert_holds("contraction failure rate")
+
+    def test_rank1_exactness(self):
+        assert_holds("rank-1 error")
+
+    def test_window(self):
+        assert_holds("window error")
+
+    def test_full_battery(self):
+        assert len(LEMMAS) == 6
+        for name in LEMMAS:
+            assert_holds(name)
 
 
 @given(st.integers(min_value=1, max_value=4),
