@@ -3,8 +3,9 @@
 Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
 dimension, with a failure probability that decays exponentially in the
-number of probe rounds: a spurious candidate survives L rounds with
-probability at most alpha^L.  See README.md for usage.
+number of probe rounds: a spurious candidate survives the last ladder
+level's L rounds with probability at most alpha^L.  See README.md for
+usage.
 """
 
 from .core_math import primes_greater_than, sample_coprime

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import EnvelopeError, IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from .support_recovery import SupportParams, find_support, plan_ladder
 from .value_recovery import compute_values
@@ -86,6 +86,26 @@ def md_sample_adapter(entries: dict, lattice: RankOneLattice,
     return Sampler(spectrum, noise, ledger)
 
 
+class _Rescaled:
+    """An oracle whose samples are another's times ``scale``.
+
+    A sample that leaves float64's range in these units comes from
+    amplitudes far above delta_ratio*mu, outside the envelope: it raises
+    EnvelopeError rather than reach the probes as inf.
+    """
+
+    def __init__(self, sampler, scale: float):
+        self.sampler, self.scale = sampler, scale
+
+    def sample_progression(self, start, step, count, den):
+        with np.errstate(over="ignore"):
+            samples = self.sampler.sample_progression(start, step, count, den) * self.scale
+        if not np.isfinite(samples).all():
+            raise EnvelopeError("samples overflow in units of mu: the amplitudes "
+                                "lie far above mu")
+        return samples
+
+
 def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
             rng: np.random.Generator,
             stats: dict | None = None) -> dict[tuple[int, ...], float]:
@@ -95,7 +115,19 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     :func:`md_sample_adapter`).  The ladder is planned before the first
     sample, so a padded N above 2^46 or a base modulus K of 2^17 or more
     raises EnvelopeError (see :func:`plan_ladder`) with nothing sampled.
+
+    The recovery is homogeneous in (spectrum, mu, eta), so it runs in units
+    of 2^e, the power of two at mu: samples, mu and eta are scaled by 2^-e
+    and the values by 2^e, all exactly, and sums over a period of samples
+    near 1e306 stay in float64's range.  For mu in [0.5, 1), e = 0 and
+    nothing is rescaled.  (e is held at -1023 and up, so that 2^-e is a
+    float.)
     """
+    e = max(math.frexp(params.mu)[1], -1023)
+    if e:
+        sampler = _Rescaled(sampler, math.ldexp(1.0, -e))
+        params = replace(params, mu=math.ldexp(params.mu, -e),
+                         eta=math.ldexp(params.eta, -e))
     n_total = lattice.total
     moduli = plan_ladder(n_total, params.k_base, params.rho)
     support = find_support(sampler, moduli, params, rng)
@@ -107,7 +139,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     if not support.size:
         return {}
     values = compute_values(support, n_total, params, sampler, rng, stats=stats)
-    return {unflatten_index(j, lattice): v for j, v in values.items()}
+    return {unflatten_index(j, lattice): math.ldexp(v, e) for j, v in values.items()}
 
 
 def relative_l2_error(recovered: dict, truth: dict, lattice: RankOneLattice) -> float:

@@ -3,14 +3,18 @@
 The ladder starts at a base modulus K sized so a full size-K DFT is cheap,
 then grows the working modulus by bounded factors.  At each level the
 candidate set (translated copies of the previous aliased support) is pruned
-by L randomized probe rounds, run as one batch: shuffle frequencies by L
-random coprime multipliers q (one oracle call each), weight each round's
-samples by a wrapped-Gaussian window, take one batched size-K transform,
-and keep the candidates whose probe clears the threshold in every round.
-Nonnegativity of the spectrum guarantees true support always survives;
-random shuffling makes spurious candidates fail some round with high
-probability.  compute_phi, probe_index and core_math.mulmod take q as an
-int64 array that broadcasts.
+by randomized probe rounds, run as one batch: shuffle frequencies by one
+random coprime multiplier q per round (one oracle call each), weight each
+round's samples by a wrapped-Gaussian window, take one batched size-K
+transform, and keep the candidates whose probe clears the threshold in
+every round.  Nonnegativity of the spectrum guarantees true support always
+survives; random shuffling makes spurious candidates fail some round with
+high probability.  Only the last level's spurious survivors reach the
+output, so it alone runs the L rounds that p_fail asks for
+(:attr:`SupportParams.probe_rounds`); the inner levels run just enough
+rounds that spurious survivors do not compound from level to level
+(:attr:`SupportParams.inner_rounds`).  compute_phi, probe_index and
+core_math.mulmod take q as an int64 array that broadcasts.
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
@@ -95,17 +99,34 @@ class SupportParams:
         return next_fast_len(math.ceil(bound))
 
     @property
+    def inner_rounds(self) -> int:
+        """L_in, the fewest shuffle rounds with rho * alpha^L_in <= 1/2, run
+        at every level but the last.
+
+        A spurious candidate survives one round with probability at most
+        alpha.  A level's spurious candidates are the (rho - 1) R translates
+        of its true parents, plus rho translates of each spurious survivor
+        of the level before.  With rho * alpha^L_in <= 1/2 the expected
+        spurious survivors of a level stay below 2 alpha^L_in (rho - 1) R
+        <= (rho - 1) R / rho however deep the ladder, so the last level
+        sees at most 2 (rho - 1) R spurious candidates.
+        """
+        return max(1, math.ceil(math.log(0.5 / self.rho) / math.log(self.alpha)))
+
+    @property
     def probe_rounds(self) -> int:
-        """L = ceil(log(p / ((rho - 1) R)) / log(alpha)) shuffle rounds per level.
+        """L = ceil(log(p / (2 (rho - 1) R)) / log(alpha)) shuffle rounds at
+        the last level.
 
         p bounds the chance that any spurious line reaches the support's
-        output.  A spurious candidate survives one round with probability
-        at most alpha.  A spurious survivor of an inner level only adds rho
-        candidates to the next, which die at the same rate, so only the
-        last level's (rho - 1) R spurious candidates can reach the output,
-        each with probability alpha^L.
+        output.  Only the last level's survivors reach it, and after inner
+        levels of :attr:`inner_rounds` rounds that level has at most
+        2 (rho - 1) R spurious candidates in expectation, each surviving
+        L rounds with probability at most alpha^L.  A ladder with one
+        probed level has only (rho - 1) R, so the bound costs it at most
+        one round more than it needs.
         """
-        spurious = (self.rho - 1) * max(self.r_bound, 1)
+        spurious = 2 * (self.rho - 1) * max(self.r_bound, 1)
         rounds = math.log(self.p_fail / spurious) / math.log(self.alpha)
         return max(1, math.ceil(rounds))
 
@@ -261,18 +282,18 @@ def probe_index(n, q, m_k: int, k_base: int):
 
 def find_aliased_support(candidate: np.ndarray, m_k: int,
                          params: SupportParams, sampler: Sampler,
-                         rng: np.random.Generator) -> np.ndarray:
+                         rng: np.random.Generator, rounds: int) -> np.ndarray:
     """Prune a sorted int64 candidate array down to the aliased support at
     modulus m_k, returned as a sorted int64 array.
 
-    Probes L independent shuffle rounds as one batch; a candidate survives
-    only if its probe clears the threshold in every round.  True aliased
-    support always survives (noiseless); each spurious candidate survives
-    all rounds with probability at most alpha^L (see
+    Probes ``rounds`` independent shuffle rounds as one batch; a candidate
+    survives only if its probe clears the threshold in every round.  True
+    aliased support always survives (noiseless); each spurious candidate
+    survives all rounds with probability at most alpha^rounds (see
     :attr:`SupportParams.probe_rounds`).
     """
     k_base = params.k_base
-    qs = np.array([sample_coprime(m_k, rng) for _ in range(params.probe_rounds)])
+    qs = np.array([sample_coprime(m_k, rng) for _ in range(rounds)])
     phi = compute_phi(sampler, m_k, k_base, qs, params.sigma(m_k))
     probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
     return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
@@ -283,7 +304,9 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
     """Full support search: dealias level by level along the ladder
     ``moduli`` planned by :func:`plan_ladder`, whose first modulus is K.
 
-    Returns the support as a sorted int64 array.
+    Every level but the last runs :attr:`SupportParams.inner_rounds` probe
+    rounds, the last :attr:`SupportParams.probe_rounds`.  Returns the
+    support as a sorted int64 array.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * params.rho * moduli[0]
@@ -295,5 +318,6 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check mu/delta_ratio estimates")
-        aliased = find_aliased_support(candidate, m_k, params, sampler, rng)
+        rounds = params.probe_rounds if m_k == moduli[-1] else params.inner_rounds
+        aliased = find_aliased_support(candidate, m_k, params, sampler, rng, rounds)
     return aliased

@@ -128,7 +128,7 @@ def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
     """Recover the spectrum values on the int64 array ``support`` to
     accuracy O(eta), or to 1e-10 when the samples are noiseless (eta = 0).
 
-    Up to L = ceil(log2(1/p)) measurement draws are attempted; each accepted
+    Up to A = ceil(log2(1/p)) measurement draws are attempted; each accepted
     draw is solved with Z = ceil(log2(1/accuracy)) Neumann terms.  The
     prime pool is sized by max(R, |support|), so a support larger than R
     (an R set too low, or spurious survivors) does not lower the chance of

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from smfft import bench
 from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, main
 from smfft.support_recovery import SupportParams
+
+# A 32^2 spectrum with amplitudes near 1e306, also run by CI's entry-point step.
+HUGE_SPEC = Path(__file__).parents[1] / "demos" / "signal_huge.json"
 
 
 @pytest.fixture()
@@ -126,6 +130,34 @@ class TestTransform:
                                     "support": [[1, 2], [30, 17], [0, 5]],
                                     "values": [1e200, 0.75e200, 1.25e200]}))
         code, out = run(["verify", "--signal", str(path), "--mu", "5e199"], capsys)
+        assert code == 0
+        assert json.loads(out)["rel_l2_error"] < 1e-9
+
+    def test_amplitudes_near_float_max_verify(self, capsys):
+        # At 1e306 a sum over a period of samples leaves float64's range
+        # unless the run works in units of mu; under pytest an overflow
+        # warning is an error.  CI runs the same file through the installed
+        # entry point.
+        assert max(json.loads(HUGE_SPEC.read_text())["values"]) == 1.25e306
+        code, out = run(["verify", "--signal", str(HUGE_SPEC), "--mu", "1e299"], capsys)
+        assert code == 0
+        assert json.loads(out)["rel_l2_error"] < 1e-9
+
+    def test_amplitudes_overflowing_units_of_mu(self, capsys):
+        # In units of mu = 1e-100 the 1e306 samples leave float64's range;
+        # the run stops outside the envelope rather than probe inf samples
+        # and report an empty spectrum.
+        code, _ = run(["transform", "--signal", str(HUGE_SPEC), "--mu", "1e-100"], capsys)
+        assert code == EXIT_ENVELOPE
+
+    def test_subnormal_amplitudes_verify(self, tmp_path, capsys):
+        # mu = 5e-310 is below 2^-1023, where the unit 2^e of mu is held so
+        # that 2^-e stays a float; the run still works in near-unit values.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 2, "axis_size": 32,
+                                    "support": [[1, 2], [30, 17], [0, 5]],
+                                    "values": [1e-309, 0.75e-309, 1.25e-309]}))
+        code, out = run(["verify", "--signal", str(path), "--mu", "5e-310"], capsys)
         assert code == 0
         assert json.loads(out)["rel_l2_error"] < 1e-9
 

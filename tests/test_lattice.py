@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,27 @@ class TestMdSfft:
         sampler = md_sample_adapter({}, lat)
         assert md_sfft(sampler, lat, SupportParams(r_bound=4),
                        np.random.default_rng(0)) == {}
+
+    @pytest.mark.parametrize("e", [-1000, -3, 2, 600, 1000])
+    def test_runs_in_units_of_mu(self, e):
+        # The spectrum, mu and eta times 2^e give the same run in units of
+        # 2^e: the same draws and exactly 2^e times the values recovered at
+        # mu = 0.5, where no rescaling happens.
+        lat = RankOneLattice(2, 64)
+        rng = np.random.default_rng(9)
+        flat = rng.choice(lat.total, 12, replace=False)
+        entries = {unflatten_index(int(j), lat): float(a)
+                   for j, a in zip(flat, rng.uniform(0.5, 1.5, 12))}
+
+        def recover(scale):
+            sampler = md_sample_adapter({k: v * scale for k, v in entries.items()},
+                                        lat, NoiseModel(0.01 * scale, 2))
+            params = SupportParams(r_bound=12, mu=0.5 * scale, eta=0.01 * scale)
+            return md_sfft(sampler, lat, params, np.random.default_rng(4))
+
+        base = recover(1.0)
+        assert set(base) == set(entries)
+        assert recover(math.ldexp(1.0, e)) == {k: math.ldexp(v, e) for k, v in base.items()}
 
 
 class TestEnvelope:

@@ -74,8 +74,8 @@ def test_probe_false_positive_rate_is_small():
     # Empirical check of the pruning mechanism: a spurious candidate
     # survives a single shuffle round with probability bounded away from 1
     # (the design rate is alpha up to constant-factor slack from grid
-    # rounding and window truncation), so the intersection over L rounds
-    # drives the false-positive rate toward zero geometrically.
+    # rounding and window truncation), so the intersection over a level's
+    # rounds drives the false-positive rate toward zero geometrically.
     from smfft.core_math import sample_coprime
     from smfft.signal import aliased_spectrum
     from smfft.support_recovery import SupportParams, compute_phi, probe_index
@@ -100,6 +100,8 @@ def test_probe_false_positive_rate_is_small():
                 survived += 1
     rate = survived / total
     assert rate < 0.5
-    # L independent rounds then leave roughly rate^L < 4% of spurious
-    # candidates, which the value-recovery pruning mops up.
-    assert rate ** params.probe_rounds < 0.04
+    # The inner levels' rounds keep spurious survivors from compounding:
+    # each spurious survivor adds rho candidates to the next level, and
+    # rho * rate^inner_rounds <= 1/2 keeps their expected number bounded
+    # however deep the ladder.
+    assert params.rho * rate ** params.inner_rounds <= 0.5

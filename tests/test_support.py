@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import math
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smfft import support_recovery
+from smfft.bench import random_instance
 from smfft.core_math import gaussian_window, next_fast_len, sample_coprime
 from smfft.errors import CandidateBlowup, EnvelopeError
+from smfft.md_transform import flatten_index, md_sample_adapter
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           aliased_spectrum)
 from smfft.support_recovery import (SupportParams, compute_phi,
@@ -41,12 +44,12 @@ def reference_phi(sampler, m, k, q, sigma):
     return np.fft.ifft(folded, norm="forward")
 
 
-def reference_find_aliased_support(candidate, m, params, sampler, rng):
+def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
     """The set-based probe loop: a window and an np.add.at fold per round, and
     one Python-int probe index per candidate."""
     k = params.k_base
     survivors = set(candidate)
-    for _ in range(params.probe_rounds):
+    for _ in range(rounds):
         if not survivors:
             break
         q = sample_coprime(m, rng)
@@ -83,9 +86,14 @@ def planner_nodes(requested_n, k_base, rho):
     return calls[0]
 
 
+def level_rounds(params, moduli, m):
+    """The probe rounds find_support runs at modulus m of the ladder."""
+    return params.probe_rounds if m == moduli[-1] else params.inner_rounds
+
+
 def probe_survival(shape, eta, seeds):
     """Replay find_support's ladder on random instances of ``shape`` =
-    (N, R), keeping each level's survivors as it does, and count the probe
+    (N, R), with its rounds and survivors at each level, and count the probe
     rounds that spurious and true candidates pass: (spurious passes,
     spurious rounds, true failures)."""
     n, r = shape
@@ -102,7 +110,8 @@ def probe_survival(shape, eta, seeds):
         aliased = initial_aliased_support(sampler, k, params)
         for m_prev, m in zip(moduli, moduli[1:]):
             candidate = dealias_candidates(aliased, m_prev, m // m_prev)
-            qs = np.array([sample_coprime(m, rng) for _ in range(params.probe_rounds)])
+            qs = np.array([sample_coprime(m, rng)
+                           for _ in range(level_rounds(params, moduli, m))])
             phi = compute_phi(sampler, m, k, qs, params.sigma(m))
             probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
             passes = np.abs(probes) >= params.threshold
@@ -148,12 +157,29 @@ class TestSupportParams:
             SupportParams(r_bound=2, **fields).k_base
 
     def test_probe_rounds(self):
-        # ceil(ln(p / ((rho - 1) R)) / ln(0.15)): (rho - 1) R = 21 spurious
-        # lines can reach the output at the default rho = 8, 3 at rho = 2.
-        assert SupportParams(r_bound=3).probe_rounds == 7  # 6.46
-        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 5  # 4.03
-        assert SupportParams(r_bound=3, rho=2).probe_rounds == 6  # 5.43
+        # ceil(ln(p / (2 (rho - 1) R)) / ln(0.15)) at the last level:
+        # 2 (rho - 1) R = 42 spurious candidates reach it at the default
+        # rho = 8, 6 at rho = 2.
+        assert SupportParams(r_bound=3).probe_rounds == 7  # 6.83
+        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 5  # 4.40
+        assert SupportParams(r_bound=3, rho=2).probe_rounds == 6  # 5.80
         assert SupportParams(r_bound=0, rho=2, p_fail=0.5).probe_rounds == 1
+        assert SupportParams(r_bound=50).probe_rounds == 9  # 8.31
+        assert SupportParams(r_bound=256).probe_rounds == 10  # 9.17
+        assert SupportParams(r_bound=16, rho=2, p_fail=0.1).probe_rounds == 4  # 3.04
+
+    @pytest.mark.parametrize("fields,rounds", [
+        ({"rho": 2}, 1), ({"rho": 4}, 2), ({"rho": 8}, 2),
+        ({"alpha": 0.5}, 4), ({"alpha": 0.5, "rho": 2}, 2)])
+    def test_inner_rounds(self, fields, rounds):
+        # The fewest rounds with rho * alpha^L_in <= 1/2: 8 * 0.15 = 1.2
+        # needs a second round (0.18), 2 * 0.15 = 0.3 does not, and at
+        # alpha = 0.5 the bound is met with equality.  R and p play no part.
+        params = SupportParams(r_bound=3, **fields)
+        assert params.inner_rounds == rounds
+        assert params.rho * params.alpha**rounds <= 0.5
+        assert params.rho * params.alpha**(rounds - 1) > 0.5 or rounds == 1
+        assert SupportParams(r_bound=256, p_fail=1e-9, **fields).inner_rounds == rounds
 
     def test_threshold(self):
         # delta*mu/2 for Gaussian noise as for none: a probe's noise is
@@ -337,22 +363,38 @@ class TestProbeIndex:
                                 for q in qs]
 
 
+class CountingSampler(Sampler):
+    """A sampler that counts the points requested over each denominator."""
+
+    def __init__(self, spectrum):
+        super().__init__(spectrum)
+        self.requested = collections.Counter()
+
+    def sample_progression(self, start, step, count, den):
+        self.requested[den] += count
+        return super().sample_progression(start, step, count, den)
+
+
 class TestSamplePeriod:
     @pytest.mark.parametrize("r_bound", [16, 18])
     def test_request_counts(self, r_bound):
         # One request of K//2 + 1 points per period: the base level, then
-        # each of a level's L probe rounds (odd K = 363, even K = 420).
+        # each of a level's probe rounds, inner_rounds = 2 at the inner
+        # moduli and probe_rounds at the last (odd K = 363, even K = 420).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
-        m = 2 * k
-        spectrum = SparseSpectrum(4 * m, {3: 1.0, m + 7: 0.75})
-        ledger = SampleLedger()
-        sampler = Sampler(spectrum, ledger=ledger)
-        aliased = initial_aliased_support(sampler, k, params)
-        assert ledger.total_requests == k // 2 + 1
-        find_aliased_support(dealias_candidates(aliased, k, 2), m, params,
-                             sampler, np.random.default_rng(0))
-        assert ledger.total_requests == (1 + params.probe_rounds) * (k // 2 + 1)
+        n = 512 * k
+        spectrum = SparseSpectrum(n, {3: 1.0, 5 * k + 7: 0.75, n - 1: 1.25})
+        sampler = CountingSampler(spectrum)
+        moduli = plan_ladder(n, k, params.rho)
+        assert moduli == (k, 8 * k, 64 * k, n)
+        got = find_support(sampler, moduli, params, np.random.default_rng(0))
+        assert got.tolist() == sorted(spectrum.entries)
+        period = k // 2 + 1
+        assert params.inner_rounds == 2
+        assert sampler.requested == {k: period, 8 * k: 2 * period,
+                                     64 * k: 2 * period,
+                                     n: params.probe_rounds * period}
 
 
 class TestComputePhi:
@@ -415,7 +457,8 @@ class TestFindAliasedSupport:
         while len(candidates) < 3 * len(truth):
             candidates.add(int(rng.integers(0, m)))
         got = find_aliased_support(np.array(sorted(candidates)), m, params,
-                                   Sampler(spectrum), np.random.default_rng(1))
+                                   Sampler(spectrum), np.random.default_rng(1),
+                                   params.probe_rounds)
         assert got.tolist() == sorted(truth)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -436,7 +479,8 @@ class TestFindAliasedSupport:
 
         def run(find, cand):
             ledger, probe_rng = SampleLedger(), np.random.default_rng(seed + 10)
-            survivors = find(cand, m, params, Sampler(spectrum, noise, ledger), probe_rng)
+            survivors = find(cand, m, params, Sampler(spectrum, noise, ledger),
+                             probe_rng, params.probe_rounds)
             return (sorted(int(n) for n in survivors), ledger.unique_count,
                     ledger.total_requests, probe_rng.integers(1 << 62))
 
@@ -449,11 +493,12 @@ class TestFindAliasedSupport:
         # Every index of [0, M) is a candidate.  For each round some spurious
         # index fails that round alone, so a threshold that skipped any round
         # would keep it; the survivors match the round-by-round set loop.
-        # Three rounds (rho = 2, p = 0.1) leave such indices in every round;
-        # with many more rounds an index that fails only one is rare.
+        # Three rounds leave such indices in every round; with many more
+        # rounds an index that fails only one is rare (with these draws a
+        # fourth round leaves a round with none).
         rng = np.random.default_rng(3)
-        params = SupportParams(r_bound=16, eta=0.01, rho=2, p_fail=0.1)
-        assert params.probe_rounds == 3
+        params = SupportParams(r_bound=16, eta=0.01)
+        rounds = 3
         k = params.k_base
         m = 2 * k
         spectrum = SparseSpectrum(4 * m, {int(j): 1.0 for j in
@@ -461,14 +506,15 @@ class TestFindAliasedSupport:
         sampler = Sampler(spectrum, NoiseModel(eta=0.01, seed=3))
         candidate = np.arange(m, dtype=np.int64)
         got = find_aliased_support(candidate, m, params, sampler,
-                                   np.random.default_rng(5))
+                                   np.random.default_rng(5), rounds)
         assert got.tolist() == sorted(reference_find_aliased_support(
-            candidate.tolist(), m, params, sampler, np.random.default_rng(5)))
+            candidate.tolist(), m, params, sampler, np.random.default_rng(5), rounds))
         probe_rng = np.random.default_rng(5)
-        qs = [sample_coprime(m, probe_rng) for _ in range(params.probe_rounds)]
+        qs = [sample_coprime(m, probe_rng) for _ in range(rounds)]
         phi = compute_phi(sampler, m, k, qs, params.sigma(m))
         passes = np.array([np.abs(row[probe_index(candidate, q, m, k)]) >= params.threshold
                            for row, q in zip(phi, qs)])
+        assert len(passes) == rounds
         fails_once = (~passes).sum(axis=0) == 1
         assert all((fails_once & ~row).any() for row in passes)
 
@@ -519,7 +565,8 @@ class TestFindSupport:
         base = initial_aliased_support(sampler, k, params)
         assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
         for m in moduli[1:]:
-            qs = np.array([sample_coprime(m, rng) for _ in range(params.probe_rounds)])
+            qs = np.array([sample_coprime(m, rng)
+                           for _ in range(level_rounds(params, moduli, m))])
             phi = compute_phi(sampler, m, k, qs, params.sigma(m))
             truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
             probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
@@ -560,3 +607,27 @@ class TestFindSupport:
         with pytest.raises(CandidateBlowup):
             find_support(Sampler(spectrum), plan_ladder(n, params.k_base, params.rho),
                          params, np.random.default_rng(0))
+
+    def test_spurious_output_within_p(self):
+        # p bounds the chance that any spurious line reaches the output.  On
+        # a 13-level ladder (N = 2^40, R = 4, K = 81, eta = 1e-2) at
+        # p = 0.1, the inner levels' two rounds must keep spurious survivors
+        # from compounding and the last level's rounds must catch the rest:
+        # over 250 seeded runs, at most p * 250 = 25 may hold a spurious
+        # line.  3 do (15 did when every level ran the last level's rounds,
+        # counted then for (rho - 1) R spurious candidates).  No true line
+        # is missed.
+        params = SupportParams(r_bound=4, eta=1e-2, p_fail=0.1)
+        runs = 250
+        spurious = missed = 0
+        for seed in range(runs):
+            entries, lattice, noise = random_instance(1 << 20, 2, 4, 1e-2, seed)
+            moduli = plan_ladder(lattice.total, params.k_base, params.rho)
+            got = set(find_support(md_sample_adapter(entries, lattice, noise), moduli,
+                                   params, np.random.default_rng(seed)).tolist())
+            truth = {flatten_index(key, lattice) for key in entries}
+            spurious += bool(got - truth)
+            missed += bool(truth - got)
+        assert len(moduli) == 13
+        assert spurious <= params.p_fail * runs
+        assert missed == 0

@@ -221,12 +221,12 @@ class TestComputeValues:
         assert err / np.linalg.norm(amps) < 3e-2
 
     def test_stats_records_redraws(self):
-        # On this instance the first draw fails the contraction check; the
-        # second is accepted and recovers the spectrum.
+        # On this instance and algorithm seed the first draw fails the
+        # contraction check; the second is accepted and recovers the spectrum.
         entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 11)
         stats = {}
         got = md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
-                      bench.make_params(256, 0.0), np.random.default_rng(3),
+                      bench.make_params(256, 0.0), np.random.default_rng(0),
                       stats=stats)
         assert stats["redraws"] == 1
         assert set(got) == set(entries)
