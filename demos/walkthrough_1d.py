@@ -9,8 +9,8 @@ and the final recovered values.
 import numpy as np
 
 from smfft import (SampleLedger, Sampler, SparseSpectrum, SupportParams,
-                   aliased_spectrum, dealias_candidates, find_support,
-                   plan_ladder)
+                   dealias_candidates, find_support, plan_ladder)
+from smfft.support_recovery import RHO
 from smfft.value_recovery import compute_values
 
 N = 40
@@ -19,7 +19,7 @@ spectrum = SparseSpectrum(N, truth)
 
 # Aliasing: sampling at rate M folds the support mod M.
 for m in (10, 20):
-    print(f"aliased support mod {m}: {sorted(aliased_spectrum(spectrum, m))}")
+    print(f"aliased support mod {m}: {sorted({j % m for j in truth})}")
 
 # Dealiasing doubles the modulus and considers both translated copies.
 cands = dealias_candidates(np.array([1, 3, 5]), 10, 2)
@@ -32,7 +32,7 @@ print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
 
 # End-to-end recovery.
 params = SupportParams(r_bound=3)
-moduli = plan_ladder(N, params.k_base, params.rho)
+moduli = plan_ladder(N, params.k_base, RHO)
 print(f"base modulus K={params.k_base}, ladder moduli {moduli} "
       "(K already exceeds N here, so one level suffices)")
 

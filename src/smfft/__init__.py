@@ -4,7 +4,7 @@ Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
 dimension, with a failure probability that decays exponentially in the
 number of probe rounds: a spurious candidate survives the last ladder
-level's L rounds with probability at most alpha^L.  See README.md for
+level's L rounds with probability at most ALPHA^L.  See README.md for
 usage.
 """
 
@@ -14,7 +14,7 @@ from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
 from .md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                            md_sfft, relative_l2_error, unflatten_index)
 from .signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
-                     aliased_spectrum, load_signal_spec, make_noise)
+                     load_signal_spec, make_noise)
 from .support_recovery import (SupportParams, dealias_candidates,
                                find_aliased_support, find_support, plan_ladder)
 from .value_recovery import (MeasurementSystem, apply_normal, compute_values,
@@ -29,7 +29,7 @@ __all__ = [
     "RankOneLattice", "flatten_index", "md_sample_adapter", "md_sfft",
     "relative_l2_error", "unflatten_index",
     "NoiseModel", "SampleLedger", "Sampler", "SparseSpectrum",
-    "aliased_spectrum", "load_signal_spec", "make_noise",
+    "load_signal_spec", "make_noise",
     "SupportParams", "dealias_candidates", "find_aliased_support",
     "find_support", "plan_ladder",
     "MeasurementSystem", "apply_normal", "compute_values", "draw_measurement",

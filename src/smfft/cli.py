@@ -20,7 +20,7 @@ from .bench import bench_n_rows, bench_r_rows, rows_to_csv, scored_run
 from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
                      ParseError)
 from .md_transform import RankOneLattice
-from .signal import NoiseModel, load_signal_spec
+from .signal import load_signal_spec
 from .support_recovery import SupportParams
 
 EXIT_OK = 0
@@ -29,12 +29,11 @@ EXIT_SUPPORT = 3
 EXIT_VALUES = 4
 EXIT_ENVELOPE = 5
 
-# SupportParams fields settable from transform/verify; unset ones keep its defaults.
+# SupportParams fields settable from transform/verify; unset ones keep its
+# defaults.  R defaults to the file's support size and the file alone sets
+# the noise level eta.
 TUNING_FLAGS = (
-    ("--alpha", "alpha", float, "bound on a spurious candidate's chance to "
-     "pass one probe round"),
     ("--delta", "delta", float, "threshold fraction"),
-    ("--rho", "rho", int, "largest ladder growth factor, in [2, 8]"),
     ("--p", "p_fail", float, "bound on the chance of a spurious support line, "
      "and on that of no accepted value draw"),
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
@@ -79,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, dest, kind, what in TUNING_FLAGS:
             p.add_argument(flag, type=kind, dest=dest,
                            help=f"{what} (default {defaults[dest]:g})")
-        p.add_argument("--eta", type=float,
-                       help="noise level (default the file's)")
         add_run(p)
 
     for name, text in (("bench-n", "timing sweep over the ambient size N"),
@@ -108,19 +105,20 @@ def _effective_seed(args) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write report {out}: {exc.strerror or exc}") from exc
 
 
 def _run_file(args, check: bool) -> tuple[str, int]:
     if not args.signal:
         raise ParseError("--signal FILE is required for this command")
     dims, axis, entries, noise = load_signal_spec(args.signal)
-    if args.eta is not None:
-        noise = NoiseModel(args.eta, noise.seed)
     r_bound = args.r if args.r is not None else len(entries)
     tuning = {dest: getattr(args, dest) for _, dest, _, _ in TUNING_FLAGS
               if getattr(args, dest) is not None}
@@ -161,6 +159,7 @@ def main(argv=None) -> int:
             text, code = _run_file(args, check=True)
         else:
             text, code = _run_bench(args)
+        _emit(text, args.out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -176,7 +175,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(text, args.out)
     return code
 
 

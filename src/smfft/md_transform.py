@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EnvelopeError, IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from .support_recovery import SupportParams, find_support, plan_ladder
+from .support_recovery import RHO, SupportParams, find_support, plan_ladder
 from .value_recovery import compute_values
 
 
@@ -129,7 +129,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
         params = replace(params, mu=math.ldexp(params.mu, -e),
                          eta=math.ldexp(params.eta, -e))
     n_total = lattice.total
-    moduli = plan_ladder(n_total, params.k_base, params.rho)
+    moduli = plan_ladder(n_total, params.k_base, RHO)
     support = find_support(sampler, moduli, params, rng)
     # Ladder padding can admit indices beyond M^d; those cannot be real.
     support = support[support < n_total]

@@ -236,14 +236,6 @@ class Sampler:
         return out
 
 
-def aliased_spectrum(spectrum: SparseSpectrum, modulus: int) -> dict[int, float]:
-    """Ground-truth aliasing: fold the sparse map mod ``modulus``."""
-    out: dict[int, float] = {}
-    for j, v in spectrum.entries.items():
-        out[j % modulus] = out.get(j % modulus, 0.0) + v
-    return out
-
-
 def _spec_int(value) -> int:
     """An integer field of a spec file.  operator.index rejects 1.5 where
     int() would truncate it; a JSON boolean is rejected too, although

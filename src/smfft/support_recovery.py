@@ -13,8 +13,8 @@ high probability.  Only the last level's spurious survivors reach the
 output, so it alone runs the L rounds that p_fail asks for
 (:attr:`SupportParams.probe_rounds`); the inner levels run just enough
 rounds that spurious survivors do not compound from level to level
-(:attr:`SupportParams.inner_rounds`).  compute_phi, probe_index and
-core_math.mulmod take q as an int64 array that broadcasts.
+(:data:`INNER_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
+q as an int64 array that broadcasts.
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
@@ -40,6 +40,24 @@ from .signal import Sampler
 # Candidate sets beyond this multiple of K signal parameter misuse.
 CANDIDATE_CAP_FACTOR = 8
 
+# ALPHA bounds a spurious candidate's chance to pass one probe round at the
+# width SupportParams.sigma gives (measured 0.12-0.14).  RHO, the largest
+# ladder growth factor, is the largest at which that bound holds, and the
+# one of those that costs fewest samples: above 8 a parent's translates can
+# sit so few probe-grid steps from its true line that they pass most rounds.
+ALPHA = 0.15
+RHO = 8
+
+# L_in, the fewest shuffle rounds with RHO * ALPHA^L_in <= 1/2, run at every
+# ladder level but the last: 8 * 0.15 = 1.2, 8 * 0.15^2 = 0.18.  A level's
+# spurious candidates are the (RHO - 1) R translates of its true parents,
+# plus RHO translates of each spurious survivor of the level before, and each
+# survives a round with probability at most ALPHA.  With RHO * ALPHA^L_in <=
+# 1/2 the expected spurious survivors of a level stay below
+# 2 ALPHA^L_in (RHO - 1) R <= (RHO - 1) R / RHO however deep the ladder, so
+# the last level sees at most 2 (RHO - 1) R spurious candidates.
+INNER_ROUNDS = 2
+
 
 @dataclass(frozen=True)
 class SupportParams:
@@ -48,16 +66,11 @@ class SupportParams:
     mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
     upper bound on the dynamic range ||fhat||_inf / mu.  Neither is estimated
     from data; defaults match an amplitude range of [0.5, 1.5].  eta is the
-    samples' noise level (0 when noiseless), at most delta*mu/2.  rho, the
-    largest ladder growth factor, lies in [2, 8], where probe_rounds' bound
-    alpha per round was checked: above 8 a parent's translates can sit so
-    few probe-grid steps from its true line that they pass most rounds.
+    samples' noise level (0 when noiseless), at most delta*mu/2.
     """
 
     r_bound: int
-    alpha: float = 0.15
     delta: float = 0.1
-    rho: int = 8
     p_fail: float = 1e-4
     mu: float = 0.5
     delta_ratio: float = 3.0
@@ -66,12 +79,8 @@ class SupportParams:
     def __post_init__(self):
         if self.r_bound < 0:
             raise ValueError("r_bound must be nonnegative")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if not 2 <= self.rho <= 8:
-            raise ValueError(f"rho must lie in [2, 8], got {self.rho}")
         if not 0 < self.p_fail < 1:
             raise ValueError("p_fail must lie in (0, 1)")
         if not 0 < self.mu < math.inf:
@@ -84,7 +93,7 @@ class SupportParams:
 
     @functools.cached_property
     def k_base(self) -> int:
-        """Base modulus K: the paper's bound ceil(max{8, 2/a}/pi * R *
+        """Base modulus K: the paper's bound ceil(max{8, 2/ALPHA}/pi * R *
         sqrt(log(2RD/d) log(2D/d))) rounded up to the next 11-smooth size,
         so every size-K FFT takes a fast radix path (a larger K only
         widens the filter's margin).  A bound of 2^17 or more, an infinite
@@ -92,43 +101,28 @@ class SupportParams:
         r = max(self.r_bound, 1)
         l1 = math.log(2 * r * self.delta_ratio / self.delta)
         l2 = math.log(2 * self.delta_ratio / self.delta)
-        c = max(8.0, 2.0 / self.alpha) / math.pi
+        c = max(8.0, 2.0 / ALPHA) / math.pi
         bound = c * r * math.sqrt(l1 * l2)
         if not bound < 1 << 17:
             raise EnvelopeError(f"base modulus K bound {bound:.4g} reaches 2^17")
         return next_fast_len(math.ceil(bound))
 
     @property
-    def inner_rounds(self) -> int:
-        """L_in, the fewest shuffle rounds with rho * alpha^L_in <= 1/2, run
-        at every level but the last.
-
-        A spurious candidate survives one round with probability at most
-        alpha.  A level's spurious candidates are the (rho - 1) R translates
-        of its true parents, plus rho translates of each spurious survivor
-        of the level before.  With rho * alpha^L_in <= 1/2 the expected
-        spurious survivors of a level stay below 2 alpha^L_in (rho - 1) R
-        <= (rho - 1) R / rho however deep the ladder, so the last level
-        sees at most 2 (rho - 1) R spurious candidates.
-        """
-        return max(1, math.ceil(math.log(0.5 / self.rho) / math.log(self.alpha)))
-
-    @property
     def probe_rounds(self) -> int:
-        """L = ceil(log(p / (2 (rho - 1) R)) / log(alpha)) shuffle rounds at
+        """L = ceil(log(p / (2 (RHO - 1) R)) / log(ALPHA)) shuffle rounds at
         the last level.
 
         p bounds the chance that any spurious line reaches the support's
         output.  Only the last level's survivors reach it, and after inner
-        levels of :attr:`inner_rounds` rounds that level has at most
-        2 (rho - 1) R spurious candidates in expectation, each surviving
-        L rounds with probability at most alpha^L.  A ladder with one
-        probed level has only (rho - 1) R, so the bound costs it at most
+        levels of :data:`INNER_ROUNDS` rounds that level has at most
+        2 (RHO - 1) R spurious candidates in expectation, each surviving
+        L rounds with probability at most ALPHA^L.  A ladder with one
+        probed level has only (RHO - 1) R, so the bound costs it at most
         one round more than it needs.
         """
-        spurious = 2 * (self.rho - 1) * max(self.r_bound, 1)
-        rounds = math.log(self.p_fail / spurious) / math.log(self.alpha)
-        return max(1, math.ceil(rounds))
+        spurious = 2 * (RHO - 1) * max(self.r_bound, 1)
+        rounds = math.log(self.p_fail / spurious) / math.log(ALPHA)
+        return math.ceil(rounds)
 
     @property
     def threshold(self) -> float:
@@ -289,7 +283,7 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
     Probes ``rounds`` independent shuffle rounds as one batch; a candidate
     survives only if its probe clears the threshold in every round.  True
     aliased support always survives (noiseless); each spurious candidate
-    survives all rounds with probability at most alpha^rounds (see
+    survives all rounds with probability at most ALPHA^rounds (see
     :attr:`SupportParams.probe_rounds`).
     """
     k_base = params.k_base
@@ -304,12 +298,12 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
     """Full support search: dealias level by level along the ladder
     ``moduli`` planned by :func:`plan_ladder`, whose first modulus is K.
 
-    Every level but the last runs :attr:`SupportParams.inner_rounds` probe
-    rounds, the last :attr:`SupportParams.probe_rounds`.  Returns the
-    support as a sorted int64 array.
+    Every level but the last runs :data:`INNER_ROUNDS` probe rounds, the
+    last :attr:`SupportParams.probe_rounds`.  Returns the support as a
+    sorted int64 array.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
-    cap = CANDIDATE_CAP_FACTOR * params.rho * moduli[0]
+    cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]
     for level, (m_prev, m_k) in enumerate(zip(moduli, moduli[1:]), 1):
         if not aliased.size:  # an empty support stays empty
             break
@@ -318,6 +312,6 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check mu/delta_ratio estimates")
-        rounds = params.probe_rounds if m_k == moduli[-1] else params.inner_rounds
+        rounds = params.probe_rounds if m_k == moduli[-1] else INNER_ROUNDS
         aliased = find_aliased_support(candidate, m_k, params, sampler, rng, rounds)
     return aliased

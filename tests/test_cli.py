@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from smfft import bench
-from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, main
+from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, TUNING_FLAGS, main
 from smfft.support_recovery import SupportParams
 
 # A 32^2 spectrum with amplitudes near 1e306, also run by CI's entry-point step.
@@ -43,6 +45,18 @@ class TestTransform:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["success"] is True
 
+    @pytest.mark.parametrize("command", ["transform", "bench-r"])
+    def test_unwritable_out_is_parse_error(self, command, signal_file, tmp_path,
+                                           capsys):
+        # It used to die in the write with a FileNotFoundError traceback and
+        # exit 1, after the whole run.
+        dest = tmp_path / "missing" / "report.json"
+        args = (["transform", "--signal", signal_file] if command == "transform"
+                else ["bench-r", "--trials", "1", "--m", "32"])
+        assert main(args + ["--out", str(dest)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"cannot write report {dest}: No such file or directory" in err
+
     def test_requires_signal(self, capsys):
         code = main(["transform"])
         assert code == EXIT_PARSE
@@ -63,15 +77,23 @@ class TestTransform:
         monkeypatch.setattr(bench, "md_sfft",
                             lambda sampler, lattice, params, rng: seen.append(params) or {})
         main(["transform", "--signal", signal_file])
-        main(["transform", "--signal", signal_file, "--rho", "4", "--p", "0.01"])
+        main(["transform", "--signal", signal_file, "--delta", "0.2", "--p", "0.01"])
         assert seen == [SupportParams(r_bound=3, eta=0.0),
-                        SupportParams(r_bound=3, eta=0.0, rho=4, p_fail=0.01)]
+                        SupportParams(r_bound=3, eta=0.0, delta=0.2, p_fail=0.01)]
 
-    def test_rho_above_8_is_parse_error(self, signal_file, capsys):
-        # Above 8 a spurious line passes a probe round more often than
-        # alpha, the bound the number of rounds is derived from.
-        assert main(["transform", "--signal", signal_file, "--rho", "16"]) == EXIT_PARSE
-        assert "rho must lie in [2, 8]" in capsys.readouterr().err
+    def test_tuning_flags_are_the_support_params_fields(self, signal_file, capsys):
+        # R defaults to the file's support size and the file alone sets the
+        # noise; alpha and rho are constants of the support search.
+        fields = {f.name for f in dataclasses.fields(SupportParams)}
+        assert {dest for _, dest, _, _ in TUNING_FLAGS} == fields - {"r_bound", "eta"}
+        for command in ("transform", "verify"):
+            assert main([command, "--help"]) == 0
+            flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            assert flags == {"--help", "--signal", "--r", "--seed", "--out",
+                             *(flag for flag, _, _, _ in TUNING_FLAGS)}
+            for flag in ("--alpha", "--rho", "--eta"):
+                assert main([command, "--signal", signal_file, flag, "0.5"]) == EXIT_PARSE
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("noise", [{"kind": "none", "eta": 0.01},
                                        {"kind": "gaussian", "eta": 0.0}],
@@ -83,10 +105,14 @@ class TestTransform:
         assert main(["transform", "--signal", str(path)]) == EXIT_PARSE
         assert "does not match eta" in capsys.readouterr().err
 
-    def test_negative_eta_is_parse_error(self, signal_file, capsys):
+    def test_negative_eta_is_parse_error(self, tmp_path, capsys):
         # It used to recover the spectrum exactly and then report a value
         # failure (exit 4) against a negative error cap.
-        assert main(["verify", "--signal", signal_file, "--eta=-0.5"]) == EXIT_PARSE
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1],
+                                    "values": [1.0],
+                                    "noise": {"kind": "none", "eta": -0.5}}))
+        assert main(["verify", "--signal", str(path)]) == EXIT_PARSE
         assert "eta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--mu", "--delta-ratio"])
@@ -248,12 +274,12 @@ class TestEnvelope:
             assert ("outside the supported envelope: padded grid size"
                     in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("flags", [["--alpha", "1e-12"], ["--alpha", "1e-310"],
+    @pytest.mark.parametrize("flags", [["--r", "1000000000000"],
                                        ["--delta-ratio", "1e307"]],
-                             ids=["alpha-1e-12", "alpha-1e-310", "delta-ratio-1e307"])
+                             ids=["r-1e12", "delta-ratio-1e307"])
     def test_k_bound_past_2_17(self, flags, signal_file, capsys):
-        # These estimates put K's bound past 1e12 or at infinity, which is
-        # rejected before it is rounded up to an 11-smooth size.
+        # These put K's bound past 1e13 or at infinity, which is rejected
+        # before it is rounded up to an 11-smooth size.
         code = main(["transform", "--signal", signal_file] + flags)
         assert code == EXIT_ENVELOPE
         assert ("outside the supported envelope: base modulus K bound"

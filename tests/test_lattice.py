@@ -177,14 +177,15 @@ class TestEnvelope:
         assert ledger.total_requests == 0
 
     def test_edge_of_envelope_runs(self):
-        # At R = 1 (K = 18) a doubling ladder pads N = 9 * 2^42 to itself,
-        # inside 2^46, and one more point would pad to 9 * 2^43, past it.
-        params = SupportParams(r_bound=1, rho=2)
-        lat = RankOneLattice(1, 9 << 42)
+        # At R = 1 (K = 18) the ladder pads N = 63 * 2^40 = 18 * 7 * 8^13 to
+        # itself, inside 2^46, and one more point would pad to 18 * 8^14 =
+        # 72 * 2^40, past it.
+        params = SupportParams(r_bound=1)
+        lat = RankOneLattice(1, 63 << 40)
         sampler = md_sample_adapter({(5,): 1.0}, lat)
         got = md_sfft(sampler, lat, params, np.random.default_rng(0))
         assert set(got) == {(5,)}
-        lat = RankOneLattice(1, (9 << 42) + 1)
+        lat = RankOneLattice(1, (63 << 40) + 1)
         with pytest.raises(EnvelopeError, match="padded grid size"):
             md_sfft(md_sample_adapter({(5,): 1.0}, lat), lat, params,
                     np.random.default_rng(0))

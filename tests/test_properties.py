@@ -73,12 +73,14 @@ def test_progression_consistent_with_single_samples(start, step, count):
 def test_probe_false_positive_rate_is_small():
     # Empirical check of the pruning mechanism: a spurious candidate
     # survives a single shuffle round with probability bounded away from 1
-    # (the design rate is alpha up to constant-factor slack from grid
+    # (the design rate is ALPHA up to constant-factor slack from grid
     # rounding and window truncation), so the intersection over a level's
     # rounds drives the false-positive rate toward zero geometrically.
     from smfft.core_math import sample_coprime
-    from smfft.signal import aliased_spectrum
-    from smfft.support_recovery import SupportParams, compute_phi, probe_index
+    from smfft.support_recovery import (INNER_ROUNDS, RHO, SupportParams,
+                                        compute_phi, probe_index)
+
+    from reference import aliased_spectrum
 
     rng = np.random.default_rng(0)
     n = 1 << 14
@@ -101,7 +103,7 @@ def test_probe_false_positive_rate_is_small():
     rate = survived / total
     assert rate < 0.5
     # The inner levels' rounds keep spurious survivors from compounding:
-    # each spurious survivor adds rho candidates to the next level, and
-    # rho * rate^inner_rounds <= 1/2 keeps their expected number bounded
+    # each spurious survivor adds RHO candidates to the next level, and
+    # RHO * rate^INNER_ROUNDS <= 1/2 keeps their expected number bounded
     # however deep the ladder.
-    assert params.rho * rate ** params.inner_rounds <= 0.5
+    assert RHO * rate ** INNER_ROUNDS <= 0.5

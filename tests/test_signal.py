@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from smfft.errors import ParseError
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
-                          aliased_spectrum, load_signal_spec, make_noise)
+                          load_signal_spec, make_noise)
+
+from reference import aliased_spectrum
 
 
 def direct_sample(entries, n, num, den):

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import itertools
 import math
 import sys
@@ -14,13 +15,14 @@ from smfft.bench import random_instance
 from smfft.core_math import gaussian_window, next_fast_len, sample_coprime
 from smfft.errors import CandidateBlowup, EnvelopeError
 from smfft.md_transform import flatten_index, md_sample_adapter
-from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
-                          aliased_spectrum)
-from smfft.support_recovery import (SupportParams, compute_phi,
-                                    dealias_candidates,
+from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
+from smfft.support_recovery import (ALPHA, INNER_ROUNDS, RHO, SupportParams,
+                                    compute_phi, dealias_candidates,
                                     find_aliased_support, find_support,
                                     initial_aliased_support, plan_ladder,
                                     probe_index)
+
+from reference import aliased_spectrum
 
 
 def reference_probe_index(n, q, m, k):
@@ -88,7 +90,7 @@ def planner_nodes(requested_n, k_base, rho):
 
 def level_rounds(params, moduli, m):
     """The probe rounds find_support runs at modulus m of the ladder."""
-    return params.probe_rounds if m == moduli[-1] else params.inner_rounds
+    return params.probe_rounds if m == moduli[-1] else INNER_ROUNDS
 
 
 def probe_survival(shape, eta, seeds):
@@ -105,7 +107,7 @@ def probe_survival(shape, eta, seeds):
                                       zip(lines, rng.uniform(0.5, 1.5, r))})
         sampler = Sampler(spectrum, NoiseModel(eta, seed))
         params = SupportParams(r_bound=r, eta=eta)
-        moduli = plan_ladder(n, params.k_base, params.rho)
+        moduli = plan_ladder(n, params.k_base, RHO)
         k = moduli[0]
         aliased = initial_aliased_support(sampler, k, params)
         for m_prev, m in zip(moduli, moduli[1:]):
@@ -144,42 +146,33 @@ class TestSupportParams:
             p = SupportParams(r_bound=r)
             l1 = math.log(2 * r * p.delta_ratio / p.delta)
             l2 = math.log(2 * p.delta_ratio / p.delta)
-            bound = math.ceil(max(8, 2 / p.alpha) / math.pi * r * math.sqrt(l1 * l2))
+            bound = math.ceil(max(8, 2 / ALPHA) / math.pi * r * math.sqrt(l1 * l2))
             assert bound <= p.k_base <= 1.06 * bound and smooth(p.k_base), r
 
     @pytest.mark.parametrize("fields", [
-        {"alpha": 1e-12}, {"alpha": 1e-310}, {"delta_ratio": 1e307}],
-        ids=["alpha-1e-12", "alpha-1e-310", "delta-ratio-1e307"])
+        {"r_bound": 10**12}, {"r_bound": 2, "delta_ratio": 1e307}],
+        ids=["r-1e12", "delta-ratio-1e307"])
     def test_k_bound_checked_before_rounding(self, fields):
-        # A bound past 1e12 would take minutes to round up to an 11-smooth
+        # A bound past 1e13 would take minutes to round up to an 11-smooth
         # size, and an infinite one cannot be rounded; both raise at once.
         with pytest.raises(EnvelopeError, match="base modulus K bound"):
-            SupportParams(r_bound=2, **fields).k_base
+            SupportParams(**fields).k_base
 
     def test_probe_rounds(self):
-        # ceil(ln(p / (2 (rho - 1) R)) / ln(0.15)) at the last level:
-        # 2 (rho - 1) R = 42 spurious candidates reach it at the default
-        # rho = 8, 6 at rho = 2.
+        # ceil(ln(p / (2 (RHO - 1) R)) / ln(0.15)) at the last level:
+        # 2 (RHO - 1) R = 42 spurious candidates reach it at R = 3.  With
+        # at least 14 of them and p < 1 it is never below 2.
         assert SupportParams(r_bound=3).probe_rounds == 7  # 6.83
         assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 5  # 4.40
-        assert SupportParams(r_bound=3, rho=2).probe_rounds == 6  # 5.80
-        assert SupportParams(r_bound=0, rho=2, p_fail=0.5).probe_rounds == 1
+        assert SupportParams(r_bound=0, p_fail=0.5).probe_rounds == 2  # 1.76
         assert SupportParams(r_bound=50).probe_rounds == 9  # 8.31
         assert SupportParams(r_bound=256).probe_rounds == 10  # 9.17
-        assert SupportParams(r_bound=16, rho=2, p_fail=0.1).probe_rounds == 4  # 3.04
+        assert SupportParams(r_bound=16, p_fail=0.1).probe_rounds == 5  # 4.07
 
-    @pytest.mark.parametrize("fields,rounds", [
-        ({"rho": 2}, 1), ({"rho": 4}, 2), ({"rho": 8}, 2),
-        ({"alpha": 0.5}, 4), ({"alpha": 0.5, "rho": 2}, 2)])
-    def test_inner_rounds(self, fields, rounds):
-        # The fewest rounds with rho * alpha^L_in <= 1/2: 8 * 0.15 = 1.2
-        # needs a second round (0.18), 2 * 0.15 = 0.3 does not, and at
-        # alpha = 0.5 the bound is met with equality.  R and p play no part.
-        params = SupportParams(r_bound=3, **fields)
-        assert params.inner_rounds == rounds
-        assert params.rho * params.alpha**rounds <= 0.5
-        assert params.rho * params.alpha**(rounds - 1) > 0.5 or rounds == 1
-        assert SupportParams(r_bound=256, p_fail=1e-9, **fields).inner_rounds == rounds
+    def test_inner_rounds(self):
+        # The fewest rounds with RHO * ALPHA^L_in <= 1/2: 8 * 0.15 = 1.2
+        # needs a second round (0.18).
+        assert RHO * ALPHA**INNER_ROUNDS <= 0.5 < RHO * ALPHA**(INNER_ROUNDS - 1)
 
     def test_threshold(self):
         # delta*mu/2 for Gaussian noise as for none: a probe's noise is
@@ -244,12 +237,12 @@ class TestSupportParams:
         assert p == q and hash(p) == hash(q)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SupportParams(r_bound=3, alpha=1.5)
-        for rho in (1, 9):
-            with pytest.raises(ValueError, match=r"rho must lie in \[2, 8\]"):
-                SupportParams(r_bound=3, rho=rho)
-        assert SupportParams(r_bound=3, rho=8).rho == 8
+        # ALPHA and RHO are constants of the search, not fields.
+        assert [f.name for f in dataclasses.fields(SupportParams)] == [
+            "r_bound", "delta", "p_fail", "mu", "delta_ratio", "eta"]
+        for fields in ({"r_bound": -1}, {"delta": 1.0}, {"p_fail": 0.0}):
+            with pytest.raises(ValueError, match="must"):
+                SupportParams(**{"r_bound": 3, **fields})
 
 
 class TestLadder:
@@ -271,7 +264,7 @@ class TestLadder:
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p.k_base, p.rho) == (60,)
+        assert plan_ladder(40, p.k_base, RHO) == (60,)
 
     def test_envelope(self):
         # probe_index is exact for K < 2^17 and a padded N <= 2^46.
@@ -299,12 +292,12 @@ class TestLadder:
         (50, 10436770529280), (256, 58926951301120)])
     def test_planner_search_budget(self, r_bound, requested_n):
         # The N <= 2^46 with the largest search found for each R at the
-        # default rho.  The search depends on ceil(N/K) alone; over every
+        # ladder factor RHO.  The search depends on ceil(N/K) alone; over every
         # such target of up to 4 steps and 40000 more drawn log-uniformly up
         # to 2^46/18, the most is 581 calls, about 0.4 ms.  The search
         # without its bound and last-factor shortcut made 2486 at R = 1.
         params = SupportParams(r_bound=r_bound)
-        assert planner_nodes(requested_n, params.k_base, params.rho) <= 600
+        assert planner_nodes(requested_n, params.k_base, RHO) <= 600
 
 
 class TestDealias:
@@ -379,19 +372,19 @@ class TestSamplePeriod:
     @pytest.mark.parametrize("r_bound", [16, 18])
     def test_request_counts(self, r_bound):
         # One request of K//2 + 1 points per period: the base level, then
-        # each of a level's probe rounds, inner_rounds = 2 at the inner
+        # each of a level's probe rounds, INNER_ROUNDS = 2 at the inner
         # moduli and probe_rounds at the last (odd K = 363, even K = 420).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
         spectrum = SparseSpectrum(n, {3: 1.0, 5 * k + 7: 0.75, n - 1: 1.25})
         sampler = CountingSampler(spectrum)
-        moduli = plan_ladder(n, k, params.rho)
+        moduli = plan_ladder(n, k, RHO)
         assert moduli == (k, 8 * k, 64 * k, n)
         got = find_support(sampler, moduli, params, np.random.default_rng(0))
         assert got.tolist() == sorted(spectrum.entries)
         period = k // 2 + 1
-        assert params.inner_rounds == 2
+        assert INNER_ROUNDS == 2
         assert sampler.requested == {k: period, 8 * k: 2 * period,
                                      64 * k: 2 * period,
                                      n: params.probe_rounds * period}
@@ -523,7 +516,7 @@ class TestProbeSurvival:
     @pytest.mark.parametrize("eta", [0.0, 0.01])
     def test_spurious_rate_per_round_within_alpha(self, eta):
         # A spurious candidate passes one probe round with probability at
-        # most alpha = 0.15, which the rounds per level assume.  Measured
+        # most ALPHA = 0.15, which the rounds per level assume.  Measured
         # here over about 7000 candidate-rounds on N = 2^20, R = 16; the
         # margin 0.02 is about four binomial standard deviations.  (With
         # the paper's width and a threshold halved under noise this read
@@ -531,7 +524,7 @@ class TestProbeSurvival:
         # round.
         passed, rounds, true_failures = probe_survival((1 << 20, 16), eta, (31, 32))
         assert rounds >= 2000
-        assert passed / rounds <= SupportParams(r_bound=16).alpha + 0.02
+        assert passed / rounds <= ALPHA + 0.02
         assert true_failures == 0
 
 
@@ -560,7 +553,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, dict(zip(lines, amps)))
         params, sampler = SupportParams(r_bound=r), Sampler(spectrum)
         rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
-        moduli = plan_ladder(n, params.k_base, params.rho)
+        moduli = plan_ladder(n, params.k_base, RHO)
         k = moduli[0]
         base = initial_aliased_support(sampler, k, params)
         assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
@@ -587,14 +580,14 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, {int(j): float(a)
                                       for j, a in zip(support, amps)})
         params = SupportParams(r_bound=16)
-        got = find_support(Sampler(spectrum), plan_ladder(n, params.k_base, params.rho),
+        got = find_support(Sampler(spectrum), plan_ladder(n, params.k_base, RHO),
                            params, np.random.default_rng(seed + 100))
         assert got.tolist() == sorted(int(j) for j in support)
 
     def test_empty_spectrum(self):
         spectrum = SparseSpectrum(64, {})
         params = SupportParams(r_bound=4)
-        assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base, params.rho),
+        assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base, RHO),
                             params, np.random.default_rng(0)).size == 0
 
     def test_candidate_blowup_guard(self):
@@ -605,7 +598,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, {int(j): 1.0 for j in support})
         params = SupportParams(r_bound=2, mu=0.01)
         with pytest.raises(CandidateBlowup):
-            find_support(Sampler(spectrum), plan_ladder(n, params.k_base, params.rho),
+            find_support(Sampler(spectrum), plan_ladder(n, params.k_base, RHO),
                          params, np.random.default_rng(0))
 
     def test_spurious_output_within_p(self):
@@ -622,7 +615,7 @@ class TestFindSupport:
         spurious = missed = 0
         for seed in range(runs):
             entries, lattice, noise = random_instance(1 << 20, 2, 4, 1e-2, seed)
-            moduli = plan_ladder(lattice.total, params.k_base, params.rho)
+            moduli = plan_ladder(lattice.total, params.k_base, RHO)
             got = set(find_support(md_sample_adapter(entries, lattice, noise), moduli,
                                    params, np.random.default_rng(seed)).tolist())
             truth = {flatten_index(key, lattice) for key in entries}
