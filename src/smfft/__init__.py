@@ -4,8 +4,8 @@ Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
 dimension, with a failure probability that decays exponentially in the
 number of probe rounds: a spurious candidate survives the last ladder
-level's L rounds with probability at most ALPHA^L.  See README.md for
-usage.
+level's L rounds with probability at most ALPHA^L, ALPHA = 0.2.  See
+README.md for usage.
 """
 
 from .core_math import primes_greater_than, sample_coprime

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -115,6 +116,23 @@ def _emit(text: str, out: str | None) -> None:
         raise ParseError(f"cannot write report {out}: {exc.strerror or exc}") from exc
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse a report path that cannot be written before any sample is
+    drawn: a directory, or a file in a missing or read-only directory."""
+    if not out:
+        return
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        reason = errno.EISDIR
+    elif not os.path.isdir(folder):
+        reason = errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ParseError(f"cannot write report {out}: {os.strerror(reason)}")
+
+
 def _run_file(args, check: bool) -> tuple[str, int]:
     if not args.signal:
         raise ParseError("--signal FILE is required for this command")
@@ -153,6 +171,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        _check_out(args.out)
         if args.command == "transform":
             text, code = _run_file(args, check=False)
         elif args.command == "verify":

@@ -41,15 +41,18 @@ from .signal import Sampler
 CANDIDATE_CAP_FACTOR = 8
 
 # ALPHA bounds a spurious candidate's chance to pass one probe round at the
-# width SupportParams.sigma gives (measured 0.12-0.14).  RHO, the largest
-# ladder growth factor, is the largest at which that bound holds, and the
-# one of those that costs fewest samples: above 8 a parent's translates can
-# sit so few probe-grid steps from its true line that they pass most rounds.
-ALPHA = 0.15
+# width SupportParams.sigma gives (measured 0.10-0.19).  K's bound scales
+# with max(8, 2/ALPHA), so a larger ALPHA samples less per round; 0.2 is
+# the largest tried that a round still honours at the smallest K (at 0.22
+# and R = 1 a round passes 0.24).  RHO, the largest ladder growth factor,
+# is the largest at which that bound holds, and the one of those that costs
+# fewest samples: above 8 a parent's translates can sit so few probe-grid
+# steps from its true line that they pass most rounds.
+ALPHA = 0.2
 RHO = 8
 
 # L_in, the fewest shuffle rounds with RHO * ALPHA^L_in <= 1/2, run at every
-# ladder level but the last: 8 * 0.15 = 1.2, 8 * 0.15^2 = 0.18.  A level's
+# ladder level but the last: 8 * 0.2 = 1.6, 8 * 0.2^2 = 0.32.  A level's
 # spurious candidates are the (RHO - 1) R translates of its true parents,
 # plus RHO translates of each spurious survivor of the level before, and each
 # survives a round with probability at most ALPHA.  With RHO * ALPHA^L_in <=
@@ -97,7 +100,9 @@ class SupportParams:
         sqrt(log(2RD/d) log(2D/d))) rounded up to the next 11-smooth size,
         so every size-K FFT takes a fast radix path (a larger K only
         widens the filter's margin).  A bound of 2^17 or more, an infinite
-        one included, raises EnvelopeError before it is rounded."""
+        one included, raises EnvelopeError before it is rounded.  A bound
+        just below 2^17 can round up to exactly 2^17 (R = 5697-5700 at the
+        defaults); that K is returned, and plan_ladder rejects it."""
         r = max(self.r_bound, 1)
         l1 = math.log(2 * r * self.delta_ratio / self.delta)
         l2 = math.log(2 * self.delta_ratio / self.delta)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from smfft import bench
+from smfft import bench, cli
 from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, TUNING_FLAGS, main
 from smfft.support_recovery import SupportParams
 
@@ -45,17 +45,32 @@ class TestTransform:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["success"] is True
 
+    @staticmethod
+    def refuse_to_run(monkeypatch):
+        monkeypatch.setattr(cli, "scored_run", lambda *a: pytest.fail("recovery ran"))
+        monkeypatch.setattr(bench, "run_trial", lambda *a: pytest.fail("trial ran"))
+
     @pytest.mark.parametrize("command", ["transform", "bench-r"])
     def test_unwritable_out_is_parse_error(self, command, signal_file, tmp_path,
-                                           capsys):
+                                           capsys, monkeypatch):
         # It used to die in the write with a FileNotFoundError traceback and
-        # exit 1, after the whole run.
+        # exit 1, and then to exit 2, but only after the whole run.
+        self.refuse_to_run(monkeypatch)
         dest = tmp_path / "missing" / "report.json"
         args = (["transform", "--signal", signal_file] if command == "transform"
                 else ["bench-r", "--trials", "1", "--m", "32"])
         assert main(args + ["--out", str(dest)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert f"cannot write report {dest}: No such file or directory" in err
+
+    @pytest.mark.parametrize("command", ["transform", "bench-n"])
+    def test_directory_out_fails_before_sampling(self, command, signal_file,
+                                                 tmp_path, capsys, monkeypatch):
+        self.refuse_to_run(monkeypatch)
+        args = (["transform", "--signal", signal_file] if command == "transform"
+                else ["bench-n", "--trials", "1"])
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_PARSE
+        assert f"cannot write report {tmp_path}: Is a directory" in capsys.readouterr().err
 
     def test_requires_signal(self, capsys):
         code = main(["transform"])

@@ -7,7 +7,7 @@ from smfft.errors import EnvelopeError, IndexOutOfRange
 from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                                 md_sfft, relative_l2_error, unflatten_index)
 from smfft.signal import NoiseModel, SampleLedger
-from smfft.support_recovery import SupportParams
+from smfft.support_recovery import RHO, SupportParams, plan_ladder
 
 
 class TestLattice:
@@ -162,7 +162,8 @@ class TestEnvelope:
     @pytest.mark.parametrize("dims,axis,r_bound,message", [
         (3, 1 << 16, 4, "padded grid size"),       # N = 2^48
         (5, 1 << 16, 4, "padded grid size"),       # N = 2^80
-        (1, 1 << 20, 4400, "base modulus K"),      # K = 133650
+        (1, 1 << 20, 5697, "base modulus K 131072"),  # bound 130981 rounds up to 2^17
+        (1, 1 << 20, 5701, "base modulus K bound"),   # bound 131076 >= 2^17
     ])
     def test_rejected_before_sampling(self, dims, axis, r_bound, message):
         lat = RankOneLattice(dims, axis)
@@ -176,16 +177,25 @@ class TestEnvelope:
                     np.random.default_rng(0))
         assert ledger.total_requests == 0
 
+    def test_largest_base_modulus_is_planned(self):
+        # R = 5696 has the largest K below 2^17 at the defaults: its bound
+        # 130957 rounds up to the 11-smooth 130977 = 3^5 * 7^2 * 11.
+        params = SupportParams(r_bound=5696)
+        assert params.k_base == 130977
+        assert plan_ladder(1 << 20, params.k_base, RHO) == (130977, 392931, 1178793)
+
     def test_edge_of_envelope_runs(self):
-        # At R = 1 (K = 18) the ladder pads N = 63 * 2^40 = 18 * 7 * 8^13 to
-        # itself, inside 2^46, and one more point would pad to 18 * 8^14 =
-        # 72 * 2^40, past it.
+        # At R = 1 (K = 14) the ladder pads N = 14 * 6^4 * 7^6 * 8^5, about
+        # 63.6 * 2^40, to itself: the largest padded N inside 2^46.  One
+        # more point needs 15 growth factors of at most 8 with a larger
+        # product, which pads past 2^46.
         params = SupportParams(r_bound=1)
-        lat = RankOneLattice(1, 63 << 40)
+        edge = 14 * 6**4 * 7**6 * 8**5
+        lat = RankOneLattice(1, edge)
         sampler = md_sample_adapter({(5,): 1.0}, lat)
         got = md_sfft(sampler, lat, params, np.random.default_rng(0))
         assert set(got) == {(5,)}
-        lat = RankOneLattice(1, (63 << 40) + 1)
+        lat = RankOneLattice(1, edge + 1)
         with pytest.raises(EnvelopeError, match="padded grid size"):
             md_sfft(md_sample_adapter({(5,): 1.0}, lat), lat, params,
                     np.random.default_rng(0))

@@ -127,22 +127,23 @@ def probe_survival(shape, eta, seeds):
 
 class TestSupportParams:
     def test_k_base_default_sparsity_3(self):
-        # ceil(13.333/pi * 3 * sqrt(ln(180) * ln(60))) = 59, rounded up to
-        # the 11-smooth 60
-        assert SupportParams(r_bound=3).k_base == 60
+        # ceil(10/pi * 3 * sqrt(ln(180) * ln(60))) = 45, already 11-smooth
+        assert SupportParams(r_bound=3).k_base == 45
 
     def test_k_base_table_defaults_r50(self):
-        assert SupportParams(r_bound=50).k_base == 1215
+        # ceil(10/pi * 50 * sqrt(ln(3000) * ln(60))) = 912 = 2^4 * 3 * 19,
+        # rounded up to the 11-smooth 924 = 2^2 * 3 * 7 * 11
+        assert SupportParams(r_bound=50).k_base == 924
 
     def test_k_base_is_next_smooth_size_over_bound(self):
-        # Over R = 1..4300 (K < 2^17) rounding up costs at most 6%.
+        # Over R = 1..5696 (K < 2^17) rounding up costs at most 6%.
         def smooth(n):
             for f in (2, 3, 5, 7, 11):
                 while n % f == 0:
                     n //= f
             return n == 1
 
-        for r in range(1, 4301):
+        for r in range(1, 5697):
             p = SupportParams(r_bound=r)
             l1 = math.log(2 * r * p.delta_ratio / p.delta)
             l2 = math.log(2 * p.delta_ratio / p.delta)
@@ -159,19 +160,19 @@ class TestSupportParams:
             SupportParams(**fields).k_base
 
     def test_probe_rounds(self):
-        # ceil(ln(p / (2 (RHO - 1) R)) / ln(0.15)) at the last level:
+        # ceil(ln(p / (2 (RHO - 1) R)) / ln(0.2)) at the last level:
         # 2 (RHO - 1) R = 42 spurious candidates reach it at R = 3.  With
         # at least 14 of them and p < 1 it is never below 2.
-        assert SupportParams(r_bound=3).probe_rounds == 7  # 6.83
-        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 5  # 4.40
-        assert SupportParams(r_bound=0, p_fail=0.5).probe_rounds == 2  # 1.76
-        assert SupportParams(r_bound=50).probe_rounds == 9  # 8.31
-        assert SupportParams(r_bound=256).probe_rounds == 10  # 9.17
-        assert SupportParams(r_bound=16, p_fail=0.1).probe_rounds == 5  # 4.07
+        assert SupportParams(r_bound=3).probe_rounds == 9  # 8.05
+        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 6  # 5.18
+        assert SupportParams(r_bound=0, p_fail=0.5).probe_rounds == 3  # 2.07
+        assert SupportParams(r_bound=50).probe_rounds == 10  # 9.79
+        assert SupportParams(r_bound=256).probe_rounds == 11  # 10.81
+        assert SupportParams(r_bound=16, p_fail=0.1).probe_rounds == 5  # 4.79
 
     def test_inner_rounds(self):
-        # The fewest rounds with RHO * ALPHA^L_in <= 1/2: 8 * 0.15 = 1.2
-        # needs a second round (0.18).
+        # The fewest rounds with RHO * ALPHA^L_in <= 1/2: 8 * 0.2 = 1.6
+        # needs a second round (0.32).
         assert RHO * ALPHA**INNER_ROUNDS <= 0.5 < RHO * ALPHA**(INNER_ROUNDS - 1)
 
     def test_threshold(self):
@@ -204,7 +205,7 @@ class TestSupportParams:
 
     def test_sigma_scales_with_modulus(self):
         p = SupportParams(r_bound=50)
-        assert p.sigma(2430) == pytest.approx(2 * p.sigma(1215))
+        assert p.sigma(1848) == pytest.approx(2 * p.sigma(924))
 
     @pytest.mark.parametrize("r_bound", [1, 50, 256])
     def test_window_cut_where_reaches_balance(self, r_bound):
@@ -232,7 +233,7 @@ class TestSupportParams:
 
         monkeypatch.setattr(support_recovery, "next_fast_len", counting)
         p, q = SupportParams(r_bound=50), SupportParams(r_bound=50)
-        assert p.k_base == p.k_base == 1215
+        assert p.k_base == p.k_base == 924
         assert len(calls) == 1
         assert p == q and hash(p) == hash(q)
 
@@ -264,7 +265,7 @@ class TestLadder:
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p.k_base, RHO) == (60,)
+        assert plan_ladder(40, p.k_base, RHO) == (45,)
 
     def test_envelope(self):
         # probe_index is exact for K < 2^17 and a padded N <= 2^46.
@@ -292,10 +293,13 @@ class TestLadder:
         (50, 10436770529280), (256, 58926951301120)])
     def test_planner_search_budget(self, r_bound, requested_n):
         # The N <= 2^46 with the largest search found for each R at the
-        # ladder factor RHO.  The search depends on ceil(N/K) alone; over every
-        # such target of up to 4 steps and 40000 more drawn log-uniformly up
-        # to 2^46/18, the most is 581 calls, about 0.4 ms.  The search
-        # without its bound and last-factor shortcut made 2486 at R = 1.
+        # ladder factor RHO when K was 18 at R = 1 (ALPHA = 0.15).  The
+        # search depends on ceil(N/K) alone; over every such target of up
+        # to 4 steps and 40000 more drawn log-uniformly up to 2^46/18, the
+        # most is 581 calls, about 0.4 ms.  The search without its bound
+        # and last-factor shortcut made 2486 at R = 1.  At K = 14 the
+        # targets reach 2^46/14, one step deeper, and the most found is 614
+        # (R = 1, N = 61970091588132): see ROADMAP item 3.
         params = SupportParams(r_bound=r_bound)
         assert planner_nodes(requested_n, params.k_base, RHO) <= 600
 
@@ -373,7 +377,7 @@ class TestSamplePeriod:
     def test_request_counts(self, r_bound):
         # One request of K//2 + 1 points per period: the base level, then
         # each of a level's probe rounds, INNER_ROUNDS = 2 at the inner
-        # moduli and probe_rounds at the last (odd K = 363, even K = 420).
+        # moduli and probe_rounds at the last (odd K = 275, even K = 308).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
@@ -402,7 +406,7 @@ class TestComputePhi:
         k = params.k_base
         m = 2 * k
         sampler = Sampler(spectrum)
-        q = 137  # coprime to m = 726
+        q = 137  # coprime to m = 550
         phi, = compute_phi(sampler, m, k, [q], params.sigma(m))
         assert len(phi) == k
         hot = set()
@@ -516,16 +520,22 @@ class TestProbeSurvival:
     @pytest.mark.parametrize("eta", [0.0, 0.01])
     def test_spurious_rate_per_round_within_alpha(self, eta):
         # A spurious candidate passes one probe round with probability at
-        # most ALPHA = 0.15, which the rounds per level assume.  Measured
-        # here over about 7000 candidate-rounds on N = 2^20, R = 16; the
-        # margin 0.02 is about four binomial standard deviations.  (With
-        # the paper's width and a threshold halved under noise this read
-        # 0.25 noiseless and 0.45 at eta = 0.01.)  No true line fails a
+        # most ALPHA = 0.2, which the rounds per level assume.  Measured
+        # here over at least 2000 candidate-rounds per shape; the margin
+        # 0.02 is about two binomial standard deviations at 2000 rounds and
+        # three at 4700.  N = 2^20, R = 16 reads 0.189 (with the paper's
+        # width and a threshold halved under noise it read 0.25 noiseless
+        # and 0.45 at eta = 0.01).  At R = 1 and 2 K is smallest (14 and
+        # 30), so a parent's RHO translates sit only K/RHO = 1.75 and 3.75
+        # probe-grid steps apart: 0.10 and 0.14.  No true line fails a
         # round.
-        passed, rounds, true_failures = probe_survival((1 << 20, 16), eta, (31, 32))
-        assert rounds >= 2000
-        assert passed / rounds <= ALPHA + 0.02
-        assert true_failures == 0
+        for shape, seeds in (((1 << 20, 16), (31, 32)),
+                             ((1 << 40, 1), range(10)),
+                             ((1 << 40, 2), range(5))):
+            passed, rounds, true_failures = probe_survival(shape, eta, seeds)
+            assert rounds >= 2000, shape
+            assert passed / rounds <= ALPHA + 0.02, shape
+            assert true_failures == 0, shape
 
 
 # Sparsity bounds up to 24 whose base modulus K is even (parity 0) or odd.
@@ -569,7 +579,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(40, {1: 1.0, 23: 1.0, 35: 1.0})
         params = SupportParams(r_bound=3)
         got = initial_aliased_support(Sampler(spectrum), params.k_base, params)
-        assert got.tolist() == [1, 23, 35]  # K=60 > 40: no folding at all
+        assert got.tolist() == [1, 23, 35]  # K=45 > 40: no folding at all
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_ladder_random_instances(self, seed):
@@ -603,13 +613,13 @@ class TestFindSupport:
 
     def test_spurious_output_within_p(self):
         # p bounds the chance that any spurious line reaches the output.  On
-        # a 13-level ladder (N = 2^40, R = 4, K = 81, eta = 1e-2) at
+        # a 13-level ladder (N = 2^40, R = 4, K = 63, eta = 1e-2) at
         # p = 0.1, the inner levels' two rounds must keep spurious survivors
         # from compounding and the last level's rounds must catch the rest:
         # over 250 seeded runs, at most p * 250 = 25 may hold a spurious
-        # line.  3 do (15 did when every level ran the last level's rounds,
-        # counted then for (rho - 1) R spurious candidates).  No true line
-        # is missed.
+        # line.  3 do, as at ALPHA = 0.15 and K = 81 (15 did when every
+        # level ran the last level's rounds, counted then for (rho - 1) R
+        # spurious candidates).  No true line is missed.
         params = SupportParams(r_bound=4, eta=1e-2, p_fail=0.1)
         runs = 250
         spurious = missed = 0
