@@ -34,7 +34,6 @@ EXIT_ENVELOPE = 5
 # defaults.  R defaults to the file's support size and the file alone sets
 # the noise level eta.
 TUNING_FLAGS = (
-    ("--delta", "delta", float, "threshold fraction"),
     ("--p", "p_fail", float, "bound on the chance of a spurious support line, "
      "and on that of no accepted value draw"),
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=int, default=0,
-                       help="base seed (SMFFT_SEED overrides)")
+                       help="base seed (default 0)")
         p.add_argument("--out", metavar="FILE", help="write report here "
                        "instead of stdout")
 
@@ -93,16 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report format (default csv)")
         add_run(p)
     return parser
-
-
-def _effective_seed(args) -> int:
-    env = os.environ.get("SMFFT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"SMFFT_SEED must be an integer, got {env!r}") from exc
-    return args.seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -141,9 +130,8 @@ def _run_file(args, check: bool) -> tuple[str, int]:
     tuning = {dest: getattr(args, dest) for _, dest, _, _ in TUNING_FLAGS
               if getattr(args, dest) is not None}
     params = SupportParams(r_bound=r_bound, eta=noise.eta, **tuning)
-    seed = _effective_seed(args)
     recovered, report = scored_run(entries, RankOneLattice(dims, axis), noise,
-                                   params, seed, seed)
+                                   params, args.seed, args.seed)
     report.update(time_ms=round(report["time_ms"], 3),
                   success=bool(report["success"]),
                   support=[list(k) for k in sorted(recovered)],
@@ -158,7 +146,7 @@ def _run_file(args, check: bool) -> tuple[str, int]:
 def _run_bench(args) -> tuple[str, int]:
     kwargs = {dest: getattr(args, dest) for _, dest, _, _ in BENCH_FLAGS
               if getattr(args, dest, None) is not None}
-    rows = BENCH_COMMANDS[args.command](base_seed=_effective_seed(args), **kwargs)
+    rows = BENCH_COMMANDS[args.command](base_seed=args.seed, **kwargs)
     if args.format == "csv":
         return rows_to_csv(rows), EXIT_OK
     return json.dumps(rows, indent=2, sort_keys=True) + "\n", EXIT_OK

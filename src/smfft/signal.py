@@ -195,17 +195,18 @@ class Sampler:
     """Oracle access to f(x) = sum_j exp(-2*pi*i*x*j) fhat_j at rationals q/P.
 
     Wraps a sparse spectrum (possibly the flattened image of a d-dimensional
-    one), a noise model, and a ledger.  Every batch request is an
-    arithmetic progression mod the denominator, so sample k is a sum over
-    lines j with phases (start*j + k*step*j) mod den: one exponential sum
-    in k, evaluated by gridded nufft in O(R + count log count).
+    one), a noise model, and the ledger that records its requests, if one is
+    given.  Every batch request is an arithmetic progression mod the
+    denominator, so sample k is a sum over lines j with phases
+    (start*j + k*step*j) mod den: one exponential sum in k, evaluated by
+    gridded nufft in O(R + count log count).
     """
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
                  ledger: SampleLedger | None = None):
         self.spectrum = spectrum
         self.noise = noise or NoiseModel()
-        self.ledger = ledger if ledger is not None else SampleLedger()
+        self.ledger = ledger
         support = [int(j) for j in sorted(spectrum.entries)]
         self._amps = np.array([spectrum.entries[j] for j in support], dtype=float)
         # Indices past int64 stay Python ints; either dtype reduces mod den
@@ -225,7 +226,8 @@ class Sampler:
         start %= den
         step %= den
         nums = (start + step * np.arange(count, dtype=np.int64)) % den
-        self.ledger.record(nums, den)
+        if self.ledger is not None:
+            self.ledger.record(nums, den)
 
         jr = (self._support % den).astype(np.int64)
         step_frac = mulmod(jr, step, den) / den

@@ -51,6 +51,13 @@ CANDIDATE_CAP_FACTOR = 8
 ALPHA = 0.2
 RHO = 8
 
+# DELTA sets the probe threshold DELTA*mu/2.  At the width SupportParams.sigma
+# gives, a line of amplitude mu half a probe step off reads at least 13 times
+# it, whatever delta_ratio is.  A larger DELTA shrinks K but narrows the
+# probe: that reading falls to 1.24 times the threshold at 0.7, where true
+# lines start to be lost, and below it at 0.8.
+DELTA = 0.1
+
 # L_in, the fewest shuffle rounds with RHO * ALPHA^L_in <= 1/2, run at every
 # ladder level but the last: 8 * 0.2 = 1.6, 8 * 0.2^2 = 0.32.  A level's
 # spurious candidates are the (RHO - 1) R translates of its true parents,
@@ -64,16 +71,16 @@ INNER_ROUNDS = 2
 
 @dataclass(frozen=True)
 class SupportParams:
-    """Tunables of the support search plus the user-supplied estimates.
+    """What the caller knows of the problem: the sparsity bound, the
+    failure probability it accepts, and estimates of the spectrum.
 
     mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
     upper bound on the dynamic range ||fhat||_inf / mu.  Neither is estimated
     from data; defaults match an amplitude range of [0.5, 1.5].  eta is the
-    samples' noise level (0 when noiseless), at most delta*mu/2.
+    samples' noise level (0 when noiseless), at most DELTA*mu/2.
     """
 
     r_bound: int
-    delta: float = 0.1
     p_fail: float = 1e-4
     mu: float = 0.5
     delta_ratio: float = 3.0
@@ -82,30 +89,28 @@ class SupportParams:
     def __post_init__(self):
         if self.r_bound < 0:
             raise ValueError("r_bound must be nonnegative")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         if not 0 < self.p_fail < 1:
             raise ValueError("p_fail must lie in (0, 1)")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not 1 <= self.delta_ratio < math.inf:
             raise ValueError(f"delta_ratio must be finite and >= 1, got {self.delta_ratio}")
-        if not 0 <= self.eta <= self.delta * self.mu / 2:
+        if not 0 <= self.eta <= self.threshold:
             raise ValueError(f"noise level eta = {self.eta} violates "
-                             "0 <= eta <= delta*mu/2")
+                             "0 <= eta <= DELTA*mu/2")
 
     @functools.cached_property
     def k_base(self) -> int:
         """Base modulus K: the paper's bound ceil(max{8, 2/ALPHA}/pi * R *
-        sqrt(log(2RD/d) log(2D/d))) rounded up to the next 11-smooth size,
-        so every size-K FFT takes a fast radix path (a larger K only
-        widens the filter's margin).  A bound of 2^17 or more, an infinite
-        one included, raises EnvelopeError before it is rounded.  A bound
-        just below 2^17 can round up to exactly 2^17 (R = 5697-5700 at the
-        defaults); that K is returned, and plan_ladder rejects it."""
+        sqrt(log(2R*Delta/DELTA) log(2*Delta/DELTA))) rounded up to the next
+        11-smooth size, so every size-K FFT takes a fast radix path (a
+        larger K only widens the filter's margin).  A bound of 2^17 or more,
+        an infinite one included, raises EnvelopeError before it is rounded.
+        A bound just below 2^17 can round up to exactly 2^17 (R = 5697-5700
+        at the defaults); that K is returned, and plan_ladder rejects it."""
         r = max(self.r_bound, 1)
-        l1 = math.log(2 * r * self.delta_ratio / self.delta)
-        l2 = math.log(2 * self.delta_ratio / self.delta)
+        l1 = math.log(2 * r * self.delta_ratio / DELTA)
+        l2 = math.log(2 * self.delta_ratio / DELTA)
         c = max(8.0, 2.0 / ALPHA) / math.pi
         bound = c * r * math.sqrt(l1 * l2)
         if not bound < 1 << 17:
@@ -131,19 +136,19 @@ class SupportParams:
 
     @property
     def threshold(self) -> float:
-        """Probe threshold t = delta*mu/2, with or without noise.
+        """Probe threshold t = DELTA*mu/2, with or without noise.
 
         The noise is complex Gaussian with standard deviation eta per sample
         (NoiseModel), so a probe's noise is Gaussian with standard deviation
         eta*||w||_2/M, about 1.1*eta/sqrt(K) at the width :meth:`sigma`
         gives.  With eta <= t that is below t/3 once K >= 12, while a true
         line of amplitude mu half a grid step off its probe point reads
-        about 0.77*mu, which is 15t at the default delta = 0.1.  A true line
-        then fails a round only beyond about 40 standard deviations, so the
-        threshold is not lowered for noise.  (Halving it would cover noise
+        about 0.77*mu, which is 15t at DELTA.  A true line then fails a
+        round only beyond about 40 standard deviations, so the threshold is
+        not lowered for noise.  (Halving it would cover noise
         bounded by eta, which can move a probe by 0.85*eta.)
         """
-        return self.delta * self.mu / 2
+        return DELTA * self.mu / 2
 
     def sigma(self, modulus: int) -> float:
         """Width of the probe's Gaussian response exp(-(d/sigma)^2) to a
@@ -157,14 +162,13 @@ class SupportParams:
         from the grid, 2/pi on average, so they reach
         (2/pi)*a*sigma*exp(-x^2)/(sqrt(pi)*t).  A wider sigma lengthens the
         main lobe and shortens the sidelobes.  For the largest amplitude,
-        a/t = 2*Delta/delta = exp(l2), the two reaches are equal at
+        a/t = 2*Delta/DELTA = exp(l2), the two reaches are equal at
         x^2 = l2 - log(pi^1.5*sqrt(l2)/2).  There the share of probe points
         one line lights is least, and with it a spurious candidate's chance
-        to pass a round.  The cut is never below the paper's x^2 = l2/4
-        (its sigma at its K); that floor binds only when 2*Delta/delta < 5.8.
+        to pass a round.
         """
-        l2 = math.log(2 * self.delta_ratio / self.delta)
-        x = math.sqrt(max(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2), l2 / 4))
+        l2 = math.log(2 * self.delta_ratio / DELTA)
+        x = math.sqrt(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2))
         return 2 * x * modulus / (math.pi * self.k_base)
 
 

@@ -1,9 +1,10 @@
 """End-to-end acceptance gate.
 
-Eight checks covering exact recovery, noise robustness, runtime scaling in
-N and R, sample complexity, lattice exactness, the lemma battery, and
-byte-level reproducibility.  Each emits a single PASS/FAIL summary line on
-the real stdout so it stays visible even under pytest capture.
+Nine checks covering exact recovery, noise robustness, noise stability up
+to the envelope's edge, runtime scaling in N and R, sample complexity,
+lattice exactness, the lemma battery, and byte-level reproducibility.  Each
+emits a single PASS/FAIL summary line on the real stdout so it stays
+visible even under pytest capture.
 
 The lemma battery (lemma_checks.py) checks the number-theoretic facts the
 guarantees rest on against brute force at small sizes.  test_lemma_suite
@@ -22,6 +23,7 @@ import numpy as np
 
 from smfft.bench import bench_n_rows, bench_r_rows, run_trial
 from smfft.cli import main as cli_main
+from smfft.support_recovery import SupportParams
 
 from lemma_checks import LEMMAS, measure, shuffle_isomorphism_failures
 
@@ -53,6 +55,22 @@ def test_noisy_recovery_error():
     good = sum(run_trial(128, 3, 50, 1e-2, 500 + t)["rel_l2_error"] <= 3e-2
                for t in range(50))
     _report("noisy-error", good >= 48, f"{good}/50 within 3e-2, threshold 48")
+
+
+def test_noise_stability_to_envelope_edge():
+    """All 40 trials at each noise level up to the envelope's edge
+    eta = DELTA*mu/2 meet the success rule with relative l2 error <= eta
+    (M = 2^7, d = 2, R = 50)."""
+    edge = SupportParams(r_bound=50).threshold
+    worst, good = [], 0
+    for eta in (1e-3, 1e-2, 2e-2, edge):
+        rows = [run_trial(128, 2, 50, eta, 7000 + s) for s in range(40)]
+        good += sum(row["success"] and row["rel_l2_error"] <= eta
+                    for row in rows)
+        worst.append(max(row["rel_l2_error"] for row in rows) / eta)
+    _report("noise-stability", good == 160,
+            f"{good}/160 within eta, eta up to {edge:g}; worst error/eta "
+            + " / ".join(f"{w:.2f}" for w in worst))
 
 
 def test_runtime_flat_in_n():
@@ -132,14 +150,13 @@ def test_isomorphism_check_detects_broken_inverse():
     assert shuffle_isomorphism_failures(20, lambda q, m: pow(q, -1, m) + 1) == pairs
 
 
-def test_reproducibility(tmp_path, capsys, monkeypatch):
+def test_reproducibility(tmp_path, capsys):
     """Identical seeds give byte-identical reports modulo timing fields."""
     doc = {"dims": 2, "axis_size": 32, "support": [[1, 2], [30, 17]],
            "values": [1.0, 0.75],
            "noise": {"kind": "gaussian", "eta": 0.01, "seed": 3}}
     sig = tmp_path / "sig.json"
     sig.write_text(json.dumps(doc))
-    monkeypatch.setenv("SMFFT_SEED", "42")
 
     def strip_timing(text):
         return "\n".join(line for line in text.splitlines()
@@ -147,13 +164,15 @@ def test_reproducibility(tmp_path, capsys, monkeypatch):
 
     outs = []
     for run in range(2):
-        assert cli_main(["transform", "--signal", str(sig)]) == 0
+        assert cli_main(["transform", "--signal", str(sig),
+                         "--seed", "42"]) == 0
         outs.append(strip_timing(capsys.readouterr().out))
     json_ok = outs[0] == outs[1] and len(outs[0]) > 0
 
     csvs = []
     for run in range(2):
-        assert cli_main(["bench-r", "--trials", "1", "--m", "32"]) == 0
+        assert cli_main(["bench-r", "--trials", "1", "--m", "32",
+                         "--seed", "42"]) == 0
         raw = capsys.readouterr().out.strip().splitlines()
         cols = raw[0].split(",")
         drop = cols.index("time_ms")

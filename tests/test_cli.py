@@ -76,29 +76,19 @@ class TestTransform:
         code = main(["transform"])
         assert code == EXIT_PARSE
 
-    def test_env_seed_overrides(self, signal_file, capsys, monkeypatch):
-        monkeypatch.setenv("SMFFT_SEED", "77")
-        _, out = run(["transform", "--signal", signal_file, "--seed", "3"],
-                     capsys)
-        assert json.loads(out)["seed"] == 77
-
-    def test_bad_env_seed(self, signal_file, capsys, monkeypatch):
-        monkeypatch.setenv("SMFFT_SEED", "not-a-number")
-        assert main(["transform", "--signal", signal_file]) == EXIT_PARSE
-
     def test_unset_tuning_flags_keep_support_params_defaults(
             self, signal_file, capsys, monkeypatch):
         seen = []
         monkeypatch.setattr(bench, "md_sfft",
                             lambda sampler, lattice, params, rng: seen.append(params) or {})
         main(["transform", "--signal", signal_file])
-        main(["transform", "--signal", signal_file, "--delta", "0.2", "--p", "0.01"])
+        main(["transform", "--signal", signal_file, "--p", "0.01"])
         assert seen == [SupportParams(r_bound=3, eta=0.0),
-                        SupportParams(r_bound=3, eta=0.0, delta=0.2, p_fail=0.01)]
+                        SupportParams(r_bound=3, eta=0.0, p_fail=0.01)]
 
     def test_tuning_flags_are_the_support_params_fields(self, signal_file, capsys):
         # R defaults to the file's support size and the file alone sets the
-        # noise; alpha and rho are constants of the support search.
+        # noise; alpha, rho and delta are constants of the support search.
         fields = {f.name for f in dataclasses.fields(SupportParams)}
         assert {dest for _, dest, _, _ in TUNING_FLAGS} == fields - {"r_bound", "eta"}
         for command in ("transform", "verify"):
@@ -106,7 +96,7 @@ class TestTransform:
             flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
             assert flags == {"--help", "--signal", "--r", "--seed", "--out",
                              *(flag for flag, _, _, _ in TUNING_FLAGS)}
-            for flag in ("--alpha", "--rho", "--eta"):
+            for flag in ("--alpha", "--rho", "--delta", "--eta"):
                 assert main([command, "--signal", signal_file, flag, "0.5"]) == EXIT_PARSE
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -326,10 +316,9 @@ class TestVerify:
 
 
 class TestBench:
-    def test_bench_r_csv_header_and_rows(self, capsys, monkeypatch):
-        monkeypatch.setenv("SMFFT_SEED", "5")
+    def test_bench_r_csv_header_and_rows(self, capsys):
         code, out = run(["bench-r", "--trials", "1", "--m", "64",
-                         "--eta", "0.01"], capsys)
+                         "--eta", "0.01", "--seed", "5"], capsys)
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == ("N,R,d,eta,seed,time_ms,samples,"

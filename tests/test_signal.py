@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smfft.errors import ParseError
+from smfft.md_transform import RankOneLattice, md_sample_adapter
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           load_signal_spec, make_noise)
 
@@ -263,6 +264,14 @@ class TestLedger:
         sampler.sample_progression(0, 1, 4, 4)  # all 4 points already seen at rate 8
         assert ledger.unique_count == 8
         assert ledger.total_requests == 12
+
+    def test_sampler_without_ledger_records_nothing(self):
+        # A ledger no caller can read would keep a copy of every request's
+        # points for the sampler's lifetime.
+        for sampler in (Sampler(SparseSpectrum(16, {1: 1.0})),
+                        md_sample_adapter({(1,): 1.0}, RankOneLattice(1, 16))):
+            sampler.sample_progression(0, 1, 8, 8)
+            assert sampler.ledger is None
 
     @given(ledger_log())
     @settings(max_examples=150, deadline=None)

@@ -16,11 +16,11 @@ from smfft.core_math import gaussian_window, next_fast_len, sample_coprime
 from smfft.errors import CandidateBlowup, EnvelopeError
 from smfft.md_transform import flatten_index, md_sample_adapter
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from smfft.support_recovery import (ALPHA, INNER_ROUNDS, RHO, SupportParams,
-                                    compute_phi, dealias_candidates,
-                                    find_aliased_support, find_support,
-                                    initial_aliased_support, plan_ladder,
-                                    probe_index)
+from smfft.support_recovery import (ALPHA, DELTA, INNER_ROUNDS, RHO,
+                                    SupportParams, compute_phi,
+                                    dealias_candidates, find_aliased_support,
+                                    find_support, initial_aliased_support,
+                                    plan_ladder, probe_index)
 
 from reference import aliased_spectrum
 
@@ -145,8 +145,8 @@ class TestSupportParams:
 
         for r in range(1, 5697):
             p = SupportParams(r_bound=r)
-            l1 = math.log(2 * r * p.delta_ratio / p.delta)
-            l2 = math.log(2 * p.delta_ratio / p.delta)
+            l1 = math.log(2 * r * p.delta_ratio / DELTA)
+            l2 = math.log(2 * p.delta_ratio / DELTA)
             bound = math.ceil(max(8, 2 / ALPHA) / math.pi * r * math.sqrt(l1 * l2))
             assert bound <= p.k_base <= 1.06 * bound and smooth(p.k_base), r
 
@@ -176,7 +176,7 @@ class TestSupportParams:
         assert RHO * ALPHA**INNER_ROUNDS <= 0.5 < RHO * ALPHA**(INNER_ROUNDS - 1)
 
     def test_threshold(self):
-        # delta*mu/2 for Gaussian noise as for none: a probe's noise is
+        # DELTA*mu/2 for Gaussian noise as for none: a probe's noise is
         # about 1.1*eta/sqrt(K), far below the margin of a true line.
         p = SupportParams(r_bound=3)
         assert p.threshold == pytest.approx(0.025)
@@ -185,7 +185,7 @@ class TestSupportParams:
 
     def test_noise_cap(self):
         with pytest.raises(ValueError):
-            SupportParams(r_bound=3, eta=0.03)  # > delta*mu/2 = 0.025
+            SupportParams(r_bound=3, eta=0.03)  # > DELTA*mu/2 = 0.025
 
     def test_rejects_negative_eta(self):
         # A negative noise level used to construct, and then every run
@@ -209,7 +209,7 @@ class TestSupportParams:
 
     @pytest.mark.parametrize("r_bound", [1, 50, 256])
     def test_window_cut_where_reaches_balance(self, r_bound):
-        # At the defaults, exp(-x^2) = pi^1.5*sqrt(l2)/2 * delta/(2*Delta)
+        # At the defaults, exp(-x^2) = pi^1.5*sqrt(l2)/2 * DELTA/(2*Delta)
         # = 0.094: the window's edge at offset K/2 sits at 9.4% of its peak
         # whatever R is (the paper's width cut it at 36%).
         p = SupportParams(r_bound=r_bound)
@@ -217,12 +217,17 @@ class TestSupportParams:
         edge, peak = gaussian_window(np.array([k / 2, 0]), p.sigma(m), m)
         assert edge / peak == pytest.approx(0.0939, abs=1e-4)
 
-    def test_sigma_floor(self):
-        # With 2*Delta/delta below 5.8 the cut stays at the paper's
-        # x^2 = l2/4 rather than leaving the reals.
-        p = SupportParams(r_bound=3, delta=0.9, delta_ratio=1.0)
-        x = math.pi * p.sigma(1 << 20) * p.k_base / (2 << 20)
-        assert x * x == pytest.approx(math.log(2 / 0.9) / 4)
+    @pytest.mark.parametrize("delta_ratio", [1.0, 3.0, 1e3, 1e300])
+    def test_true_line_off_grid_clears_threshold(self, delta_ratio):
+        # The search keeps every true line only if a line of amplitude mu
+        # half a probe step (M/2K) off its probe point still clears the
+        # threshold.  At DELTA it reads at least 13 times it (13.0 at
+        # delta_ratio 1).  When delta was a setting, 0.7 brought it to 1.24
+        # times the threshold and trials lost true lines.
+        p = SupportParams(r_bound=3, delta_ratio=delta_ratio)
+        m = 1 << 20
+        reading = math.exp(-((m / (2 * p.k_base)) / p.sigma(m)) ** 2) * p.mu
+        assert reading >= 10 * p.threshold
 
     def test_k_base_computed_once(self, monkeypatch):
         calls = []
@@ -238,12 +243,14 @@ class TestSupportParams:
         assert p == q and hash(p) == hash(q)
 
     def test_validation(self):
-        # ALPHA and RHO are constants of the search, not fields.
+        # ALPHA, RHO and DELTA are constants of the search, not fields.
         assert [f.name for f in dataclasses.fields(SupportParams)] == [
-            "r_bound", "delta", "p_fail", "mu", "delta_ratio", "eta"]
-        for fields in ({"r_bound": -1}, {"delta": 1.0}, {"p_fail": 0.0}):
+            "r_bound", "p_fail", "mu", "delta_ratio", "eta"]
+        for fields in ({"r_bound": -1}, {"p_fail": 0.0}):
             with pytest.raises(ValueError, match="must"):
                 SupportParams(**{"r_bound": 3, **fields})
+        with pytest.raises(TypeError, match="delta"):
+            SupportParams(r_bound=3, delta=0.1)
 
 
 class TestLadder:
