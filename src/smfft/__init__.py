@@ -3,8 +3,8 @@
 Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
 dimension, with a failure probability that decays exponentially in the
-number of probe rounds: a spurious candidate survives the last ladder
-level's L rounds with probability at most ALPHA^L, ALPHA = 0.2.  See
+number of value-stage draws: each draw passes its contraction check with
+probability at least 1/2, and ceil(log2(1/p_fail)) are made.  See
 README.md for usage.
 """
 

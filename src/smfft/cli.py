@@ -34,8 +34,7 @@ EXIT_ENVELOPE = 5
 # defaults.  R defaults to the file's support size and the file alone sets
 # the noise level eta.
 TUNING_FLAGS = (
-    ("--p", "p_fail", float, "bound on the chance of a spurious support line, "
-     "and on that of no accepted value draw"),
+    ("--p", "p_fail", float, "bound on the chance that every value draw fails"),
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
     ("--delta-ratio", "delta_ratio", float, "dynamic range bound"),
 )
@@ -53,6 +52,13 @@ BENCH_FLAGS = (
 )
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy seeds are nonnegative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix such as --m must not silently
     # select --mu.
@@ -64,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {f.name: f.default for f in dataclasses.fields(SupportParams)}
 
     def add_run(p: argparse.ArgumentParser):
-        p.add_argument("--seed", type=int, default=0,
-                       help="base seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
         p.add_argument("--out", metavar="FILE", help="write report here "
                        "instead of stdout")
 

@@ -9,11 +9,11 @@ round's samples by a wrapped-Gaussian window, take one batched size-K
 transform, and keep the candidates whose probe clears the threshold in
 every round.  Nonnegativity of the spectrum guarantees true support always
 survives; random shuffling makes spurious candidates fail some round with
-high probability.  Only the last level's spurious survivors reach the
-output, so it alone runs the L rounds that p_fail asks for
-(:attr:`SupportParams.probe_rounds`); the inner levels run just enough
-rounds that spurious survivors do not compound from level to level
-(:data:`INNER_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
+high probability.  The inner levels run just enough rounds that spurious
+survivors do not compound from level to level (:data:`INNER_ROUNDS`).  Only
+the last level's spurious survivors reach the output, and the value stage
+drops them, so it runs just enough rounds that few reach it
+(:data:`LAST_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
 q as an int64 array that broadcasts.
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
@@ -68,16 +68,25 @@ DELTA = 0.1
 # the last level sees at most 2 (RHO - 1) R spurious candidates.
 INNER_ROUNDS = 2
 
+# L, the fewest shuffle rounds at the last level with 2 (RHO - 1) ALPHA^L <=
+# 1/20 (14 * 0.2^3 = 0.11, 14 * 0.2^4 = 0.022), so at most R/20 of the
+# spurious candidates it sees (above) reach the output in expectation.  Their
+# values are 0, so value_recovery drops them; its prime pool, sized by
+# max(R, |support|), grows by at most 5%.  At 3 rounds, 11% for no fewer samples.
+LAST_ROUNDS = 4
+
 
 @dataclass(frozen=True)
 class SupportParams:
     """What the caller knows of the problem: the sparsity bound, the
     failure probability it accepts, and estimates of the spectrum.
 
-    mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
-    upper bound on the dynamic range ||fhat||_inf / mu.  Neither is estimated
-    from data; defaults match an amplitude range of [0.5, 1.5].  eta is the
-    samples' noise level (0 when noiseless), at most DELTA*mu/2.
+    p_fail sets the value stage's ceil(log2(1/p_fail)) draws; the support
+    search does not read it (:data:`LAST_ROUNDS`).  mu is a lower bound on the
+    smallest nonzero amplitude, delta_ratio an upper bound on the dynamic
+    range ||fhat||_inf / mu.  Neither is estimated from data; defaults match
+    an amplitude range of [0.5, 1.5].  eta is the samples' noise level (0
+    when noiseless), at most DELTA*mu/2.
     """
 
     r_bound: int
@@ -116,23 +125,6 @@ class SupportParams:
         if not bound < 1 << 17:
             raise EnvelopeError(f"base modulus K bound {bound:.4g} reaches 2^17")
         return next_fast_len(math.ceil(bound))
-
-    @property
-    def probe_rounds(self) -> int:
-        """L = ceil(log(p / (2 (RHO - 1) R)) / log(ALPHA)) shuffle rounds at
-        the last level.
-
-        p bounds the chance that any spurious line reaches the support's
-        output.  Only the last level's survivors reach it, and after inner
-        levels of :data:`INNER_ROUNDS` rounds that level has at most
-        2 (RHO - 1) R spurious candidates in expectation, each surviving
-        L rounds with probability at most ALPHA^L.  A ladder with one
-        probed level has only (RHO - 1) R, so the bound costs it at most
-        one round more than it needs.
-        """
-        spurious = 2 * (RHO - 1) * max(self.r_bound, 1)
-        rounds = math.log(self.p_fail / spurious) / math.log(ALPHA)
-        return math.ceil(rounds)
 
     @property
     def threshold(self) -> float:
@@ -174,22 +166,24 @@ class SupportParams:
 
 def _min_product_with_factors(target: int, count: int, rho: int) -> tuple[int, ...]:
     """Smallest product >= target using exactly ``count`` >= 1 factors in
-    [2, rho]; of several, the first in lexicographic order."""
+    [2, rho], rho**count >= target; of several, the first in lexicographic
+    order."""
     best, best_product = (), math.inf
 
     def recur(chosen: tuple[int, ...], product: int, remaining: int, min_f: int):
         nonlocal best, best_product
-        # Nondecreasing factors avoid enumerating permutations, so every
-        # completion's product lies in [product*min_f^r, product*rho^r].
-        if (product * rho**remaining < target
-                or product * min_f**remaining >= best_product):
-            return
-        if remaining == 1:
-            f = max(min_f, -(-target // product))
-            if product * f < best_product:
-                best, best_product = chosen + (f,), product * f
-            return
-        for f in range(min_f, rho + 1):
+        # Factors are nondecreasing, so with r left a next factor f completes
+        # to [product*f^r, product*f*rho^(r-1)]: f runs from the least that
+        # reaches target to the first that cannot beat the best, or whose
+        # least completion (all f, the only one of its product) reaches it.
+        lowest = -(-target // (product * rho**(remaining - 1)))
+        for f in range(max(min_f, lowest), rho + 1):
+            least = product * f**remaining
+            if least >= best_product:
+                break
+            if least >= target:
+                best, best_product = chosen + (f,) * remaining, least
+                break
             recur(chosen + (f,), product * f, remaining - 1, f)
 
     recur((), 1, count, 2)
@@ -292,8 +286,7 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
     Probes ``rounds`` independent shuffle rounds as one batch; a candidate
     survives only if its probe clears the threshold in every round.  True
     aliased support always survives (noiseless); each spurious candidate
-    survives all rounds with probability at most ALPHA^rounds (see
-    :attr:`SupportParams.probe_rounds`).
+    survives all rounds with probability at most ALPHA^rounds.
     """
     k_base = params.k_base
     qs = np.array([sample_coprime(m_k, rng) for _ in range(rounds)])
@@ -308,8 +301,7 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
     ``moduli`` planned by :func:`plan_ladder`, whose first modulus is K.
 
     Every level but the last runs :data:`INNER_ROUNDS` probe rounds, the
-    last :attr:`SupportParams.probe_rounds`.  Returns the support as a
-    sorted int64 array.
+    last :data:`LAST_ROUNDS`.  Returns the support as a sorted int64 array.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]
@@ -321,6 +313,6 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check mu/delta_ratio estimates")
-        rounds = params.probe_rounds if m_k == moduli[-1] else INNER_ROUNDS
+        rounds = LAST_ROUNDS if m_k == moduli[-1] else INNER_ROUNDS
         aliased = find_aliased_support(candidate, m_k, params, sampler, rng, rounds)
     return aliased

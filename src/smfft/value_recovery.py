@@ -16,7 +16,6 @@ prime-length FFT, and the Neumann series runs on float64 vectors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .signal import Sampler
 from .support_recovery import SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
+_primes = np.zeros(0, dtype=np.int64)  # every prime up to the largest pool yet
 
 
 @dataclass
@@ -42,15 +42,18 @@ class MeasurementSystem:
     f0hat: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
-def prime_pool(r_bound: int, n_total: int) -> tuple[int, ...]:
-    """The ascending primes the measurement blocks are drawn from: the
-    4*R*log_R(N) smallest primes above R (R clamped to 1, the log base
-    to 2).  Every draw of a run asks for the same pool: the last is kept."""
+def prime_pool(r_bound: int, n_total: int) -> np.ndarray:
+    """The pool measurement blocks are drawn from: the 4*R*log_R(N) smallest
+    primes above R (R clamped to 1, the log base to 2), ascending, cut from
+    one prime array that is sieved again only when a pool passes its end."""
+    global _primes
     r = max(r_bound, 1)
     size = 4 * r * math.log(n_total) / math.log(max(r_bound, 2))
     # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
-    return tuple(primes_greater_than(r, max(1, math.ceil(size - 1e-9))))
+    count = max(1, math.ceil(size - 1e-9))
+    while (start := int(np.searchsorted(_primes, r, side="right"))) + count > len(_primes):
+        _primes = np.array(primes_greater_than(1, 2 * (start + count)))
+    return _primes[start:start + count].copy()  # a copy: the array is shared
 
 
 def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
@@ -64,7 +67,7 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
     if not support.size:
         raise ValueError("support must be nonempty")
     pool = prime_pool(r_bound, n_total)
-    picks = [pool[int(i)] for i in rng.integers(0, len(pool), BLOCKS)]
+    picks = pool[rng.integers(0, len(pool), BLOCKS)].tolist()
     class_ids = []
     f0hat = np.zeros(len(support))
     for p in picks:

@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
-Nine checks covering exact recovery, noise robustness, noise stability up
-to the envelope's edge, runtime scaling in N and R, sample complexity,
-lattice exactness, the lemma battery, and byte-level reproducibility.  Each
+Ten checks covering exact recovery, noise robustness, noise stability up
+to the envelope's edge, the failure probability against p_fail, runtime
+scaling in N and R, sample complexity, lattice exactness, the lemma battery,
+and byte-level reproducibility.  Each
 emits a single PASS/FAIL summary line on the real stdout so it stays
 visible even under pytest capture.
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from smfft.bench import bench_n_rows, bench_r_rows, run_trial
 from smfft.cli import main as cli_main
+from smfft.errors import SmfftError
 from smfft.support_recovery import SupportParams
 
 from lemma_checks import LEMMAS, measure, shuffle_isomorphism_failures
@@ -71,6 +73,28 @@ def test_noise_stability_to_envelope_edge():
     _report("noise-stability", good == 160,
             f"{good}/160 within eta, eta up to {edge:g}; worst error/eta "
             + " / ".join(f"{w:.2f}" for w in worst))
+
+
+def test_failure_probability_within_p():
+    """The trials of 80 that raise a typed error or miss the success rule
+    number at most p*80 plus three binomial standard deviations, at p_fail
+    = 0.5 and 0.25, on a noiseless shape (M = 2^8, d = 2, R = 256) and a
+    noisy one (M = 2^7, d = 2, R = 50, eta = 1e-2).  At p = 0.5 the value
+    stage makes one draw, so failures are seen: 26 and 4 trials raise
+    ContractionFailure there, 12 and 1 at p = 0.25, and none returns a
+    wrong spectrum."""
+    runs, counts, ok = 80, [], True
+    for shape in ((256, 2, 256, 0.0), (128, 2, 50, 1e-2)):
+        for p in (0.5, 0.25):
+            failed = 0
+            for s in range(runs):
+                try:
+                    failed += not run_trial(*shape, 8000 + s, p_fail=p)["success"]
+                except SmfftError:
+                    failed += 1
+            ok &= failed <= p * runs + 3 * math.sqrt(p * (1 - p) * runs)
+            counts.append(f"R = {shape[2]}, p = {p}: {failed}/{runs}")
+    _report("failure-probability", ok, "; ".join(counts))
 
 
 def test_runtime_flat_in_n():

@@ -386,6 +386,22 @@ class TestParsing:
             args = args + ["--signal", signal_file]
         assert main(args) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["transform", "verify", "bench-n", "bench-r"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_parse_error(self, command, seed, tmp_path, capsys,
+                                     monkeypatch):
+        # A negative seed used to reach numpy, and the run ended with
+        # "error: expected non-negative integer" after the spec file was
+        # read.  The flag is now refused while parsing, by name and value:
+        # the spec file named here does not exist, and no trial runs.
+        monkeypatch.setattr(bench, "run_trial", lambda *a: pytest.fail("trial ran"))
+        args = [command, "--seed", seed]
+        if command in ("transform", "verify"):
+            args += ["--signal", str(tmp_path / "missing.json")]
+        assert main(args) == EXIT_PARSE
+        assert (f"argument --seed: expected a nonnegative integer, got '{seed}'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flag", [["--sig", "other.json"],
                                       ["--delta-r", "4"], ["--rh", "4"]])
     def test_abbreviated_flag_is_parse_error(self, flag, signal_file, capsys):

@@ -16,8 +16,8 @@ from smfft.core_math import gaussian_window, next_fast_len, sample_coprime
 from smfft.errors import CandidateBlowup, EnvelopeError
 from smfft.md_transform import flatten_index, md_sample_adapter
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from smfft.support_recovery import (ALPHA, DELTA, INNER_ROUNDS, RHO,
-                                    SupportParams, compute_phi,
+from smfft.support_recovery import (ALPHA, DELTA, INNER_ROUNDS, LAST_ROUNDS,
+                                    RHO, SupportParams, compute_phi,
                                     dealias_candidates, find_aliased_support,
                                     find_support, initial_aliased_support,
                                     plan_ladder, probe_index)
@@ -88,9 +88,9 @@ def planner_nodes(requested_n, k_base, rho):
     return calls[0]
 
 
-def level_rounds(params, moduli, m):
+def level_rounds(moduli, m):
     """The probe rounds find_support runs at modulus m of the ladder."""
-    return params.probe_rounds if m == moduli[-1] else INNER_ROUNDS
+    return LAST_ROUNDS if m == moduli[-1] else INNER_ROUNDS
 
 
 def probe_survival(shape, eta, seeds):
@@ -113,7 +113,7 @@ def probe_survival(shape, eta, seeds):
         for m_prev, m in zip(moduli, moduli[1:]):
             candidate = dealias_candidates(aliased, m_prev, m // m_prev)
             qs = np.array([sample_coprime(m, rng)
-                           for _ in range(level_rounds(params, moduli, m))])
+                           for _ in range(level_rounds(moduli, m))])
             phi = compute_phi(sampler, m, k, qs, params.sigma(m))
             probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
             passes = np.abs(probes) >= params.threshold
@@ -160,15 +160,14 @@ class TestSupportParams:
             SupportParams(**fields).k_base
 
     def test_probe_rounds(self):
-        # ceil(ln(p / (2 (RHO - 1) R)) / ln(0.2)) at the last level:
-        # 2 (RHO - 1) R = 42 spurious candidates reach it at R = 3.  With
-        # at least 14 of them and p < 1 it is never below 2.
-        assert SupportParams(r_bound=3).probe_rounds == 9  # 8.05
-        assert SupportParams(r_bound=3, p_fail=1e-2).probe_rounds == 6  # 5.18
-        assert SupportParams(r_bound=0, p_fail=0.5).probe_rounds == 3  # 2.07
-        assert SupportParams(r_bound=50).probe_rounds == 10  # 9.79
-        assert SupportParams(r_bound=256).probe_rounds == 11  # 10.81
-        assert SupportParams(r_bound=16, p_fail=0.1).probe_rounds == 5  # 4.79
+        # The last level's rounds are the fewest that leave at most R/20 of
+        # its 2 (RHO - 1) R spurious candidates in expectation: 14 * 0.2^3
+        # = 0.11 needs a fourth round (0.022).  p_fail no longer sets them.
+        spurious_per_line = 2 * (RHO - 1)
+        assert (spurious_per_line * ALPHA**LAST_ROUNDS <= 1 / 20
+                < spurious_per_line * ALPHA**(LAST_ROUNDS - 1))
+        assert LAST_ROUNDS == 4
+        assert not hasattr(SupportParams(r_bound=3), "probe_rounds")
 
     def test_inner_rounds(self):
         # The fewest rounds with RHO * ALPHA^L_in <= 1/2: 8 * 0.2 = 1.6
@@ -297,18 +296,23 @@ class TestLadder:
 
     @pytest.mark.parametrize("r_bound,requested_n", [
         (1, 9952744261968), (2, 21990232555520), (16, 25160244722316),
-        (50, 10436770529280), (256, 58926951301120)])
+        (50, 10436770529280), (256, 58926951301120),
+        (1, 61970091588132), (1, 61675272240708), (2, 16520162207310),
+        (16, 19062002596725), (50, 64038991937844), (256, 45079976734720),
+        (50, 10321**3)])
     def test_planner_search_budget(self, r_bound, requested_n):
-        # The N <= 2^46 with the largest search found for each R at the
-        # ladder factor RHO when K was 18 at R = 1 (ALPHA = 0.15).  The
-        # search depends on ceil(N/K) alone; over every such target of up
-        # to 4 steps and 40000 more drawn log-uniformly up to 2^46/18, the
-        # most is 581 calls, about 0.4 ms.  The search without its bound
-        # and last-factor shortcut made 2486 at R = 1.  At K = 14 the
-        # targets reach 2^46/14, one step deeper, and the most found is 614
-        # (R = 1, N = 61970091588132): see ROADMAP item 3.
+        # The search depends on ceil(N/K) alone.  The first five requests
+        # had the largest search for each R when K was 18 at R = 1.  Then
+        # come the known worst case of the search before each next factor
+        # was bounded in its loop (614 calls then, R = 1), and the N with
+        # the largest search for each R at today's K (14 at R = 1), found
+        # over every target of up to 4 steps, 30000 more drawn
+        # log-uniformly up to 2^46/K and those just above each power of
+        # RHO.  The last is the deep-ladder benchmark's (416 calls then).
+        # They take 172, 162, 149, 143, 138, then 248, 252, 239, 223, 223,
+        # 208, and 162 calls.
         params = SupportParams(r_bound=r_bound)
-        assert planner_nodes(requested_n, params.k_base, RHO) <= 600
+        assert planner_nodes(requested_n, params.k_base, RHO) <= 260
 
 
 class TestDealias:
@@ -384,7 +388,7 @@ class TestSamplePeriod:
     def test_request_counts(self, r_bound):
         # One request of K//2 + 1 points per period: the base level, then
         # each of a level's probe rounds, INNER_ROUNDS = 2 at the inner
-        # moduli and probe_rounds at the last (odd K = 275, even K = 308).
+        # moduli and LAST_ROUNDS = 4 at the last (odd K = 275, even K = 308).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
@@ -398,7 +402,7 @@ class TestSamplePeriod:
         assert INNER_ROUNDS == 2
         assert sampler.requested == {k: period, 8 * k: 2 * period,
                                      64 * k: 2 * period,
-                                     n: params.probe_rounds * period}
+                                     n: LAST_ROUNDS * period}
 
 
 class TestComputePhi:
@@ -462,7 +466,7 @@ class TestFindAliasedSupport:
             candidates.add(int(rng.integers(0, m)))
         got = find_aliased_support(np.array(sorted(candidates)), m, params,
                                    Sampler(spectrum), np.random.default_rng(1),
-                                   params.probe_rounds)
+                                   LAST_ROUNDS)
         assert got.tolist() == sorted(truth)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -484,7 +488,7 @@ class TestFindAliasedSupport:
         def run(find, cand):
             ledger, probe_rng = SampleLedger(), np.random.default_rng(seed + 10)
             survivors = find(cand, m, params, Sampler(spectrum, noise, ledger),
-                             probe_rng, params.probe_rounds)
+                             probe_rng, LAST_ROUNDS)
             return (sorted(int(n) for n in survivors), ledger.unique_count,
                     ledger.total_requests, probe_rng.integers(1 << 62))
 
@@ -534,10 +538,11 @@ class TestProbeSurvival:
         # width and a threshold halved under noise it read 0.25 noiseless
         # and 0.45 at eta = 0.01).  At R = 1 and 2 K is smallest (14 and
         # 30), so a parent's RHO translates sit only K/RHO = 1.75 and 3.75
-        # probe-grid steps apart: 0.10 and 0.14.  No true line fails a
-        # round.
+        # probe-grid steps apart: 0.11 and 0.14.  With LAST_ROUNDS = 4 the
+        # R = 1 ladder has fewer last-level rounds to count: 10 seeds give
+        # 1778, 25 give 4706.  No true line fails a round.
         for shape, seeds in (((1 << 20, 16), (31, 32)),
-                             ((1 << 40, 1), range(10)),
+                             ((1 << 40, 1), range(25)),
                              ((1 << 40, 2), range(5))):
             passed, rounds, true_failures = probe_survival(shape, eta, seeds)
             assert rounds >= 2000, shape
@@ -576,7 +581,7 @@ class TestFindSupport:
         assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
         for m in moduli[1:]:
             qs = np.array([sample_coprime(m, rng)
-                           for _ in range(level_rounds(params, moduli, m))])
+                           for _ in range(level_rounds(moduli, m))])
             phi = compute_phi(sampler, m, k, qs, params.sigma(m))
             truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
             probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
@@ -619,15 +624,14 @@ class TestFindSupport:
                          params, np.random.default_rng(0))
 
     def test_spurious_output_within_p(self):
-        # p bounds the chance that any spurious line reaches the output.  On
-        # a 13-level ladder (N = 2^40, R = 4, K = 63, eta = 1e-2) at
-        # p = 0.1, the inner levels' two rounds must keep spurious survivors
-        # from compounding and the last level's rounds must catch the rest:
-        # over 250 seeded runs, at most p * 250 = 25 may hold a spurious
-        # line.  3 do, as at ALPHA = 0.15 and K = 81 (15 did when every
-        # level ran the last level's rounds, counted then for (rho - 1) R
-        # spurious candidates).  No true line is missed.
-        params = SupportParams(r_bound=4, eta=1e-2, p_fail=0.1)
+        # At most 2 (RHO - 1) R ALPHA^LAST_ROUNDS spurious lines reach the
+        # output in expectation, which bounds the chance that any does.  On
+        # a 13-level ladder (N = 2^40, R = 4, K = 63, eta = 1e-2) the inner
+        # levels' two rounds must keep spurious survivors from compounding
+        # and the last level's four must catch the rest: over 250 seeded
+        # runs, at most 56 * 0.2^4 * 250 = 22.4 may hold a spurious line.
+        # 3 do, with 4 lines in all.  No true line is missed.
+        params = SupportParams(r_bound=4, eta=1e-2)
         runs = 250
         spurious = missed = 0
         for seed in range(runs):
@@ -639,5 +643,5 @@ class TestFindSupport:
             spurious += bool(got - truth)
             missed += bool(truth - got)
         assert len(moduli) == 13
-        assert spurious <= params.p_fail * runs
+        assert spurious <= 2 * (RHO - 1) * params.r_bound * ALPHA**LAST_ROUNDS * runs
         assert missed == 0

@@ -26,12 +26,16 @@ class TestPrimePool:
         assert len(prime_pool(1, 1024)) == 40  # 4 * 1 * log2(1024)
 
     def test_second_draw_does_not_sieve(self, monkeypatch):
-        # Every draw of a run asks for the same pool; only the first sieves.
+        # Every pool is a slice of one prime array, so only the first draw
+        # sieves.  A second draw whose support has grown past R, as spurious
+        # lines from the support stage make it, sieves no more, and its pool
+        # is the one a sieve of its own would give.  Only a pool past the
+        # array's end sieves again.
         sieve, calls = vr.primes_greater_than, []
         monkeypatch.setattr(vr, "primes_greater_than",
                             lambda r, count: calls.append(r) or sieve(r, count))
-        prime_pool.cache_clear()
-        _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
+        monkeypatch.setattr(vr, "_primes", np.zeros(0, dtype=np.int64))
+        _, sampler = make_instance(4096, [1, 2000, 3000], [1.0, 1.0, 1.0])
         first = draw_measurement(np.array([1, 2000]), 2, 4096,
                                  np.random.default_rng(0), sampler)
         assert len(calls) == 1
@@ -39,7 +43,15 @@ class TestPrimePool:
                                   np.random.default_rng(1), sampler)
         assert len(calls) == 1
         assert set(first.primes + second.primes) <= set(prime_pool(2, 4096))
-        prime_pool.cache_clear()
+        wider = draw_measurement(np.array([1, 2000, 3000]), 3, 4096,
+                                 np.random.default_rng(2), sampler)
+        assert len(calls) == 1
+        pool = prime_pool(3, 4096)
+        assert pool.tolist() == sieve(3, len(pool)) and len(pool) == 91
+        assert set(wider.primes) <= set(pool.tolist())
+        past_end = prime_pool(400, 4096)
+        assert len(calls) == 2
+        assert past_end.tolist() == sieve(400, 2222)
 
 
 class TestMeasurement:
@@ -223,7 +235,7 @@ class TestComputeValues:
     def test_stats_records_redraws(self):
         # On this instance and algorithm seed the first draw fails the
         # contraction check; the second is accepted and recovers the spectrum.
-        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 11)
+        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 0)
         stats = {}
         got = md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
                       bench.make_params(256, 0.0), np.random.default_rng(0),
