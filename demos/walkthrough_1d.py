@@ -10,7 +10,6 @@ import numpy as np
 
 from smfft import (SampleLedger, Sampler, SparseSpectrum, SupportParams,
                    dealias_candidates, find_support, plan_ladder)
-from smfft.support_recovery import RHO
 from smfft.value_recovery import compute_values
 
 N = 40
@@ -32,7 +31,7 @@ print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
 
 # End-to-end recovery.
 params = SupportParams(r_bound=3)
-moduli = plan_ladder(N, params.k_base, RHO)
+moduli = plan_ladder(N, params.k_base)
 print(f"base modulus K={params.k_base}, ladder moduli {moduli} "
       "(K already exceeds N here, so one level suffices)")
 

@@ -8,11 +8,11 @@ probability at least 1/2, and ceil(log2(1/p_fail)) are made.  See
 README.md for usage.
 """
 
-from .core_math import primes_greater_than, sample_coprime
+from .core_math import sample_coprime
 from .errors import (CandidateBlowup, ContractionFailure, EnvelopeError,
                      IndexOutOfRange, ParseError, SmfftError)
 from .md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
-                           md_sfft, relative_l2_error, unflatten_index)
+                           md_sfft, relative_l2_error)
 from .signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                      load_signal_spec, make_noise)
 from .support_recovery import (SupportParams, dealias_candidates,
@@ -23,11 +23,11 @@ from .value_recovery import (MeasurementSystem, apply_normal, compute_values,
 __version__ = "0.1.0"
 
 __all__ = [
-    "primes_greater_than", "sample_coprime",
+    "sample_coprime",
     "CandidateBlowup", "ContractionFailure", "EnvelopeError", "IndexOutOfRange",
     "ParseError", "SmfftError",
     "RankOneLattice", "flatten_index", "md_sample_adapter", "md_sfft",
-    "relative_l2_error", "unflatten_index",
+    "relative_l2_error",
     "NoiseModel", "SampleLedger", "Sampler", "SparseSpectrum",
     "load_signal_spec", "make_noise",
     "SupportParams", "dealias_candidates", "find_aliased_support",

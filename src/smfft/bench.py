@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .md_transform import (RankOneLattice, md_sample_adapter, md_sfft,
-                           relative_l2_error, unflatten_index)
+                           relative_l2_error)
 from .signal import NoiseModel, SampleLedger
 from .support_recovery import SupportParams
 
@@ -29,16 +29,18 @@ BENCH_R_VALUES = (8, 16, 32, 64, 128, 256)
 def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
                     seed: int):
     """A random sparse nonnegative instance with amplitudes in [0.5, 1.5]."""
-    rng = np.random.default_rng(seed)
     lattice = RankOneLattice(dims, axis_size)
+    if sparsity > lattice.total:
+        raise ValueError(f"sparsity R = {sparsity} exceeds the grid size N = {lattice.total}")
+    rng = np.random.default_rng(seed)
     flat = rng.choice(lattice.total, size=sparsity, replace=False) if (
         lattice.total < 1 << 30) else np.unique(rng.integers(0, lattice.total, 4 * sparsity))[:sparsity]
     while len(flat) < sparsity:  # collision top-up for the huge-N path
         extra = np.unique(np.concatenate([flat, rng.integers(0, lattice.total, 4 * sparsity)]))
         flat = extra[:sparsity]
     amps = rng.uniform(0.5, 1.5, size=len(flat))
-    entries = {unflatten_index(int(j), lattice): float(v)
-               for j, v in zip(flat.tolist(), amps.tolist())}
+    digits = np.unravel_index(flat, (axis_size,) * dims, order="F")
+    entries = dict(zip(zip(*(d.tolist() for d in digits)), amps.tolist()))
     noise = NoiseModel(eta, seed + 1)
     return entries, lattice, noise
 
@@ -102,16 +104,14 @@ def sweep(configs, trials: int, base_seed: int) -> list[dict]:
 
 
 def bench_n_rows(sparsity: int = 50, dims: int = 3, eta: float = 1e-2,
-                 trials: int = 5, base_seed: int = 0,
-                 axis_sizes=BENCH_N_AXIS_SIZES) -> list[dict]:
-    configs = [(m, dims, sparsity, eta) for m in axis_sizes]
+                 trials: int = 5, base_seed: int = 0) -> list[dict]:
+    configs = [(m, dims, sparsity, eta) for m in BENCH_N_AXIS_SIZES]
     return sweep(configs, trials, base_seed)
 
 
 def bench_r_rows(axis_size: int = BENCH_R_AXIS_SIZE, dims: int = 3,
-                 eta: float = 1e-2, trials: int = 5, base_seed: int = 0,
-                 sparsities=BENCH_R_VALUES) -> list[dict]:
-    configs = [(axis_size, dims, r, eta) for r in sparsities]
+                 eta: float = 1e-2, trials: int = 5, base_seed: int = 0) -> list[dict]:
+    configs = [(axis_size, dims, r, eta) for r in BENCH_R_VALUES]
     return sweep(configs, trials, base_seed)
 
 

@@ -1,7 +1,7 @@
 """Number-theoretic and transform primitives.
 
-Exact modular products, coprime sampling, a prime sieve, fast FFT sizes
-and the wrapped (periodized) Gaussian window.
+Exact modular products, coprime sampling, the primes below a limit, fast
+FFT sizes and the wrapped (periodized) Gaussian window.
 """
 
 from __future__ import annotations
@@ -36,30 +36,20 @@ def sample_coprime(m: int, rng: np.random.Generator) -> int:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    if m == 2:
-        return 1
     while True:
         q = int(rng.integers(1, m))
         if math.gcd(q, m) == 1:
             return q
 
 
-def primes_greater_than(r: int, count: int) -> list[int]:
-    """The ``count`` smallest primes strictly greater than r, ascending."""
-    if r < 1 or count < 1:
-        raise ValueError("require r >= 1 and count >= 1")
-    # Rough upper bound on the count-th prime past r, doubled on demand.
-    limit = max(64, 2 * r, int(2.2 * (r + count) * math.log(r + count + 10)))
-    while True:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.flatnonzero(sieve[r + 1:]) + (r + 1)
-        if len(primes) >= count:
-            return primes[:count].tolist()
-        limit *= 2
+def primes_below(limit: int) -> np.ndarray:
+    """Every prime below ``limit``, ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(max(limit, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
 
 
 def next_fast_len(n: int) -> int:

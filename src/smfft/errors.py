@@ -22,8 +22,10 @@ class ContractionFailure(SmfftError):
 
 
 class EnvelopeError(SmfftError):
-    """The problem is too large for the ladder's exact int64 arithmetic;
-    raised by plan_ladder, before any sample is drawn."""
+    """The problem lies outside the pipeline's exact envelope.  Raised before
+    any sample by SupportParams.k_base and plan_ladder (K or the padded N too
+    large for the ladder's int64 arithmetic), and while sampling by
+    md_transform._Rescaled (a sample overflows in units of mu)."""
 
 
 class ParseError(SmfftError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EnvelopeError, IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from .support_recovery import RHO, SupportParams, find_support, plan_ladder
+from .support_recovery import SupportParams, find_support, plan_ladder
 from .value_recovery import compute_values
 
 
@@ -58,17 +58,6 @@ def flatten_index(multi, lattice: RankOneLattice) -> int:
     if any(not 0 <= c < lattice.axis_size for c in multi):
         raise IndexOutOfRange(f"components of {multi} outside [0, {lattice.axis_size})")
     return sum(c * g for c, g in zip(multi, lattice.generator))
-
-
-def unflatten_index(flat: int, lattice: RankOneLattice) -> tuple[int, ...]:
-    """Flat index to base-M digits, least significant first."""
-    if not 0 <= flat < lattice.total:
-        raise IndexOutOfRange(f"{flat} outside [0, {lattice.total})")
-    digits = []
-    for _ in range(lattice.dims):
-        flat, digit = divmod(flat, lattice.axis_size)
-        digits.append(digit)
-    return tuple(digits)
 
 
 def md_sample_adapter(entries: dict, lattice: RankOneLattice,
@@ -129,7 +118,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
         params = replace(params, mu=math.ldexp(params.mu, -e),
                          eta=math.ldexp(params.eta, -e))
     n_total = lattice.total
-    moduli = plan_ladder(n_total, params.k_base, RHO)
+    moduli = plan_ladder(n_total, params.k_base)
     support = find_support(sampler, moduli, params, rng)
     # Ladder padding can admit indices beyond M^d; those cannot be real.
     support = support[support < n_total]
@@ -139,7 +128,10 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     if not support.size:
         return {}
     values = compute_values(support, n_total, params, sampler, rng, stats=stats)
-    return {unflatten_index(j, lattice): math.ldexp(v, e) for j, v in values.items()}
+    digits = np.unravel_index(np.fromiter(values, np.int64),
+                              (lattice.axis_size,) * lattice.dims, order="F")
+    return {key: math.ldexp(v, e)
+            for key, v in zip(zip(*(d.tolist() for d in digits)), values.values())}
 
 
 def relative_l2_error(recovered: dict, truth: dict, lattice: RankOneLattice) -> float:

@@ -174,8 +174,6 @@ def make_noise(noise: NoiseModel, nums: np.ndarray, den: int) -> np.ndarray:
     per-sample standard deviation is eta.
     """
     nums = np.asarray(nums, dtype=np.int64)
-    if noise.eta == 0:
-        return np.zeros(nums.shape, dtype=complex)
     bits = (nums / den).view(np.uint64)
     with np.errstate(over="ignore"):
         key = _splitmix64(bits ^ np.uint64(noise.seed * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF))
@@ -204,7 +202,6 @@ class Sampler:
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
                  ledger: SampleLedger | None = None):
-        self.spectrum = spectrum
         self.noise = noise or NoiseModel()
         self.ledger = ledger
         support = [int(j) for j in sorted(spectrum.entries)]

@@ -164,20 +164,20 @@ class SupportParams:
         return 2 * x * modulus / (math.pi * self.k_base)
 
 
-def _min_product_with_factors(target: int, count: int, rho: int) -> tuple[int, ...]:
+def _min_product_with_factors(target: int, count: int) -> tuple[int, ...]:
     """Smallest product >= target using exactly ``count`` >= 1 factors in
-    [2, rho], rho**count >= target; of several, the first in lexicographic
+    [2, RHO], RHO**count >= target; of several, the first in lexicographic
     order."""
     best, best_product = (), math.inf
 
     def recur(chosen: tuple[int, ...], product: int, remaining: int, min_f: int):
         nonlocal best, best_product
         # Factors are nondecreasing, so with r left a next factor f completes
-        # to [product*f^r, product*f*rho^(r-1)]: f runs from the least that
+        # to [product*f^r, product*f*RHO^(r-1)]: f runs from the least that
         # reaches target to the first that cannot beat the best, or whose
         # least completion (all f, the only one of its product) reaches it.
-        lowest = -(-target // (product * rho**(remaining - 1)))
-        for f in range(max(min_f, lowest), rho + 1):
+        lowest = -(-target // (product * RHO**(remaining - 1)))
+        for f in range(max(min_f, lowest), RHO + 1):
             least = product * f**remaining
             if least >= best_product:
                 break
@@ -190,8 +190,8 @@ def _min_product_with_factors(target: int, count: int, rho: int) -> tuple[int, .
     return best
 
 
-def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
-    """The ladder moduli M_1 = K, M_{k+1} = rho_k * M_k, rho_k in [2, rho].
+def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
+    """The ladder moduli M_1 = K, M_{k+1} = rho_k * M_k, rho_k in [2, RHO].
 
     The last modulus is the padded size N >= requested_n.  The number of
     ladder steps is minimized first (factors as large as allowed), then the
@@ -210,10 +210,10 @@ def plan_ladder(requested_n: int, k_base: int, rho: int) -> tuple[int, ...]:
         return (k_base,)
     target = -(-requested_n // k_base)  # ceil division
     steps = 1
-    while rho**steps < target:  # exact: a float log overshoots at powers of rho
+    while RHO**steps < target:  # exact: a float log overshoots at powers of RHO
         steps += 1
     moduli = [k_base]
-    for f in _min_product_with_factors(target, steps, rho):
+    for f in _min_product_with_factors(target, steps):
         moduli.append(moduli[-1] * f)
     if moduli[-1] > MAX_MODULUS:
         raise EnvelopeError(f"padded grid size {moduli[-1]} exceeds 2^46")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import primes_greater_than
+from .core_math import primes_below
 from .errors import ContractionFailure
 from .nufft import hermitian_exp_sum
 from .signal import Sampler
@@ -52,7 +52,8 @@ def prime_pool(r_bound: int, n_total: int) -> np.ndarray:
     # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
     count = max(1, math.ceil(size - 1e-9))
     while (start := int(np.searchsorted(_primes, r, side="right"))) + count > len(_primes):
-        _primes = np.array(primes_greater_than(1, 2 * (start + count)))
+        n = r + count  # the pool ends by the n-th prime, below 2.2 n log(n + 10)
+        _primes = primes_below(int(4.4 * n * math.log(n + 10)))  # twice: room to grow
     return _primes[start:start + count].copy()  # a copy: the array is shared
 
 

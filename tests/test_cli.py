@@ -354,6 +354,16 @@ class TestBench:
         assert main([command, "--trials", trials]) == EXIT_PARSE
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    def test_sparsity_above_grid_size_is_parse_error(self, capsys):
+        # R = 8 lines do not fit on the N = 1^3 grid of --m 1.  numpy's
+        # "Cannot take a larger sample than population" named neither.
+        assert main(["bench-r", "--trials", "1", "--m", "1"]) == EXIT_PARSE
+        assert "sparsity R = 8 exceeds the grid size N = 1" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="R = 5 exceeds the grid size N = 4"):
+            bench.random_instance(2, 2, 5, 0.0, 0)
+        entries, _, _ = bench.random_instance(2, 2, 4, 0.0, 0)
+        assert sorted(entries) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_bench_n_json(self, capsys):
         code, out = run(["bench-n", "--trials", "1", "--r", "4", "--d", "2",
                          "--format", "json"], capsys)

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft.core_math import gaussian_window, primes_greater_than, sample_coprime
+from smfft import value_recovery
+from smfft.core_math import gaussian_window, primes_below, sample_coprime
 from smfft.signal import Sampler, SparseSpectrum
+from smfft.value_recovery import prime_pool
+
+from reference import trial_division_primes
 
 
 def naive_dft(values, inverse=False):
@@ -31,19 +35,30 @@ def test_sample_coprime_is_coprime_and_hits_all():
 
 class TestPrimes:
     def test_first_past_sparsity(self):
-        assert primes_greater_than(5, 5) == [7, 11, 13, 17, 19]
+        # A pool starts at the first prime past R.
+        assert prime_pool(5, 5**3)[:5].tolist() == [7, 11, 13, 17, 19]
 
     def test_pool_is_prime_and_sorted(self):
-        pool = primes_greater_than(50, 500)
-        assert len(pool) == 500
-        assert pool == sorted(pool)
-        assert pool[0] > 50
-        for p in pool[:40]:
-            assert all(p % d for d in range(2, int(p**0.5) + 1))
+        assert primes_below(5000).tolist() == trial_division_primes(5000)
+        for limit in (0, 1, 2, 3, 4, 49, 50):
+            assert primes_below(limit).tolist() == trial_division_primes(limit), limit
 
     def test_large_r(self):
-        pool = primes_greater_than(256, 10)
-        assert pool[0] == 257
+        assert prime_pool(256, 1 << 20)[0] == 257
+
+    def test_pools_match_naive_reference(self, monkeypatch):
+        # Pools over many (R, N), asked for in a random order from an empty
+        # prime array, so the array grows while the pools are cut from it.
+        # Each is the len(pool) smallest primes above R.
+        monkeypatch.setattr(value_recovery, "_primes", np.zeros(0, dtype=np.int64))
+        primes = trial_division_primes(40000)
+        rng = np.random.default_rng(4)
+        for r, n_total in zip(rng.integers(0, 300, 60).tolist(),
+                              (1 << rng.integers(1, 21, 60)).tolist()):
+            pool = prime_pool(r, n_total).tolist()
+            above = [p for p in primes if p > max(r, 1)]
+            assert len(pool) < len(above)
+            assert pool == above[:len(pool)], (r, n_total)
 
 
 class TestGaussianWindow:

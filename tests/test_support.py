@@ -61,17 +61,17 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
     return survivors
 
 
-def reference_plan(requested_n, k_base, rho):
+def reference_plan(requested_n, k_base):
     """The fewest steps, then the smallest padded N, by enumerating every
     nondecreasing tuple of factors; of several, the first in order."""
     target = -(-requested_n // k_base)
-    steps = next(s for s in itertools.count(1) if rho**s >= target)
+    steps = next(s for s in itertools.count(1) if RHO**s >= target)
     factors = min((c for c in itertools.combinations_with_replacement(
-        range(2, rho + 1), steps) if math.prod(c) >= target), key=math.prod)
+        range(2, RHO + 1), steps) if math.prod(c) >= target), key=math.prod)
     return tuple(k_base * math.prod(factors[:i]) for i in range(steps + 1))
 
 
-def planner_nodes(requested_n, k_base, rho):
+def planner_nodes(requested_n, k_base):
     """Calls of the planner's recursive search made by one plan_ladder call."""
     calls = [0]
 
@@ -82,7 +82,7 @@ def planner_nodes(requested_n, k_base, rho):
     sys.setprofile(profile)
     try:
         with contextlib.suppress(EnvelopeError):
-            plan_ladder(requested_n, k_base, rho)
+            plan_ladder(requested_n, k_base)
     finally:
         sys.setprofile(None)
     return calls[0]
@@ -107,7 +107,7 @@ def probe_survival(shape, eta, seeds):
                                       zip(lines, rng.uniform(0.5, 1.5, r))})
         sampler = Sampler(spectrum, NoiseModel(eta, seed))
         params = SupportParams(r_bound=r, eta=eta)
-        moduli = plan_ladder(n, params.k_base, RHO)
+        moduli = plan_ladder(n, params.k_base)
         k = moduli[0]
         aliased = initial_aliased_support(sampler, k, params)
         for m_prev, m in zip(moduli, moduli[1:]):
@@ -254,45 +254,49 @@ class TestSupportParams:
 
 class TestLadder:
     def test_degenerate_when_k_exceeds_n(self):
-        assert plan_ladder(40, 59, 2) == (59,)
+        assert plan_ladder(40, 59) == (59,)
+        assert plan_ladder(59, 59) == (59,)
 
     def test_growth_factors_bounded(self):
-        moduli = plan_ladder(10**6, 100, 4)
-        assert all(b % a == 0 and 2 <= b // a <= 4 for a, b in zip(moduli, moduli[1:]))
+        moduli = plan_ladder(10**6, 100)
+        assert all(b % a == 0 and 2 <= b // a <= RHO for a, b in zip(moduli, moduli[1:]))
         assert moduli[-1] >= 10**6
         assert moduli[0] == 100
 
     def test_minimal_depth_then_size(self):
-        # 5 -> 45 needs two factor-3 steps; 40 = 5*2*2*2 would use three.
-        assert plan_ladder(40, 5, 3) == (5, 15, 45)
+        # ceil(250/5) = 50: two steps reach 5 * 7 * 8 = 280, the least with
+        # two factors of at most RHO = 8; 250 = 5 * 2 * 5 * 5 would use three.
+        assert plan_ladder(250, 5) == (5, 35, 280)
 
     def test_doubling_ladder(self):
-        assert plan_ladder(4096, 361, 2) == (361, 722, 1444, 2888, 5776)
+        # Of the three-step factors with product 128, (2, 8, 8) and
+        # (4, 4, 8), the first in order is taken: the doubling comes first.
+        assert plan_ladder(361 * 128, 361) == (361, 722, 5776, 46208)
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p.k_base, RHO) == (45,)
+        assert plan_ladder(40, p.k_base) == (45,)
 
     def test_envelope(self):
         # probe_index is exact for K < 2^17 and a padded N <= 2^46.
-        assert plan_ladder(1 << 46, 1 << 10, 2)[-1] == 1 << 46
+        assert plan_ladder(1 << 46, 1 << 10)[-1] == 1 << 46
         with pytest.raises(EnvelopeError, match="padded grid size"):
-            plan_ladder((1 << 46) + 1, 1 << 10, 2)
-        assert plan_ladder(10, (1 << 17) - 1, 2) == ((1 << 17) - 1,)
+            plan_ladder((1 << 46) + 1, 1 << 10)
+        assert plan_ladder(10, (1 << 17) - 1) == ((1 << 17) - 1,)
         with pytest.raises(EnvelopeError, match="base modulus K"):
-            plan_ladder(10, 1 << 17, 2)
+            plan_ladder(10, 1 << 17)
 
-    @pytest.mark.parametrize("rho", [2, 3, 5, 8, 16])
-    def test_plans_match_brute_force(self, rho):
+    @pytest.mark.parametrize("seed", [2, 3, 5, 8, 16])
+    def test_plans_match_brute_force(self, seed):
         # Seeded requests of 1 to 5 steps, and the edges of each step count.
-        rng = np.random.default_rng(rho)
+        rng = np.random.default_rng(seed)
         k = 7
-        requests = {k + 1, k * rho + 1}
+        requests = {k + 1, k * RHO + 1}
         for steps in range(1, 6):
-            top = k * rho**steps
+            top = k * RHO**steps
             requests.update({top - 1, top, *rng.integers(k + 1, top, 6).tolist()})
         for n in sorted(requests):
-            assert plan_ladder(n, k, rho) == reference_plan(n, k, rho), n
+            assert plan_ladder(n, k) == reference_plan(n, k), n
 
     @pytest.mark.parametrize("r_bound,requested_n", [
         (1, 9952744261968), (2, 21990232555520), (16, 25160244722316),
@@ -312,7 +316,7 @@ class TestLadder:
         # They take 172, 162, 149, 143, 138, then 248, 252, 239, 223, 223,
         # 208, and 162 calls.
         params = SupportParams(r_bound=r_bound)
-        assert planner_nodes(requested_n, params.k_base, RHO) <= 260
+        assert planner_nodes(requested_n, params.k_base) <= 260
 
 
 class TestDealias:
@@ -394,7 +398,7 @@ class TestSamplePeriod:
         n = 512 * k
         spectrum = SparseSpectrum(n, {3: 1.0, 5 * k + 7: 0.75, n - 1: 1.25})
         sampler = CountingSampler(spectrum)
-        moduli = plan_ladder(n, k, RHO)
+        moduli = plan_ladder(n, k)
         assert moduli == (k, 8 * k, 64 * k, n)
         got = find_support(sampler, moduli, params, np.random.default_rng(0))
         assert got.tolist() == sorted(spectrum.entries)
@@ -575,7 +579,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, dict(zip(lines, amps)))
         params, sampler = SupportParams(r_bound=r), Sampler(spectrum)
         rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
-        moduli = plan_ladder(n, params.k_base, RHO)
+        moduli = plan_ladder(n, params.k_base)
         k = moduli[0]
         base = initial_aliased_support(sampler, k, params)
         assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
@@ -602,14 +606,14 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, {int(j): float(a)
                                       for j, a in zip(support, amps)})
         params = SupportParams(r_bound=16)
-        got = find_support(Sampler(spectrum), plan_ladder(n, params.k_base, RHO),
+        got = find_support(Sampler(spectrum), plan_ladder(n, params.k_base),
                            params, np.random.default_rng(seed + 100))
         assert got.tolist() == sorted(int(j) for j in support)
 
     def test_empty_spectrum(self):
         spectrum = SparseSpectrum(64, {})
         params = SupportParams(r_bound=4)
-        assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base, RHO),
+        assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base),
                             params, np.random.default_rng(0)).size == 0
 
     def test_candidate_blowup_guard(self):
@@ -620,7 +624,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(n, {int(j): 1.0 for j in support})
         params = SupportParams(r_bound=2, mu=0.01)
         with pytest.raises(CandidateBlowup):
-            find_support(Sampler(spectrum), plan_ladder(n, params.k_base, RHO),
+            find_support(Sampler(spectrum), plan_ladder(n, params.k_base),
                          params, np.random.default_rng(0))
 
     def test_spurious_output_within_p(self):
@@ -636,7 +640,7 @@ class TestFindSupport:
         spurious = missed = 0
         for seed in range(runs):
             entries, lattice, noise = random_instance(1 << 20, 2, 4, 1e-2, seed)
-            moduli = plan_ladder(lattice.total, params.k_base, RHO)
+            moduli = plan_ladder(lattice.total, params.k_base)
             got = set(find_support(md_sample_adapter(entries, lattice, noise), moduli,
                                    params, np.random.default_rng(seed)).tolist())
             truth = {flatten_index(key, lattice) for key in entries}

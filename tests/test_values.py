@@ -11,6 +11,13 @@ from smfft.value_recovery import (BLOCKS, apply_normal, compute_values,
                                   contraction_ok, draw_measurement,
                                   neumann_solve, prime_pool)
 
+from reference import trial_division_primes
+
+
+def primes_above(r, count):
+    """The ``count`` smallest primes above r, by trial division."""
+    return [p for p in trial_division_primes(40000) if p > r][:count]
+
 
 def make_instance(n, support, amps):
     spectrum = SparseSpectrum(n, dict(zip(support, amps)))
@@ -31,9 +38,9 @@ class TestPrimePool:
         # lines from the support stage make it, sieves no more, and its pool
         # is the one a sieve of its own would give.  Only a pool past the
         # array's end sieves again.
-        sieve, calls = vr.primes_greater_than, []
-        monkeypatch.setattr(vr, "primes_greater_than",
-                            lambda r, count: calls.append(r) or sieve(r, count))
+        sieve, calls = vr.primes_below, []
+        monkeypatch.setattr(vr, "primes_below",
+                            lambda limit: calls.append(limit) or sieve(limit))
         monkeypatch.setattr(vr, "_primes", np.zeros(0, dtype=np.int64))
         _, sampler = make_instance(4096, [1, 2000, 3000], [1.0, 1.0, 1.0])
         first = draw_measurement(np.array([1, 2000]), 2, 4096,
@@ -47,11 +54,11 @@ class TestPrimePool:
                                  np.random.default_rng(2), sampler)
         assert len(calls) == 1
         pool = prime_pool(3, 4096)
-        assert pool.tolist() == sieve(3, len(pool)) and len(pool) == 91
+        assert pool.tolist() == primes_above(3, len(pool)) and len(pool) == 91
         assert set(wider.primes) <= set(pool.tolist())
         past_end = prime_pool(400, 4096)
         assert len(calls) == 2
-        assert past_end.tolist() == sieve(400, 2222)
+        assert past_end.tolist() == primes_above(400, 2222)
 
 
 class TestMeasurement:
