@@ -24,8 +24,8 @@ class ContractionFailure(SmfftError):
 class EnvelopeError(SmfftError):
     """The problem lies outside the pipeline's exact envelope.  Raised before
     any sample by SupportParams.k_base and plan_ladder (K or the padded N too
-    large for the ladder's int64 arithmetic), and while sampling by
-    md_transform._Rescaled (a sample overflows in units of mu)."""
+    large for the ladder's int64 arithmetic), and by md_sfft when a sample
+    or a sum of its support or value stage overflows in units of mu."""
 
 
 class ParseError(SmfftError):

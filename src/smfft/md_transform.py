@@ -76,23 +76,13 @@ def md_sample_adapter(entries: dict, lattice: RankOneLattice,
 
 
 class _Rescaled:
-    """An oracle whose samples are another's times ``scale``.
-
-    A sample that leaves float64's range in these units comes from
-    amplitudes far above delta_ratio*mu, outside the envelope: it raises
-    EnvelopeError rather than reach the probes as inf.
-    """
+    """An oracle whose samples are another's times ``scale``."""
 
     def __init__(self, sampler, scale: float):
         self.sampler, self.scale = sampler, scale
 
     def sample_progression(self, start, step, count, den):
-        with np.errstate(over="ignore"):
-            samples = self.sampler.sample_progression(start, step, count, den) * self.scale
-        if not np.isfinite(samples).all():
-            raise EnvelopeError("samples overflow in units of mu: the amplitudes "
-                                "lie far above mu")
-        return samples
+        return self.sampler.sample_progression(start, step, count, den) * self.scale
 
 
 def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
@@ -110,7 +100,10 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     and the values by 2^e, all exactly, and sums over a period of samples
     near 1e306 stay in float64's range.  For mu in [0.5, 1), e = 0 and
     nothing is rescaled.  (e is held at -1023 and up, so that 2^-e is a
-    float.)
+    float.)  A sum that still overflows, or turns invalid, in these units
+    comes from amplitudes far above delta_ratio*mu: both stages run with
+    numpy's overflow and invalid-value errors raised, and either becomes
+    EnvelopeError.
     """
     e = max(math.frexp(params.mu)[1], -1023)
     if e:
@@ -119,15 +112,20 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
                          eta=math.ldexp(params.eta, -e))
     n_total = lattice.total
     moduli = plan_ladder(n_total, params.k_base)
-    support = find_support(sampler, moduli, params, rng)
-    # Ladder padding can admit indices beyond M^d; those cannot be real.
-    support = support[support < n_total]
     if stats is not None:
         stats["ladder_steps"] = len(moduli)
         stats["redraws"] = 0
-    if not support.size:
-        return {}
-    values = compute_values(support, n_total, params, sampler, rng, stats=stats)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            support = find_support(sampler, moduli, params, rng)
+            # Ladder padding can admit indices beyond M^d; those cannot be real.
+            support = support[support < n_total]
+            if not support.size:
+                return {}
+            values = compute_values(support, n_total, params, sampler, rng, stats=stats)
+    except FloatingPointError as exc:
+        raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
+                            "amplitudes lie far above mu") from exc
     digits = np.unravel_index(np.fromiter(values, np.int64),
                               (lattice.axis_size,) * lattice.dims, order="F")
     return {key: math.ldexp(v, e)

@@ -27,6 +27,7 @@ the K/2 sample when K is even.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,60 +165,38 @@ class SupportParams:
         return 2 * x * modulus / (math.pi * self.k_base)
 
 
-def _min_product_with_factors(target: int, count: int) -> tuple[int, ...]:
-    """Smallest product >= target using exactly ``count`` >= 1 factors in
-    [2, RHO], RHO**count >= target; of several, the first in lexicographic
-    order."""
-    best, best_product = (), math.inf
-
-    def recur(chosen: tuple[int, ...], product: int, remaining: int, min_f: int):
-        nonlocal best, best_product
-        # Factors are nondecreasing, so with r left a next factor f completes
-        # to [product*f^r, product*f*RHO^(r-1)]: f runs from the least that
-        # reaches target to the first that cannot beat the best, or whose
-        # least completion (all f, the only one of its product) reaches it.
-        lowest = -(-target // (product * RHO**(remaining - 1)))
-        for f in range(max(min_f, lowest), RHO + 1):
-            least = product * f**remaining
-            if least >= best_product:
-                break
-            if least >= target:
-                best, best_product = chosen + (f,) * remaining, least
-                break
-            recur(chosen + (f,), product * f, remaining - 1, f)
-
-    recur((), 1, count, 2)
-    return best
-
-
+@functools.cache
 def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
     """The ladder moduli M_1 = K, M_{k+1} = rho_k * M_k, rho_k in [2, RHO].
 
     The last modulus is the padded size N >= requested_n.  The number of
     ladder steps is minimized first (factors as large as allowed), then the
-    overshoot: among plans with that many steps, the smallest padded N wins.
+    overshoot: of every nondecreasing tuple of that many factors, the first
+    in lexicographic order with the smallest padded N wins.  The plan is a
+    pure function of (requested_n, k_base), computed once for each pair.
 
     This is where the envelope is decided, before any sample is drawn: a K
     of 2^17 or more, or a padded N above MAX_MODULUS = 2^46, raises
-    EnvelopeError.  Both bounds keep probe_index exact (s*K + M/2 < 2^63),
-    and with them every request of the pipeline passes the sampler's guard.
+    EnvelopeError (a requested_n above 2^46 before any tuple is tried).  Both
+    bounds keep probe_index exact (s*K + M/2 < 2^63), and with them every
+    request of the pipeline passes the sampler's guard.
     """
     if requested_n < 1:
         raise ValueError("requested_n must be positive")
     if k_base >= 1 << 17:
         raise EnvelopeError(f"base modulus K {k_base} reaches 2^17")
-    if k_base >= requested_n:
-        return (k_base,)
+    if requested_n > MAX_MODULUS:
+        raise EnvelopeError(f"padded grid size of at least {requested_n} exceeds 2^46")
     target = -(-requested_n // k_base)  # ceil division
-    steps = 1
+    steps = 0
     while RHO**steps < target:  # exact: a float log overshoots at powers of RHO
         steps += 1
-    moduli = [k_base]
-    for f in _min_product_with_factors(target, steps):
-        moduli.append(moduli[-1] * f)
+    factors = min((c for c in itertools.combinations_with_replacement(
+        range(2, RHO + 1), steps) if math.prod(c) >= target), key=math.prod)
+    moduli = tuple(k_base * math.prod(factors[:i]) for i in range(steps + 1))
     if moduli[-1] > MAX_MODULUS:
         raise EnvelopeError(f"padded grid size {moduli[-1]} exceeds 2^46")
-    return tuple(moduli)
+    return moduli
 
 
 def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:

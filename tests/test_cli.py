@@ -181,6 +181,14 @@ class TestTransform:
         code, _ = run(["transform", "--signal", str(HUGE_SPEC), "--mu", "1e-100"], capsys)
         assert code == EXIT_ENVELOPE
 
+    def test_amplitudes_far_above_default_mu(self, capsys):
+        # At the default mu = 0.5 the samples fit float64, but the probes'
+        # sums of them do not.  It used to exit 4 with every value draw
+        # rejected, and exit 1 with an overflow warning as an error.
+        assert main(["verify", "--signal", str(HUGE_SPEC)]) == EXIT_ENVELOPE
+        assert ("outside the supported envelope: a sum overflows in units of mu"
+                in capsys.readouterr().err)
+
     def test_subnormal_amplitudes_verify(self, tmp_path, capsys):
         # mu = 5e-310 is below 2^-1023, where the unit 2^e of mu is held so
         # that 2^-e stays a float; the run still works in near-unit values.

@@ -1,9 +1,7 @@
 import collections
-import contextlib
 import dataclasses
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -62,30 +60,45 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
 
 
 def reference_plan(requested_n, k_base):
-    """The fewest steps, then the smallest padded N, by enumerating every
-    nondecreasing tuple of factors; of several, the first in order."""
+    """The fewest steps, then the smallest padded N, from the set of every
+    product of that many factors in [2, RHO], built by multiplying."""
     target = -(-requested_n // k_base)
-    steps = next(s for s in itertools.count(1) if RHO**s >= target)
-    factors = min((c for c in itertools.combinations_with_replacement(
-        range(2, RHO + 1), steps) if math.prod(c) >= target), key=math.prod)
-    return tuple(k_base * math.prod(factors[:i]) for i in range(steps + 1))
+    steps, products = 0, {1}
+    while max(products) < target:
+        steps += 1
+        products = {p * f for p in products for f in range(2, RHO + 1)}
+    return steps, min(p for p in products if p >= target)
 
 
-def planner_nodes(requested_n, k_base):
-    """Calls of the planner's recursive search made by one plan_ladder call."""
-    calls = [0]
+def factorizations(n, count, least=2):
+    """Every nondecreasing tuple of ``count`` factors in [least, RHO] whose
+    product is n."""
+    if count == 0:
+        return [()] if n == 1 else []
+    return [(f, *rest) for f in range(least, RHO + 1) if n % f == 0
+            for rest in factorizations(n // f, count - 1, f)]
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "recur":
-            calls[0] += 1
 
-    sys.setprofile(profile)
-    try:
-        with contextlib.suppress(EnvelopeError):
-            plan_ladder(requested_n, k_base)
-    finally:
-        sys.setprofile(None)
-    return calls[0]
+# The plans the pruned recursive search gave before plan_ladder tried every
+# factor tuple: the requests that had its largest searches, and the three
+# benchmark shapes (deep-ladder is (50, 10321**3), wide-support (256, 465**3)
+# and exact-shallow (256, 256**2)).
+PINNED_PLANS = {
+    (1, 9952744261968): (6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8),
+    (2, 21990232555520): (2, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
+    (16, 25160244722316): (2, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8),
+    (50, 10436770529280): (5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8),
+    (256, 58926951301120): (2, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8),
+    (1, 61970091588132): (5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8),
+    (1, 61675272240708): (5, 5, 5, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8),
+    (2, 16520162207310): (5, 5, 5, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8),
+    (16, 19062002596725): (5, 5, 6, 6, 6, 7, 7, 8, 8, 8, 8, 8, 8),
+    (50, 64038991937844): (5, 5, 6, 6, 6, 7, 7, 8, 8, 8, 8, 8, 8),
+    (256, 45079976734720): (3, 5, 5, 7, 8, 8, 8, 8, 8, 8, 8, 8),
+    (50, 1099424306161): (6, 6, 6, 6, 6, 7, 7, 7, 7, 8, 8),
+    (256, 100544625): (5, 8, 8, 8, 8),
+    (256, 65536): (2, 7),
+}
 
 
 def level_rounds(moduli, m):
@@ -296,27 +309,35 @@ class TestLadder:
             top = k * RHO**steps
             requests.update({top - 1, top, *rng.integers(k + 1, top, 6).tolist()})
         for n in sorted(requests):
-            assert plan_ladder(n, k) == reference_plan(n, k), n
+            moduli = plan_ladder(n, k)
+            factors = tuple(b // a for a, b in zip(moduli, moduli[1:]))
+            steps, product = reference_plan(n, k)
+            assert moduli[0] == k and len(factors) == steps, n
+            assert list(factors) == sorted(factors) and math.prod(factors) == product, n
+            assert factors == min(factorizations(product, steps)), n
 
-    @pytest.mark.parametrize("r_bound,requested_n", [
-        (1, 9952744261968), (2, 21990232555520), (16, 25160244722316),
-        (50, 10436770529280), (256, 58926951301120),
-        (1, 61970091588132), (1, 61675272240708), (2, 16520162207310),
-        (16, 19062002596725), (50, 64038991937844), (256, 45079976734720),
-        (50, 10321**3)])
-    def test_planner_search_budget(self, r_bound, requested_n):
-        # The search depends on ceil(N/K) alone.  The first five requests
-        # had the largest search for each R when K was 18 at R = 1.  Then
-        # come the known worst case of the search before each next factor
-        # was bounded in its loop (614 calls then, R = 1), and the N with
-        # the largest search for each R at today's K (14 at R = 1), found
-        # over every target of up to 4 steps, 30000 more drawn
-        # log-uniformly up to 2^46/K and those just above each power of
-        # RHO.  The last is the deep-ladder benchmark's (416 calls then).
-        # They take 172, 162, 149, 143, 138, then 248, 252, 239, 223, 223,
-        # 208, and 162 calls.
-        params = SupportParams(r_bound=r_bound)
-        assert planner_nodes(requested_n, params.k_base) <= 260
+    @pytest.mark.parametrize("r_bound,requested_n", list(PINNED_PLANS))
+    def test_pinned_plans(self, r_bound, requested_n):
+        moduli = plan_ladder(requested_n, SupportParams(r_bound=r_bound).k_base)
+        factors = tuple(b // a for a, b in zip(moduli, moduli[1:]))
+        assert factors == PINNED_PLANS[r_bound, requested_n]
+
+    def test_planned_once_per_request(self):
+        first = plan_ladder(10321**3, 924)
+        before = plan_ladder.cache_info()
+        assert plan_ladder(10321**3, 924) is first
+        after = plan_ladder.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_rejects_large_request_before_enumerating(self, monkeypatch):
+        # 2^100 / 14 would take 33 factors, about 3.3 million tuples.
+        def enumerate_tuples(*args):
+            raise AssertionError("factor tuples enumerated")
+
+        monkeypatch.setattr(itertools, "combinations_with_replacement",
+                            enumerate_tuples)
+        with pytest.raises(EnvelopeError, match="padded grid size"):
+            plan_ladder(2**100, 14)
 
 
 class TestDealias:
