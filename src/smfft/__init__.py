@@ -4,7 +4,7 @@ Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
 dimension, with a failure probability that decays exponentially in the
 number of value-stage draws: each draw passes its contraction check with
-probability at least 1/2, and ceil(log2(1/p_fail)) are made.  See
+probability at least 1/2, and ceil(-log2 p_fail) are made.  See
 README.md for usage.
 """
 

@@ -47,9 +47,8 @@ def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
 
 def meets_success_rule(recovered: dict, truth: dict, err: float,
                        eta: float) -> bool:
-    """Exact support, and relative error <= 3*eta (<= 1e-8 when eta = 0)."""
-    err_cap = 1e-8 if eta == 0 else 3 * eta
-    return set(recovered) == set(truth) and err <= err_cap
+    """Exact support, and relative error <= max(3*eta, 1e-8)."""
+    return set(recovered) == set(truth) and err <= max(3 * eta, 1e-8)
 
 
 def make_params(sparsity: int, eta: float, **overrides) -> SupportParams:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import inspect
 import json
 import os
@@ -30,6 +31,16 @@ EXIT_SUPPORT = 3
 EXIT_VALUES = 4
 EXIT_ENVELOPE = 5
 
+# How main reports a failure: the first row whose class matches sets the
+# message prefix and the exit code.
+FAILURES = (
+    (ParseError, "error", EXIT_PARSE),
+    (CandidateBlowup, "support recovery failed", EXIT_SUPPORT),
+    (ContractionFailure, "value recovery failed", EXIT_VALUES),
+    (EnvelopeError, "outside the supported envelope", EXIT_ENVELOPE),
+    (ValueError, "error", EXIT_PARSE),
+)
+
 # SupportParams fields settable from transform/verify; unset ones keep its
 # defaults.  R defaults to the file's support size and the file alone sets
 # the noise level eta.
@@ -38,7 +49,6 @@ TUNING_FLAGS = (
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
     ("--delta-ratio", "delta_ratio", float, "dynamic range bound"),
 )
-
 
 # bench_n_rows/bench_r_rows parameters settable from bench-n/bench-r; unset
 # ones keep those functions' defaults.
@@ -84,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=kind, dest=dest,
                            help=f"{what} (default {defaults[dest]:g})")
         add_run(p)
+        p.set_defaults(run=functools.partial(_run_file, check=name == "verify"))
 
     for name, text in (("bench-n", "timing sweep over the ambient size N"),
                        ("bench-r", "timing sweep over the sparsity R")):
@@ -96,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format (default csv)")
         add_run(p)
+        p.set_defaults(run=_run_bench)
     return parser
 
 
@@ -142,10 +154,9 @@ def _run_file(args, check: bool) -> tuple[str, int]:
                   support=[list(k) for k in sorted(recovered)],
                   values=[recovered[k] for k in sorted(recovered)])
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    code = EXIT_OK
     if check and not report["success"]:
-        code = EXIT_SUPPORT if set(recovered) != set(entries) else EXIT_VALUES
-    return text, code
+        return text, EXIT_SUPPORT if set(recovered) != set(entries) else EXIT_VALUES
+    return text, EXIT_OK
 
 
 def _run_bench(args) -> tuple[str, int]:
@@ -158,35 +169,17 @@ def _run_bench(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         _check_out(args.out)
-        if args.command == "transform":
-            text, code = _run_file(args, check=False)
-        elif args.command == "verify":
-            text, code = _run_file(args, check=True)
-        else:
-            text, code = _run_bench(args)
+        text, code = args.run(args)
         _emit(text, args.out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CandidateBlowup as exc:
-        print(f"support recovery failed: {exc}", file=sys.stderr)
-        return EXIT_SUPPORT
-    except ContractionFailure as exc:
-        print(f"value recovery failed: {exc}", file=sys.stderr)
-        return EXIT_VALUES
-    except EnvelopeError as exc:
-        print(f"outside the supported envelope: {exc}", file=sys.stderr)
-        return EXIT_ENVELOPE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(row[0] for row in FAILURES) as exc:
+        _, prefix, code = next(row for row in FAILURES if isinstance(exc, row[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
     return code
 
 

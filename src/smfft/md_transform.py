@@ -120,8 +120,6 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
             support = find_support(sampler, moduli, params, rng)
             # Ladder padding can admit indices beyond M^d; those cannot be real.
             support = support[support < n_total]
-            if not support.size:
-                return {}
             values = compute_values(support, n_total, params, sampler, rng, stats=stats)
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "

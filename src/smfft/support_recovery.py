@@ -82,12 +82,12 @@ class SupportParams:
     """What the caller knows of the problem: the sparsity bound, the
     failure probability it accepts, and estimates of the spectrum.
 
-    p_fail sets the value stage's ceil(log2(1/p_fail)) draws; the support
+    p_fail sets the value stage's ceil(-log2 p_fail) draws; the support
     search does not read it (:data:`LAST_ROUNDS`).  mu is a lower bound on the
     smallest nonzero amplitude, delta_ratio an upper bound on the dynamic
     range ||fhat||_inf / mu.  Neither is estimated from data; defaults match
-    an amplitude range of [0.5, 1.5].  eta is the samples' noise level (0
-    when noiseless), at most DELTA*mu/2.
+    an amplitude range of [0.5, 1.5].  eta is the samples' noise level, at
+    most DELTA*mu/2; the value stage recovers to max(eta, 1e-10).
     """
 
     r_bound: int

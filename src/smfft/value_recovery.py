@@ -117,10 +117,10 @@ def contraction_ok(norms: list[float]) -> bool:
 
     Checks geometric halving of the first two Neumann residuals, and that
     the last of the Z recorded after the first is at most 2^-Z times it,
-    as that event implies.  A zero initial residual (exactly consistent
-    data) is trivially accepted.
+    as that event implies.  A zero first residual (all-zero data) leaves
+    every later one zero, which all three checks accept.
     """
-    if len(norms) < 3 or norms[0] == 0.0:
+    if len(norms) < 3:
         return True
     return (norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
             and norms[-1] <= math.ldexp(norms[0], 1 - len(norms)))
@@ -130,22 +130,21 @@ def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
                    sampler: Sampler, rng: np.random.Generator,
                    stats: dict | None = None) -> dict[int, float]:
     """Recover the spectrum values on the int64 array ``support`` to
-    accuracy O(eta), or to 1e-10 when the samples are noiseless (eta = 0).
+    accuracy O(max(eta, 1e-10)); an empty support gives ``{}``.
 
-    Up to A = ceil(log2(1/p)) measurement draws are attempted; each accepted
-    draw is solved with Z = ceil(log2(1/accuracy)) Neumann terms.  The
-    prime pool is sized by max(R, |support|), so a support larger than R
-    (an R set too low, or spurious survivors) does not lower the chance of
-    a contracting draw.  Recovered entries below mu/2 are dropped: with mu
-    a valid lower bound on the smallest true amplitude, such entries can
-    only be spurious support survivors (their exact value is zero).
+    Up to A = max(1, ceil(-log2 p)) measurement draws are attempted; each
+    accepted draw is solved with Z = max(2, ceil(-log2 max(eta, 1e-10)))
+    Neumann terms.  The prime pool is sized by max(R, |support|), so a
+    support larger than R (an R set too low, or spurious survivors) does
+    not lower the chance of a contracting draw.  Entries below mu/2 are
+    dropped: mu bounds every true amplitude from below, so they can only be
+    spurious survivors, whose exact value is zero.
     """
     support = np.sort(support)
     if not support.size:
         return {}
-    accuracy = params.eta or 1e-10
-    z_terms = max(2, math.ceil(math.log2(1.0 / accuracy)))
-    attempts = max(1, math.ceil(math.log2(1.0 / params.p_fail)))
+    z_terms = max(2, math.ceil(-math.log2(max(params.eta, 1e-10))))
+    attempts = max(1, math.ceil(-math.log2(params.p_fail)))
     for attempt in range(attempts):
         system = draw_measurement(support, max(params.r_bound, len(support)),
                                   n_total, rng, sampler)

@@ -323,6 +323,36 @@ class TestVerify:
         assert code == EXIT_SUPPORT
 
 
+class TestEdgeInputs:
+    # Edge inputs take the general formulas: -log2 of a subnormal p or eta
+    # is finite, where log2(1/x) overflowed, and the error cap is never
+    # below the noiseless 1e-8.
+    def test_subnormal_p_verify(self, capsys):
+        # It used to die with an OverflowError traceback (exit 1).
+        spec = Path(__file__).parents[1] / "demos" / "signal_3d.json"
+        assert main(["verify", "--signal", str(spec), "--p", "1e-310"]) == 0
+
+    @pytest.mark.parametrize("eta", [1e-310, 1e-16])
+    def test_tiny_eta_verify(self, eta, tmp_path, capsys):
+        # At 1e-310 it used to die with an OverflowError traceback (exit 1);
+        # at 1e-16 it exited 4, its error of about 4e-16 above 3*eta.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 2, "axis_size": 32,
+                                    "support": [[1, 2], [30, 17], [0, 5]],
+                                    "values": [1.0, 0.75, 1.25],
+                                    "noise": {"kind": "gaussian", "eta": eta,
+                                              "seed": 3}}))
+        code, out = run(["verify", "--signal", str(path)], capsys)
+        assert code == 0 and json.loads(out)["success"] is True
+
+    def test_success_rule_caps_the_error_at_1e_8(self):
+        truth = {(1,): 1.0}
+        assert bench.meets_success_rule(truth, truth, 4e-16, 1e-16)
+        assert bench.meets_success_rule(truth, truth, 1e-8, 0.0)
+        assert not bench.meets_success_rule(truth, truth, 2e-8, 0.0)
+        assert not bench.meets_success_rule(truth, truth, 0.031, 0.01)
+
+
 class TestBench:
     def test_bench_r_csv_header_and_rows(self, capsys):
         code, out = run(["bench-r", "--trials", "1", "--m", "64",

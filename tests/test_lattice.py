@@ -143,6 +143,31 @@ class TestMdSfft:
         assert md_sfft(sampler, lat, SupportParams(r_bound=4),
                        np.random.default_rng(0)) == {}
 
+    def test_any_object_with_sample_progression_is_an_oracle(self):
+        # The pipeline calls the oracle's one method and nothing else, so a
+        # plain delegating object gives the Sampler's own run.
+        lat = RankOneLattice(2, 64)
+        rng = np.random.default_rng(11)
+        flat = rng.choice(lat.total, 12, replace=False)
+        entries = dict(zip(multi_indices(flat, lat), rng.uniform(0.5, 1.5, 12).tolist()))
+
+        class Delegate:
+            def __init__(self, sampler):
+                self.sampler = sampler
+
+            def sample_progression(self, start, step, count, den):
+                return self.sampler.sample_progression(start, step, count, den)
+
+        runs = []
+        for wrap in (lambda s: s, Delegate):
+            ledger = SampleLedger()
+            sampler = wrap(md_sample_adapter(entries, lat, NoiseModel(0.01, 2), ledger))
+            got = md_sfft(sampler, lat, SupportParams(r_bound=12, eta=0.01),
+                          np.random.default_rng(4))
+            runs.append((got, ledger.unique_count))
+        assert set(runs[0][0]) == set(entries)
+        assert runs[1] == runs[0]
+
     @pytest.mark.parametrize("e", [-1000, -3, 2, 600, 1000])
     def test_runs_in_units_of_mu(self, e):
         # The spectrum, mu and eta times 2^e give the same run in units of
