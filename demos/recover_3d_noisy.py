@@ -38,4 +38,5 @@ print(f"relative l2 error: {err:.2e}")
 print(f"samples used: {ledger.unique_count:,} "
       f"({ledger.unique_count / lattice.total:.2%} of the grid)")
 print(f"ladder levels: {stats['ladder_steps']}, "
+      f"prime-grid fallbacks: {stats['fallbacks']}, "
       f"measurement redraws: {stats['redraws']}")

@@ -8,8 +8,8 @@ and the final recovered values.
 
 import numpy as np
 
-from smfft import (SampleLedger, Sampler, SparseSpectrum, SupportParams,
-                   dealias_candidates, find_support, plan_ladder)
+from smfft import (LastLevel, SampleLedger, Sampler, SparseSpectrum,
+                   SupportParams, dealias_candidates, find_support, plan_ladder)
 from smfft.value_recovery import compute_values
 
 N = 40
@@ -38,9 +38,12 @@ print(f"base modulus K={params.k_base}, ladder moduli {moduli} "
 ledger = SampleLedger()
 sampler = Sampler(spectrum, ledger=ledger)
 rng = np.random.default_rng(0)
-support = find_support(sampler, moduli, params, rng)
+# The search runs on an oracle that keeps the last level's samples; the
+# value stage reads the values from them and draws nothing more.
+level = LastLevel(sampler, moduli)
+support = find_support(level, moduli, params, rng)
 print("recovered support:", support.tolist())
-values = compute_values(support, N, params, sampler, rng)
+values = compute_values(support, level, N, params, sampler, rng)
 for j in support:
     print(f"  fhat[{j}] = {values[j]:.12f}")
 print(f"{ledger.unique_count} distinct samples of a length-{N} signal")

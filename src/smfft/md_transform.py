@@ -5,7 +5,8 @@ A cubic grid of size N = M^d with generator g = (1, M, ..., M^(d-1)) turns
 the d-dimensional DFT into a 1-D DFT of the same coefficients reordered by
 the base-M digit isomorphism, with no oversampling: distinct multi-indices
 never collide because |(k - j) . g| < N.  The driver flattens the spectrum,
-runs the 1-D support and value recovery, and unflattens the result.
+runs the 1-D support recovery, fits the values from the last ladder level's
+samples, and unflattens the result.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import EnvelopeError, IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from .support_recovery import SupportParams, find_support, plan_ladder
+from .support_recovery import LastLevel, SupportParams, find_support, plan_ladder
 from .value_recovery import compute_values
 
 
@@ -115,12 +116,15 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     if stats is not None:
         stats["ladder_steps"] = len(moduli)
         stats["redraws"] = 0
+        stats["fallbacks"] = 0
+    last = LastLevel(sampler, moduli)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            support = find_support(sampler, moduli, params, rng)
+            support = find_support(last, moduli, params, rng)
             # Ladder padding can admit indices beyond M^d; those cannot be real.
             support = support[support < n_total]
-            values = compute_values(support, n_total, params, sampler, rng, stats=stats)
+            values = compute_values(support, last, n_total, params, sampler, rng,
+                                    stats=stats)
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc

@@ -71,9 +71,11 @@ INNER_ROUNDS = 2
 
 # L, the fewest shuffle rounds at the last level with 2 (RHO - 1) ALPHA^L <=
 # 1/20 (14 * 0.2^3 = 0.11, 14 * 0.2^4 = 0.022), so at most R/20 of the
-# spurious candidates it sees (above) reach the output in expectation.  Their
-# values are 0, so value_recovery drops them; its prime pool, sized by
-# max(R, |support|), grows by at most 5%.  At 3 rounds, 11% for no fewer samples.
+# spurious candidates it sees (above) reach the output in expectation.  The
+# value stage fits every line it is given from these rounds' samples; a
+# spurious line's value is 0, so it is dropped, but each adds an unknown to
+# the fit.  3 rounds would pass 11%: 4-14% fewer samples on the benchmark
+# shapes, for more spurious lines and CG iterations in the fit.
 LAST_ROUNDS = 4
 
 
@@ -82,8 +84,10 @@ class SupportParams:
     """What the caller knows of the problem: the sparsity bound, the
     failure probability it accepts, and estimates of the spectrum.
 
-    p_fail sets the value stage's ceil(-log2 p_fail) draws; the support
-    search does not read it (:data:`LAST_ROUNDS`).  mu is a lower bound on the
+    p_fail sets how many prime-grid draws, ceil(-log2 p_fail), the value
+    stage's fallback may make, so it bounds the chance that the fallback
+    fails; it bounds nothing else.  The support search and the fit from the
+    last level's rounds do not read it.  mu is a lower bound on the
     smallest nonzero amplitude, delta_ratio an upper bound on the dynamic
     range ||fhat||_inf / mu.  Neither is estimated from data; defaults match
     an amplitude range of [0.5, 1.5].  eta is the samples' noise level, at
@@ -274,6 +278,27 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
     return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
 
 
+class LastLevel:
+    """An oracle that passes every request on to ``sampler`` and keeps those
+    at the last modulus of the ladder ``moduli``: the shuffles q_r (the
+    steps) and raw half periods of the last level's probe rounds, before
+    any window, or the base level's one period when the ladder has one
+    level.  find_support runs on it, and the value stage fits what it kept.
+    """
+
+    def __init__(self, sampler: Sampler, moduli: tuple[int, ...]):
+        self.sampler, self.modulus = sampler, moduli[-1]
+        self.qs: list[int] = []
+        self.halves: list[np.ndarray] = []
+
+    def sample_progression(self, start, step, count, den):
+        samples = self.sampler.sample_progression(start, step, count, den)
+        if den == self.modulus:
+            self.qs.append(step)
+            self.halves.append(samples)
+        return samples
+
+
 def find_support(sampler: Sampler, moduli: tuple[int, ...],
                  params: SupportParams, rng: np.random.Generator) -> np.ndarray:
     """Full support search: dealias level by level along the ladder
@@ -281,6 +306,8 @@ def find_support(sampler: Sampler, moduli: tuple[int, ...],
 
     Every level but the last runs :data:`INNER_ROUNDS` probe rounds, the
     last :data:`LAST_ROUNDS`.  Returns the support as a sorted int64 array.
+    Run on a :class:`LastLevel`, it leaves there the samples the value
+    stage fits.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]

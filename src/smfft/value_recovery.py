@@ -1,17 +1,26 @@
-"""Value recovery on a known support via prime-modulus measurements.
+"""Value recovery on a known support, from the last ladder level's samples.
 
-Samples the signal on T prime-size grids, which yields a block system
-FB fhat = f0 where each B^(t) aliases the support mod a random prime and
-F^(t) is a dense DFT block.  (1/T) B*B is a small perturbation of the
-identity with probability >= 1/2 per draw, so the system is solved by a
-truncated Neumann series; draws failing an observable contraction test are
-rejected and redrawn.
+The last ladder level requests L half periods y_r[m] = f((m*q_r mod M)/M),
+m = 0..K/2, one per shuffle q_r, and support_recovery.LastLevel keeps them.
+In round r, line j sits at bin u_rj = K*(q_r*j mod M)/M of K bins.  Each
+half is weighted by the Gaussian g(m) = exp(-(2x*m/K)^2) and transformed by
+one batched real inverse FFT of size K.  By Poisson summation a line of
+amplitude a then reads a*C*exp(-((n - u_rj)/s)^2) at bin n, summed over its
+wrapped images, with s = 2x/pi and C = K*sqrt(pi)/(2x): the gridding of
+Dutt-Rokhlin and Greengard-Lee ("Accelerating the nonuniform FFT", SIAM
+Review 46, 2004).  The values are the least-squares fit of these responses,
+whose sparse normal matrix has a closed form (:func:`normal_matrix`),
+solved by conjugate gradients (CG).  The stage draws no sample.  A
+one-level ladder (K >= N) needs no fit: the base level's DFT is the spectrum.
 
-The spectrum is real, so f(-x) = conj f(x), and each prime grid k/p is
-requested for k = 0..p//2 only.  The whole system is real: each grid is
-read at the support residues as soon as it is sampled, with one gridded sum
-(:func:`nufft.hermitian_exp_sum`, a real FFT of an 11-smooth size), never a
-prime-length FFT, and the Neumann series runs on float64 vectors.
+If CG misses its tolerance within :data:`CG_ITERATIONS`, prime-modulus
+measurements give the values instead (:func:`prime_grid_values`): T grids of
+random prime size p, each requested for k/p, k = 0..p//2, and read at the
+support residues by one gridded sum (:func:`nufft.hermitian_exp_sum`).  They
+yield a block system FB fhat = f0 where each B^(t) aliases the support mod
+its prime; (1/T) B*B is a small perturbation of the identity with
+probability >= 1/2 per draw, so a truncated Neumann series solves it, and
+draws failing an observable contraction test are redrawn.
 """
 
 from __future__ import annotations
@@ -20,15 +29,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_math import primes_below
+from .core_math import mulmod, primes_below
 from .errors import ContractionFailure
 from .nufft import hermitian_exp_sum
 from .signal import Sampler
-from .support_recovery import SupportParams
+from .support_recovery import LastLevel, SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
 _primes = np.zeros(0, dtype=np.int64)  # every prime up to the largest pool yet
+
+# x: the fit's window g(m) = exp(-(2x*m/K)^2) is cut at |m| = K/2, where it
+# is exp(-x^2) = 6e-13 of its peak.
+WINDOW_X = 5.3
+_WIDTH = 2 * WINDOW_X / math.pi  # s, the response's width in bins: 3.37
+# A line's right-hand side is read from the bins within FOOTPRINT of it; its
+# response has fallen to exp(-(20/s)^2) = 6e-16 of its peak there.
+FOOTPRINT = 20
+# D: two lines farther apart than this in a round add below 1e-14 of the
+# diagonal to the normal matrix there, s*sqrt(2 ln 1e14) = 27.1 bins.
+_REACH = _WIDTH * math.sqrt(2 * math.log(1e14))
+# CG's iteration cap.  Inside the envelope CG takes 7-11 iterations on
+# deep-ladder and wide-support and 19-23 on exact-shallow; a support of
+# twice R (512 lines at R = 256) takes 30-33, one of 4R does not converge
+# in 60 and falls back to the prime grids.
+CG_ITERATIONS = 50
 
 
 @dataclass
@@ -120,29 +146,23 @@ def contraction_ok(norms: list[float]) -> bool:
     as that event implies.  A zero first residual (all-zero data) leaves
     every later one zero, which all three checks accept.
     """
-    if len(norms) < 3:
-        return True
     return (norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
             and norms[-1] <= math.ldexp(norms[0], 1 - len(norms)))
 
 
-def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
-                   sampler: Sampler, rng: np.random.Generator,
-                   stats: dict | None = None) -> dict[int, float]:
-    """Recover the spectrum values on the int64 array ``support`` to
-    accuracy O(max(eta, 1e-10)); an empty support gives ``{}``.
+def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
+                      sampler: Sampler, rng: np.random.Generator,
+                      stats: dict | None = None) -> np.ndarray:
+    """Values on the sorted nonempty int64 ``support`` from prime-grid
+    measurements, to accuracy O(max(eta, 1e-10)).
 
-    Up to A = max(1, ceil(-log2 p)) measurement draws are attempted; each
-    accepted draw is solved with Z = max(2, ceil(-log2 max(eta, 1e-10)))
-    Neumann terms.  The prime pool is sized by max(R, |support|), so a
-    support larger than R (an R set too low, or spurious survivors) does
-    not lower the chance of a contracting draw.  Entries below mu/2 are
-    dropped: mu bounds every true amplitude from below, so they can only be
-    spurious survivors, whose exact value is zero.
+    Up to A = max(1, ceil(-log2 p_fail)) measurement draws are attempted;
+    each accepted draw is solved with Z = max(2, ceil(-log2 max(eta,
+    1e-10))) Neumann terms, and ``stats["redraws"]`` counts the rejected
+    draws before it.  The prime pool is sized by max(R, |support|), so a
+    support larger than R does not lower the chance of a contracting draw.
+    Raises ContractionFailure when every draw is rejected.
     """
-    support = np.sort(support)
-    if not support.size:
-        return {}
     z_terms = max(2, math.ceil(-math.log2(max(params.eta, 1e-10))))
     attempts = max(1, math.ceil(-math.log2(params.p_fail)))
     for attempt in range(attempts):
@@ -152,7 +172,134 @@ def compute_values(support: np.ndarray, n_total: int, params: SupportParams,
         if contraction_ok(norms):
             if stats is not None:
                 stats["redraws"] = attempt
-            return {j: float(v) for j, v in zip(support.tolist(), solution)
-                    if v > params.mu / 2}
+            return solution
     raise ContractionFailure(
         f"all {attempts} measurement draws rejected for |support|={len(support)}")
+
+
+def normal_matrix(bins: np.ndarray, k_base: int):
+    """The fit's normal matrix for lines at the L x |S| float array ``bins``
+    (u_rj), in units of C^2*s*sqrt(pi/2): sum_r sum_h exp(-(d_r +
+    h*K)^2/(2s^2)), with d_r two lines' bin distance in round r, wrapped
+    into [-K/2, K/2], and h*K its images.
+
+    Returns (diag, rows, cols, vals).  The diagonal, L times the kernel at
+    0, is the same for every line.  Off it, each round lists the pairs
+    within D = _REACH bins of each other, in both orders; a pair listed in
+    several rounds adds up.  The images kept, |h| <= D/K + 1/2, follow from
+    K, so a small K, where a line's footprint wraps, takes the same path.
+    """
+    reach = int(_REACH / k_base + 0.5)
+    images = k_base * np.arange(-reach, reach + 1)
+
+    def kernel(d):
+        return np.exp(-(d[:, None] + images) ** 2 / (2 * _WIDTH**2)).sum(axis=1)
+
+    rounds, n = bins.shape
+    order = np.argsort(bins, axis=1)
+    # Each round's sorted bins, the rounds laid end to end with gaps wider
+    # than K + D, so that no search below crosses into another round.
+    p = (np.take_along_axis(bins, order, 1)
+         + 2 * (k_base + _REACH) * np.arange(rounds)[:, None]).ravel()
+    line = np.arange(p.size)
+    end = line - line % n + n
+    # Sorted line a pairs with the b > a of its round within D ahead of it,
+    # and with those within D behind it across the wrap: two index ranges.
+    near = np.searchsorted(p, p + _REACH, "right")
+    far = np.maximum(np.searchsorted(p, p + k_base - _REACH), near)
+    starts = np.concatenate([line + 1, far])
+    counts = np.concatenate([near, end]) - starts
+    a = np.repeat(np.concatenate([line, line]), counts)
+    b = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
+    d = p[b] - p[a]
+    vals = kernel(d - k_base * (d > k_base / 2))
+    order = order.ravel()
+    rows, cols = order[a], order[b]
+    diag = rounds * kernel(np.zeros(1))[0]
+    return (diag, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([vals, vals]))
+
+
+def fit_values(support: np.ndarray, level: LastLevel, k_base: int,
+               tol: float) -> np.ndarray | None:
+    """Least-squares values on the sorted int64 ``support`` from the last
+    ladder level's half periods; None if CG has not brought the residual of
+    the normal equations to ``tol`` times their right-hand side's norm
+    within CG_ITERATIONS iterations.
+
+    The normal matrix's diagonal is constant, so CG with a Jacobi
+    preconditioner is plain CG; it starts from rhs/diag.
+    """
+    bins = (mulmod(support, np.array(level.qs)[:, None], level.modulus)
+            / (level.modulus // k_base))
+    window = np.exp(-(2 * WINDOW_X / k_base * np.arange(k_base // 2 + 1)) ** 2)
+    phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)
+    # A^T phi, in units of C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
+    # sqrt(2)), read from the bins floor(u) + offsets around each line, out
+    # of each round's spectrum wrapped as often as K needs.
+    offsets = np.arange(-FOOTPRINT, FOOTPRINT + 2)
+    wrapped = np.take(phi, np.arange(-FOOTPRINT, k_base + FOOTPRINT + 1), axis=1, mode="wrap")
+    first = np.floor(bins)
+    reads = sliding_window_view(wrapped, len(offsets), axis=1)[
+        np.arange(len(bins))[:, None], first.astype(np.int64)]
+    weights = np.subtract.outer((bins - first) / _WIDTH, offsets / _WIDTH)
+    # In place: a fresh array of this size per step costs its page faults.
+    np.exp(np.negative(np.square(weights, out=weights), out=weights), out=weights)
+    rhs = math.sqrt(2) * np.einsum("rjt,rjt->j", weights, reads)
+    diag, rows, cols, vals = normal_matrix(bins, k_base)
+
+    def normal(v):
+        return diag * v + np.bincount(rows, vals * v[cols], len(v))
+
+    # Solved in units of the power of two at the largest |rhs| entry, so the
+    # norms stay finite; the system is linear, so that is exact.
+    unit = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max()))[1])
+    rhs = rhs * unit
+    x = rhs / diag
+    residual = rhs - normal(x)
+    direction, rr = residual, residual @ residual
+    target = tol * np.linalg.norm(rhs)
+    for _ in range(CG_ITERATIONS):
+        if math.sqrt(rr) <= target:
+            break
+        image = normal(direction)
+        alpha = rr / (direction @ image)
+        x = x + alpha * direction
+        residual = residual - alpha * image
+        rr, rr_old = residual @ residual, rr
+        direction = residual + (rr / rr_old) * direction
+    return x / unit if math.sqrt(rr) <= target else None
+
+
+def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
+                   params: SupportParams, sampler: Sampler,
+                   rng: np.random.Generator,
+                   stats: dict | None = None) -> dict[int, float]:
+    """Recover the spectrum values on the int64 array ``support`` from the
+    rounds ``level`` kept of the last ladder level, to accuracy
+    O(max(eta, 1e-10)); an empty support gives ``{}``.
+
+    On a one-level ladder the values are the base level's full DFT at the
+    support.  Otherwise they are fitted (:func:`fit_values`) to a relative
+    residual of 1e-11 noiseless and 1e-5 at the noise levels the workloads
+    run.  In between, eta/(10*mu) keeps the fit's error, about the residual,
+    below the eta-sized error a noisy run is allowed.  If CG misses that
+    within CG_ITERATIONS, :func:`prime_grid_values` draws from ``sampler``
+    and ``rng`` instead, and ``stats["fallbacks"]`` is set to 1.  Entries
+    below mu/2 are dropped: mu bounds every true amplitude from below, so
+    they can only be spurious survivors, whose exact value is zero.
+    """
+    support = np.sort(support)
+    if not support.size:
+        return {}
+    k_base = params.k_base
+    if level.modulus == k_base:
+        values = np.fft.irfft(level.halves[0], n=k_base)[support]
+    else:
+        tol = min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
+        values = fit_values(support, level, k_base, tol)
+        if values is None:
+            if stats is not None:
+                stats["fallbacks"] = 1
+            values = prime_grid_values(support, n_total, params, sampler, rng, stats)
+    return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

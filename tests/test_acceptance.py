@@ -79,10 +79,10 @@ def test_failure_probability_within_p():
     """The trials of 80 that raise a typed error or miss the success rule
     number at most p*80 plus three binomial standard deviations, at p_fail
     = 0.5 and 0.25, on a noiseless shape (M = 2^8, d = 2, R = 256) and a
-    noisy one (M = 2^7, d = 2, R = 50, eta = 1e-2).  At p = 0.5 the value
-    stage makes one draw, so failures are seen: 26 and 4 trials raise
-    ContractionFailure there, 12 and 1 at p = 0.25, and none returns a
-    wrong spectrum."""
+    noisy one (M = 2^7, d = 2, R = 50, eta = 1e-2).  The values are fitted
+    from the last ladder level's samples, which draws nothing, and p_fail
+    sets only the draws of the prime-grid fallback, which no trial here
+    reaches: 0 of 80 fail at each of the four settings."""
     runs, counts, ok = 80, [], True
     for shape in ((256, 2, 256, 0.0), (128, 2, 50, 1e-2)):
         for p in (0.5, 0.25):
