@@ -3,10 +3,9 @@
 Recovers the support and values of an R-sparse nonnegative Fourier spectrum
 from O(R log R log N) samples of the time-domain signal, in any fixed
 dimension.  The values are fitted from the last ladder level's own samples;
-if that fit does not converge, prime-grid draws give them instead, with a
-failure probability that decays exponentially in their number: each draw
-passes its contraction check with probability at least 1/2, and
-ceil(-log2 p_fail) are made.  See README.md for usage.
+if that fit does not converge, prime-grid draws give them instead: each
+passes its contraction check with probability at least 1/2, and 14 are
+made, so all fail with probability at most 2^-14.  See README.md for usage.
 """
 
 from .core_math import sample_coprime
@@ -18,8 +17,7 @@ from .signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                      load_signal_spec, make_noise)
 from .support_recovery import (LastLevel, SupportParams, dealias_candidates,
                                find_aliased_support, find_support, plan_ladder)
-from .value_recovery import (MeasurementSystem, apply_normal, compute_values,
-                             draw_measurement)
+from .value_recovery import compute_values
 
 __version__ = "0.1.0"
 
@@ -33,5 +31,5 @@ __all__ = [
     "load_signal_spec", "make_noise",
     "LastLevel", "SupportParams", "dealias_candidates", "find_aliased_support",
     "find_support", "plan_ladder",
-    "MeasurementSystem", "apply_normal", "compute_values", "draw_measurement",
+    "compute_values",
 ]

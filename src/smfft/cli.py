@@ -45,7 +45,6 @@ FAILURES = (
 # defaults.  R defaults to the file's support size and the file alone sets
 # the noise level eta.
 TUNING_FLAGS = (
-    ("--p", "p_fail", float, "bound on the chance that every value draw fails"),
     ("--mu", "mu", float, "lower bound on the smallest amplitude"),
     ("--delta-ratio", "delta_ratio", float, "dynamic range bound"),
 )

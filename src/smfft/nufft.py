@@ -1,19 +1,13 @@
 """Fast exponential sums between integer modes and arbitrary frequencies.
 
-Both directions use Gaussian gridding (Dutt-Rokhlin / Greengard-Lee) on
-one oversampled grid with one spreading kernel:
+:func:`nufft_exp_sum` (type 1) computes F(k) = sum_j c_j exp(-2*pi*i*k*nu_j)
+at k = 0..count-1 by Gaussian gridding (Dutt-Rokhlin / Greengard-Lee):
+spread each source onto a 2x oversampled grid, take one FFT, and divide out
+the kernel's transform.
 
-- :func:`nufft_exp_sum` (type 1) computes F(k) = sum_j c_j exp(-2*pi*i*k*nu_j)
-  at k = 0..count-1: spread each source onto the grid, take one FFT, and
-  divide out the kernel's transform.
-- :func:`hermitian_exp_sum` (type 2, its adjoint) computes the real
-  S(nu) = sum_{k mod P} y_k exp(+2*pi*i*k*nu) of a Hermitian period given
-  by its half: divide by the kernel's transform, take one real inverse FFT
-  onto the grid, and interpolate at each nu with the same kernel.
-
-One call costs O(R + count log count).  With spreading width 28 and 2x
-oversampling the relative error is ~1e-13 of the l1 norm of the input, far
-below the accuracy targets of the recovery pipeline.
+One call costs O(R + count log count).  With spreading width 28 the
+relative error is ~1e-13 of the l1 norm of the input, far below the
+accuracy targets of the recovery pipeline.
 """
 
 from __future__ import annotations
@@ -84,26 +78,3 @@ def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
     spectrum = np.fft.fft(fine)
     return spectrum[s % grid] * _correction(s, grid, tau)
 
-
-def hermitian_exp_sum(half: np.ndarray, period: int,
-                      nu: np.ndarray) -> np.ndarray:
-    """Approximate the real S(nu) = sum_{k mod P} y_k * exp(+2*pi*i*k*nu).
-
-    The period y of P = ``period`` points is Hermitian, y_{-k} = conj(y_k),
-    and given by its half y_0..y_{P//2} (``half``).  Only the real part of
-    y_0 enters; for even P the Nyquist term y_{P/2} is split evenly over the
-    modes +-P/2, so at the grid points nu = l/P only its real part enters.
-    The modes |k| <= P//2 are centered already, so the sum needs no phase
-    shift.  ``nu`` is a float array of frequencies in [0, 1).
-    """
-    half = np.asarray(half, dtype=complex)
-    if len(half) != period // 2 + 1:
-        raise ValueError(f"a period of {period} points has a half of "
-                         f"{period // 2 + 1}, got {len(half)}")
-    grid, tau = _grid(len(half))
-    coeffs = half * _correction(np.arange(len(half)), grid, tau)
-    if period % 2 == 0:
-        coeffs[-1] /= 2  # irfft counts y_{P/2} twice, as the pair +-P/2
-    fine = np.fft.irfft(coeffs, n=grid, norm="forward")
-    cells, kernel = _spread(np.asarray(nu, dtype=float), grid, tau)
-    return (fine[cells] * kernel).sum(axis=1)

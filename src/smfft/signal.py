@@ -72,32 +72,38 @@ class SampleLedger:
 
     A point is a rational nums/den in [0, 1), counted once however it is
     written (1/4 and 2/8 are one point).  ``record`` only logs its arguments;
-    ``unique_count`` deduplicates the log when read and caches the count
-    until the next ``record``.
-
-    Points over denominators with no common factor can coincide only at 0,
-    so the denominators split into classes linked by common factors, and
-    each class is deduplicated on its own.  A read recounts only the classes
-    that gained records since the last read: the ladder's moduli form one
-    class, and each prime grid of the value stage usually forms its own.
+    ``unique_count`` deduplicates the whole log when read and caches the
+    count until the next ``record``.
     """
 
     def __init__(self):
         self.total_requests = 0
         self._log: dict[int, list[np.ndarray]] = {}  # den -> recorded nums
-        self._class_counts: dict[tuple, tuple[int, bool]] = {}
         self._unique: int | None = 0
 
     @property
     def unique_count(self) -> int:
+        # Division is correctly rounded, so equal points give equal floats.
+        # Distinct points a/d and b/e differ by at least 1/lcm(d, e), while
+        # two values in [0, 1) that round to one float are at most 2^-53
+        # apart, so below lcm 2^53 (the ladder's moduli divide one another)
+        # distinct floats are distinct points.  Otherwise the reduced
+        # denominator D splits a float's run, as distinct a/D and b/D are
+        # over 2^-53 apart.
         if self._unique is None:
-            counts = {}
-            for dens in _linked_classes(self._log):
-                key = tuple((d, len(self._log[d])) for d in dens)
-                counts[key] = self._class_counts.get(key) or self._count_class(dens)
-            self._class_counts = counts
-            self._unique = (sum(nonzero for nonzero, _ in counts.values())
-                            + any(zero for _, zero in counts.values()))
+            dens = list(self._log)
+            x = np.concatenate([n / d for d in dens for n in self._log[d]])
+            if math.lcm(*dens) < _DEN_LIMIT:
+                x.sort()
+                new = x[1:] != x[:-1]
+            else:
+                nums = np.concatenate([n for d in dens for n in self._log[d]])
+                den = np.repeat(dens, [sum(n.size for n in self._log[d]) for d in dens])
+                reduced = den // np.gcd(nums, den)
+                order = np.lexsort((reduced, x))
+                x, reduced = x[order], reduced[order]
+                new = (x[1:] != x[:-1]) | (reduced[1:] != reduced[:-1])
+            self._unique = int(np.count_nonzero(new)) + (x.size > 0)
         return self._unique
 
     def record(self, nums: np.ndarray, den: int) -> None:
@@ -110,50 +116,6 @@ class SampleLedger:
         self.total_requests += nums.size
         self._log.setdefault(den, []).append(nums)
         self._unique = None
-
-    def _count_class(self, dens: list[int]) -> tuple[int, bool]:
-        """(distinct nonzero points, whether 0 was sampled) over one class.
-
-        Division is correctly rounded, so equal points give equal floats.
-        Distinct points a/d and b/e differ by at least 1/lcm(d, e), while two
-        values in [0, 1) that round to one float are at most 2^-53 apart, so
-        below lcm 2^53 (the ladder's moduli divide one another) distinct
-        floats are distinct points.  Otherwise the reduced denominator D
-        splits a float's run, as distinct a/D and b/D are over 2^-53 apart.
-        """
-        x = np.empty(sum(nums.size for d in dens for nums in self._log[d]))
-        end = 0
-        for d in dens:
-            for nums in self._log[d]:
-                start, end = end, end + nums.size
-                np.divide(nums, d, out=x[start:end])
-        if math.lcm(*dens) < _DEN_LIMIT:
-            x.sort()
-            new = x[1:] != x[:-1]
-        else:
-            nums = np.concatenate([n for d in dens for n in self._log[d]])
-            den = np.repeat(dens, [sum(n.size for n in self._log[d]) for d in dens])
-            reduced = den // np.gcd(nums, den)
-            order = np.lexsort((reduced, x))
-            x, reduced = x[order], reduced[order]
-            new = (x[1:] != x[:-1]) | (reduced[1:] != reduced[:-1])
-        zero = bool(x.size and x[0] == 0.0)
-        return int(np.count_nonzero(new) + (x.size > 0) - zero), zero
-
-
-def _linked_classes(dens) -> list[list[int]]:
-    """Partition denominators into sorted classes joined, transitively, by
-    common factors."""
-    classes: list[list[int]] = []
-    for d in sorted(dens):
-        joined, apart = [d], []
-        for c in classes:
-            if any(math.gcd(d, e) > 1 for e in c):
-                joined += c
-            else:
-                apart.append(c)
-        classes = apart + [sorted(joined)]
-    return classes
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

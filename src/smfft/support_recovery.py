@@ -81,21 +81,17 @@ LAST_ROUNDS = 4
 
 @dataclass(frozen=True)
 class SupportParams:
-    """What the caller knows of the problem: the sparsity bound, the
-    failure probability it accepts, and estimates of the spectrum.
+    """What the caller knows of the problem: the sparsity bound and
+    estimates of the spectrum.
 
-    p_fail sets how many prime-grid draws, ceil(-log2 p_fail), the value
-    stage's fallback may make, so it bounds the chance that the fallback
-    fails; it bounds nothing else.  The support search and the fit from the
-    last level's rounds do not read it.  mu is a lower bound on the
-    smallest nonzero amplitude, delta_ratio an upper bound on the dynamic
-    range ||fhat||_inf / mu.  Neither is estimated from data; defaults match
-    an amplitude range of [0.5, 1.5].  eta is the samples' noise level, at
-    most DELTA*mu/2; the value stage recovers to max(eta, 1e-10).
+    mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
+    upper bound on the dynamic range ||fhat||_inf / mu.  Neither is
+    estimated from data; defaults match an amplitude range of [0.5, 1.5].
+    eta is the samples' noise level, at most DELTA*mu/2; the value stage
+    recovers to max(eta, 1e-10).
     """
 
     r_bound: int
-    p_fail: float = 1e-4
     mu: float = 0.5
     delta_ratio: float = 3.0
     eta: float = 0.0
@@ -103,8 +99,6 @@ class SupportParams:
     def __post_init__(self):
         if self.r_bound < 0:
             raise ValueError("r_bound must be nonnegative")
-        if not 0 < self.p_fail < 1:
-            raise ValueError("p_fail must lie in (0, 1)")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not 1 <= self.delta_ratio < math.inf:

@@ -16,11 +16,11 @@ one-level ladder (K >= N) needs no fit: the base level's DFT is the spectrum.
 If CG misses its tolerance within :data:`CG_ITERATIONS`, prime-modulus
 measurements give the values instead (:func:`prime_grid_values`): T grids of
 random prime size p, each requested for k/p, k = 0..p//2, and read at the
-support residues by one gridded sum (:func:`nufft.hermitian_exp_sum`).  They
-yield a block system FB fhat = f0 where each B^(t) aliases the support mod
-its prime; (1/T) B*B is a small perturbation of the identity with
-probability >= 1/2 per draw, so a truncated Neumann series solves it, and
-draws failing an observable contraction test are redrawn.
+support residues by one real inverse FFT of size p.  They yield a block
+system FB fhat = f0 where each B^(t) aliases the support mod its prime;
+(1/T) B*B is a small perturbation of the identity with probability >= 1/2
+per draw, so a truncated Neumann series solves it, and draws failing an
+observable contraction test are redrawn, up to :data:`DRAWS` of them.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import mulmod, primes_below
 from .errors import ContractionFailure
-from .nufft import hermitian_exp_sum
 from .signal import Sampler
 from .support_recovery import LastLevel, SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
-_primes = np.zeros(0, dtype=np.int64)  # every prime up to the largest pool yet
+# A, the prime-grid draws made before ContractionFailure.  Each draw passes
+# its contraction check with probability at least 1/2, so all A fail with
+# probability at most 2^-A; A = ceil(-log2 1e-4) puts that below 1e-4.
+DRAWS = 14
 
 # x: the fit's window g(m) = exp(-(2x*m/K)^2) is cut at |m| = K/2, where it
 # is exp(-x^2) = 6e-13 of its peak.
@@ -70,17 +72,15 @@ class MeasurementSystem:
 
 def prime_pool(r_bound: int, n_total: int) -> np.ndarray:
     """The pool measurement blocks are drawn from: the 4*R*log_R(N) smallest
-    primes above R (R clamped to 1, the log base to 2), ascending, cut from
-    one prime array that is sieved again only when a pool passes its end."""
-    global _primes
+    primes above R (R clamped to 1, the log base to 2), ascending."""
     r = max(r_bound, 1)
     size = 4 * r * math.log(n_total) / math.log(max(r_bound, 2))
     # Tolerate float noise so exact powers (e.g. N = R^3) don't round up.
     count = max(1, math.ceil(size - 1e-9))
-    while (start := int(np.searchsorted(_primes, r, side="right"))) + count > len(_primes):
-        n = r + count  # the pool ends by the n-th prime, below 2.2 n log(n + 10)
-        _primes = primes_below(int(4.4 * n * math.log(n + 10)))  # twice: room to grow
-    return _primes[start:start + count].copy()  # a copy: the array is shared
+    n = r + count  # the pool ends by the n-th prime, below 2.2 n log(n + 10)
+    primes = primes_below(int(2.2 * n * math.log(n + 10)))
+    start = int(np.searchsorted(primes, r, side="right"))
+    return primes[start:start + count]
 
 
 def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
@@ -99,12 +99,12 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
     f0hat = np.zeros(len(support))
     for p in picks:
         half = sampler.sample_progression(0, 1, p // 2 + 1, p)
-        classes, ids = np.unique(support % p, return_inverse=True)
+        residues = support % p
         # The correlation folds the spectrum mod p: u_l = (1/p) sum_k y_k
         # exp(2*pi*i*k*l/p) = sum_{j = l mod p} fhat_j, which is exactly
         # B^(t) fhat read off at the residue classes.
-        f0hat += (hermitian_exp_sum(half, p, classes / p) / p)[ids]
-        class_ids.append(ids)
+        f0hat += np.fft.irfft(half, n=p)[residues]
+        class_ids.append(np.unique(residues, return_inverse=True)[1])
     return MeasurementSystem(picks, class_ids, f0hat / len(picks))
 
 
@@ -156,16 +156,15 @@ def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
     """Values on the sorted nonempty int64 ``support`` from prime-grid
     measurements, to accuracy O(max(eta, 1e-10)).
 
-    Up to A = max(1, ceil(-log2 p_fail)) measurement draws are attempted;
-    each accepted draw is solved with Z = max(2, ceil(-log2 max(eta,
-    1e-10))) Neumann terms, and ``stats["redraws"]`` counts the rejected
-    draws before it.  The prime pool is sized by max(R, |support|), so a
-    support larger than R does not lower the chance of a contracting draw.
-    Raises ContractionFailure when every draw is rejected.
+    Up to DRAWS measurement draws are attempted; each accepted draw is
+    solved with Z = max(2, ceil(-log2 max(eta, 1e-10))) Neumann terms, and
+    ``stats["redraws"]`` counts the rejected draws before it.  The prime
+    pool is sized by max(R, |support|), so a support larger than R does not
+    lower the chance of a contracting draw.  Raises ContractionFailure when
+    every draw is rejected.
     """
     z_terms = max(2, math.ceil(-math.log2(max(params.eta, 1e-10))))
-    attempts = max(1, math.ceil(-math.log2(params.p_fail)))
-    for attempt in range(attempts):
+    for attempt in range(DRAWS):
         system = draw_measurement(support, max(params.r_bound, len(support)),
                                   n_total, rng, sampler)
         solution, norms = neumann_solve(system, z_terms)
@@ -174,7 +173,7 @@ def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
                 stats["redraws"] = attempt
             return solution
     raise ContractionFailure(
-        f"all {attempts} measurement draws rejected for |support|={len(support)}")
+        f"all {DRAWS} measurement draws rejected for |support|={len(support)}")
 
 
 def normal_matrix(bins: np.ndarray, k_base: int):

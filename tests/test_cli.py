@@ -82,13 +82,14 @@ class TestTransform:
         monkeypatch.setattr(bench, "md_sfft",
                             lambda sampler, lattice, params, rng: seen.append(params) or {})
         main(["transform", "--signal", signal_file])
-        main(["transform", "--signal", signal_file, "--p", "0.01"])
+        main(["transform", "--signal", signal_file, "--mu", "0.25"])
         assert seen == [SupportParams(r_bound=3, eta=0.0),
-                        SupportParams(r_bound=3, eta=0.0, p_fail=0.01)]
+                        SupportParams(r_bound=3, eta=0.0, mu=0.25)]
 
     def test_tuning_flags_are_the_support_params_fields(self, signal_file, capsys):
         # R defaults to the file's support size and the file alone sets the
-        # noise; alpha, rho and delta are constants of the support search.
+        # noise; alpha, rho and delta are constants of the support search,
+        # and the prime-grid fallback's draws a constant of the value stage.
         fields = {f.name for f in dataclasses.fields(SupportParams)}
         assert {dest for _, dest, _, _ in TUNING_FLAGS} == fields - {"r_bound", "eta"}
         for command in ("transform", "verify"):
@@ -96,7 +97,7 @@ class TestTransform:
             flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
             assert flags == {"--help", "--signal", "--r", "--seed", "--out",
                              *(flag for flag, _, _, _ in TUNING_FLAGS)}
-            for flag in ("--alpha", "--rho", "--delta", "--eta"):
+            for flag in ("--alpha", "--rho", "--delta", "--eta", "--p"):
                 assert main([command, "--signal", signal_file, flag, "0.5"]) == EXIT_PARSE
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -324,14 +325,9 @@ class TestVerify:
 
 
 class TestEdgeInputs:
-    # Edge inputs take the general formulas: -log2 of a subnormal p or eta
-    # is finite, where log2(1/x) overflowed, and the error cap is never
-    # below the noiseless 1e-8.
-    def test_subnormal_p_verify(self, capsys):
-        # It used to die with an OverflowError traceback (exit 1).
-        spec = Path(__file__).parents[1] / "demos" / "signal_3d.json"
-        assert main(["verify", "--signal", str(spec), "--p", "1e-310"]) == 0
-
+    # Edge inputs take the general formulas: -log2 of a subnormal eta is
+    # finite, where log2(1/x) overflowed, and the error cap is never below
+    # the noiseless 1e-8.
     @pytest.mark.parametrize("eta", [1e-310, 1e-16])
     def test_tiny_eta_verify(self, eta, tmp_path, capsys):
         # At 1e-310 it used to die with an OverflowError traceback (exit 1);

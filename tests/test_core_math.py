@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft import value_recovery
 from smfft.core_math import gaussian_window, primes_below, sample_coprime
 from smfft.signal import Sampler, SparseSpectrum
 from smfft.value_recovery import prime_pool
@@ -46,11 +45,9 @@ class TestPrimes:
     def test_large_r(self):
         assert prime_pool(256, 1 << 20)[0] == 257
 
-    def test_pools_match_naive_reference(self, monkeypatch):
-        # Pools over many (R, N), asked for in a random order from an empty
-        # prime array, so the array grows while the pools are cut from it.
-        # Each is the len(pool) smallest primes above R.
-        monkeypatch.setattr(value_recovery, "_primes", np.zeros(0, dtype=np.int64))
+    def test_pools_match_naive_reference(self):
+        # Pools over many (R, N), asked for in a random order; each is the
+        # len(pool) smallest primes above R.
         primes = trial_division_primes(40000)
         rng = np.random.default_rng(4)
         for r, n_total in zip(rng.integers(0, 300, 60).tolist(),

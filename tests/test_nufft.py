@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from smfft.core_math import next_fast_len
-from smfft.nufft import hermitian_exp_sum, nufft_exp_sum
+from smfft.nufft import nufft_exp_sum
 
 
 def direct(coeffs, nu, k0, count):
@@ -43,53 +43,6 @@ def test_clustered_frequencies():
     coeffs = np.ones(32, dtype=complex)
     got = from_index(coeffs, nu, -500, 1000)
     assert np.max(np.abs(got - direct(coeffs, nu, -500, 1000))) / 32 < 1e-12
-
-
-def direct_hermitian(half, period, nu):
-    """sum_{k mod P} y_k exp(2*pi*i*k*nu) over the modes |k| <= P//2, each
-    pair +-k written as twice the real part of its k >= 0 term, and the
-    Nyquist term of an even P counted once."""
-    weight = np.full(len(half), 2.0)
-    weight[0] = 1.0
-    if period % 2 == 0:
-        weight[-1] = 1.0
-    k = np.arange(len(half))
-    return (np.exp(2j * np.pi * np.mod(np.outer(nu, k), 1.0)) @ (weight * half)).real
-
-
-@pytest.mark.parametrize("period", [2, 3, 4, 5, 360, 361, 23977, (1 << 17) - 1])
-def test_hermitian_sum_matches_direct(period):
-    # Odd and even periods, residues at and next to 0 and p - 1.
-    rng = np.random.default_rng(period)
-    half = rng.normal(size=period // 2 + 1) + 1j * rng.normal(size=period // 2 + 1)
-    residues = np.unique(np.concatenate([[0, 1, period - 2, period - 1],
-                                         rng.integers(0, period, 20)]))
-    nu = residues / period
-    got = hermitian_exp_sum(half, period, nu)
-    assert got.dtype == np.float64
-    l1 = np.abs(half[0]) + 2 * np.abs(half[1:]).sum()
-    assert np.abs(got - direct_hermitian(half, period, nu)).max() <= 1e-12 * l1
-
-
-@given(st.integers(2, 3000), st.data())
-@settings(max_examples=60, deadline=None)
-def test_hermitian_sum_at_residues(period, data):
-    # At the grid points nu = l/P the sum is P times the real part of the
-    # ifft of the conjugate-filled period.
-    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
-    half = rng.normal(size=period // 2 + 1) + 1j * rng.normal(size=period // 2 + 1)
-    full = np.concatenate([half, half[(period + 1) // 2 - 1:0:-1].conj()])
-    residues = np.array(data.draw(st.lists(st.integers(0, period - 1),
-                                           min_size=1, max_size=30)))
-    got = hermitian_exp_sum(half, period, residues / period)
-    expected = period * np.fft.ifft(full).real[residues]
-    l1 = np.abs(half[0]) + 2 * np.abs(half[1:]).sum()
-    assert np.abs(got - expected).max() <= 1e-12 * l1
-
-
-def test_hermitian_sum_checks_half_length():
-    with pytest.raises(ValueError, match="half of 3"):
-        hermitian_exp_sum(np.ones(4), 5, np.zeros(1))
 
 
 def _is_11_smooth(n):

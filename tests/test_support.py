@@ -175,7 +175,7 @@ class TestSupportParams:
     def test_probe_rounds(self):
         # The last level's rounds are the fewest that leave at most R/20 of
         # its 2 (RHO - 1) R spurious candidates in expectation: 14 * 0.2^3
-        # = 0.11 needs a fourth round (0.022).  p_fail no longer sets them.
+        # = 0.11 needs a fourth round (0.022).
         spurious_per_line = 2 * (RHO - 1)
         assert (spurious_per_line * ALPHA**LAST_ROUNDS <= 1 / 20
                 < spurious_per_line * ALPHA**(LAST_ROUNDS - 1))
@@ -257,12 +257,13 @@ class TestSupportParams:
     def test_validation(self):
         # ALPHA, RHO and DELTA are constants of the search, not fields.
         assert [f.name for f in dataclasses.fields(SupportParams)] == [
-            "r_bound", "p_fail", "mu", "delta_ratio", "eta"]
-        for fields in ({"r_bound": -1}, {"p_fail": 0.0}):
+            "r_bound", "mu", "delta_ratio", "eta"]
+        for fields in ({"r_bound": -1}, {"mu": 0.0}, {"delta_ratio": 0.5}):
             with pytest.raises(ValueError, match="must"):
                 SupportParams(**{"r_bound": 3, **fields})
-        with pytest.raises(TypeError, match="delta"):
-            SupportParams(r_bound=3, delta=0.1)
+        for field in ("delta", "p_fail"):
+            with pytest.raises(TypeError, match=field):
+                SupportParams(r_bound=3, **{field: 0.1})
 
 
 class TestLadder:

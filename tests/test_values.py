@@ -44,33 +44,10 @@ class TestPrimePool:
     def test_base_clamped_for_tiny_r(self):
         assert len(prime_pool(1, 1024)) == 40  # 4 * 1 * log2(1024)
 
-    def test_second_draw_does_not_sieve(self, monkeypatch):
-        # Every pool is a slice of one prime array, so only the first draw
-        # sieves.  A second draw whose support has grown past R, as spurious
-        # lines from the support stage make it, sieves no more, and its pool
-        # is the one a sieve of its own would give.  Only a pool past the
-        # array's end sieves again.
-        sieve, calls = vr.primes_below, []
-        monkeypatch.setattr(vr, "primes_below",
-                            lambda limit: calls.append(limit) or sieve(limit))
-        monkeypatch.setattr(vr, "_primes", np.zeros(0, dtype=np.int64))
-        _, sampler = make_instance(4096, [1, 2000, 3000], [1.0, 1.0, 1.0])
-        first = draw_measurement(np.array([1, 2000]), 2, 4096,
-                                 np.random.default_rng(0), sampler)
-        assert len(calls) == 1
-        second = draw_measurement(np.array([1, 2000]), 2, 4096,
-                                  np.random.default_rng(1), sampler)
-        assert len(calls) == 1
-        assert set(first.primes + second.primes) <= set(prime_pool(2, 4096))
-        wider = draw_measurement(np.array([1, 2000, 3000]), 3, 4096,
-                                 np.random.default_rng(2), sampler)
-        assert len(calls) == 1
+    def test_pools_are_the_primes_above_r(self):
         pool = prime_pool(3, 4096)
-        assert pool.tolist() == primes_above(3, len(pool)) and len(pool) == 91
-        assert set(wider.primes) <= set(pool.tolist())
-        past_end = prime_pool(400, 4096)
-        assert len(calls) == 2
-        assert past_end.tolist() == primes_above(400, 2222)
+        assert len(pool) == 91 and pool.tolist() == primes_above(3, 91)
+        assert prime_pool(400, 4096).tolist() == primes_above(400, 2222)
 
 
 class TestMeasurement:
@@ -161,8 +138,9 @@ class TestOperators:
 
     @pytest.mark.parametrize("eta", [0.0, 0.01])
     def test_f0hat_matches_prime_length_ifft(self, eta):
-        # The gridded sum agrees with the real part of a complex ifft of the
-        # conjugate-filled prime period, noisy samples included.  The oracle
+        # The fold, a real inverse FFT of each prime period's half, agrees
+        # with the real part of a complex ifft of the conjugate-filled
+        # period, noisy samples included.  The oracle
         # is deterministic per point, so each grid is sampled again here.
         rng = np.random.default_rng(6)
         support = np.sort(rng.choice(1 << 30, 40, replace=False))
@@ -316,13 +294,17 @@ class TestComputeValues:
                               np.random.default_rng(0)) == {}
 
     def test_contraction_failure_raised(self, monkeypatch):
-        # If no draw ever certifies contraction, the redraw loop gives up.
+        # If no draw ever certifies contraction, the redraw loop gives up
+        # after its 14 draws.
         monkeypatch.setattr(vr, "contraction_ok", lambda norms: False)
+        draw, picks = vr.draw_measurement, []
+        monkeypatch.setattr(vr, "draw_measurement",
+                            lambda *args: picks.append(1) or draw(*args))
         _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
-        with pytest.raises(ContractionFailure):
-            prime_grid_values(np.array([1, 2000]), 4096,
-                              SupportParams(r_bound=2, p_fail=1e-2), sampler,
-                              np.random.default_rng(0))
+        with pytest.raises(ContractionFailure, match="all 14 measurement draws"):
+            prime_grid_values(np.array([1, 2000]), 4096, SupportParams(r_bound=2),
+                              sampler, np.random.default_rng(0))
+        assert len(picks) == vr.DRAWS == 14
 
 
 def dense_normal(bins, k_base):
