@@ -43,7 +43,7 @@ rng = np.random.default_rng(0)
 level = LastLevel(sampler, moduli)
 support = find_support(level, moduli, params, rng)
 print("recovered support:", support.tolist())
-values = compute_values(support, level, N, params, sampler, rng)
+values = compute_values(support, level, N, params, rng)
 for j in support:
     print(f"  fhat[{j}] = {values[j]:.12f}")
 print(f"{ledger.unique_count} distinct samples of a length-{N} signal")

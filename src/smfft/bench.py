@@ -51,10 +51,8 @@ def meets_success_rule(recovered: dict, truth: dict, err: float,
     return set(recovered) == set(truth) and err <= max(3 * eta, 1e-8)
 
 
-def make_params(sparsity: int, eta: float, **overrides) -> SupportParams:
-    fields = dict(r_bound=sparsity, eta=eta)
-    fields.update(overrides)
-    return SupportParams(**fields)
+def make_params(sparsity: int, eta: float) -> SupportParams:
+    return SupportParams(r_bound=sparsity, eta=eta)
 
 
 def scored_run(entries: dict, lattice: RankOneLattice, noise: NoiseModel,
@@ -80,12 +78,12 @@ def scored_run(entries: dict, lattice: RankOneLattice, noise: NoiseModel,
     }
 
 
-def run_trial(axis_size: int, dims: int, sparsity: int, eta: float, seed: int,
-              **param_overrides) -> dict:
+def run_trial(axis_size: int, dims: int, sparsity: int, eta: float,
+              seed: int) -> dict:
     """One recovery trial; returns a CSV-schema row dict."""
     entries, lattice, noise = random_instance(axis_size, dims, sparsity, eta, seed)
-    params = make_params(sparsity, eta, **param_overrides)
-    return scored_run(entries, lattice, noise, params, seed, seed + 2)[1]
+    return scored_run(entries, lattice, noise, make_params(sparsity, eta),
+                      seed, seed + 2)[1]
 
 
 def sweep(configs, trials: int, base_seed: int) -> list[dict]:

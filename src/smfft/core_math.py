@@ -1,7 +1,8 @@
 """Number-theoretic and transform primitives.
 
 Exact modular products, coprime sampling, the primes below a limit, fast
-FFT sizes and the wrapped (periodized) Gaussian window.
+FFT sizes and the Gaussian window that the probe and the value fit lay on a
+half period of K samples.
 """
 
 from __future__ import annotations
@@ -64,19 +65,7 @@ def next_fast_len(n: int) -> int:
         n += 1
 
 
-def gaussian_window(offsets: np.ndarray, sigma: float, modulus: int) -> np.ndarray:
-    """Wrapped Gaussian sqrt(pi)*sigma*sum_h exp(-(pi*sigma*(m/M+h))^2) at
-    integer offsets m (mod M implied), vectorized.
-
-    The sum runs over |h| <= floor((reach + max|m|)/M), reach = sqrt(35)*M/
-    (pi*sigma): the least range keeping every term above e^-35 of the peak.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    x = np.asarray(offsets, dtype=float)
-    reach = math.sqrt(35.0) * modulus / (math.pi * sigma)
-    wrap = math.floor((reach + np.abs(x).max(initial=0.0)) / modulus)
-    h = np.arange(-wrap, wrap + 1, dtype=float)[None, :]
-    s = math.pi * sigma
-    return math.sqrt(math.pi) * sigma * np.exp(-((s * (x[:, None] / modulus + h)) ** 2)).sum(axis=1)
-
+def gaussian_half(k: int, x: float) -> np.ndarray:
+    """The window exp(-(2x*m/K)^2) at the sampled offsets m = 0..K//2 of a
+    half period: cut at m = K/2, where it is exp(-x^2) of its peak."""
+    return np.exp(-(2 * x / k * np.arange(k // 2 + 1)) ** 2)

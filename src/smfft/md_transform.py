@@ -123,8 +123,7 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
             support = find_support(last, moduli, params, rng)
             # Ladder padding can admit indices beyond M^d; those cannot be real.
             support = support[support < n_total]
-            values = compute_values(support, last, n_total, params, sampler, rng,
-                                    stats=stats)
+            values = compute_values(support, last, n_total, params, rng, stats)
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc

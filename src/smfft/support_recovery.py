@@ -5,11 +5,11 @@ then grows the working modulus by bounded factors.  At each level the
 candidate set (translated copies of the previous aliased support) is pruned
 by randomized probe rounds, run as one batch: shuffle frequencies by one
 random coprime multiplier q per round (one oracle call each), weight each
-round's samples by a wrapped-Gaussian window, take one batched size-K
-transform, and keep the candidates whose probe clears the threshold in
-every round.  Nonnegativity of the spectrum guarantees true support always
-survives; random shuffling makes spurious candidates fail some round with
-high probability.  The inner levels run just enough rounds that spurious
+round's samples by a Gaussian window, take one batched size-K transform,
+and keep the candidates whose probe clears the threshold in every round.
+Nonnegativity of the spectrum guarantees true support always survives;
+random shuffling makes spurious candidates fail some round with high
+probability.  The inner levels run just enough rounds that spurious
 survivors do not compound from level to level (:data:`INNER_ROUNDS`).  Only
 the last level's spurious survivors reach the output, and the value stage
 drops them, so it runs just enough rounds that few reach it
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (MAX_MODULUS, gaussian_window, mulmod, next_fast_len,
+from .core_math import (MAX_MODULUS, gaussian_half, mulmod, next_fast_len,
                         sample_coprime)
 from .errors import CandidateBlowup, EnvelopeError
 from .signal import Sampler
@@ -42,7 +42,7 @@ from .signal import Sampler
 CANDIDATE_CAP_FACTOR = 8
 
 # ALPHA bounds a spurious candidate's chance to pass one probe round at the
-# width SupportParams.sigma gives (measured 0.10-0.19).  K's bound scales
+# width SupportParams.probe_x gives (measured 0.10-0.19).  K's bound scales
 # with max(8, 2/ALPHA), so a larger ALPHA samples less per round; 0.2 is
 # the largest tried that a round still honours at the smallest K (at 0.22
 # and R = 1 a round passes 0.24).  RHO, the largest ladder growth factor,
@@ -52,11 +52,11 @@ CANDIDATE_CAP_FACTOR = 8
 ALPHA = 0.2
 RHO = 8
 
-# DELTA sets the probe threshold DELTA*mu/2.  At the width SupportParams.sigma
-# gives, a line of amplitude mu half a probe step off reads at least 13 times
-# it, whatever delta_ratio is.  A larger DELTA shrinks K but narrows the
-# probe: that reading falls to 1.24 times the threshold at 0.7, where true
-# lines start to be lost, and below it at 0.8.
+# DELTA sets the probe threshold DELTA*mu/2.  At the width
+# SupportParams.probe_x gives, a line of amplitude mu half a bin off its probe
+# point reads at least 13 times it, whatever delta_ratio is.  A larger DELTA
+# shrinks K but narrows the probe: that reading falls to 1.24 times the
+# threshold at 0.7, where true lines start to be lost, and below it at 0.8.
 DELTA = 0.1
 
 # L_in, the fewest shuffle rounds with RHO * ALPHA^L_in <= 1/2, run at every
@@ -131,27 +131,29 @@ class SupportParams:
 
         The noise is complex Gaussian with standard deviation eta per sample
         (NoiseModel), so a probe's noise is Gaussian with standard deviation
-        eta*||w||_2/M, about 1.1*eta/sqrt(K) at the width :meth:`sigma`
-        gives.  With eta <= t that is below t/3 once K >= 12, while a true
-        line of amplitude mu half a grid step off its probe point reads
-        about 0.77*mu, which is 15t at DELTA.  A true line then fails a
-        round only beyond about 40 standard deviations, so the threshold is
-        not lowered for noise.  (Halving it would cover noise
+        eta*||w||_2, w being the K weights (2x/sqrt(pi))*exp(-(2x*m/K)^2)/K
+        of compute_phi's transform: about 1.1*eta/sqrt(K) at the width
+        :attr:`probe_x` gives.  With eta <= t that is below t/3 once
+        K >= 12, while a true line of amplitude mu half a bin off its probe
+        point reads about 0.77*mu, which is 15t at DELTA.  A true line then
+        fails a round only beyond about 40 standard deviations, so the
+        threshold is not lowered for noise.  (Halving it would cover noise
         bounded by eta, which can move a probe by 0.85*eta.)
         """
         return DELTA * self.mu / 2
 
-    def sigma(self, modulus: int) -> float:
-        """Width of the probe's Gaussian response exp(-(d/sigma)^2) to a
-        line at distance d, for the window cut at the K sampled offsets.
+    @property
+    def probe_x(self) -> float:
+        """The cut x of the probe's window exp(-(2x*m/K)^2) at the sampled
+        offsets |m| <= K/2, where it is exp(-x^2) of its peak.
 
-        A line of amplitude a lights the probe points where its response
-        reaches the threshold t.  The main lobe reaches sigma*sqrt(log(a/t)).
-        The cut adds sidelobes of envelope a*sigma*exp(-x^2)/(sqrt(pi)*d),
-        x = pi*sigma*K/(2M) being the cut in the window's exponent.  At the
-        probe points they scale with |sin(pi*f)| for the line's offset f
-        from the grid, 2/pi on average, so they reach
-        (2/pi)*a*sigma*exp(-x^2)/(sqrt(pi)*t).  A wider sigma lengthens the
+        In bins of the K-point probe grid, a line d bins from a probe point
+        reads a*exp(-(d/s)^2) there, s = 2x/pi, and lights the points where
+        that reaches the threshold t: the main lobe reaches s*sqrt(log(a/t))
+        bins.  The cut adds sidelobes of envelope a*s*exp(-x^2)/(sqrt(pi)*d).
+        At the probe points they scale with |sin(pi*f)| for the line's offset
+        f from the grid, 2/pi on average, so they reach
+        (2/pi)*a*s*exp(-x^2)/(sqrt(pi)*t) bins.  A larger x lengthens the
         main lobe and shortens the sidelobes.  For the largest amplitude,
         a/t = 2*Delta/DELTA = exp(l2), the two reaches are equal at
         x^2 = l2 - log(pi^1.5*sqrt(l2)/2).  There the share of probe points
@@ -159,8 +161,7 @@ class SupportParams:
         to pass a round.
         """
         l2 = math.log(2 * self.delta_ratio / DELTA)
-        x = math.sqrt(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2))
-        return 2 * x * modulus / (math.pi * self.k_base)
+        return math.sqrt(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2))
 
 
 @functools.cache
@@ -219,27 +220,26 @@ def initial_aliased_support(sampler: Sampler, m1: int,
 
 
 def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
-                sigma: float) -> np.ndarray:
+                x: float) -> np.ndarray:
     """Probe spectra phi at the K grid points j*M_k/K, one row per Q in the
     ints or int64 array ``qs``.
 
-    Row Q samples f at (m*Q mod M)/M, which under the exp(-2*pi*i*x*j)
-    convention relabels line l to l*Q.  One oracle call per row requests
-    the half m = 0..K//2 of the K-point window -(K-1)//2..K//2; the rest
-    are its conjugates.  The half is weighted by the even wrapped Gaussian
-    of width ``sigma`` and transformed by a real size-K inverse DFT (kernel
-    exp(+2*pi*i*n*m/K)), so a peak at grid point n of a row certifies a
-    line near n*M/K in that row's shuffled spectrum, matching
-    :func:`probe_index`.
+    Row Q samples f at (m*Q mod M)/M, which under the convention
+    f(y) = sum_l fhat_l*exp(-2*pi*i*l*y) relabels line l to l*Q.  One
+    oracle call per row requests the half m = 0..K//2 of the K-point window
+    -(K-1)//2..K//2; the rest are its conjugates.  The half is weighted by
+    the even Gaussian (2x/sqrt(pi))*exp(-(2x*m/K)^2) and transformed by a
+    real size-K inverse DFT (kernel exp(+2*pi*i*n*m/K)/K), so a line of
+    amplitude a, d bins from grid point n of a row's shuffled spectrum,
+    reads about a*exp(-(d*pi/(2x))^2) there, matching :func:`probe_index`.
     """
     if m_k % k_base != 0:
         raise ValueError("k_base must divide m_k")
-    offsets = np.arange(k_base // 2 + 1)
-    half = np.empty((len(qs), len(offsets)), dtype=complex)
+    half = np.empty((len(qs), k_base // 2 + 1), dtype=complex)
     for row, q in zip(half, qs):
-        row[:] = sampler.sample_progression(0, q, len(offsets), m_k)
-    half *= gaussian_window(offsets, sigma, m_k) / m_k
-    return np.fft.irfft(half, n=k_base, axis=1, norm="forward")
+        row[:] = sampler.sample_progression(0, q, half.shape[1], m_k)
+    half *= 2 * x / math.sqrt(math.pi) * gaussian_half(k_base, x)
+    return np.fft.irfft(half, n=k_base, axis=1)
 
 
 def probe_index(n, q, m_k: int, k_base: int):
@@ -267,7 +267,7 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
     """
     k_base = params.k_base
     qs = np.array([sample_coprime(m_k, rng) for _ in range(rounds)])
-    phi = compute_phi(sampler, m_k, k_base, qs, params.sigma(m_k))
+    phi = compute_phi(sampler, m_k, k_base, qs, params.probe_x)
     probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
     return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
 

@@ -3,10 +3,11 @@
 The last ladder level requests L half periods y_r[m] = f((m*q_r mod M)/M),
 m = 0..K/2, one per shuffle q_r, and support_recovery.LastLevel keeps them.
 In round r, line j sits at bin u_rj = K*(q_r*j mod M)/M of K bins.  Each
-half is weighted by the Gaussian g(m) = exp(-(2x*m/K)^2) and transformed by
-one batched real inverse FFT of size K.  By Poisson summation a line of
-amplitude a then reads a*C*exp(-((n - u_rj)/s)^2) at bin n, summed over its
-wrapped images, with s = 2x/pi and C = K*sqrt(pi)/(2x): the gridding of
+half is weighted by the Gaussian g(m) = exp(-(2x*m/K)^2), the probe's window
+at a larger x, and transformed by one batched real inverse FFT of size K.
+By Poisson summation a line of amplitude a then reads
+a*C*exp(-((n - u_rj)/s)^2) at bin n, summed over its wrapped images, with
+s = 2x/pi and C = K*sqrt(pi)/(2x): the gridding of
 Dutt-Rokhlin and Greengard-Lee ("Accelerating the nonuniform FFT", SIAM
 Review 46, 2004).  The values are the least-squares fit of these responses,
 whose sparse normal matrix has a closed form (:func:`normal_matrix`),
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_math import mulmod, primes_below
+from .core_math import gaussian_half, mulmod, primes_below
 from .errors import ContractionFailure
 from .signal import Sampler
 from .support_recovery import LastLevel, SupportParams
@@ -91,8 +92,6 @@ def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
     ``support`` is an int64 array.  Draws are with replacement; a repeated
     prime simply weights its residue blocks twice in the normal equations.
     """
-    if not support.size:
-        raise ValueError("support must be nonempty")
     pool = prime_pool(r_bound, n_total)
     picks = pool[rng.integers(0, len(pool), BLOCKS)].tolist()
     class_ids = []
@@ -231,8 +230,8 @@ def fit_values(support: np.ndarray, level: LastLevel, k_base: int,
     """
     bins = (mulmod(support, np.array(level.qs)[:, None], level.modulus)
             / (level.modulus // k_base))
-    window = np.exp(-(2 * WINDOW_X / k_base * np.arange(k_base // 2 + 1)) ** 2)
-    phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)
+    phi = np.fft.irfft(np.array(level.halves) * gaussian_half(k_base, WINDOW_X),
+                       n=k_base, axis=1)
     # A^T phi, in units of C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
     # sqrt(2)), read from the bins floor(u) + offsets around each line, out
     # of each round's spectrum wrapped as often as K needs.
@@ -271,8 +270,7 @@ def fit_values(support: np.ndarray, level: LastLevel, k_base: int,
 
 
 def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
-                   params: SupportParams, sampler: Sampler,
-                   rng: np.random.Generator,
+                   params: SupportParams, rng: np.random.Generator,
                    stats: dict | None = None) -> dict[int, float]:
     """Recover the spectrum values on the int64 array ``support`` from the
     rounds ``level`` kept of the last ladder level, to accuracy
@@ -283,10 +281,11 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     residual of 1e-11 noiseless and 1e-5 at the noise levels the workloads
     run.  In between, eta/(10*mu) keeps the fit's error, about the residual,
     below the eta-sized error a noisy run is allowed.  If CG misses that
-    within CG_ITERATIONS, :func:`prime_grid_values` draws from ``sampler``
-    and ``rng`` instead, and ``stats["fallbacks"]`` is set to 1.  Entries
-    below mu/2 are dropped: mu bounds every true amplitude from below, so
-    they can only be spurious survivors, whose exact value is zero.
+    within CG_ITERATIONS, :func:`prime_grid_values` draws from
+    ``level.sampler`` and ``rng`` instead, and ``stats["fallbacks"]`` is
+    set to 1.  Entries below mu/2 are dropped: mu bounds every true
+    amplitude from below, so they can only be spurious survivors, whose
+    exact value is zero.
     """
     support = np.sort(support)
     if not support.size:
@@ -300,5 +299,6 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
         if values is None:
             if stats is not None:
                 stats["fallbacks"] = 1
-            values = prime_grid_values(support, n_total, params, sampler, rng, stats)
+            values = prime_grid_values(support, n_total, params,
+                                       level.sampler, rng, stats)
     return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

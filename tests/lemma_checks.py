@@ -3,11 +3,11 @@ each measured against brute force at a small size.
 
 The facts are the coprime-shuffle isomorphism, the spectrum-permutation
 identity, prime separation of support differences, the contraction rate of
-the prime-grid normal operator, rank-1 lattice exactness and the wrapped
-Gaussian window.  LEMMAS pairs each measurement, at its size, seed and
-tolerance, with the bound it must meet; measure() runs each one once per
-test run, however many tests read it (test_acceptance.py reports them,
-test_properties.py::TestLemmaBattery asserts them one by one).
+the prime-grid normal operator and rank-1 lattice exactness.  LEMMAS pairs
+each measurement, at its size, seed and tolerance, with the bound it must
+meet; measure() runs each one once per test run, however many tests read
+it (test_acceptance.py reports them, test_properties.py::TestLemmaBattery
+asserts them one by one).
 """
 
 import functools
@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from smfft.core_math import gaussian_window
 from smfft.md_transform import RankOneLattice
 from smfft.value_recovery import BLOCKS, prime_pool
 
@@ -116,25 +115,6 @@ def rank1_quadrature_error(max_axis, max_dims, seed):
     return worst
 
 
-def window_error(draws, seed):
-    """Largest error, relative to its peak, of gaussian_window against a
-    brute-force wrap over |h| <= 64 at offsets -K//2..K//2."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        m = int(rng.integers(16, 256))
-        k = int(rng.integers(4, m))
-        sigma = float(rng.uniform(0.5, m / 4))
-        offsets = np.arange(-(k // 2), k // 2 + 1)
-        h = np.arange(-64, 65)
-        brute = np.array([np.sum(np.exp(-np.pi**2 * sigma**2 * ((o + h * m) / m) ** 2))
-                          for o in offsets])
-        scale = math.sqrt(math.pi) * sigma
-        worst = max(worst, float(np.max(np.abs(
-            gaussian_window(offsets, sigma, m) - scale * brute))) / scale)
-    return worst
-
-
 LEMMAS = {
     "isomorphism failures": (
         lambda: shuffle_isomorphism_failures(200, lambda q, m: pow(q, -1, m)), 0),
@@ -143,7 +123,6 @@ LEMMAS = {
     "contraction failure rate": (lambda: contraction_failure_rate(200, seed=0),
                                  0.5 + 3 * math.sqrt(0.25 / 200)),
     "rank-1 error": (lambda: rank1_quadrature_error(8, 3, seed=0), 1e-10),
-    "window error": (lambda: window_error(50, seed=0), 1e-12),
 }
 
 

@@ -154,9 +154,8 @@ def test_rank1_lattice_exactness():
 def test_lemma_suite():
     """Each lemma holds at its stated size: the isomorphism exhaustive to
     M = 200, the spectrum identity to 1e-10 over 200 spectra of M <= 64,
-    prime separation over 50 supports with N <= 2^14, the contraction rate
-    over 200 dense-norm draws within 1/2 + 3 sigma, and the window to
-    1e-12 over 50 draws."""
+    prime separation over 50 supports with N <= 2^14, and the contraction
+    rate over 200 dense-norm draws within 1/2 + 3 sigma."""
     measured = {name: measure(name) for name in LEMMAS if name != "rank-1 error"}
     failed = [name for name, (value, bound) in measured.items() if not value <= bound]
     _report("lemma-suite", not failed,

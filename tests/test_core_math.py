@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from smfft.core_math import gaussian_window, primes_below, sample_coprime
+from smfft.core_math import primes_below, sample_coprime
 from smfft.signal import Sampler, SparseSpectrum
 from smfft.value_recovery import prime_pool
 
@@ -56,54 +54,6 @@ class TestPrimes:
             above = [p for p in primes if p > max(r, 1)]
             assert len(pool) < len(above)
             assert pool == above[:len(pool)], (r, n_total)
-
-
-class TestGaussianWindow:
-    def test_matches_direct_wrap_sum(self):
-        sigma, m = 2.5, 32
-        weights = gaussian_window(np.arange(m), sigma, m)
-        for idx in range(m):
-            expected = math.sqrt(math.pi) * sigma * sum(
-                math.exp(-math.pi**2 * sigma**2 * ((idx + h * m) / m) ** 2)
-                for h in range(-50, 51))
-            assert weights[idx] == pytest.approx(expected, abs=1e-13)
-
-    def test_vectorized_agrees_with_scalar(self):
-        # One call over signed offsets equals point-by-point calls at the
-        # offsets reduced mod M.
-        offs = np.arange(-25, 26)
-        vec = gaussian_window(offs, 1.3, 100)
-        for o, v in zip(offs, vec):
-            scalar = gaussian_window(np.array([int(o) % 100]), 1.3, 100)[0]
-            assert v == pytest.approx(scalar, abs=1e-12)
-
-    def test_symmetry(self):
-        w = gaussian_window(np.arange(-10, 11), 3.0, 64)
-        assert np.allclose(w, w[::-1])
-
-    def test_invalid_spec(self):
-        for sigma in (-1.0, 0.0):
-            with pytest.raises(ValueError):
-                gaussian_window(np.arange(4), sigma, 8)
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_wrap_count_covers_any_offset(self, data):
-        # Offsets anywhere in (-3M, 3M), not only the window's: the wrap
-        # count comes from the largest |offset|, and must match a |h| <= 64
-        # wrap.
-        m = data.draw(st.integers(2, 1 << 20))
-        sigma = data.draw(st.floats(0.5, m / 2))
-        offs = data.draw(st.lists(st.integers(-3 * m + 1, 3 * m - 1), min_size=1, max_size=8))
-        h = np.arange(-64, 65)
-        brute = [math.sqrt(math.pi) * sigma * np.sum(
-            np.exp(-math.pi**2 * sigma**2 * ((o + h * m) / m) ** 2)) for o in offs]
-        got = gaussian_window(np.array(offs), sigma, m)
-        # o/M + h cancels when h ~ -o/M, which costs about eps*pi*sigma of
-        # the peak; a missing wrap term near |o| ~ M would cost all of it.
-        peak = math.sqrt(math.pi) * sigma
-        tol = peak * (1e-13 + 8 * np.finfo(float).eps * math.pi * sigma)
-        assert np.allclose(got, brute, rtol=0, atol=tol)
 
 
 class TestDft:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smfft import support_recovery
 from smfft.bench import random_instance
-from smfft.core_math import gaussian_window, next_fast_len, sample_coprime
+from smfft.core_math import next_fast_len, sample_coprime
 from smfft.errors import CandidateBlowup, EnvelopeError
 from smfft.md_transform import flatten_index, md_sample_adapter
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
@@ -29,19 +29,23 @@ def reference_probe_index(n, q, m, k):
     return ((2 * s * k + m) // (2 * m)) % k
 
 
-def reference_phi(sampler, m, k, q, sigma):
-    """Probe spectrum with the full K-point window built here, one request
-    for the offsets 0..K//2, the negative offsets conjugated here, and an
-    np.add.at fold."""
+def reference_phi(sampler, m, k, q, x):
+    """Probe spectrum by brute force: the plain Gaussian
+    (2x/sqrt(pi))*exp(-(2x*o/K)^2) written out at every signed offset o of
+    the K-point window, one request for the offsets 0..K//2, the negative
+    offsets conjugated here, an np.add.at fold and a complex inverse DFT
+    as a dense K x K matrix product."""
     # The alias window {n : n <= K/2 or |n - M| < K/2} as signed offsets:
     # -(K-1)//2..K//2, one full residue system mod K.
     offsets = np.arange(k // 2 - k + 1, k // 2 + 1)
-    weights = gaussian_window(offsets, sigma, m)
+    weights = [2 * x / math.sqrt(math.pi) * math.exp(-(2 * x * o / k) ** 2)
+               for o in offsets]
     half = sampler.sample_progression(0, q, k // 2 + 1, m)
     samples = np.array([half[o] if o >= 0 else np.conj(half[-o]) for o in offsets])
     folded = np.zeros(k, dtype=complex)
-    np.add.at(folded, offsets % k, samples * (weights / m))
-    return np.fft.ifft(folded, norm="forward")
+    np.add.at(folded, offsets % k, samples * weights)
+    kernel = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+    return kernel @ folded / k
 
 
 def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
@@ -53,7 +57,7 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
         if not survivors:
             break
         q = sample_coprime(m, rng)
-        phi = reference_phi(sampler, m, k, q, params.sigma(m))
+        phi = reference_phi(sampler, m, k, q, params.probe_x)
         survivors = {n for n in survivors
                      if abs(phi[reference_probe_index(n, q, m, k)]) >= params.threshold}
     return survivors
@@ -127,7 +131,7 @@ def probe_survival(shape, eta, seeds):
             candidate = dealias_candidates(aliased, m_prev, m // m_prev)
             qs = np.array([sample_coprime(m, rng)
                            for _ in range(level_rounds(moduli, m))])
-            phi = compute_phi(sampler, m, k, qs, params.sigma(m))
+            phi = compute_phi(sampler, m, k, qs, params.probe_x)
             probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
             passes = np.abs(probes) >= params.threshold
             true = np.isin(candidate, lines % m)
@@ -215,30 +219,26 @@ class TestSupportParams:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SupportParams(r_bound=3, eta=0.01, **{field: value})
 
-    def test_sigma_scales_with_modulus(self):
-        p = SupportParams(r_bound=50)
-        assert p.sigma(1848) == pytest.approx(2 * p.sigma(924))
-
     @pytest.mark.parametrize("r_bound", [1, 50, 256])
     def test_window_cut_where_reaches_balance(self, r_bound):
         # At the defaults, exp(-x^2) = pi^1.5*sqrt(l2)/2 * DELTA/(2*Delta)
         # = 0.094: the window's edge at offset K/2 sits at 9.4% of its peak
         # whatever R is (the paper's width cut it at 36%).
-        p = SupportParams(r_bound=r_bound)
-        k, m = p.k_base, 1 << 40
-        edge, peak = gaussian_window(np.array([k / 2, 0]), p.sigma(m), m)
-        assert edge / peak == pytest.approx(0.0939, abs=1e-4)
+        x = SupportParams(r_bound=r_bound).probe_x
+        assert x == pytest.approx(1.538, abs=1e-3)
+        assert math.exp(-x**2) == pytest.approx(0.0939, abs=1e-4)
 
     @pytest.mark.parametrize("delta_ratio", [1.0, 3.0, 1e3, 1e300])
     def test_true_line_off_grid_clears_threshold(self, delta_ratio):
         # The search keeps every true line only if a line of amplitude mu
-        # half a probe step (M/2K) off its probe point still clears the
-        # threshold.  At DELTA it reads at least 13 times it (13.0 at
-        # delta_ratio 1).  When delta was a setting, 0.7 brought it to 1.24
-        # times the threshold and trials lost true lines.
+        # half a bin off its probe point still clears the threshold: it
+        # reads mu*exp(-(0.5/s)^2) there, s = 2x/pi bins.  At DELTA that is
+        # at least 13 times the threshold (13.0 at delta_ratio 1).  When
+        # delta was a setting, 0.7 brought it to 1.24 times the threshold
+        # and trials lost true lines.
         p = SupportParams(r_bound=3, delta_ratio=delta_ratio)
-        m = 1 << 20
-        reading = math.exp(-((m / (2 * p.k_base)) / p.sigma(m)) ** 2) * p.mu
+        width = 2 * p.probe_x / math.pi
+        reading = math.exp(-(0.5 / width) ** 2) * p.mu
         assert reading >= 10 * p.threshold
 
     def test_k_base_computed_once(self, monkeypatch):
@@ -444,7 +444,7 @@ class TestComputePhi:
         m = 2 * k
         sampler = Sampler(spectrum)
         q = 137  # coprime to m = 550
-        phi, = compute_phi(sampler, m, k, [q], params.sigma(m))
+        phi, = compute_phi(sampler, m, k, [q], params.probe_x)
         assert len(phi) == k
         hot = set()
         for line in aliased_spectrum(spectrum, m):
@@ -460,17 +460,19 @@ class TestComputePhi:
         # one-multiplier complex transform of the np.add.at fold.  For odd K
         # the weighted period is Hermitian, so that transform is real; for
         # even K its imaginary part comes from the K/2 sample alone, whose
-        # real part is all the real transform reads.
+        # real part is all the real transform reads.  M = 2K is where a
+        # window wrapped round M would differ most from the plain Gaussian.
         spectrum = SparseSpectrum(8 * k, {3: 1.0, 5 * k + 7: 0.75})
-        sampler, m, sigma = Sampler(spectrum), 4 * k, 40.0
-        qs = (1, 3, 4 * k - 1)
-        phi = compute_phi(sampler, m, k, qs, sigma)
-        assert phi.shape == (len(qs), k) and phi.dtype == np.float64
-        for row, q in zip(phi, qs):
-            reference = reference_phi(sampler, m, k, q, sigma)
-            assert np.abs(row - reference.real).max() <= 1e-12
-            if k % 2:
-                assert np.abs(reference.imag).max() <= 1e-12
+        sampler, x = Sampler(spectrum), 1.5
+        for m in (2 * k, 4 * k):
+            qs = (1, 3, m - 1)
+            phi = compute_phi(sampler, m, k, qs, x)
+            assert phi.shape == (len(qs), k) and phi.dtype == np.float64
+            for row, q in zip(phi, qs):
+                reference = reference_phi(sampler, m, k, q, x)
+                assert np.abs(row - reference.real).max() <= 1e-12, m
+                if k % 2:
+                    assert np.abs(reference.imag).max() <= 1e-12, m
 
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
@@ -545,7 +547,7 @@ class TestFindAliasedSupport:
             candidate.tolist(), m, params, sampler, np.random.default_rng(5), rounds))
         probe_rng = np.random.default_rng(5)
         qs = [sample_coprime(m, probe_rng) for _ in range(rounds)]
-        phi = compute_phi(sampler, m, k, qs, params.sigma(m))
+        phi = compute_phi(sampler, m, k, qs, params.probe_x)
         passes = np.array([np.abs(row[probe_index(candidate, q, m, k)]) >= params.threshold
                            for row, q in zip(phi, qs)])
         assert len(passes) == rounds
@@ -608,7 +610,7 @@ class TestFindSupport:
         for m in moduli[1:]:
             qs = np.array([sample_coprime(m, rng)
                            for _ in range(level_rounds(moduli, m))])
-            phi = compute_phi(sampler, m, k, qs, params.sigma(m))
+            phi = compute_phi(sampler, m, k, qs, params.probe_x)
             truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
             probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
             assert (probes >= params.threshold).all(), (m, probes.min())
