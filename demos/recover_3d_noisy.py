@@ -1,7 +1,7 @@
 """3-D recovery from noisy samples.
 
 A 50-sparse nonnegative spectrum on a 128^3 grid (N ~ 2 million) is
-recovered from a few tens of thousands of noisy point samples.  The cubic
+recovered from a few thousand noisy point samples.  The cubic
 grid is mapped to one dimension along a rank-1 lattice, so the whole
 pipeline runs on the flattened problem.
 """

@@ -12,6 +12,7 @@ accuracy targets of the recovery pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core_math import next_fast_len
 # truncation errors balance at exp(-pi * MSP / (2 * sqrt(2))) ~ 3e-14.
 _SPREAD_HALF = 14
 _MSP = 2 * _SPREAD_HALF
+_OFFSETS = np.arange(-_SPREAD_HALF, _SPREAD_HALF + 1)
 
 
 def _grid(half_span: int) -> tuple[int, float]:
@@ -35,11 +37,9 @@ def _spread(nu: np.ndarray, grid: int, tau: float):
     """The 2*_SPREAD_HALF+1 fine-grid cells nearest each nu*grid, and the
     Gaussian kernel's weight at each, both of shape (R, _MSP + 1)."""
     pos = nu * grid
-    nearest = np.rint(pos).astype(np.int64)
-    offs = np.arange(-_SPREAD_HALF, _SPREAD_HALF + 1)
-    cells = (nearest[:, None] + offs[None, :]) % grid
-    dist = (2 * np.pi / grid) * (nearest[:, None] + offs[None, :] - pos[:, None])
-    return cells, np.exp(-(dist * dist) / (4.0 * tau))
+    near = np.rint(pos).astype(np.int64)[:, None] + _OFFSETS
+    dist = (2 * np.pi / grid) * (near - pos[:, None])
+    return near % grid, np.exp(-(dist * dist) / (4.0 * tau))
 
 
 def _correction(modes: np.ndarray, grid: int, tau: float) -> np.ndarray:
@@ -51,6 +51,19 @@ def _correction(modes: np.ndarray, grid: int, tau: float) -> np.ndarray:
     """
     return np.exp(tau * modes.astype(float) ** 2) * (
         2.0 * np.pi / (grid * math.sqrt(4.0 * math.pi * tau)))
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(count: int):
+    """For a request of ``count`` modes: the fine grid, tau, each mode's
+    index on the grid and the kernel correction there.  A run requests few
+    distinct counts (K//2 + 1 outside the fallback), so each is planned once;
+    the arrays are shared, so they are read-only."""
+    s = np.arange(count) - count // 2  # modes in [-count//2, count - count//2)
+    grid, tau = _grid(count - count // 2)
+    index, correction = s % grid, _correction(s, grid, tau)
+    index.flags.writeable = correction.flags.writeable = False
+    return grid, tau, index, correction
 
 
 def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
@@ -68,13 +81,11 @@ def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
     # Center the mode range at zero so the kernel correction stays tame.
     kc = count // 2
     shifted = coeffs * np.exp(-2j * np.pi * ((kc * nu) % 1.0))
-    s = np.arange(count) - count // 2  # modes in [-count//2, count - count//2)
-
-    grid, tau = _grid(count - count // 2)
+    grid, tau, index, correction = _plan(count)
     cells, kernel = _spread(nu, grid, tau)
     fine = np.zeros(grid, dtype=complex)
     np.add.at(fine, cells.ravel(), (shifted[:, None] * kernel).ravel())
 
     spectrum = np.fft.fft(fine)
-    return spectrum[s % grid] * _correction(s, grid, tau)
+    return spectrum[index] * correction
 

@@ -12,7 +12,8 @@ random shuffling makes spurious candidates fail some round with high
 probability.  The inner levels run just enough rounds that spurious
 survivors do not compound from level to level (:data:`INNER_ROUNDS`).  Only
 the last level's spurious survivors reach the output, and the value stage
-drops them, so it runs just enough rounds that few reach it
+fits each to about 0 and drops it, so the last level runs just enough
+rounds that those few extra unknowns leave the fit well conditioned
 (:data:`LAST_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
 q as an int64 array that broadcasts.
 
@@ -70,13 +71,16 @@ DELTA = 0.1
 INNER_ROUNDS = 2
 
 # L, the fewest shuffle rounds at the last level with 2 (RHO - 1) ALPHA^L <=
-# 1/20 (14 * 0.2^3 = 0.11, 14 * 0.2^4 = 0.022), so at most R/20 of the
+# 1/8 (14 * 0.2^2 = 0.56, 14 * 0.2^3 = 0.11), so at most R/8 of the
 # spurious candidates it sees (above) reach the output in expectation.  The
 # value stage fits every line it is given from these rounds' samples; a
 # spurious line's value is 0, so it is dropped, but each adds an unknown to
-# the fit.  3 rounds would pass 11%: 4-14% fewer samples on the benchmark
-# shapes, for more spurious lines and CG iterations in the fit.
-LAST_ROUNDS = 4
+# the fit.  That many cost the fit little: on the benchmark shapes CG takes a
+# median of 11-27 iterations (at most 67, inside value_recovery's cap of
+# 100) where 4 rounds took 8-21, and the noise gate's worst error/eta rises
+# from 0.05 to 0.06.  2 rounds would pass 0.56 R, each survivor within about
+# 2 bins of a true line in every round, where the fit is unmeasured.
+LAST_ROUNDS = 3
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ s = 2x/pi and C = K*sqrt(pi)/(2x): the gridding of
 Dutt-Rokhlin and Greengard-Lee ("Accelerating the nonuniform FFT", SIAM
 Review 46, 2004).  The values are the least-squares fit of these responses,
 whose sparse normal matrix has a closed form (:func:`normal_matrix`),
-solved by conjugate gradients (CG).  The stage draws no sample.  A
+solved by conjugate gradients (CG).  The support holds the spurious lines
+the last level's 3 rounds let through as well, at most R/8 in expectation;
+each is one more unknown, fitted to about 0.  The stage draws no sample.  A
 one-level ladder (K >= N) needs no fit: the base level's DFT is the spectrum.
 
 If CG misses its tolerance within :data:`CG_ITERATIONS`, prime-modulus
@@ -53,11 +55,12 @@ FOOTPRINT = 20
 # D: two lines farther apart than this in a round add below 1e-14 of the
 # diagonal to the normal matrix there, s*sqrt(2 ln 1e14) = 27.1 bins.
 _REACH = _WIDTH * math.sqrt(2 * math.log(1e14))
-# CG's iteration cap.  Inside the envelope CG takes 7-11 iterations on
-# deep-ladder and wide-support and 19-23 on exact-shallow; a support of
-# twice R (512 lines at R = 256) takes 30-33, one of 4R does not converge
-# in 60 and falls back to the prime grids.
-CG_ITERATIONS = 50
+# CG's iteration cap.  Inside the envelope, with the last level's 3 rounds,
+# CG takes a median of 11 and 13 iterations on deep-ladder and wide-support
+# (at most 16) and 27 on exact-shallow (p99 34, at most 67, where 56
+# spurious lines reached the fit); a support of twice R (512 lines at
+# R = 256) takes 45-51, one of 4R 238-322, and falls back to the prime grids.
+CG_ITERATIONS = 100
 
 
 @dataclass

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smfft import nufft
 from smfft.core_math import next_fast_len
 from smfft.nufft import nufft_exp_sum
 
@@ -43,6 +44,19 @@ def test_clustered_frequencies():
     coeffs = np.ones(32, dtype=complex)
     got = from_index(coeffs, nu, -500, 1000)
     assert np.max(np.abs(got - direct(coeffs, nu, -500, 1000))) / 32 < 1e-12
+
+
+def test_planned_counts_match_unplanned(monkeypatch):
+    # Each request size's grid and correction are planned once and shared;
+    # calls that interleave sizes return exactly what a fresh plan gives.
+    rng = np.random.default_rng(3)
+    nu = rng.uniform(0, 1, 40)
+    coeffs = rng.uniform(0.5, 1.5, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    counts = [463, 150, 463, 2561, 150, 463]
+    planned = [nufft_exp_sum(coeffs, nu, count) for count in counts]
+    monkeypatch.setattr(nufft, "_plan", nufft._plan.__wrapped__)
+    for count, got in zip(counts, planned):
+        assert np.array_equal(got, nufft_exp_sum(coeffs, nu, count)), count
 
 
 def _is_11_smooth(n):
