@@ -32,8 +32,8 @@ print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
 # End-to-end recovery.
 params = SupportParams(r_bound=3)
 moduli = plan_ladder(N, params.k_base)
-print(f"base modulus K={params.k_base}, ladder moduli {moduli} "
-      "(K already exceeds N here, so one level suffices)")
+print(f"base modulus K={params.k_base}, ladder moduli {moduli}: "
+      f"{len(moduli) - 1} growth step(s) pad N = {N} to {moduli[-1]}")
 
 ledger = SampleLedger()
 sampler = Sampler(spectrum, ledger=ledger)

@@ -33,11 +33,13 @@ def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
     if sparsity > lattice.total:
         raise ValueError(f"sparsity R = {sparsity} exceeds the grid size N = {lattice.total}")
     rng = np.random.default_rng(seed)
-    flat = rng.choice(lattice.total, size=sparsity, replace=False) if (
-        lattice.total < 1 << 30) else np.unique(rng.integers(0, lattice.total, 4 * sparsity))[:sparsity]
-    while len(flat) < sparsity:  # collision top-up for the huge-N path
-        extra = np.unique(np.concatenate([flat, rng.integers(0, lattice.total, 4 * sparsity)]))
-        flat = extra[:sparsity]
+    if lattice.total < 1 << 30:
+        flat = rng.choice(lattice.total, size=sparsity, replace=False)
+    else:  # the R smallest distinct of 4R draws, topped up after collisions
+        flat = np.empty(0, dtype=np.int64)
+        while len(flat) < sparsity:  # sorted and distinct; np.unique imports numpy.ma
+            flat = np.sort(np.concatenate([flat, rng.integers(0, lattice.total, 4 * sparsity)]))
+            flat = flat[np.diff(flat, prepend=-1) > 0][:sparsity]
     amps = rng.uniform(0.5, 1.5, size=len(flat))
     digits = np.unravel_index(flat, (axis_size,) * dims, order="F")
     entries = dict(zip(zip(*(d.tolist() for d in digits)), amps.tolist()))

@@ -43,22 +43,30 @@ from .signal import Sampler
 CANDIDATE_CAP_FACTOR = 8
 
 # ALPHA bounds a spurious candidate's chance to pass one probe round at the
-# width SupportParams.probe_x gives (measured 0.10-0.19).  K's bound scales
-# with max(8, 2/ALPHA), so a larger ALPHA samples less per round; 0.2 is
-# the largest tried that a round still honours at the smallest K (at 0.22
-# and R = 1 a round passes 0.24).  RHO, the largest ladder growth factor,
-# is the largest at which that bound holds, and the one of those that costs
-# fewest samples: above 8 a parent's translates can sit so few probe-grid
-# steps from its true line that they pass most rounds.
+# width SupportParams.probe_x gives (measured 0.13-0.19 for delta_ratio 1-3,
+# eta up to NOISE_EDGE*mu).  K's bound scales with max(8, 2/ALPHA), so a
+# larger ALPHA samples less per round; 0.2 is the largest tried that a
+# round still honours at the smallest K (at 0.22 and R = 1 a round passed
+# 0.24 at DELTA = 0.1).  RHO, the largest ladder growth factor, is the
+# largest at which that bound holds, and the one of those that costs fewest
+# samples: above 8 a parent's translates can sit so few probe-grid steps
+# from its true line that they pass most rounds.
 ALPHA = 0.2
 RHO = 8
 
-# DELTA sets the probe threshold DELTA*mu/2.  At the width
-# SupportParams.probe_x gives, a line of amplitude mu half a bin off its probe
-# point reads at least 13 times it, whatever delta_ratio is.  A larger DELTA
-# shrinks K but narrows the probe: that reading falls to 1.24 times the
-# threshold at 0.7, where true lines start to be lost, and below it at 0.8.
-DELTA = 0.1
+# DELTA sets the probe threshold DELTA*mu/2: the largest multiple of 0.1 at
+# which a line of amplitude mu half a bin off its probe point, at the width
+# SupportParams.probe_x gives, reads at least twice the threshold whatever
+# delta_ratio is.  It reads least at delta_ratio 1: 2.19 times it (4.32 at
+# the default 3), where 0.2 gives 4.89 and 0.4 gives 0.85.  A larger DELTA
+# shrinks K (R = 50: 924 at 0.1, 726 at 0.3) but narrows the probe, and when
+# delta was a setting, seeded trials lost true lines from a reading of 1.24.
+DELTA = 0.3
+
+# The envelope's noise edge, eta <= NOISE_EDGE*mu, is its own constant, not
+# DELTA*mu/2: a third of the threshold, the edge the guarantees were stated
+# and measured at (see SupportParams.threshold), and not widened with DELTA.
+NOISE_EDGE = 0.05
 
 # L_in, the fewest shuffle rounds with RHO * ALPHA^L_in <= 1/2, run at every
 # ladder level but the last: 8 * 0.2 = 1.6, 8 * 0.2^2 = 0.32.  A level's
@@ -76,10 +84,11 @@ INNER_ROUNDS = 2
 # value stage fits every line it is given from these rounds' samples; a
 # spurious line's value is 0, so it is dropped, but each adds an unknown to
 # the fit.  That many cost the fit little: on the benchmark shapes CG takes a
-# median of 11-27 iterations (at most 67, inside value_recovery's cap of
-# 100) where 4 rounds took 8-21, and the noise gate's worst error/eta rises
-# from 0.05 to 0.06.  2 rounds would pass 0.56 R, each survivor within about
-# 2 bins of a true line in every round, where the fit is unmeasured.
+# median of 11-29 iterations (at most 45, inside value_recovery's cap of
+# 100) where 4 rounds took 8-21, and the noise gate's worst error/eta is
+# 0.07, against 0.05 at 4 rounds.  2 rounds would pass 0.56 R, each survivor
+# within about 2 bins of a true line in every round, where the fit is
+# unmeasured.
 LAST_ROUNDS = 3
 
 
@@ -91,7 +100,7 @@ class SupportParams:
     mu is a lower bound on the smallest nonzero amplitude, delta_ratio an
     upper bound on the dynamic range ||fhat||_inf / mu.  Neither is
     estimated from data; defaults match an amplitude range of [0.5, 1.5].
-    eta is the samples' noise level, at most DELTA*mu/2; the value stage
+    eta is the samples' noise level, at most NOISE_EDGE*mu; the value stage
     recovers to max(eta, 1e-10).
     """
 
@@ -107,9 +116,9 @@ class SupportParams:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not 1 <= self.delta_ratio < math.inf:
             raise ValueError(f"delta_ratio must be finite and >= 1, got {self.delta_ratio}")
-        if not 0 <= self.eta <= self.threshold:
+        if not 0 <= self.eta <= NOISE_EDGE * self.mu:
             raise ValueError(f"noise level eta = {self.eta} violates "
-                             "0 <= eta <= DELTA*mu/2")
+                             f"0 <= eta <= {NOISE_EDGE}*mu")
 
     @functools.cached_property
     def k_base(self) -> int:
@@ -118,7 +127,7 @@ class SupportParams:
         11-smooth size, so every size-K FFT takes a fast radix path (a
         larger K only widens the filter's margin).  A bound of 2^17 or more,
         an infinite one included, raises EnvelopeError before it is rounded.
-        A bound just below 2^17 can round up to exactly 2^17 (R = 5697-5700
+        A bound just below 2^17 can round up to exactly 2^17 (R = 6911-6914
         at the defaults); that K is returned, and plan_ladder rejects it."""
         r = max(self.r_bound, 1)
         l1 = math.log(2 * r * self.delta_ratio / DELTA)
@@ -136,13 +145,14 @@ class SupportParams:
         The noise is complex Gaussian with standard deviation eta per sample
         (NoiseModel), so a probe's noise is Gaussian with standard deviation
         eta*||w||_2, w being the K weights (2x/sqrt(pi))*exp(-(2x*m/K)^2)/K
-        of compute_phi's transform: about 1.1*eta/sqrt(K) at the width
-        :attr:`probe_x` gives.  With eta <= t that is below t/3 once
-        K >= 12, while a true line of amplitude mu half a bin off its probe
-        point reads about 0.77*mu, which is 15t at DELTA.  A true line then
-        fails a round only beyond about 40 standard deviations, so the
-        threshold is not lowered for noise.  (Halving it would cover noise
-        bounded by eta, which can move a probe by 0.85*eta.)
+        of compute_phi's transform: about 0.97*eta/sqrt(K) at the width
+        :attr:`probe_x` gives (0.72 at delta_ratio 1).  With eta <=
+        NOISE_EDGE*mu = t/3 that is about 0.1t at the smallest K (10, and
+        7 at delta_ratio 1), while a true line of amplitude mu half a bin off
+        its probe point reads at least 2.19t.  A true line then fails a round
+        only beyond about 12 standard deviations, so the threshold is not
+        lowered for noise.  Noise bounded by eta moves a probe by at most
+        ||w||_1*eta = erf(x)*eta < t/3, so such a line still clears it.
         """
         return DELTA * self.mu / 2
 

@@ -57,9 +57,9 @@ FOOTPRINT = 20
 _REACH = _WIDTH * math.sqrt(2 * math.log(1e14))
 # CG's iteration cap.  Inside the envelope, with the last level's 3 rounds,
 # CG takes a median of 11 and 13 iterations on deep-ladder and wide-support
-# (at most 16) and 27 on exact-shallow (p99 34, at most 67, where 56
-# spurious lines reached the fit); a support of twice R (512 lines at
-# R = 256) takes 45-51, one of 4R 238-322, and falls back to the prime grids.
+# (at most 17) and 29 on exact-shallow (p99 34, at most 45); a support of
+# twice R (512 lines at R = 256) takes 47-59, one of 4R 283-341, and falls
+# back to the prime grids.
 CG_ITERATIONS = 100
 
 

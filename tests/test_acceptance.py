@@ -1,7 +1,7 @@
 """End-to-end acceptance gate.
 
-Ten checks covering exact recovery, noise robustness, noise stability up
-to the envelope's edge, the failure probability, runtime
+Eleven checks covering exact recovery, noise robustness, noise stability up
+to the envelope's edge, its far corner, the failure probability, runtime
 scaling in N and R, sample complexity, lattice exactness, the lemma battery,
 and byte-level reproducibility.  Each
 emits a single PASS/FAIL summary line on the real stdout so it stays
@@ -22,10 +22,11 @@ import sys
 
 import numpy as np
 
-from smfft.bench import bench_n_rows, bench_r_rows, run_trial
+from smfft.bench import (bench_n_rows, bench_r_rows, make_params,
+                         random_instance, run_trial, scored_run)
 from smfft.cli import main as cli_main
 from smfft.errors import SmfftError
-from smfft.support_recovery import SupportParams
+from smfft.support_recovery import NOISE_EDGE, SupportParams
 
 from lemma_checks import LEMMAS, measure, shuffle_isomorphism_failures
 
@@ -61,9 +62,9 @@ def test_noisy_recovery_error():
 
 def test_noise_stability_to_envelope_edge():
     """All 40 trials at each noise level up to the envelope's edge
-    eta = DELTA*mu/2 meet the success rule with relative l2 error <= eta
+    eta = NOISE_EDGE*mu meet the success rule with relative l2 error <= eta
     (M = 2^7, d = 2, R = 50)."""
-    edge = SupportParams(r_bound=50).threshold
+    edge = NOISE_EDGE * SupportParams(r_bound=50).mu
     worst, good = [], 0
     for eta in (1e-3, 1e-2, 2e-2, edge):
         rows = [run_trial(128, 2, 50, eta, 7000 + s) for s in range(40)]
@@ -73,6 +74,36 @@ def test_noise_stability_to_envelope_edge():
     _report("noise-stability", good == 160,
             f"{good}/160 within eta, eta up to {edge:g}; worst error/eta "
             + " / ".join(f"{w:.2f}" for w in worst))
+
+
+def test_envelope_corners():
+    """At the envelope's far corner, R = 6910 (K = 130977, the largest
+    below 2^17) on grids padded to just under 2^46 in d = 1, 2 and 3, every
+    trial meets the success rule: noiseless and at the noise edge
+    eta = NOISE_EDGE*mu, with amplitudes drawn in [mu, delta_ratio*mu], all
+    at mu, or all at delta_ratio*mu.  (One line more, R = 6911, gives
+    K = 2^17, which test_lattice.py::TestEnvelope shows is rejected before
+    the first sample.)"""
+    r, params = 6910, SupportParams(r_bound=6910)
+    edge = NOISE_EDGE * params.mu
+    top = params.delta_ratio * params.mu
+    # (axis, dims, eta, amplitude or None for drawn, seed); the d = 1 and
+    # d = 3 grids pad to 130977 * 4 * 8^9 = 0.99928 * 2^46.
+    trials = ((5_000_000, 2, 0.0, None, 1), (5_000_000, 2, edge, None, 1),
+              (70_317_741_441_024, 1, edge, params.mu, 2),
+              (41_275, 3, 0.0, top, 3), (41_275, 3, edge, params.mu, 4))
+    worst, good = [], 0
+    for axis, dims, eta, amp, seed in trials:
+        entries, lattice, noise = random_instance(axis, dims, r, eta, seed)
+        if amp is not None:
+            entries = dict.fromkeys(entries, amp)
+        _, row = scored_run(entries, lattice, noise, make_params(r, eta),
+                            seed, seed + 2)
+        good += row["success"]
+        worst.append(row["rel_l2_error"] / max(eta, 1e-8))
+    _report("envelope-corners", good == len(trials),
+            f"{good}/{len(trials)} succeed at R = {r}, K = {params.k_base}; "
+            f"worst error/max(eta, 1e-8) {max(worst):.3g}")
 
 
 def test_failure_probability_within_p():

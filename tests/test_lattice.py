@@ -196,8 +196,8 @@ class TestEnvelope:
     @pytest.mark.parametrize("dims,axis,r_bound,message", [
         (3, 1 << 16, 4, "padded grid size"),       # N = 2^48
         (5, 1 << 16, 4, "padded grid size"),       # N = 2^80
-        (1, 1 << 20, 5697, "base modulus K 131072"),  # bound 130981 rounds up to 2^17
-        (1, 1 << 20, 5701, "base modulus K bound"),   # bound 131076 >= 2^17
+        (1, 1 << 20, 6911, "base modulus K 131072"),  # bound 130996 rounds up to 2^17
+        (1, 1 << 20, 6915, "base modulus K bound"),   # bound 131075 >= 2^17
     ])
     def test_rejected_before_sampling(self, dims, axis, r_bound, message):
         lat = RankOneLattice(dims, axis)
@@ -212,19 +212,19 @@ class TestEnvelope:
         assert ledger.total_requests == 0
 
     def test_largest_base_modulus_is_planned(self):
-        # R = 5696 has the largest K below 2^17 at the defaults: its bound
-        # 130957 rounds up to the 11-smooth 130977 = 3^5 * 7^2 * 11.
-        params = SupportParams(r_bound=5696)
+        # R = 6910 has the largest K below 2^17 at the defaults: its bound
+        # 130976 rounds up to the 11-smooth 130977 = 3^5 * 7^2 * 11.
+        params = SupportParams(r_bound=6910)
         assert params.k_base == 130977
         assert plan_ladder(1 << 20, params.k_base) == (130977, 392931, 1178793)
 
     def test_edge_of_envelope_runs(self):
-        # At R = 1 (K = 14) the ladder pads N = 14 * 6^4 * 7^6 * 8^5, about
-        # 63.6 * 2^40, to itself: the largest padded N inside 2^46.  One
+        # At R = 1 (K = 10) the ladder pads N = 10 * 5 * 6^4 * 8^10, about
+        # 63.3 * 2^40, to itself: the largest padded N inside 2^46.  One
         # more point needs 15 growth factors of at most 8 with a larger
         # product, which pads past 2^46.
         params = SupportParams(r_bound=1)
-        edge = 14 * 6**4 * 7**6 * 8**5
+        edge = 10 * 5 * 6**4 * 8**10
         lat = RankOneLattice(1, edge)
         sampler = md_sample_adapter({(5,): 1.0}, lat)
         got = md_sfft(sampler, lat, params, np.random.default_rng(0))

@@ -16,7 +16,7 @@ from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter
                                 md_sfft, relative_l2_error)
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from smfft.support_recovery import (ALPHA, DELTA, INNER_ROUNDS, LAST_ROUNDS,
-                                    RHO, SupportParams, compute_phi,
+                                    NOISE_EDGE, RHO, SupportParams, compute_phi,
                                     dealias_candidates, find_aliased_support,
                                     find_support, initial_aliased_support,
                                     plan_ladder, probe_index)
@@ -84,25 +84,26 @@ def factorizations(n, count, least=2):
             for rest in factorizations(n // f, count - 1, f)]
 
 
-# The plans the pruned recursive search gave before plan_ladder tried every
-# factor tuple: the requests that had its largest searches, and the three
-# benchmark shapes (deep-ladder is (50, 10321**3), wide-support (256, 465**3)
-# and exact-shallow (256, 256**2)).
+# The requests that had the largest searches of the pruned recursive planner
+# plan_ladder replaced, and the three benchmark shapes (deep-ladder is
+# (50, 10321**3), wide-support (256, 465**3) and exact-shallow
+# (256, 256**2)), each planned from its default K; every plan matches
+# reference_plan and is the least factorization of its product.
 PINNED_PLANS = {
-    (1, 9952744261968): (6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8),
-    (2, 21990232555520): (2, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
-    (16, 25160244722316): (2, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8),
-    (50, 10436770529280): (5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8),
-    (256, 58926951301120): (2, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8),
-    (1, 61970091588132): (5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8),
-    (1, 61675272240708): (5, 5, 5, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8),
-    (2, 16520162207310): (5, 5, 5, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8),
-    (16, 19062002596725): (5, 5, 6, 6, 6, 7, 7, 8, 8, 8, 8, 8, 8),
-    (50, 64038991937844): (5, 5, 6, 6, 6, 7, 7, 8, 8, 8, 8, 8, 8),
-    (256, 45079976734720): (3, 5, 5, 7, 8, 8, 8, 8, 8, 8, 8, 8),
-    (50, 1099424306161): (6, 6, 6, 6, 6, 7, 7, 7, 7, 8, 8),
-    (256, 100544625): (5, 8, 8, 8, 8),
-    (256, 65536): (2, 7),
+    (1, 9952744261968): (5, 5, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8),
+    (2, 21990232555520): (5, 5, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8),
+    (16, 25160244722316): (6, 6, 6, 6, 7, 7, 7, 8, 8, 8, 8, 8, 8),
+    (50, 10436770529280): (4, 5, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8),
+    (256, 58926951301120): (4, 5, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8),
+    (1, 61970091588132): (7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8),
+    (1, 61675272240708): (5, 5, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8),
+    (2, 16520162207310): (4, 5, 5, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
+    (16, 19062002596725): (5, 6, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8),
+    (50, 64038991937844): (5, 6, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8),
+    (256, 45079976734720): (5, 5, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8),
+    (50, 1099424306161): (5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 8),
+    (256, 100544625): (6, 8, 8, 8, 8),
+    (256, 65536): (2, 8),
 }
 
 
@@ -111,20 +112,21 @@ def level_rounds(moduli, m):
     return LAST_ROUNDS if m == moduli[-1] else INNER_ROUNDS
 
 
-def probe_survival(shape, eta, seeds):
+def probe_survival(shape, eta, seeds, delta_ratio=3.0):
     """Replay find_support's ladder on random instances of ``shape`` =
-    (N, R), with its rounds and survivors at each level, and count the probe
-    rounds that spurious and true candidates pass: (spurious passes,
-    spurious rounds, true failures)."""
+    (N, R), amplitudes in [mu, delta_ratio*mu], with its rounds and
+    survivors at each level, and count the probe rounds that spurious and
+    true candidates pass: (spurious passes, spurious rounds, true
+    failures)."""
     n, r = shape
     passed = rounds = true_failures = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
+        params = SupportParams(r_bound=r, delta_ratio=delta_ratio, eta=eta)
         lines = rng.choice(n, r, replace=False)
-        spectrum = SparseSpectrum(n, {int(j): float(a) for j, a in
-                                      zip(lines, rng.uniform(0.5, 1.5, r))})
+        amps = rng.uniform(params.mu, delta_ratio * params.mu, r)
+        spectrum = SparseSpectrum(n, {int(j): float(a) for j, a in zip(lines, amps)})
         sampler = Sampler(spectrum, NoiseModel(eta, seed))
-        params = SupportParams(r_bound=r, eta=eta)
         moduli = plan_ladder(n, params.k_base)
         k = moduli[0]
         aliased = initial_aliased_support(sampler, k, params)
@@ -145,35 +147,39 @@ def probe_survival(shape, eta, seeds):
 
 class TestSupportParams:
     def test_k_base_default_sparsity_3(self):
-        # ceil(10/pi * 3 * sqrt(ln(180) * ln(60))) = 45, already 11-smooth
-        assert SupportParams(r_bound=3).k_base == 45
+        # ceil(10/pi * 3 * sqrt(ln(60) * ln(20))) = 34 = 2 * 17, rounded up
+        # to the 11-smooth 35 = 5 * 7
+        assert SupportParams(r_bound=3).k_base == 35
 
     def test_k_base_table_defaults_r50(self):
-        # ceil(10/pi * 50 * sqrt(ln(3000) * ln(60))) = 912 = 2^4 * 3 * 19,
-        # rounded up to the 11-smooth 924 = 2^2 * 3 * 7 * 11
-        assert SupportParams(r_bound=50).k_base == 924
+        # ceil(10/pi * 50 * sqrt(ln(1000) * ln(20))) = 725 = 5^2 * 29,
+        # rounded up to the 11-smooth 726 = 2 * 3 * 11^2
+        assert SupportParams(r_bound=50).k_base == 726
 
     def test_k_base_is_next_smooth_size_over_bound(self):
-        # Over R = 1..5696 (K < 2^17) rounding up costs at most 6%.
+        # Over R = 1..6910 (K < 2^17) rounding up costs at most 6%, but at
+        # R = 9, where the bound 113 rounds up to 120 (6.2%).
         def smooth(n):
             for f in (2, 3, 5, 7, 11):
                 while n % f == 0:
                     n //= f
             return n == 1
 
-        for r in range(1, 5697):
+        for r in range(1, 6911):
             p = SupportParams(r_bound=r)
             l1 = math.log(2 * r * p.delta_ratio / DELTA)
             l2 = math.log(2 * p.delta_ratio / DELTA)
             bound = math.ceil(max(8, 2 / ALPHA) / math.pi * r * math.sqrt(l1 * l2))
-            assert bound <= p.k_base <= 1.06 * bound and smooth(p.k_base), r
+            top = 120 if r == 9 else 1.06 * bound
+            assert bound <= p.k_base <= top and smooth(p.k_base), r
 
     @pytest.mark.parametrize("fields", [
-        {"r_bound": 10**12}, {"r_bound": 2, "delta_ratio": 1e307}],
+        {"r_bound": 10**12}, {"r_bound": 3, "delta_ratio": 1e307}],
         ids=["r-1e12", "delta-ratio-1e307"])
     def test_k_bound_checked_before_rounding(self, fields):
         # A bound past 1e13 would take minutes to round up to an 11-smooth
-        # size, and an infinite one cannot be rounded; both raise at once.
+        # size, and an infinite one (2R*Delta/DELTA = 2e308 overflows) cannot
+        # be rounded; both raise at once.
         with pytest.raises(EnvelopeError, match="base modulus K bound"):
             SupportParams(**fields).k_base
 
@@ -195,15 +201,17 @@ class TestSupportParams:
 
     def test_threshold(self):
         # DELTA*mu/2 for Gaussian noise as for none: a probe's noise is
-        # about 1.1*eta/sqrt(K), far below the margin of a true line.
+        # about 0.97*eta/sqrt(K), far below the margin of a true line.
         p = SupportParams(r_bound=3)
-        assert p.threshold == pytest.approx(0.025)
+        assert p.threshold == pytest.approx(0.075)
         noisy = SupportParams(r_bound=3, eta=0.025)
         assert noisy.threshold == p.threshold
 
     def test_noise_cap(self):
-        with pytest.raises(ValueError):
-            SupportParams(r_bound=3, eta=0.03)  # > DELTA*mu/2 = 0.025
+        # The noise edge is its own constant, not DELTA*mu/2 = 0.075.
+        assert NOISE_EDGE * SupportParams(r_bound=3).mu == 0.025
+        with pytest.raises(ValueError, match=r"eta <= 0\.05\*mu"):
+            SupportParams(r_bound=3, eta=0.03)  # > NOISE_EDGE*mu = 0.025
 
     def test_rejects_negative_eta(self):
         # A negative noise level used to construct, and then every run
@@ -224,24 +232,25 @@ class TestSupportParams:
     @pytest.mark.parametrize("r_bound", [1, 50, 256])
     def test_window_cut_where_reaches_balance(self, r_bound):
         # At the defaults, exp(-x^2) = pi^1.5*sqrt(l2)/2 * DELTA/(2*Delta)
-        # = 0.094: the window's edge at offset K/2 sits at 9.4% of its peak
+        # = 0.241: the window's edge at offset K/2 sits at 24% of its peak
         # whatever R is (the paper's width cut it at 36%).
         x = SupportParams(r_bound=r_bound).probe_x
-        assert x == pytest.approx(1.538, abs=1e-3)
-        assert math.exp(-x**2) == pytest.approx(0.0939, abs=1e-4)
+        assert x == pytest.approx(1.193, abs=1e-3)
+        assert math.exp(-x**2) == pytest.approx(0.2409, abs=1e-4)
 
     @pytest.mark.parametrize("delta_ratio", [1.0, 3.0, 1e3, 1e300])
     def test_true_line_off_grid_clears_threshold(self, delta_ratio):
         # The search keeps every true line only if a line of amplitude mu
         # half a bin off its probe point still clears the threshold: it
-        # reads mu*exp(-(0.5/s)^2) there, s = 2x/pi bins.  At DELTA that is
-        # at least 13 times the threshold (13.0 at delta_ratio 1).  When
-        # delta was a setting, 0.7 brought it to 1.24 times the threshold
-        # and trials lost true lines.
+        # reads mu*exp(-(0.5/s)^2) there, s = 2x/pi bins.  DELTA is the
+        # largest multiple of 0.1 at which that is at least twice the
+        # threshold (2.19 at delta_ratio 1; 0.85 at 0.4).  When delta was a
+        # setting, 0.7 brought it to 1.24 times the threshold and trials
+        # lost true lines.
         p = SupportParams(r_bound=3, delta_ratio=delta_ratio)
         width = 2 * p.probe_x / math.pi
         reading = math.exp(-(0.5 / width) ** 2) * p.mu
-        assert reading >= 10 * p.threshold
+        assert reading >= 2 * p.threshold
 
     def test_k_base_computed_once(self, monkeypatch):
         calls = []
@@ -252,7 +261,7 @@ class TestSupportParams:
 
         monkeypatch.setattr(support_recovery, "next_fast_len", counting)
         p, q = SupportParams(r_bound=50), SupportParams(r_bound=50)
-        assert p.k_base == p.k_base == 924
+        assert p.k_base == p.k_base == 726
         assert len(calls) == 1
         assert p == q and hash(p) == hash(q)
 
@@ -291,7 +300,7 @@ class TestLadder:
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p.k_base) == (45,)
+        assert plan_ladder(40, p.k_base) == (35, 70)
 
     def test_envelope(self):
         # probe_index is exact for K < 2^17 and a padded N <= 2^46.
@@ -321,9 +330,11 @@ class TestLadder:
 
     @pytest.mark.parametrize("r_bound,requested_n", list(PINNED_PLANS))
     def test_pinned_plans(self, r_bound, requested_n):
-        moduli = plan_ladder(requested_n, SupportParams(r_bound=r_bound).k_base)
+        k = SupportParams(r_bound=r_bound).k_base
+        moduli = plan_ladder(requested_n, k)
         factors = tuple(b // a for a, b in zip(moduli, moduli[1:]))
         assert factors == PINNED_PLANS[r_bound, requested_n]
+        assert reference_plan(requested_n, k) == (len(factors), math.prod(factors))
 
     def test_planned_once_per_request(self):
         first = plan_ladder(10321**3, 924)
@@ -412,11 +423,12 @@ class CountingSampler(Sampler):
 
 
 class TestSamplePeriod:
-    @pytest.mark.parametrize("r_bound", [16, 18])
+    @pytest.mark.parametrize("r_bound", [16, 17, 18])
     def test_request_counts(self, r_bound):
         # One request of K//2 + 1 points per period: the base level, then
         # each of a level's probe rounds, INNER_ROUNDS = 2 at the inner
-        # moduli and LAST_ROUNDS = 3 at the last (odd K = 275, even K = 308).
+        # moduli and LAST_ROUNDS = 3 at the last (even K = 216 and 242, odd
+        # K = 231).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
@@ -564,18 +576,32 @@ class TestProbeSurvival:
         # most ALPHA = 0.2, which the rounds per level assume.  Measured
         # here over at least 2000 candidate-rounds per shape; the margin
         # 0.02 is about two binomial standard deviations at 2000 rounds and
-        # three at 4700.  N = 2^20, R = 16 reads 0.189 (with the paper's
-        # width and a threshold halved under noise it read 0.25 noiseless
-        # and 0.45 at eta = 0.01).  At R = 1 and 2 K is smallest (14 and
-        # 30), so a parent's RHO translates sit only K/RHO = 1.75 and 3.75
-        # probe-grid steps apart: 0.11 and 0.14.  With LAST_ROUNDS = 3 the
-        # R = 1 ladder has fewer last-level rounds to count: 10 seeds give
-        # 1692, 25 give 4491.  No true line fails a round.
-        for shape, seeds in (((1 << 20, 16), (31, 32)),
+        # three at 4700.  N = 2^20, R = 16 reads 0.151 over 2762 rounds of
+        # three seeds (two give only 1859).  With the paper's width and a
+        # threshold halved under noise it read 0.25 noiseless and 0.45 at
+        # eta = 0.01.  At R = 1 and 2 K is smallest (10 and 22), so a
+        # parent's RHO translates sit only K/RHO = 1.25 and 2.75 probe-grid
+        # steps apart: 0.14 and 0.13.  No true line fails a round.
+        for shape, seeds in (((1 << 20, 16), (31, 32, 33)),
                              ((1 << 40, 1), range(25)),
                              ((1 << 40, 2), range(5))):
             passed, rounds, true_failures = probe_survival(shape, eta, seeds)
             assert rounds >= 2000, shape
+            assert passed / rounds <= ALPHA + 0.02, shape
+            assert true_failures == 0, shape
+
+    def test_tightest_margin_at_the_noise_edge(self):
+        # delta_ratio = 1 narrows the probe most: a line of amplitude mu
+        # half a bin off reads only 2.19 times the threshold, and K is
+        # smallest (7 at R = 1).  At eta = NOISE_EDGE*mu no true line fails
+        # a round, and spurious candidates pass 0.177 (R = 1, 10026 rounds)
+        # and 0.169 (R = 16, 4212 rounds) of theirs.
+        eta = NOISE_EDGE * SupportParams(r_bound=1).mu
+        for shape, seeds in (((1 << 40, 1), range(40)),
+                             ((1 << 20, 16), range(4))):
+            passed, rounds, true_failures = probe_survival(shape, eta, seeds,
+                                                           delta_ratio=1.0)
+            assert rounds >= 4000, shape
             assert passed / rounds <= ALPHA + 0.02, shape
             assert true_failures == 0, shape
 
@@ -586,16 +612,31 @@ R_BY_K_PARITY = {parity: [r for r in range(1, 25)
                  for parity in (0, 1)}
 
 
+def assert_true_lines_clear(spectrum, params, rng):
+    """Replay find_support's ladder, noiseless, and check that every true
+    aliased line clears the threshold at the base level and in every probe
+    round of every level."""
+    sampler = Sampler(spectrum)
+    moduli = plan_ladder(spectrum.ambient_size, params.k_base)
+    k = moduli[0]
+    base = initial_aliased_support(sampler, k, params)
+    assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
+    for m in moduli[1:]:
+        qs = np.array([sample_coprime(m, rng)
+                       for _ in range(level_rounds(moduli, m))])
+        phi = compute_phi(sampler, m, k, qs, params.probe_x)
+        truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
+        probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
+        assert (probes >= params.threshold).all(), (m, probes.min())
+
+
 class TestFindSupport:
     @pytest.mark.parametrize("parity", [0, 1])
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_true_lines_clear_every_probe(self, parity, data):
-        # The nonnegativity invariant, noiseless: replaying find_support's
-        # ladder, every true aliased line clears the threshold at the base
-        # level and in every probe round of every level, for odd and even K
-        # (for even K the real transform reads only the real part of the
-        # K/2 sample).
+        # The nonnegativity invariant, for odd and even K (for even K the
+        # real transform reads only the real part of the K/2 sample).
         r = data.draw(st.sampled_from(R_BY_K_PARITY[parity]))
         n = data.draw(st.integers(2, 1 << 20))
         lines = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -603,25 +644,43 @@ class TestFindSupport:
         amps = data.draw(st.lists(st.floats(0.5, 1.5), min_size=len(lines),
                                   max_size=len(lines)))
         spectrum = SparseSpectrum(n, dict(zip(lines, amps)))
-        params, sampler = SupportParams(r_bound=r), Sampler(spectrum)
         rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
-        moduli = plan_ladder(n, params.k_base)
-        k = moduli[0]
-        base = initial_aliased_support(sampler, k, params)
-        assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
-        for m in moduli[1:]:
-            qs = np.array([sample_coprime(m, rng)
-                           for _ in range(level_rounds(moduli, m))])
-            phi = compute_phi(sampler, m, k, qs, params.probe_x)
-            truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
-            probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
-            assert (probes >= params.threshold).all(), (m, probes.min())
+        assert_true_lines_clear(spectrum, SupportParams(r_bound=r), rng)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_true_lines_clear_every_probe_at_any_delta_ratio(self, data):
+        # The same invariant as the probe narrows: delta_ratio in [1, 3],
+        # amplitudes in [mu, delta_ratio*mu].  A line of amplitude mu half a
+        # bin off its probe point reads 2.19 times the threshold at
+        # delta_ratio 1, and 4.32 times it at 3.
+        delta_ratio = data.draw(st.floats(1.0, 3.0))
+        params = SupportParams(r_bound=data.draw(st.integers(1, 24)),
+                               delta_ratio=delta_ratio)
+        n = data.draw(st.integers(2, 1 << 40))
+        lines = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=params.r_bound, unique=True))
+        amps = data.draw(st.lists(st.floats(params.mu, delta_ratio * params.mu),
+                                  min_size=len(lines), max_size=len(lines)))
+        spectrum = SparseSpectrum(n, dict(zip(lines, amps)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
+        assert_true_lines_clear(spectrum, params, rng)
+
+    @pytest.mark.parametrize("n,r", [(1 << 20, 16), (1 << 40, 1), (1 << 40, 50)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_true_lines_clear_every_probe_at_equal_amplitudes(self, n, r, seed):
+        # The tightest margin: delta_ratio 1 and every amplitude mu.
+        rng = np.random.default_rng(seed)
+        params = SupportParams(r_bound=r, delta_ratio=1.0)
+        lines = rng.choice(n, r, replace=False)
+        spectrum = SparseSpectrum(n, {int(j): params.mu for j in lines})
+        assert_true_lines_clear(spectrum, params, rng)
 
     def test_initial_level(self):
         spectrum = SparseSpectrum(40, {1: 1.0, 23: 1.0, 35: 1.0})
         params = SupportParams(r_bound=3)
         got = initial_aliased_support(Sampler(spectrum), params.k_base, params)
-        assert got.tolist() == [1, 23, 35]  # K=45 > 40: no folding at all
+        assert got.tolist() == [0, 1, 23]  # K = 35 < 40: line 35 folds to 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_ladder_random_instances(self, seed):
@@ -665,11 +724,11 @@ class TestFindSupport:
     def test_spurious_output_within_p(self):
         # At most 2 (RHO - 1) R ALPHA^LAST_ROUNDS spurious lines reach the
         # output in expectation, which bounds the chance that any does.  On
-        # a 13-level ladder (N = 2^40, R = 4, K = 63, eta = 1e-2) the inner
+        # a 13-level ladder (N = 2^40, R = 4, K = 48, eta = 1e-2) the inner
         # levels' two rounds must keep spurious survivors from compounding
         # and the last level's three must catch the rest: over 250 seeded
         # runs, at most 56 * 0.2^3 * 250 = 112 may hold a spurious line.
-        # 32 do, with 37 lines in all.  No true line is missed.
+        # 25 do, with 27 lines in all.  No true line is missed.
         params = SupportParams(r_bound=4, eta=1e-2)
         runs = 250
         spurious = missed = 0

@@ -230,11 +230,11 @@ class TestComputeValues:
     def test_stats_records_redraws(self):
         # On this instance and algorithm seed the first prime-grid draw after
         # md_sfft's support search fails the contraction check; the second
-        # is accepted and recovers the spectrum.  (Seed 3: the draws follow
+        # is accepted and recovers the spectrum.  (Seed 4: the draws follow
         # the last level's coprimes in the rng stream, so the seed picks the
-        # draw, and at seed 0 the first is accepted.)
+        # draw, and at seeds 0-3 the first is accepted.)
         entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 0)
-        params, rng = bench.make_params(256, 0.0), np.random.default_rng(3)
+        params, rng = bench.make_params(256, 0.0), np.random.default_rng(4)
         sampler = md_sample_adapter(entries, lattice, noise)
         support = find_support(sampler, plan_ladder(lattice.total, params.k_base),
                                params, rng)
@@ -242,7 +242,7 @@ class TestComputeValues:
         stats = {}
         values = prime_grid_values(support, lattice.total, params, sampler, rng, stats)
         assert stats["redraws"] == 1
-        # The support holds 6 spurious lines as well; their values are 0.
+        # The support holds 2 spurious lines as well; their values are 0.
         truth = {j + 256 * k: a for (j, k), a in entries.items()}
         assert set(truth) < set(support.tolist())
         expected = [truth.get(j, 0.0) for j in support.tolist()]
@@ -341,11 +341,12 @@ def dense_normal(bins, k_base):
 
 
 class TestFit:
-    @pytest.mark.parametrize("k_base,lines", [(14, 3), (30, 5), (45, 6), (924, 40),
-                                              (5120, 60)])
+    @pytest.mark.parametrize("k_base,lines", [(7, 2), (10, 3), (14, 3), (30, 5), (45, 6),
+                                              (924, 40), (5120, 60)])
     def test_normal_matrix_matches_dense(self, k_base, lines):
         # Lines crowd into a few bins too, so most pairs are near in some
-        # round.
+        # round.  K = 7 and 10 are the smallest K the defaults give at
+        # R = 1, at delta_ratio 1 and 3, where images wrap most.
         rng = np.random.default_rng(k_base)
         bins = rng.uniform(0, k_base, (LAST_ROUNDS, lines))
         bins[:, :lines // 2] = rng.uniform(0, min(k_base, 60), (LAST_ROUNDS, lines // 2))
@@ -355,8 +356,8 @@ class TestFit:
         dense = dense_normal(bins, k_base)
         assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("axis,dims,sparsity,k_base", [(128, 2, 50, 924),
-                                                           (256, 2, 256, 5120)])
+    @pytest.mark.parametrize("axis,dims,sparsity,k_base", [(128, 2, 50, 726),
+                                                           (256, 2, 256, 4125)])
     def test_noiseless_recovery(self, axis, dims, sparsity, k_base):
         params = bench.make_params(sparsity, 0.0)
         assert params.k_base == k_base
@@ -368,8 +369,8 @@ class TestFit:
             assert set(got) == set(entries) and stats["fallbacks"] == 0
             assert relative_l2_error(got, entries, lattice) <= 1e-10
 
-    @pytest.mark.parametrize("sparsity,k_base,eta", [(1, 14, 0.0), (2, 30, 0.0),
-                                                     (3, 45, 0.0), (3, 45, 0.025)])
+    @pytest.mark.parametrize("sparsity,k_base,eta", [(1, 10, 0.0), (2, 22, 0.0),
+                                                     (3, 35, 0.0), (3, 35, 0.025)])
     def test_small_k_wrapped_footprint(self, sparsity, k_base, eta):
         # N = 2^40: a line's footprint of 2 * 20 + 2 bins wraps round K.
         params = bench.make_params(sparsity, eta)
@@ -391,12 +392,12 @@ class TestFit:
 
     def test_one_level_ladder_reads_the_base_dft(self):
         lattice, params = RankOneLattice(1, 16), SupportParams(r_bound=2)
-        assert plan_ladder(16, params.k_base) == (30,)
+        assert plan_ladder(16, params.k_base) == (22,)
         entries = {(3,): 1.0, (11,): 0.7}
         ledger = SampleLedger()
         got = md_sfft(md_sample_adapter(entries, lattice, ledger=ledger), lattice,
                       params, np.random.default_rng(0))
-        assert ledger.unique_count == 30 // 2 + 1
+        assert ledger.unique_count == 22 // 2 + 1
         assert got == pytest.approx(entries, abs=1e-14)
         # Every index filled: adjacent lines overlap in the one round q = 1,
         # where the fit reads 1.6e-4 off and the DFT 1e-14.
@@ -421,8 +422,9 @@ class TestFit:
     @pytest.mark.parametrize("r_true,fallbacks", [(512, 0), (1024, 1)])
     def test_fallback_counted(self, r_true, fallbacks):
         # R = 256 underestimates the support.  CG converges on 2R lines
-        # within its cap (45-51 iterations) and not on 4R (238-322), where
-        # the prime grids give the values instead, and stats counts it.
+        # within its cap (47-59 iterations over instances 5000-5005) and not
+        # on 4R (283-341), where the prime grids give the values instead,
+        # and stats counts it.
         entries, lattice, noise = bench.random_instance(256, 2, r_true, 0.0, 5000)
         stats = {}
         got = md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
@@ -432,13 +434,14 @@ class TestFit:
         assert relative_l2_error(got, entries, lattice) <= 1e-8
 
     def test_cap_covers_the_envelope(self):
-        # The most spurious lines seen inside the envelope: 56 reach the fit
-        # on this exact-shallow instance (perfbench seed 34), and CG takes
-        # 67 iterations.  A cap of 50 would send it to the prime grids.
-        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 34003)
+        # The most CG iterations seen inside the envelope (perfbench seeds
+        # 0-60): 45 on this exact-shallow instance (seed 45), where 10
+        # spurious lines reach the fit.  A cap of 44 would send it to the
+        # prime grids.
+        entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 45002)
         stats = {}
         got = md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
-                      bench.make_params(256, 0.0), np.random.default_rng(34005),
+                      bench.make_params(256, 0.0), np.random.default_rng(45004),
                       stats=stats)
         assert stats["fallbacks"] == 0
         assert relative_l2_error(got, entries, lattice) <= 1e-8
