@@ -32,8 +32,12 @@ print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
 # End-to-end recovery.
 params = SupportParams(r_bound=3)
 moduli = plan_ladder(N, params.k_base)
-print(f"base modulus K={params.k_base}, ladder moduli {moduli}: "
-      f"{len(moduli) - 1} growth step(s) pad N = {N} to {moduli[-1]}")
+if len(moduli) == 1:  # N <= 2K: one level of the whole grid beats a ladder
+    print(f"base modulus K={params.k_base}, plan {moduli}: N = {N} <= 2K, "
+          f"so the grid is sampled whole at modulus {moduli[0]}")
+else:
+    print(f"base modulus K={params.k_base}, ladder moduli {moduli}: "
+          f"{len(moduli) - 1} growth step(s) pad N = {N} to {moduli[-1]}")
 
 ledger = SampleLedger()
 sampler = Sampler(spectrum, ledger=ledger)

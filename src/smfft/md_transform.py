@@ -76,17 +76,7 @@ def md_sample_adapter(entries: dict, lattice: RankOneLattice,
     return Sampler(spectrum, noise, ledger)
 
 
-class _Rescaled:
-    """An oracle whose samples are another's times ``scale``."""
-
-    def __init__(self, sampler, scale: float):
-        self.sampler, self.scale = sampler, scale
-
-    def sample_progression(self, start, step, count, den):
-        return self.sampler.sample_progression(start, step, count, den) * self.scale
-
-
-def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
+def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
             rng: np.random.Generator,
             stats: dict | None = None) -> dict[tuple[int, ...], float]:
     """Recover a d-dimensional sparse nonnegative spectrum end to end.
@@ -97,18 +87,17 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
     raises EnvelopeError (see :func:`plan_ladder`) with nothing sampled.
 
     The recovery is homogeneous in (spectrum, mu, eta), so it runs in units
-    of 2^e, the power of two at mu: samples, mu and eta are scaled by 2^-e
-    and the values by 2^e, all exactly, and sums over a period of samples
-    near 1e306 stay in float64's range.  For mu in [0.5, 1), e = 0 and
-    nothing is rescaled.  (e is held at -1023 and up, so that 2^-e is a
-    float.)  A sum that still overflows, or turns invalid, in these units
-    comes from amplitudes far above delta_ratio*mu: both stages run with
-    numpy's overflow and invalid-value errors raised, and either becomes
-    EnvelopeError.
+    of 2^e, the power of two at mu: mu, eta and the samples (by the run's
+    one oracle, a :class:`LastLevel`) are scaled by 2^-e and the values by
+    2^e, all exactly, and period sums near 1e306 stay in float64's range.
+    For mu in [0.5, 1), e = 0 and nothing is rescaled.  (e is held at -1023
+    and up, so that 2^-e is a float.)  A sum that still overflows, or turns
+    invalid, in these units comes from amplitudes far above delta_ratio*mu:
+    both stages run with numpy's overflow and invalid-value errors raised,
+    and either becomes EnvelopeError.
     """
     e = max(math.frexp(params.mu)[1], -1023)
     if e:
-        sampler = _Rescaled(sampler, math.ldexp(1.0, -e))
         params = replace(params, mu=math.ldexp(params.mu, -e),
                          eta=math.ldexp(params.eta, -e))
     n_total = lattice.total
@@ -117,13 +106,13 @@ def md_sfft(sampler: Sampler, lattice: RankOneLattice, params: SupportParams,
         stats["ladder_steps"] = len(moduli)
         stats["redraws"] = 0
         stats["fallbacks"] = 0
-    last = LastLevel(sampler, moduli)
+    level = LastLevel(sampler, moduli, math.ldexp(1.0, -e))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            support = find_support(last, moduli, params, rng)
+            support = find_support(level, moduli, params, rng)
             # Ladder padding can admit indices beyond M^d; those cannot be real.
             support = support[support < n_total]
-            values = compute_values(support, last, n_total, params, rng, stats)
+            values = compute_values(support, level, n_total, params, rng, stats)
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc

@@ -37,7 +37,6 @@ import numpy as np
 from .core_math import (MAX_MODULUS, gaussian_half, mulmod, next_fast_len,
                         sample_coprime)
 from .errors import CandidateBlowup, EnvelopeError
-from .signal import Sampler
 
 # Candidate sets beyond this multiple of K signal parameter misuse.
 CANDIDATE_CAP_FACTOR = 8
@@ -46,11 +45,12 @@ CANDIDATE_CAP_FACTOR = 8
 # width SupportParams.probe_x gives (measured 0.13-0.19 for delta_ratio 1-3,
 # eta up to NOISE_EDGE*mu).  K's bound scales with max(8, 2/ALPHA), so a
 # larger ALPHA samples less per round; 0.2 is the largest tried that a
-# round still honours at the smallest K (at 0.22 and R = 1 a round passed
-# 0.24 at DELTA = 0.1).  RHO, the largest ladder growth factor, is the
-# largest at which that bound holds, and the one of those that costs fewest
-# samples: above 8 a parent's translates can sit so few probe-grid steps
-# from its true line that they pass most rounds.
+# round still honours at the smallest K: at 0.22 it is 6 (R = 1,
+# delta_ratio 1), and at the noise edge a round passed 0.238.  RHO, the
+# largest ladder growth factor, is the largest at which that bound holds,
+# and the one of those that costs fewest samples: above 8 a parent's
+# translates can sit so few probe-grid steps from its true line that they
+# pass most rounds.
 ALPHA = 0.2
 RHO = 8
 
@@ -59,8 +59,9 @@ RHO = 8
 # SupportParams.probe_x gives, reads at least twice the threshold whatever
 # delta_ratio is.  It reads least at delta_ratio 1: 2.19 times it (4.32 at
 # the default 3), where 0.2 gives 4.89 and 0.4 gives 0.85.  A larger DELTA
-# shrinks K (R = 50: 924 at 0.1, 726 at 0.3) but narrows the probe, and when
-# delta was a setting, seeded trials lost true lines from a reading of 1.24.
+# shrinks K (R = 50: 800 at 0.2, 726 at 0.3) but narrows the probe: at 0.34,
+# a reading of 1.55, a round passed 0.209 of the spurious candidates at R = 1
+# and delta_ratio 1, more than ALPHA.
 DELTA = 0.3
 
 # The envelope's noise edge, eta <= NOISE_EDGE*mu, is its own constant, not
@@ -85,10 +86,10 @@ INNER_ROUNDS = 2
 # spurious line's value is 0, so it is dropped, but each adds an unknown to
 # the fit.  That many cost the fit little: on the benchmark shapes CG takes a
 # median of 11-29 iterations (at most 45, inside value_recovery's cap of
-# 100) where 4 rounds took 8-21, and the noise gate's worst error/eta is
-# 0.07, against 0.05 at 4 rounds.  2 rounds would pass 0.56 R, each survivor
-# within about 2 bins of a true line in every round, where the fit is
-# unmeasured.
+# 100).  2 rounds would pass 0.56 R: over the benchmark's seeds 0-4 they
+# still succeed in all 50, 40 and 100 trials, with 4%, 9% and 17% fewer
+# median samples, but 2 of exact-shallow's 100 fits miss CG's cap and fall
+# back to the prime grids, which never run inside the envelope at 3 rounds.
 LAST_ROUNDS = 3
 
 
@@ -188,6 +189,10 @@ def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
     in lexicographic order with the smallest padded N wins.  The plan is a
     pure function of (requested_n, k_base), computed once for each pair.
 
+    A grid of at most 2K points is sampled whole instead, as the one level
+    next_fast_len(requested_n): about N/2 samples, where the ladder (K, 2K)
+    draws about 1.4K (1007 at R = 50) and is cheaper only from about 3K.
+
     This is where the envelope is decided, before any sample is drawn: a K
     of 2^17 or more, or a padded N above MAX_MODULUS = 2^46, raises
     EnvelopeError (a requested_n above 2^46 before any tuple is tried).  Both
@@ -200,6 +205,8 @@ def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
         raise EnvelopeError(f"base modulus K {k_base} reaches 2^17")
     if requested_n > MAX_MODULUS:
         raise EnvelopeError(f"padded grid size of at least {requested_n} exceeds 2^46")
+    if requested_n <= 2 * k_base:
+        return (next_fast_len(requested_n),)
     target = -(-requested_n // k_base)  # ceil division
     steps = 0
     while RHO**steps < target:  # exact: a float log overshoots at powers of RHO
@@ -221,8 +228,7 @@ def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
     return (m_k * np.arange(rho_k, dtype=np.int64)[:, None] + aliased).ravel()
 
 
-def initial_aliased_support(sampler: Sampler, m1: int,
-                            params: SupportParams) -> np.ndarray:
+def initial_aliased_support(sampler, m1: int, params: SupportParams) -> np.ndarray:
     """Aliased support at the base level via one full size-M_1 DFT, as a
     sorted int64 array.
 
@@ -233,8 +239,7 @@ def initial_aliased_support(sampler: Sampler, m1: int,
     return np.flatnonzero(np.abs(fhat) >= params.threshold).astype(np.int64, copy=False)
 
 
-def compute_phi(sampler: Sampler, m_k: int, k_base: int, qs,
-                x: float) -> np.ndarray:
+def compute_phi(sampler, m_k: int, k_base: int, qs, x: float) -> np.ndarray:
     """Probe spectra phi at the K grid points j*M_k/K, one row per Q in the
     ints or int64 array ``qs``.
 
@@ -268,9 +273,8 @@ def probe_index(n, q, m_k: int, k_base: int):
     return ((s * k_base + m_k // 2) // m_k) % k_base
 
 
-def find_aliased_support(candidate: np.ndarray, m_k: int,
-                         params: SupportParams, sampler: Sampler,
-                         rng: np.random.Generator, rounds: int) -> np.ndarray:
+def find_aliased_support(candidate: np.ndarray, m_k: int, params: SupportParams,
+                         sampler, rng: np.random.Generator, rounds: int) -> np.ndarray:
     """Prune a sorted int64 candidate array down to the aliased support at
     modulus m_k, returned as a sorted int64 array.
 
@@ -287,35 +291,38 @@ def find_aliased_support(candidate: np.ndarray, m_k: int,
 
 
 class LastLevel:
-    """An oracle that passes every request on to ``sampler`` and keeps those
-    at the last modulus of the ladder ``moduli``: the shuffles q_r (the
-    steps) and raw half periods of the last level's probe rounds, before
-    any window, or the base level's one period when the ladder has one
-    level.  find_support runs on it, and the value stage fits what it kept.
+    """A run's one oracle: it passes every request on to ``sampler``,
+    scales the samples by ``scale``, and keeps those at the last modulus of
+    the ladder ``moduli``: the shuffles q_r (the steps) and raw half periods
+    of the last level's probe rounds, or the base level's one period when
+    the ladder has one level.  find_support runs on it, and the value stage
+    reads the plan (K, one level or a ladder) and the kept rounds from it.
     """
 
-    def __init__(self, sampler: Sampler, moduli: tuple[int, ...]):
-        self.sampler, self.modulus = sampler, moduli[-1]
+    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
+        self.sampler, self.moduli, self.scale = sampler, moduli, scale
         self.qs: list[int] = []
         self.halves: list[np.ndarray] = []
 
     def sample_progression(self, start, step, count, den):
         samples = self.sampler.sample_progression(start, step, count, den)
-        if den == self.modulus:
+        if self.scale != 1.0:
+            samples = samples * self.scale
+        if den == self.moduli[-1]:
             self.qs.append(step)
             self.halves.append(samples)
         return samples
 
 
-def find_support(sampler: Sampler, moduli: tuple[int, ...],
+def find_support(sampler, moduli: tuple[int, ...],
                  params: SupportParams, rng: np.random.Generator) -> np.ndarray:
     """Full support search: dealias level by level along the ladder
-    ``moduli`` planned by :func:`plan_ladder`, whose first modulus is K.
+    ``moduli`` from :func:`plan_ladder`, whose first is K or a small grid.
 
     Every level but the last runs :data:`INNER_ROUNDS` probe rounds, the
     last :data:`LAST_ROUNDS`.  Returns the support as a sorted int64 array.
     Run on a :class:`LastLevel`, it leaves there the samples the value
-    stage fits.
+    stage reads.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]

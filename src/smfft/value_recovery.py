@@ -14,7 +14,7 @@ whose sparse normal matrix has a closed form (:func:`normal_matrix`),
 solved by conjugate gradients (CG).  The support holds the spurious lines
 the last level's 3 rounds let through as well, at most R/8 in expectation;
 each is one more unknown, fitted to about 0.  The stage draws no sample.  A
-one-level ladder (K >= N) needs no fit: the base level's DFT is the spectrum.
+grid of at most 2K points is sampled whole: its DFT is the spectrum.
 
 If CG misses its tolerance within :data:`CG_ITERATIONS`, prime-modulus
 measurements give the values instead (:func:`prime_grid_values`): T grids of
@@ -36,7 +36,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import gaussian_half, mulmod, primes_below
 from .errors import ContractionFailure
-from .signal import Sampler
 from .support_recovery import LastLevel, SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
@@ -88,7 +87,7 @@ def prime_pool(r_bound: int, n_total: int) -> np.ndarray:
 
 
 def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
-                     rng: np.random.Generator, sampler: Sampler) -> MeasurementSystem:
+                     rng: np.random.Generator, sampler) -> MeasurementSystem:
     """Draw T primes i.i.d. from the pool, sample each grid and fold it into
     the right-hand side f0hat at the support residues.
 
@@ -153,7 +152,7 @@ def contraction_ok(norms: list[float]) -> bool:
 
 
 def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
-                      sampler: Sampler, rng: np.random.Generator,
+                      sampler, rng: np.random.Generator,
                       stats: dict | None = None) -> np.ndarray:
     """Values on the sorted nonempty int64 ``support`` from prime-grid
     measurements, to accuracy O(max(eta, 1e-10)).
@@ -221,8 +220,7 @@ def normal_matrix(bins: np.ndarray, k_base: int):
             np.concatenate([vals, vals]))
 
 
-def fit_values(support: np.ndarray, level: LastLevel, k_base: int,
-               tol: float) -> np.ndarray | None:
+def fit_values(support: np.ndarray, level: LastLevel, tol: float) -> np.ndarray | None:
     """Least-squares values on the sorted int64 ``support`` from the last
     ladder level's half periods; None if CG has not brought the residual of
     the normal equations to ``tol`` times their right-hand side's norm
@@ -231,8 +229,8 @@ def fit_values(support: np.ndarray, level: LastLevel, k_base: int,
     The normal matrix's diagonal is constant, so CG with a Jacobi
     preconditioner is plain CG; it starts from rhs/diag.
     """
-    bins = (mulmod(support, np.array(level.qs)[:, None], level.modulus)
-            / (level.modulus // k_base))
+    k_base, modulus = level.moduli[0], level.moduli[-1]
+    bins = mulmod(support, np.array(level.qs)[:, None], modulus) / (modulus // k_base)
     phi = np.fft.irfft(np.array(level.halves) * gaussian_half(k_base, WINDOW_X),
                        n=k_base, axis=1)
     # A^T phi, in units of C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
@@ -279,29 +277,28 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     rounds ``level`` kept of the last ladder level, to accuracy
     O(max(eta, 1e-10)); an empty support gives ``{}``.
 
-    On a one-level ladder the values are the base level's full DFT at the
-    support.  Otherwise they are fitted (:func:`fit_values`) to a relative
-    residual of 1e-11 noiseless and 1e-5 at the noise levels the workloads
-    run.  In between, eta/(10*mu) keeps the fit's error, about the residual,
-    below the eta-sized error a noisy run is allowed.  If CG misses that
-    within CG_ITERATIONS, :func:`prime_grid_values` draws from
-    ``level.sampler`` and ``rng`` instead, and ``stats["fallbacks"]`` is
-    set to 1.  Entries below mu/2 are dropped: mu bounds every true
-    amplitude from below, so they can only be spurious survivors, whose
-    exact value is zero.
+    On a one-level plan, a grid of at most 2K points sampled whole, the
+    values are its full DFT at the support.  Otherwise they are fitted
+    (:func:`fit_values`) to a relative residual of 1e-11 noiseless and 1e-5
+    at the noise levels the workloads run.  In between, eta/(10*mu) keeps
+    the fit's error, about the residual, below the eta-sized error a noisy
+    run is allowed.  If CG misses that within CG_ITERATIONS,
+    :func:`prime_grid_values` draws through ``level`` and ``rng`` instead
+    (a prime p is never the last modulus, so the kept rounds stay), and
+    ``stats["fallbacks"]`` is set to 1.  Entries below mu/2 are dropped: mu
+    bounds every true amplitude from below, so they can only be spurious
+    survivors, whose exact value is zero.
     """
     support = np.sort(support)
     if not support.size:
         return {}
-    k_base = params.k_base
-    if level.modulus == k_base:
-        values = np.fft.irfft(level.halves[0], n=k_base)[support]
+    if len(level.moduli) == 1:
+        values = np.fft.irfft(level.halves[0], n=level.moduli[0])[support]
     else:
         tol = min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
-        values = fit_values(support, level, k_base, tol)
+        values = fit_values(support, level, tol)
         if values is None:
             if stats is not None:
                 stats["fallbacks"] = 1
-            values = prime_grid_values(support, n_total, params,
-                                       level.sampler, rng, stats)
+            values = prime_grid_values(support, n_total, params, level, rng, stats)
     return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

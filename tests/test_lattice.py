@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smfft import value_recovery
 from smfft.errors import EnvelopeError, IndexOutOfRange
 from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                                 md_sfft, relative_l2_error)
@@ -169,24 +170,32 @@ class TestMdSfft:
         assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("e", [-1000, -3, 2, 600, 1000])
-    def test_runs_in_units_of_mu(self, e):
+    def test_runs_in_units_of_mu(self, e, monkeypatch):
         # The spectrum, mu and eta times 2^e give the same run in units of
         # 2^e: the same draws and exactly 2^e times the values recovered at
-        # mu = 0.5, where no rescaling happens.
+        # mu = 0.5, where no rescaling happens.  So do the prime grids, drawn
+        # through the same rescaled oracle, when the fit is made to miss.
         lat = RankOneLattice(2, 64)
         rng = np.random.default_rng(9)
         flat = rng.choice(lat.total, 12, replace=False)
         entries = dict(zip(multi_indices(flat, lat), rng.uniform(0.5, 1.5, 12).tolist()))
 
-        def recover(scale):
+        def recover(scale, fallback):
             sampler = md_sample_adapter({k: v * scale for k, v in entries.items()},
                                         lat, NoiseModel(0.01 * scale, 2))
             params = SupportParams(r_bound=12, mu=0.5 * scale, eta=0.01 * scale)
-            return md_sfft(sampler, lat, params, np.random.default_rng(4))
+            stats = {}
+            got = md_sfft(sampler, lat, params, np.random.default_rng(4), stats)
+            assert stats["fallbacks"] == fallback
+            return got
 
-        base = recover(1.0)
-        assert set(base) == set(entries)
-        assert recover(math.ldexp(1.0, e)) == {k: math.ldexp(v, e) for k, v in base.items()}
+        for fallback in (0, 1):
+            if fallback:
+                monkeypatch.setattr(value_recovery, "fit_values", lambda *args: None)
+            base = recover(1.0, fallback)
+            assert set(base) == set(entries)
+            assert recover(math.ldexp(1.0, e), fallback) == {
+                k: math.ldexp(v, e) for k, v in base.items()}
 
 
 class TestEnvelope:

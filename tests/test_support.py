@@ -21,7 +21,7 @@ from smfft.support_recovery import (ALPHA, DELTA, INNER_ROUNDS, LAST_ROUNDS,
                                     find_support, initial_aliased_support,
                                     plan_ladder, probe_index)
 
-from reference import aliased_spectrum
+from reference import aliased_spectrum, trial_division_primes
 
 
 def reference_probe_index(n, q, m, k):
@@ -65,14 +65,22 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
 
 
 def reference_plan(requested_n, k_base):
-    """The fewest steps, then the smallest padded N, from the set of every
-    product of that many factors in [2, RHO], built by multiplying."""
+    """(first modulus, steps, product of the factors).  A grid of at most
+    2K points is one level, its least 11-smooth size, found by counting
+    up; otherwise K, the fewest steps, then the smallest padded N, from the
+    set of every product of that many factors in [2, RHO], built by
+    multiplying."""
+    if requested_n <= 2 * k_base:
+        size = requested_n
+        while any(size % p == 0 for p in trial_division_primes(size + 1) if p > 11):
+            size += 1
+        return size, 0, 1
     target = -(-requested_n // k_base)
     steps, products = 0, {1}
     while max(products) < target:
         steps += 1
         products = {p * f for p in products for f in range(2, RHO + 1)}
-    return steps, min(p for p in products if p >= target)
+    return k_base, steps, min(p for p in products if p >= target)
 
 
 def factorizations(n, count, least=2):
@@ -244,9 +252,9 @@ class TestSupportParams:
         # half a bin off its probe point still clears the threshold: it
         # reads mu*exp(-(0.5/s)^2) there, s = 2x/pi bins.  DELTA is the
         # largest multiple of 0.1 at which that is at least twice the
-        # threshold (2.19 at delta_ratio 1; 0.85 at 0.4).  When delta was a
-        # setting, 0.7 brought it to 1.24 times the threshold and trials
-        # lost true lines.
+        # threshold (2.19 at delta_ratio 1; 0.85 at 0.4).  At 0.34, a reading
+        # of 1.55, spurious candidates passed 0.209 of their rounds at R = 1,
+        # more than ALPHA.
         p = SupportParams(r_bound=3, delta_ratio=delta_ratio)
         width = 2 * p.probe_x / math.pi
         reading = math.exp(-(0.5 / width) ** 2) * p.mu
@@ -279,8 +287,12 @@ class TestSupportParams:
 
 class TestLadder:
     def test_degenerate_when_k_exceeds_n(self):
-        assert plan_ladder(40, 59) == (59,)
-        assert plan_ladder(59, 59) == (59,)
+        # A grid of at most 2K points is one level of its least 11-smooth
+        # size, however K compares with it.
+        assert plan_ladder(40, 59) == (40,)
+        assert plan_ladder(59, 59) == (60,)
+        assert plan_ladder(118, 59) == (120,)
+        assert plan_ladder(119, 59)[0] == 59
 
     def test_growth_factors_bounded(self):
         moduli = plan_ladder(10**6, 100)
@@ -300,14 +312,15 @@ class TestLadder:
 
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
-        assert plan_ladder(40, p.k_base) == (35, 70)
+        assert plan_ladder(40, p.k_base) == (40,)
+        assert plan_ladder(71, p.k_base) == (35, 105)
 
     def test_envelope(self):
         # probe_index is exact for K < 2^17 and a padded N <= 2^46.
         assert plan_ladder(1 << 46, 1 << 10)[-1] == 1 << 46
         with pytest.raises(EnvelopeError, match="padded grid size"):
             plan_ladder((1 << 46) + 1, 1 << 10)
-        assert plan_ladder(10, (1 << 17) - 1) == ((1 << 17) - 1,)
+        assert plan_ladder(1 << 20, (1 << 17) - 1)[0] == (1 << 17) - 1
         with pytest.raises(EnvelopeError, match="base modulus K"):
             plan_ladder(10, 1 << 17)
 
@@ -316,15 +329,15 @@ class TestLadder:
         # Seeded requests of 1 to 5 steps, and the edges of each step count.
         rng = np.random.default_rng(seed)
         k = 7
-        requests = {k + 1, k * RHO + 1}
+        requests = {k + 1, 2 * k, 2 * k + 1, k * RHO + 1}
         for steps in range(1, 6):
             top = k * RHO**steps
             requests.update({top - 1, top, *rng.integers(k + 1, top, 6).tolist()})
         for n in sorted(requests):
             moduli = plan_ladder(n, k)
             factors = tuple(b // a for a, b in zip(moduli, moduli[1:]))
-            steps, product = reference_plan(n, k)
-            assert moduli[0] == k and len(factors) == steps, n
+            first, steps, product = reference_plan(n, k)
+            assert moduli[0] == first and len(factors) == steps, n
             assert list(factors) == sorted(factors) and math.prod(factors) == product, n
             assert factors == min(factorizations(product, steps)), n
 
@@ -334,7 +347,7 @@ class TestLadder:
         moduli = plan_ladder(requested_n, k)
         factors = tuple(b // a for a, b in zip(moduli, moduli[1:]))
         assert factors == PINNED_PLANS[r_bound, requested_n]
-        assert reference_plan(requested_n, k) == (len(factors), math.prod(factors))
+        assert reference_plan(requested_n, k) == (k, len(factors), math.prod(factors))
 
     def test_planned_once_per_request(self):
         first = plan_ladder(10321**3, 924)

@@ -5,6 +5,7 @@ import pytest
 
 import smfft.value_recovery as vr
 from smfft import bench
+from smfft.core_math import next_fast_len
 from smfft.errors import ContractionFailure, SmfftError
 from smfft.md_transform import (RankOneLattice, md_sample_adapter, md_sfft,
                                 relative_l2_error)
@@ -208,7 +209,7 @@ class TestComputeValues:
         found, level = search(sampler, n, params, rng)
         assert found.tolist() == true
         padded = np.array(sorted(true + [7, 9999]))
-        fitted = vr.fit_values(padded, level, params.k_base, 1e-11)
+        fitted = vr.fit_values(padded, level, 1e-11)
         assert np.abs(fitted[[0, 3]]).max() < 1e-10
         values = compute_values(padded, level, n, params, rng)
         assert sorted(values) == true
@@ -284,9 +285,9 @@ class TestComputeValues:
             assert values[j] == pytest.approx(a, rel=1e-12)
 
     def test_fallback_draws_through_the_level(self, monkeypatch):
-        # When the fit misses, the prime grids are drawn through the oracle
-        # the LastLevel wraps: every grid request reaches its ledger, and
-        # the rounds the level kept stay as find_support left them.
+        # When the fit misses, the prime grids are drawn through the
+        # LastLevel: every grid request reaches the wrapped oracle's ledger,
+        # and the rounds the level kept stay as find_support left them.
         n, true, amps = 1 << 14, [100, 5000, 12000], [1.0, 0.75, 1.25]
         ledger = SampleLedger()
         sampler = Sampler(SparseSpectrum(n, dict(zip(true, amps))), ledger=ledger)
@@ -392,18 +393,34 @@ class TestFit:
 
     def test_one_level_ladder_reads_the_base_dft(self):
         lattice, params = RankOneLattice(1, 16), SupportParams(r_bound=2)
-        assert plan_ladder(16, params.k_base) == (22,)
+        assert params.k_base == 22 and plan_ladder(16, params.k_base) == (16,)
         entries = {(3,): 1.0, (11,): 0.7}
         ledger = SampleLedger()
         got = md_sfft(md_sample_adapter(entries, lattice, ledger=ledger), lattice,
                       params, np.random.default_rng(0))
-        assert ledger.unique_count == 22 // 2 + 1
+        assert ledger.unique_count == 16 // 2 + 1
         assert got == pytest.approx(entries, abs=1e-14)
         # Every index filled: adjacent lines overlap in the one round q = 1,
         # where the fit reads 1.6e-4 off and the DFT 1e-14.
         entries = {(j,): 0.5 + 0.1 * j for j in range(16)}
         got = md_sfft(md_sample_adapter(entries, lattice), lattice,
                       SupportParams(r_bound=16), np.random.default_rng(0))
+        assert got == pytest.approx(entries, abs=1e-12)
+
+    @pytest.mark.parametrize("axis,dims,sparsity", [
+        (36, 1, 3), (70, 1, 3), (7, 2, 3), (101, 1, 8), (20, 2, 16), (1089, 1, 50)])
+    def test_small_grid_sampled_whole(self, axis, dims, sparsity):
+        # K < N <= 2K: the grid is one level of its least 11-smooth size, so
+        # the run draws that level's half period and nothing more, where the
+        # ladder (K, 2K) drew a base level and three probe rounds (R = 50,
+        # N = 1089: 987 distinct samples against 545).
+        entries, lattice, noise = bench.random_instance(axis, dims, sparsity, 0.0, axis)
+        params, n = SupportParams(r_bound=sparsity), lattice.total
+        assert params.k_base < n <= 2 * params.k_base
+        ledger = SampleLedger()
+        got = md_sfft(md_sample_adapter(entries, lattice, noise, ledger), lattice,
+                      params, np.random.default_rng(0))
+        assert ledger.unique_count == next_fast_len(n) // 2 + 1
         assert got == pytest.approx(entries, abs=1e-12)
 
     def test_last_level_kept(self):
@@ -413,11 +430,11 @@ class TestFit:
         params = SupportParams(r_bound=3)
         found, level = search(sampler, n, params, np.random.default_rng(4))
         moduli = plan_ladder(n, params.k_base)
-        assert level.modulus == moduli[-1] and len(level.qs) == LAST_ROUNDS
+        assert level.moduli == moduli and len(level.qs) == LAST_ROUNDS
         for q, half in zip(level.qs, level.halves):
-            assert math.gcd(int(q), level.modulus) == 1
+            assert math.gcd(int(q), moduli[-1]) == 1
             assert np.array_equal(half, sampler.sample_progression(
-                0, q, params.k_base // 2 + 1, level.modulus))
+                0, q, params.k_base // 2 + 1, moduli[-1]))
 
     @pytest.mark.parametrize("r_true,fallbacks", [(512, 0), (1024, 1)])
     def test_fallback_counted(self, r_true, fallbacks):
