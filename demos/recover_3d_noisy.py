@@ -16,11 +16,8 @@ M, D, R, ETA = 128, 3, 50, 1e-2
 rng = np.random.default_rng(12345)
 lattice = RankOneLattice(D, M)
 flat = rng.choice(lattice.total, size=R, replace=False)
-truth = {}
-for j in flat:
-    j = int(j)
-    key = (j % M, (j // M) % M, j // (M * M))
-    truth[key] = float(rng.uniform(0.5, 1.5))
+# One amplitude per key, drawn in the order of the flat draws.
+truth = {key: float(rng.uniform(0.5, 1.5)) for key in lattice.unflatten(flat)}
 
 noise = NoiseModel(eta=ETA, seed=7)
 ledger = SampleLedger()

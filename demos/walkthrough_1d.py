@@ -32,8 +32,8 @@ print(f"shuffle by Q={q}: {sorted((j * q) % N for j in truth)} "
 # End-to-end recovery.
 params = SupportParams(r_bound=3)
 moduli = plan_ladder(N, params.k_base)
-if len(moduli) == 1:  # N <= 2K: one level of the whole grid beats a ladder
-    print(f"base modulus K={params.k_base}, plan {moduli}: N = {N} <= 2K, "
+if len(moduli) == 1:  # N <= 5K/2: one level of the whole grid beats a ladder
+    print(f"base modulus K={params.k_base}, plan {moduli}: N = {N} <= 5K/2, "
           f"so the grid is sampled whole at modulus {moduli[0]}")
 else:
     print(f"base modulus K={params.k_base}, ladder moduli {moduli}: "

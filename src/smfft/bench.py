@@ -41,8 +41,7 @@ def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
             flat = np.sort(np.concatenate([flat, rng.integers(0, lattice.total, 4 * sparsity)]))
             flat = flat[np.diff(flat, prepend=-1) > 0][:sparsity]
     amps = rng.uniform(0.5, 1.5, size=len(flat))
-    digits = np.unravel_index(flat, (axis_size,) * dims, order="F")
-    entries = dict(zip(zip(*(d.tolist() for d in digits)), amps.tolist()))
+    entries = dict(zip(lattice.unflatten(flat), amps.tolist()))
     noise = NoiseModel(eta, seed + 1)
     return entries, lattice, noise
 

@@ -1,19 +1,29 @@
 """Number-theoretic and transform primitives.
 
-Exact modular products, coprime sampling, the primes below a limit, fast
-FFT sizes and the Gaussian window that the probe and the value fit lay on a
-half period of K samples.
+The one integer rule for indices, exact modular products, coprime
+sampling, the primes below a limit, fast FFT sizes and the Gaussian window
+that the probe and the value fit lay on a half period of K samples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 # Largest modulus for which mulmod stays exact in int64: with operands
 # below 2^46, its 16-bit limb products stay below 2^62.
 MAX_MODULUS = 1 << 46
+
+
+def as_index(value) -> int:
+    """An integer index, component or count, by Python's index protocol:
+    1.5 is rejected where int() would truncate it, and a boolean, numpy's
+    included, is rejected too, although Python's bool is an int."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"boolean {str(value).lower()} is not an integer")
+    return operator.index(value)
 
 
 def mulmod(n, q, m: int):

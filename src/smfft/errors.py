@@ -12,7 +12,7 @@ class IndexOutOfRange(SmfftError):
 class CandidateBlowup(SmfftError):
     """The dealiasing candidate set exceeded its safety cap.
 
-    Usually a symptom of parameter mis-estimation (mu too small, eta too
+    Usually a symptom of parameter mis-estimation (R or mu too small, eta too
     large) rather than a bug in the ladder itself.
     """
 

@@ -6,17 +6,17 @@ the d-dimensional DFT into a 1-D DFT of the same coefficients reordered by
 the base-M digit isomorphism, with no oversampling: distinct multi-indices
 never collide because |(k - j) . g| < N.  The driver flattens the spectrum,
 runs the 1-D support recovery, fits the values from the last ladder level's
-samples, and unflattens the result.
+samples, and unflattens the result with RankOneLattice.unflatten.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core_math import as_index
 from .errors import EnvelopeError, IndexOutOfRange
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from .support_recovery import LastLevel, SupportParams, find_support, plan_ladder
@@ -25,7 +25,8 @@ from .value_recovery import compute_values
 
 @dataclass(frozen=True)
 class RankOneLattice:
-    """Cubic grid [0, M)^d with the rank-1 generator (1, M, ..., M^(d-1))."""
+    """Cubic grid [0, M)^d with the rank-1 generator (1, M, ..., M^(d-1)),
+    whose d-tuples flatten_index maps to flat indices and unflatten back."""
 
     dims: int
     axis_size: int
@@ -42,15 +43,20 @@ class RankOneLattice:
     def total(self) -> int:
         return self.axis_size**self.dims
 
+    def unflatten(self, flat: np.ndarray) -> list[tuple[int, ...]]:
+        """flatten_index's inverse: the d-tuples of the int array ``flat``, in order."""
+        digits = np.unravel_index(flat, (self.axis_size,) * self.dims, order="F")
+        return list(zip(*(d.tolist() for d in digits)))
+
 
 def flatten_index(multi, lattice: RankOneLattice) -> int:
     """Base-M digits to flat index: sum multi[i] * M^i.
 
-    Components must be integers (numpy integers included); a float such as
-    1.5 is rejected, never truncated.
+    Components must be integers by core_math.as_index, numpy's included: a
+    float such as 1.5 or a boolean is rejected, never truncated.
     """
     try:
-        multi = tuple(operator.index(c) for c in multi)
+        multi = tuple(map(as_index, multi))
     except (TypeError, ValueError) as exc:
         raise IndexOutOfRange(
             f"{multi!r} is not a {lattice.dims}-tuple of integers") from exc
@@ -116,10 +122,8 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc
-    digits = np.unravel_index(np.fromiter(values, np.int64),
-                              (lattice.axis_size,) * lattice.dims, order="F")
-    return {key: math.ldexp(v, e)
-            for key, v in zip(zip(*(d.tolist() for d in digits)), values.values())}
+    return {key: math.ldexp(v, e) for key, v in
+            zip(lattice.unflatten(np.fromiter(values, np.int64)), values.values())}
 
 
 def relative_l2_error(recovered: dict, truth: dict, lattice: RankOneLattice) -> float:

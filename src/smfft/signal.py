@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import MAX_MODULUS, mulmod
+from .core_math import MAX_MODULUS, as_index, mulmod
 from .errors import ParseError
 from .nufft import nufft_exp_sum
 
@@ -197,15 +196,6 @@ class Sampler:
         return out
 
 
-def _spec_int(value) -> int:
-    """An integer field of a spec file.  operator.index rejects 1.5 where
-    int() would truncate it; a JSON boolean is rejected too, although
-    Python's bool is an int."""
-    if isinstance(value, bool):
-        raise TypeError(f"boolean {json.dumps(value)} is not an integer")
-    return operator.index(value)
-
-
 def _spec_float(value) -> float:
     """A real field of a spec file: a JSON number, not a boolean or string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -230,15 +220,15 @@ def load_signal_spec(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read signal spec {path}: {exc}") from exc
     try:
-        dims = _spec_int(doc["dims"])
-        axis = _spec_int(doc["axis_size"])
+        dims = as_index(doc["dims"])
+        axis = as_index(doc["axis_size"])
         support = doc["support"]
         values = doc["values"]
         if len(support) != len(values):
             raise ParseError("support and values lengths differ")
         entries = {}
         for idx, val in zip(support, values):
-            key = tuple(map(_spec_int, [idx] if dims == 1 and
+            key = tuple(map(as_index, [idx] if dims == 1 and
                             not isinstance(idx, list) else idx))
             if len(key) != dims or not all(0 <= c < axis for c in key):
                 raise ParseError(f"index {idx} is not {dims} integers in [0, {axis})")
@@ -249,7 +239,7 @@ def load_signal_spec(path: str):
         if not isinstance(noise_doc, dict):
             raise ParseError(f"noise section {json.dumps(noise_doc)} is not an object")
         noise = NoiseModel(eta=_spec_float(noise_doc.get("eta", 0.0)),
-                           seed=_spec_int(noise_doc.get("seed", 0)))
+                           seed=as_index(noise_doc.get("seed", 0)))
         kind = noise_doc.get("kind", "none")
         if kind != ("gaussian" if noise.eta > 0 else "none"):
             raise ParseError(f"noise kind {kind!r} does not match eta {noise.eta}: "

@@ -189,9 +189,9 @@ def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
     in lexicographic order with the smallest padded N wins.  The plan is a
     pure function of (requested_n, k_base), computed once for each pair.
 
-    A grid of at most 2K points is sampled whole instead, as the one level
-    next_fast_len(requested_n): about N/2 samples, where the ladder (K, 2K)
-    draws about 1.4K (1007 at R = 50) and is cheaper only from about 3K.
+    A grid of at most 5K/2 points is sampled whole instead, as the one level
+    next_fast_len(requested_n): about N/2 samples, where the ladder (K, 3K)
+    draws about 1.55K; past 5K/2 the padded grid can draw more than it.
 
     This is where the envelope is decided, before any sample is drawn: a K
     of 2^17 or more, or a padded N above MAX_MODULUS = 2^46, raises
@@ -205,7 +205,7 @@ def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
         raise EnvelopeError(f"base modulus K {k_base} reaches 2^17")
     if requested_n > MAX_MODULUS:
         raise EnvelopeError(f"padded grid size of at least {requested_n} exceeds 2^46")
-    if requested_n <= 2 * k_base:
+    if 2 * requested_n <= 5 * k_base:
         return (next_fast_len(requested_n),)
     target = -(-requested_n // k_base)  # ceil division
     steps = 0
@@ -333,7 +333,7 @@ def find_support(sampler, moduli: tuple[int, ...],
         if len(candidate) > cap:
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
-                "check mu/delta_ratio estimates")
+                "check the sparsity bound R and the mu/delta_ratio estimates")
         rounds = LAST_ROUNDS if m_k == moduli[-1] else INNER_ROUNDS
         aliased = find_aliased_support(candidate, m_k, params, sampler, rng, rounds)
     return aliased

@@ -14,7 +14,7 @@ whose sparse normal matrix has a closed form (:func:`normal_matrix`),
 solved by conjugate gradients (CG).  The support holds the spurious lines
 the last level's 3 rounds let through as well, at most R/8 in expectation;
 each is one more unknown, fitted to about 0.  The stage draws no sample.  A
-grid of at most 2K points is sampled whole: its DFT is the spectrum.
+grid of at most 5K/2 points is sampled whole: its DFT is the spectrum.
 
 If CG misses its tolerance within :data:`CG_ITERATIONS`, prime-modulus
 measurements give the values instead (:func:`prime_grid_values`): T grids of
@@ -152,17 +152,16 @@ def contraction_ok(norms: list[float]) -> bool:
 
 
 def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
-                      sampler, rng: np.random.Generator,
-                      stats: dict | None = None) -> np.ndarray:
+                      sampler, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Values on the sorted nonempty int64 ``support`` from prime-grid
-    measurements, to accuracy O(max(eta, 1e-10)).
+    measurements, to accuracy O(max(eta, 1e-10)), and the redraws: the
+    number of draws rejected before the accepted one.
 
     Up to DRAWS measurement draws are attempted; each accepted draw is
-    solved with Z = max(2, ceil(-log2 max(eta, 1e-10))) Neumann terms, and
-    ``stats["redraws"]`` counts the rejected draws before it.  The prime
-    pool is sized by max(R, |support|), so a support larger than R does not
-    lower the chance of a contracting draw.  Raises ContractionFailure when
-    every draw is rejected.
+    solved with Z = max(2, ceil(-log2 max(eta, 1e-10))) Neumann terms.
+    The prime pool is sized by max(R, |support|), so a support larger than
+    R does not lower the chance of a contracting draw.  Raises
+    ContractionFailure when every draw is rejected.
     """
     z_terms = max(2, math.ceil(-math.log2(max(params.eta, 1e-10))))
     for attempt in range(DRAWS):
@@ -170,9 +169,7 @@ def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
                                   n_total, rng, sampler)
         solution, norms = neumann_solve(system, z_terms)
         if contraction_ok(norms):
-            if stats is not None:
-                stats["redraws"] = attempt
-            return solution
+            return solution, attempt
     raise ContractionFailure(
         f"all {DRAWS} measurement draws rejected for |support|={len(support)}")
 
@@ -277,7 +274,7 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     rounds ``level`` kept of the last ladder level, to accuracy
     O(max(eta, 1e-10)); an empty support gives ``{}``.
 
-    On a one-level plan, a grid of at most 2K points sampled whole, the
+    On a one-level plan, a grid of at most 5K/2 points sampled whole, the
     values are its full DFT at the support.  Otherwise they are fitted
     (:func:`fit_values`) to a relative residual of 1e-11 noiseless and 1e-5
     at the noise levels the workloads run.  In between, eta/(10*mu) keeps
@@ -285,9 +282,9 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     run is allowed.  If CG misses that within CG_ITERATIONS,
     :func:`prime_grid_values` draws through ``level`` and ``rng`` instead
     (a prime p is never the last modulus, so the kept rounds stay), and
-    ``stats["fallbacks"]`` is set to 1.  Entries below mu/2 are dropped: mu
-    bounds every true amplitude from below, so they can only be spurious
-    survivors, whose exact value is zero.
+    ``stats`` records fallbacks = 1 and the redraws it returns.  Entries
+    below mu/2 are dropped: mu bounds every true amplitude from below, so
+    they can only be spurious survivors, whose exact value is zero.
     """
     support = np.sort(support)
     if not support.size:
@@ -298,7 +295,7 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
         tol = min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
         values = fit_values(support, level, tol)
         if values is None:
+            values, redraws = prime_grid_values(support, n_total, params, level, rng)
             if stats is not None:
-                stats["fallbacks"] = 1
-            values = prime_grid_values(support, n_total, params, level, rng, stats)
+                stats.update(fallbacks=1, redraws=redraws)
     return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

@@ -323,6 +323,17 @@ class TestVerify:
         code = main(["verify", "--signal", signal_file, "--mu", "100"])
         assert code == EXIT_SUPPORT
 
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_candidate_blowup_names_r(self, command, tmp_path, capsys):
+        # 200 lines on a 465^3 grid read with --r 50: the candidates outgrow
+        # their cap, and the message names the likely cause, R set too small.
+        entries, _, _ = bench.random_instance(465, 3, 200, 0.0, 0)
+        path = write_spec(tmp_path, 3, 465, [list(key) for key in entries])
+        assert main([command, "--signal", path, "--r", "50"]) == EXIT_SUPPORT
+        err = capsys.readouterr().err
+        assert err.startswith("support recovery failed: ")
+        assert "check the sparsity bound R and the mu/delta_ratio estimates" in err
+
 
 class TestEdgeInputs:
     # Edge inputs take the general formulas: -log2 of a subnormal eta is

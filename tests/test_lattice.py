@@ -1,13 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfft import value_recovery
-from smfft.errors import EnvelopeError, IndexOutOfRange
+from smfft.errors import EnvelopeError, IndexOutOfRange, ParseError
 from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                                 md_sfft, relative_l2_error)
-from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
+from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
+                          load_signal_spec)
 from smfft.support_recovery import SupportParams, plan_ladder
 
 
@@ -53,6 +57,66 @@ class TestLattice:
         seen = {flatten_index((a, b, c), lat)
                 for a in range(7) for b in range(7) for c in range(7)}
         assert len(seen) == lat.total
+
+    @given(st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=40),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unflatten_inverts_flatten_index(self, dims, axis, data):
+        lat = RankOneLattice(dims, axis)
+        flat = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=lat.total - 1), max_size=20)), dtype=np.int64)
+        keys = lat.unflatten(flat)
+        assert keys == multi_indices(flat, lat)
+        assert all(type(c) is int for key in keys for c in key)
+        assert [flatten_index(key, lat) for key in keys] == flat.tolist()
+
+
+# One table of index components for both readers of an index: the spec
+# loader, which reads JSON values, and flatten_index, which reads Python and
+# numpy ones.  id: (component, accepted)
+INDEX_COMPONENTS = {
+    "true": (True, False), "false": (False, False), "float": (1.5, False),
+    "string": ("1", False), "null": (None, False),
+    "numpy-bool": (np.bool_(True), False), "int": (1, True),
+    "numpy-int": (np.int64(1), True),
+}
+JSON_COMPONENTS = {name: row for name, row in INDEX_COMPONENTS.items()
+                   if not name.startswith("numpy")}
+
+
+class TestIndexRule:
+    @pytest.mark.parametrize("component,accepted", list(INDEX_COMPONENTS.values()),
+                             ids=list(INDEX_COMPONENTS))
+    def test_flatten_index(self, component, accepted):
+        lat = RankOneLattice(2, 8)
+        if accepted:
+            assert flatten_index((component, 2), lat) == 17
+        else:
+            # A boolean used to flatten as 0 or 1: (True, 2) gave 17.
+            with pytest.raises(IndexOutOfRange, match="not a 2-tuple of integers"):
+                flatten_index((component, 2), lat)
+
+    @pytest.mark.parametrize("component,accepted", list(JSON_COMPONENTS.values()),
+                             ids=list(JSON_COMPONENTS))
+    def test_load_signal_spec(self, component, accepted, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": 2, "axis_size": 8,
+                                    "support": [[component, 2]], "values": [1.0]}))
+        if accepted:
+            assert load_signal_spec(str(path))[2] == {(1, 2): 1.0}
+        else:
+            with pytest.raises(ParseError, match="malformed signal spec"):
+                load_signal_spec(str(path))
+
+    @pytest.mark.parametrize("component", [True, False, np.bool_(True)],
+                             ids=["true", "false", "numpy-bool"])
+    def test_boolean_reason(self, component):
+        # Both readers refuse a boolean for the same stated reason.
+        text = f"boolean {str(component).lower()} is not an integer"
+        with pytest.raises(IndexOutOfRange) as raised:
+            flatten_index((component, 2), RankOneLattice(2, 8))
+        assert str(raised.value.__cause__) == text
 
 
 class TestAdapter:

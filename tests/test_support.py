@@ -66,11 +66,11 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
 
 def reference_plan(requested_n, k_base):
     """(first modulus, steps, product of the factors).  A grid of at most
-    2K points is one level, its least 11-smooth size, found by counting
+    5K/2 points is one level, its least 11-smooth size, found by counting
     up; otherwise K, the fewest steps, then the smallest padded N, from the
     set of every product of that many factors in [2, RHO], built by
     multiplying."""
-    if requested_n <= 2 * k_base:
+    if requested_n <= 2.5 * k_base:
         size = requested_n
         while any(size % p == 0 for p in trial_division_primes(size + 1) if p > 11):
             size += 1
@@ -287,12 +287,14 @@ class TestSupportParams:
 
 class TestLadder:
     def test_degenerate_when_k_exceeds_n(self):
-        # A grid of at most 2K points is one level of its least 11-smooth
+        # A grid of at most 5K/2 points is one level of its least 11-smooth
         # size, however K compares with it.
         assert plan_ladder(40, 59) == (40,)
         assert plan_ladder(59, 59) == (60,)
         assert plan_ladder(118, 59) == (120,)
-        assert plan_ladder(119, 59)[0] == 59
+        assert plan_ladder(119, 59) == (120,)
+        assert plan_ladder(147, 59) == (147,)
+        assert plan_ladder(148, 59)[0] == 59
 
     def test_growth_factors_bounded(self):
         moduli = plan_ladder(10**6, 100)
@@ -313,7 +315,8 @@ class TestLadder:
     def test_plan_ladder_uses_params(self):
         p = SupportParams(r_bound=3)
         assert plan_ladder(40, p.k_base) == (40,)
-        assert plan_ladder(71, p.k_base) == (35, 105)
+        assert plan_ladder(71, p.k_base) == (72,)
+        assert plan_ladder(88, p.k_base) == (35, 105)
 
     def test_envelope(self):
         # probe_index is exact for K < 2^17 and a padded N <= 2^46.
@@ -329,7 +332,7 @@ class TestLadder:
         # Seeded requests of 1 to 5 steps, and the edges of each step count.
         rng = np.random.default_rng(seed)
         k = 7
-        requests = {k + 1, 2 * k, 2 * k + 1, k * RHO + 1}
+        requests = {k + 1, 2 * k, 2 * k + 1, 5 * k // 2, 5 * k // 2 + 1, k * RHO + 1}
         for steps in range(1, 6):
             top = k * RHO**steps
             requests.update({top - 1, top, *rng.integers(k + 1, top, 6).tolist()})
