@@ -28,18 +28,14 @@ BENCH_R_VALUES = (8, 16, 32, 64, 128, 256)
 
 def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
                     seed: int):
-    """A random sparse nonnegative instance with amplitudes in [0.5, 1.5]."""
+    """A random sparse nonnegative instance: at every N, R distinct flat
+    indices drawn uniformly over the whole grid, then their amplitudes
+    uniformly in [0.5, 1.5]; the noise is seeded ``seed + 1``."""
     lattice = RankOneLattice(dims, axis_size)
     if sparsity > lattice.total:
         raise ValueError(f"sparsity R = {sparsity} exceeds the grid size N = {lattice.total}")
     rng = np.random.default_rng(seed)
-    if lattice.total < 1 << 30:
-        flat = rng.choice(lattice.total, size=sparsity, replace=False)
-    else:  # the R smallest distinct of 4R draws, topped up after collisions
-        flat = np.empty(0, dtype=np.int64)
-        while len(flat) < sparsity:  # sorted and distinct; np.unique imports numpy.ma
-            flat = np.sort(np.concatenate([flat, rng.integers(0, lattice.total, 4 * sparsity)]))
-            flat = flat[np.diff(flat, prepend=-1) > 0][:sparsity]
+    flat = rng.choice(lattice.total, size=sparsity, replace=False)
     amps = rng.uniform(0.5, 1.5, size=len(flat))
     entries = dict(zip(lattice.unflatten(flat), amps.tolist()))
     noise = NoiseModel(eta, seed + 1)

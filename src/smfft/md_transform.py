@@ -129,7 +129,8 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
 def relative_l2_error(recovered: dict, truth: dict, lattice: RankOneLattice) -> float:
     """|| fhat_rec - fhat_true ||_2 / || fhat_true ||_2 over the union support.
 
-    Both spectra are keyed by d-tuples on ``lattice``.
+    Both spectra are keyed by d-tuples on ``lattice``, which is not read; it
+    stays because ``perfbench/harness.py`` passes it positionally.
     """
     keys = sorted(set(recovered) | set(truth))
     diff = math.hypot(*(recovered.get(k, 0.0) - truth.get(k, 0.0) for k in keys))

@@ -3,10 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smfft import bench, cli
 from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, TUNING_FLAGS, main
+from smfft.md_transform import flatten_index
 from smfft.support_recovery import SupportParams
 
 # A 32^2 spectrum with amplitudes near 1e306, also run by CI's entry-point step.
@@ -408,6 +410,20 @@ class TestBench:
             bench.random_instance(2, 2, 5, 0.0, 0)
         entries, _, _ = bench.random_instance(2, 2, 4, 0.0, 0)
         assert sorted(entries) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("axis,dims,sparsity", [
+        (256, 2, 256), (10321, 3, 50), (5_000_000, 2, 6910),
+        (70_317_741_441_024, 1, 6910), (41_275, 3, 6910)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_draw_rule_at_every_grid_size(self, axis, dims, sparsity, seed):
+        # The support is R distinct flat indices drawn over the whole grid
+        # by one rule at every N, so a large grid's lines reach its top,
+        # where the flat indices are largest.
+        entries, lattice, _ = bench.random_instance(axis, dims, sparsity, 0.0, seed)
+        flat = np.random.default_rng(seed).choice(lattice.total, sparsity, replace=False)
+        assert list(entries) == lattice.unflatten(flat)
+        if lattice.total >= 1 << 30:
+            assert max(flatten_index(k, lattice) for k in entries) > lattice.total / 2
 
     def test_bench_n_json(self, capsys):
         code, out = run(["bench-n", "--trials", "1", "--r", "4", "--d", "2",

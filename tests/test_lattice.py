@@ -295,13 +295,15 @@ class TestEnvelope:
         # At R = 1 (K = 10) the ladder pads N = 10 * 5 * 6^4 * 8^10, about
         # 63.3 * 2^40, to itself: the largest padded N inside 2^46.  One
         # more point needs 15 growth factors of at most 8 with a larger
-        # product, which pads past 2^46.
+        # product, which pads past 2^46.  The line at edge - 1 has the
+        # largest flat index, where mulmod's limb products are largest.
         params = SupportParams(r_bound=1)
         edge = 10 * 5 * 6**4 * 8**10
         lat = RankOneLattice(1, edge)
-        sampler = md_sample_adapter({(5,): 1.0}, lat)
-        got = md_sfft(sampler, lat, params, np.random.default_rng(0))
-        assert set(got) == {(5,)}
+        for line in [(5,), (edge - 1,)]:
+            sampler = md_sample_adapter({line: 1.0}, lat)
+            got = md_sfft(sampler, lat, params, np.random.default_rng(0))
+            assert set(got) == {line}
         lat = RankOneLattice(1, edge + 1)
         with pytest.raises(EnvelopeError, match="padded grid size"):
             md_sfft(md_sample_adapter({(5,): 1.0}, lat), lat, params,
