@@ -7,6 +7,7 @@ that the probe and the value fit lay on a half period of K samples.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -30,9 +31,13 @@ def mulmod(n, q, m: int):
     """(n * q) mod m, exact in int64 for m <= MAX_MODULUS = 2^46.
 
     ``n`` is an int or an int64 array with entries in [0, m), and q is an
-    int or an int64 array in [0, m) that broadcasts against n.  The product
+    int or an int64 array in [0, m) that broadcasts against n.  While
+    (m - 1) * max(q) < 2^63 the product is one int64 product; otherwise it
     is reduced in 16-bit limbs of q, so no intermediate exceeds 2^62.
     """
+    top = q.max(initial=0) if isinstance(q, np.ndarray) else q
+    if (int(m) - 1) * int(top) < 1 << 63:
+        return n * q % m
     s = 0
     for shift in (32, 16, 0):
         s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m
@@ -75,7 +80,11 @@ def next_fast_len(n: int) -> int:
         n += 1
 
 
+@functools.lru_cache(maxsize=16)
 def gaussian_half(k: int, x: float) -> np.ndarray:
     """The window exp(-(2x*m/K)^2) at the sampled offsets m = 0..K//2 of a
-    half period: cut at m = K/2, where it is exp(-x^2) of its peak."""
-    return np.exp(-(2 * x / k * np.arange(k // 2 + 1)) ** 2)
+    half period: cut at m = K/2, where it is exp(-x^2) of its peak.  Each
+    (K, x) is planned once and shared, so the array is read-only."""
+    window = np.exp(-(2 * x / k * np.arange(k // 2 + 1)) ** 2)
+    window.flags.writeable = False
+    return window

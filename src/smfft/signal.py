@@ -117,12 +117,20 @@ class SampleLedger:
         self._unique = None
 
 
+# splitmix64's increment (the seed's multiplier too), multipliers, u2's key.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U2_KEY = np.uint64(0xD1B54A32D192ED03)
+
+
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = x + np.uint64(0x9E3779B97F4A7C15)
+    """splitmix64's finaliser, in place on the uint64 array x."""
+    x += _GOLDEN
     x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x *= _MIX1
     x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
+    x *= _MIX2
     x ^= x >> np.uint64(31)
     return x
 
@@ -135,19 +143,21 @@ def make_noise(noise: NoiseModel, nums: np.ndarray, den: int) -> np.ndarray:
     per-sample standard deviation is eta.
     """
     nums = np.asarray(nums, dtype=np.int64)
-    bits = (nums / den).view(np.uint64)
-    with np.errstate(over="ignore"):
-        key = _splitmix64(bits ^ np.uint64(noise.seed * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF))
-        u1 = (_splitmix64(key) >> np.uint64(11)).astype(float) * 2.0**-53
-        u2 = (_splitmix64(key ^ np.uint64(0xD1B54A32D192ED03)) >> np.uint64(11)).astype(float) * 2.0**-53
-    u1 = np.clip(u1, 2.0**-53, None)
+    # The key's chain, then u1's and u2's in one; arrays wrap without warning.
+    keys = np.empty((2, nums.size), dtype=np.uint64)
+    np.divide(nums.ravel(), den, out=keys[0].view(float))
+    keys[0] ^= np.uint64(noise.seed * int(_GOLDEN) & 0xFFFFFFFFFFFFFFFF)
+    np.bitwise_xor(_splitmix64(keys[0]), _U2_KEY, out=keys[1])
+    u1, u2 = (_splitmix64(keys) >> np.uint64(11)) * 2.0**-53
     # Box-Muller: two unit Gaussians become the real/imag parts.
-    radius = np.sqrt(-2.0 * np.log(u1))
+    radius = np.sqrt(-2.0 * np.log(np.maximum(u1, 2.0**-53, out=u1), out=u1))
+    u2 *= _TWO_PI
     scale = noise.eta / math.sqrt(2.0)
-    z = np.empty(nums.shape, dtype=complex)
-    z.real = scale * (radius * np.cos(_TWO_PI * u2))
-    z.imag = scale * (radius * np.sin(_TWO_PI * u2))
-    return z
+    z = np.empty(nums.size, dtype=complex)
+    for part, wave in ((z.real, np.cos), (z.imag, np.sin)):
+        # Contiguous wave output: a strided one may run another SIMD loop.
+        np.multiply(wave(u2) * radius, scale, out=part)
+    return z.reshape(nums.shape)
 
 
 class Sampler:
@@ -158,7 +168,8 @@ class Sampler:
     given.  Every batch request is an arithmetic progression mod the
     denominator, so sample k is a sum over lines j with phases
     (start*j + k*step*j) mod den: one exponential sum in k, evaluated by
-    gridded nufft in O(R + count log count).
+    gridded nufft in O(R + count log count), centred on the middle point
+    c = start + (count//2)*step, where the phases (c*j) mod den are exact.
     """
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
@@ -188,11 +199,11 @@ class Sampler:
             self.ledger.record(nums, den)
 
         jr = (self._support % den).astype(np.int64)
-        step_frac = mulmod(jr, step, den) / den
-        start_phase = np.exp((-_TWO_PI * mulmod(jr, start, den)) / den * 1j)
-        out = nufft_exp_sum(self._amps * start_phase, step_frac, count)
+        centre = (int(start) + count // 2 * int(step)) % den
+        phase = np.exp((-_TWO_PI * mulmod(jr, centre, den)) / den * 1j)
+        out = nufft_exp_sum(self._amps * phase, mulmod(jr, step, den) / den, count)
         if self.noise.eta > 0:
-            out = out + make_noise(self.noise, nums, den)
+            out += make_noise(self.noise, nums, den)
         return out
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smfft.core_math import primes_below, sample_coprime
+from smfft.core_math import gaussian_half, mulmod, primes_below, sample_coprime
 from smfft.signal import Sampler, SparseSpectrum
 from smfft.value_recovery import prime_pool
 
@@ -28,6 +30,54 @@ def test_sample_coprime_is_coprime_and_hits_all():
         assert math.gcd(q, 12) == 1
         seen.add(q)
     assert seen == {1, 5, 7, 11}
+
+
+# Where (m - 1)^2 crosses 2^63: below it every q in [0, m) takes mulmod's
+# one-product path, above it the largest q take the 16-bit limbs.
+_SQRT_2_63 = math.isqrt((1 << 63) - 1)
+
+
+class TestMulmod:
+    @staticmethod
+    def _check(n, q, m):
+        got = mulmod(n, q, m)
+        want = np.vectorize(lambda a, b: (int(a) * int(b)) % m, otypes=[object])(
+            *np.broadcast_arrays(n, q))
+        assert np.array_equal(np.asarray(got, dtype=object), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exact_on_both_paths(self, data):
+        m = data.draw(st.one_of(
+            st.integers(1, 1 << 12),
+            st.integers(_SQRT_2_63 - (1 << 20), _SQRT_2_63 + (1 << 20)),
+            st.integers((1 << 46) - (1 << 20), 1 << 46)))
+        residue = st.one_of(st.integers(0, m - 1), st.integers(max(0, m - 64), m - 1))
+        n = np.array(data.draw(st.lists(residue, min_size=1, max_size=20)), dtype=np.int64)
+        q = data.draw(residue)
+        self._check(n, q, m)
+        self._check(int(n[0]), q, m)
+        # q as an int64 column against a row of n, as probe_index passes it.
+        qs = np.array(data.draw(st.lists(residue, min_size=1, max_size=4)), dtype=np.int64)
+        self._check(n, qs[:, None], m)
+
+    @pytest.mark.parametrize("m,q", [
+        (4398048608257 + 1, 2097151),  # (m - 1) * q = 2^63 - 1: one product
+        ((1 << 45) + 1, 1 << 18),      # (m - 1) * q = 2^63: limbs
+        ((1 << 32) + 1, 1 << 31),
+    ])
+    def test_edge_of_one_product(self, m, q):
+        n = np.array([m - 1, m - 2, 1, 0], dtype=np.int64)
+        assert (m - 1) * q in ((1 << 63) - 1, 1 << 63)
+        self._check(n, q, m)
+        self._check(n, np.array([[q], [q - 1], [1]], dtype=np.int64), m)
+
+
+def test_window_is_planned_once_and_read_only():
+    # compute_phi at every probed level and fit_values share one window.
+    window = gaussian_half(35, 2.4)
+    assert gaussian_half(35, 2.4) is window and not window.flags.writeable
+    assert np.array_equal(window, np.exp(-(2 * 2.4 / 35 * np.arange(18)) ** 2))
 
 
 class TestPrimes:

@@ -14,14 +14,18 @@ def direct(coeffs, nu, k0, count):
 
 
 def from_index(coeffs, nu, k0, count):
-    """F(k0 + k) for k = 0..count-1: the first index is folded into the
-    coefficients, as the sampler folds its start point into its phases."""
-    return nufft_exp_sum(coeffs * np.exp(-2j * np.pi * np.mod(k0 * nu, 1.0)),
+    """F(k0 + k) for k = 0..count-1: the sum is centred on k = count//2, so
+    the middle index k0 + count//2 is folded into the coefficients, as the
+    sampler folds its centre point into its phases."""
+    middle = k0 + count // 2
+    return nufft_exp_sum(coeffs * np.exp(-2j * np.pi * np.mod(middle * nu, 1.0)),
                          nu, count)
 
 
+# The oracle's own shapes are (R, count) = (50, 364) and (256, 2063).
 @pytest.mark.parametrize("r,count,k0", [(1, 150, 0), (16, 700, -350),
-                                        (64, 2048, -1024), (256, 6826, -3413)])
+                                        (64, 2048, -1024), (256, 6826, -3413),
+                                        (50, 364, 0), (256, 2063, 0)])
 def test_matches_direct(r, count, k0):
     rng = np.random.default_rng(r + count)
     nu = rng.uniform(0, 1, r)
@@ -36,7 +40,7 @@ def test_rational_frequencies_near_wraparound():
     nu = np.array([1 - 1e-9, 1e-9, 0.5])
     coeffs = np.array([1.0, 1.0, 1.0], dtype=complex)
     got = nufft_exp_sum(coeffs, nu, 400)
-    assert np.max(np.abs(got - direct(coeffs, nu, 0, 400))) < 1e-10
+    assert np.max(np.abs(got - direct(coeffs, nu, -200, 400))) < 1e-10
 
 
 def test_clustered_frequencies():

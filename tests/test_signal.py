@@ -13,6 +13,7 @@ from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           load_signal_spec, make_noise)
 
 from reference import aliased_spectrum
+from reference import make_noise as pinned_make_noise
 
 
 def direct_sample(entries, n, num, den):
@@ -124,6 +125,21 @@ class TestSampler:
         scale = sum(entries.values())
         assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
+    def test_longest_request_at_top_of_grid(self):
+        # count 2^16 + 1 at den near 2^46: the nufft's centred sum spans
+        # +-2^15 modes, and the centre phase is exact integer arithmetic.
+        den = (1 << 46) - 59
+        rng = np.random.default_rng(46)
+        support = [den - 1, den - 2, *rng.integers(1 << 40, den, 6).tolist(), (1 << 62) + 7]
+        entries = {j: float(v) for j, v in zip(support, rng.uniform(0.5, 1.5, len(support)))}
+        sampler = Sampler(SparseSpectrum(max(support) + 1, entries))
+        start, step, count = den - 3, int(rng.integers(1 << 45, den)), (1 << 16) + 1
+        got = sampler.sample_progression(start, step, count, den)
+        ks = np.arange(count, dtype=object)
+        want = np.array([direct_sample(entries, None, num, den)
+                         for num in (start + ks * step) % den])
+        assert np.max(np.abs(got - want)) <= 1e-11 * sum(entries.values())
+
     def test_batch_subsampled_is_aliased_spectrum(self):
         # Inverse DFT of the rate-M batch recovers the spectrum folded mod M.
         entries = {1: 1.0, 23: 2.0, 35: 0.25}
@@ -191,6 +207,37 @@ class TestNoise:
         a = make_noise(NoiseModel(0.1, 1), np.array([3]), 20)
         b = make_noise(NoiseModel(0.1, 2), np.array([3]), 20)
         assert a[0] != b[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_pinned_reference(self, data):
+        # The realization is part of every noisy instance: bit for bit the
+        # three-chain formula it was first defined by, at any den, seed and
+        # eta, for empty, one-point, 0-d and progression inputs.
+        den = data.draw(st.one_of(st.integers(1, 1 << 12),
+                                  st.integers(1, 1 << 46),
+                                  st.integers((1 << 46) - (1 << 20), 1 << 46)))
+        residue = st.integers(0, den - 1)
+        noise = NoiseModel(eta=data.draw(st.floats(1e-12, 10.0)),
+                           seed=data.draw(st.integers(0, 1 << 32)))
+        kind = data.draw(st.sampled_from(["empty", "one", "0-d", "list", "progression"]))
+        if kind == "empty":
+            nums = np.array([], dtype=np.int64)
+        elif kind == "one":
+            nums = np.array([data.draw(residue)])
+        elif kind == "0-d":
+            nums = np.array(data.draw(residue))
+        elif kind == "list":
+            nums = np.array(data.draw(st.lists(residue, max_size=64)), dtype=np.int64)
+        else:
+            count = data.draw(st.integers(1, 3000))
+            start, step = data.draw(residue), data.draw(residue)
+            nums = (start + step * np.arange(count, dtype=object)) % den
+            nums = nums.astype(np.int64)
+        got, want = make_noise(noise, nums, den), pinned_make_noise(noise, nums, den)
+        assert got.shape == want.shape == nums.shape
+        assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                              np.atleast_1d(want).view(np.uint64))
 
     def test_scale(self):
         noise = NoiseModel(eta=0.05, seed=0)
