@@ -7,7 +7,6 @@ that the probe and the value fit lay on a half period of K samples.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -80,11 +79,7 @@ def next_fast_len(n: int) -> int:
         n += 1
 
 
-@functools.lru_cache(maxsize=16)
 def gaussian_half(k: int, x: float) -> np.ndarray:
     """The window exp(-(2x*m/K)^2) at the sampled offsets m = 0..K//2 of a
-    half period: cut at m = K/2, where it is exp(-x^2) of its peak.  Each
-    (K, x) is planned once and shared, so the array is read-only."""
-    window = np.exp(-(2 * x / k * np.arange(k // 2 + 1)) ** 2)
-    window.flags.writeable = False
-    return window
+    half period: cut at m = K/2, where it is exp(-x^2) of its peak."""
+    return np.exp(-(2 * x / k * np.arange(k // 2 + 1)) ** 2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core_math import MAX_MODULUS, as_index, mulmod
 from .errors import ParseError
-from .nufft import nufft_exp_sum
+from .nufft import middle, nufft_exp_sum
 
 _TWO_PI = 2.0 * math.pi
 
@@ -169,7 +169,7 @@ class Sampler:
     denominator, so sample k is a sum over lines j with phases
     (start*j + k*step*j) mod den: one exponential sum in k, evaluated by
     gridded nufft in O(R + count log count), centred on the middle point
-    c = start + (count//2)*step, where the phases (c*j) mod den are exact.
+    c = start + middle(count)*step, where the phases (c*j) mod den are exact.
     """
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
@@ -199,7 +199,7 @@ class Sampler:
             self.ledger.record(nums, den)
 
         jr = (self._support % den).astype(np.int64)
-        centre = (int(start) + count // 2 * int(step)) % den
+        centre = (int(start) + middle(count) * int(step)) % den
         phase = np.exp((-_TWO_PI * mulmod(jr, centre, den)) / den * 1j)
         out = nufft_exp_sum(self._amps * phase, mulmod(jr, step, den) / den, count)
         if self.noise.eta > 0:

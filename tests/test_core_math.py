@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft.core_math import gaussian_half, mulmod, primes_below, sample_coprime
+from smfft.core_math import mulmod, primes_below, sample_coprime
 from smfft.signal import Sampler, SparseSpectrum
 from smfft.value_recovery import prime_pool
 
@@ -71,13 +71,6 @@ class TestMulmod:
         assert (m - 1) * q in ((1 << 63) - 1, 1 << 63)
         self._check(n, q, m)
         self._check(n, np.array([[q], [q - 1], [1]], dtype=np.int64), m)
-
-
-def test_window_is_planned_once_and_read_only():
-    # compute_phi at every probed level and fit_values share one window.
-    window = gaussian_half(35, 2.4)
-    assert gaussian_half(35, 2.4) is window and not window.flags.writeable
-    assert np.array_equal(window, np.exp(-(2 * 2.4 / 35 * np.arange(18)) ** 2))
 
 
 class TestPrimes:

@@ -14,11 +14,11 @@ def direct(coeffs, nu, k0, count):
 
 
 def from_index(coeffs, nu, k0, count):
-    """F(k0 + k) for k = 0..count-1: the sum is centred on k = count//2, so
-    the middle index k0 + count//2 is folded into the coefficients, as the
-    sampler folds its centre point into its phases."""
-    middle = k0 + count // 2
-    return nufft_exp_sum(coeffs * np.exp(-2j * np.pi * np.mod(middle * nu, 1.0)),
+    """F(k0 + k) for k = 0..count-1: the sum is centred on k = middle(count),
+    so the middle index k0 + middle(count) is folded into the coefficients,
+    as the sampler folds its centre point into its phases."""
+    centre = k0 + nufft.middle(count)
+    return nufft_exp_sum(coeffs * np.exp(-2j * np.pi * np.mod(centre * nu, 1.0)),
                          nu, count)
 
 
@@ -40,7 +40,7 @@ def test_rational_frequencies_near_wraparound():
     nu = np.array([1 - 1e-9, 1e-9, 0.5])
     coeffs = np.array([1.0, 1.0, 1.0], dtype=complex)
     got = nufft_exp_sum(coeffs, nu, 400)
-    assert np.max(np.abs(got - direct(coeffs, nu, -200, 400))) < 1e-10
+    assert np.max(np.abs(got - direct(coeffs, nu, -nufft.middle(400), 400))) < 1e-10
 
 
 def test_clustered_frequencies():
