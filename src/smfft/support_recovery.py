@@ -42,11 +42,12 @@ from .errors import CandidateBlowup, EnvelopeError
 CANDIDATE_CAP_FACTOR = 8
 
 # ALPHA bounds a spurious candidate's chance to pass one probe round at the
-# width SupportParams.probe_x gives (measured 0.13-0.19 for delta_ratio 1-3,
-# eta up to NOISE_EDGE*mu).  K's bound scales with max(8, 2/ALPHA), so a
-# larger ALPHA samples less per round; 0.2 is the largest tried that a
-# round still honours at the smallest K: at 0.22 it is 6 (R = 1,
-# delta_ratio 1), and at the noise edge a round passed 0.238.  RHO, the
+# width SupportParams.probe_x gives (measured 0.11-0.19 at delta_ratio 1, 2,
+# 3 and 5, eta up to NOISE_EDGE*mu; it fails past delta_ratio 10, see the
+# README).  K's bound scales with max(8, 2/ALPHA), so a larger ALPHA
+# samples less per round; 0.2 is the largest tried that a round still
+# honours at the smallest K: at 0.22 it is 6 (R = 1, delta_ratio 1), and
+# at the noise edge a round passed 0.238.  RHO, the
 # largest ladder growth factor, is the largest at which that bound holds,
 # and the one of those that costs fewest samples: above 8 a parent's
 # translates can sit so few probe-grid steps from its true line that they
@@ -54,19 +55,10 @@ CANDIDATE_CAP_FACTOR = 8
 ALPHA = 0.2
 RHO = 8
 
-# DELTA sets the probe threshold DELTA*mu/2: the largest multiple of 0.1 at
-# which a line of amplitude mu half a bin off its probe point, at the width
-# SupportParams.probe_x gives, reads at least twice the threshold whatever
-# delta_ratio is.  It reads least at delta_ratio 1: 2.19 times it (4.32 at
-# the default 3), where 0.2 gives 4.89 and 0.4 gives 0.85.  A larger DELTA
-# shrinks K (R = 50: 800 at 0.2, 726 at 0.3) but narrows the probe: at 0.34,
-# a reading of 1.55, a round passed 0.209 of the spurious candidates at R = 1
-# and delta_ratio 1, more than ALPHA.
-DELTA = 0.3
-
 # The envelope's noise edge, eta <= NOISE_EDGE*mu, is its own constant, not
-# DELTA*mu/2: a third of the threshold, the edge the guarantees were stated
-# and measured at (see SupportParams.threshold), and not widened with DELTA.
+# tied to SupportParams.delta: a fourth of the threshold delta*mu/2 at the
+# default delta_ratio (delta = 0.4), a third where delta is 0.3, the edge
+# the guarantees were stated and measured at (see SupportParams.threshold).
 NOISE_EDGE = 0.05
 
 # L_in, the fewest shuffle rounds with RHO * ALPHA^L_in <= 1/2, run at every
@@ -85,11 +77,11 @@ INNER_ROUNDS = 2
 # value stage fits every line it is given from these rounds' samples; a
 # spurious line's value is 0, so it is dropped, but each adds an unknown to
 # the fit.  That many cost the fit little: on the benchmark shapes CG takes a
-# median of 11-29 iterations (at most 45, inside value_recovery's cap of
-# 100).  2 rounds would pass 0.56 R: over the benchmark's seeds 0-4 they
-# still succeed in all 50, 40 and 100 trials, with 4%, 9% and 17% fewer
-# median samples, but 2 of exact-shallow's 100 fits miss CG's cap and fall
-# back to the prime grids, which never run inside the envelope at 3 rounds.
+# median of 12-29 iterations (at most 39, inside value_recovery's cap of
+# 100).  2 rounds would pass 0.56 R: over the benchmark's seeds 0-4 at
+# delta 0.3 they still succeed in all 50, 40 and 100 trials, with 4%, 9%
+# and 17% fewer median samples, but 2 of exact-shallow's 100 fits miss CG's
+# cap and fall back to the prime grids, never run in the envelope at 3.
 LAST_ROUNDS = 3
 
 
@@ -122,17 +114,32 @@ class SupportParams:
                              f"0 <= eta <= {NOISE_EDGE}*mu")
 
     @functools.cached_property
+    def delta(self) -> float:
+        """delta of the probe threshold delta*mu/2: the largest multiple of
+        0.1, at most 0.4, at which a line of amplitude mu half a bin off its
+        probe point, at the width :attr:`probe_x` gives, reads at least
+        twice the threshold.  That reading grows with delta_ratio, and 0.3
+        reads 2.19 times it at delta_ratio 1, so delta is 0.3, or 0.4 from
+        delta_ratio 1.566 on (2.97 times at the default 3).  A larger delta
+        shrinks K (R = 50: 726 at 0.3, 675 at 0.4) but narrows the probe: at
+        0.5 (2.17 times at delta_ratio 3) R = 1 passed 0.199-0.201 of its
+        spurious rounds, ALPHA with no margin, so 0.4 is the cap.
+        """
+        x = _window_cut(self.delta_ratio, 0.4)
+        return 0.4 if math.exp(-(math.pi / (4 * x)) ** 2) >= 0.4 else 0.3
+
+    @functools.cached_property
     def k_base(self) -> int:
         """Base modulus K: the paper's bound ceil(max{8, 2/ALPHA}/pi * R *
-        sqrt(log(2R*Delta/DELTA) log(2*Delta/DELTA))) rounded up to the next
+        sqrt(log(2R*Delta/delta) log(2*Delta/delta))) rounded up to the next
         11-smooth size, so every size-K FFT takes a fast radix path (a
         larger K only widens the filter's margin).  A bound of 2^17 or more,
         an infinite one included, raises EnvelopeError before it is rounded.
-        A bound just below 2^17 can round up to exactly 2^17 (R = 6911-6914
+        A bound just below 2^17 can round up to exactly 2^17 (R = 7339-7343
         at the defaults); that K is returned, and plan_ladder rejects it."""
         r = max(self.r_bound, 1)
-        l1 = math.log(2 * r * self.delta_ratio / DELTA)
-        l2 = math.log(2 * self.delta_ratio / DELTA)
+        l1 = math.log(2 * r * self.delta_ratio / self.delta)
+        l2 = math.log(2 * self.delta_ratio / self.delta)
         c = max(8.0, 2.0 / ALPHA) / math.pi
         bound = c * r * math.sqrt(l1 * l2)
         if not bound < 1 << 17:
@@ -141,21 +148,23 @@ class SupportParams:
 
     @property
     def threshold(self) -> float:
-        """Probe threshold t = DELTA*mu/2, with or without noise.
+        """Probe threshold t = delta*mu/2 (:attr:`delta`), with or without
+        noise.
 
         The noise is complex Gaussian with standard deviation eta per sample
         (NoiseModel), so a probe's noise is Gaussian with standard deviation
         eta*||w||_2, w being the K weights (2x/sqrt(pi))*exp(-(2x*m/K)^2)/K
-        of compute_phi's transform: about 0.97*eta/sqrt(K) at the width
-        :attr:`probe_x` gives (0.72 at delta_ratio 1).  With eta <=
-        NOISE_EDGE*mu = t/3 that is about 0.1t at the smallest K (10, and
-        7 at delta_ratio 1), while a true line of amplitude mu half a bin off
-        its probe point reads at least 2.19t.  A true line then fails a round
-        only beyond about 12 standard deviations, so the threshold is not
-        lowered for noise.  Noise bounded by eta moves a probe by at most
-        ||w||_1*eta = erf(x)*eta < t/3, so such a line still clears it.
+        of compute_phi's transform: about 0.92*eta/sqrt(K) at the width
+        :attr:`probe_x` gives at the defaults (0.72 at delta_ratio 1).  With
+        eta <= NOISE_EDGE*mu = t/4 (t/3 where delta is 0.3) that is under
+        0.08t at the smallest K (9 at the defaults, 7 at delta_ratio 1; 0.09t
+        there), while a true line of amplitude mu half a bin off its probe
+        point reads at least 2t.  A true line then fails a round only beyond
+        about 13 standard deviations, so the threshold is not lowered for
+        noise.  Noise bounded by eta moves a probe by at most ||w||_1*eta =
+        erf(x)*eta < t/3, so such a line still clears it.
         """
-        return DELTA * self.mu / 2
+        return self.delta * self.mu / 2
 
     @property
     def probe_x(self) -> float:
@@ -170,13 +179,18 @@ class SupportParams:
         f from the grid, 2/pi on average, so they reach
         (2/pi)*a*s*exp(-x^2)/(sqrt(pi)*t) bins.  A larger x lengthens the
         main lobe and shortens the sidelobes.  For the largest amplitude,
-        a/t = 2*Delta/DELTA = exp(l2), the two reaches are equal at
+        a/t = 2*Delta/delta = exp(l2), the two reaches are equal at
         x^2 = l2 - log(pi^1.5*sqrt(l2)/2).  There the share of probe points
         one line lights is least, and with it a spurious candidate's chance
         to pass a round.
         """
-        l2 = math.log(2 * self.delta_ratio / DELTA)
-        return math.sqrt(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2))
+        return _window_cut(self.delta_ratio, self.delta)
+
+
+def _window_cut(delta_ratio: float, delta: float) -> float:
+    """:attr:`SupportParams.probe_x` at this delta_ratio and delta."""
+    l2 = math.log(2 * delta_ratio / delta)
+    return math.sqrt(l2 - math.log(math.pi**1.5 * math.sqrt(l2) / 2))
 
 
 @functools.cache

@@ -55,8 +55,8 @@ FOOTPRINT = 20
 # diagonal to the normal matrix there, s*sqrt(2 ln 1e14) = 27.1 bins.
 _REACH = _WIDTH * math.sqrt(2 * math.log(1e14))
 # CG's iteration cap.  Inside the envelope, with the last level's 3 rounds,
-# CG takes a median of 11 and 13 iterations on deep-ladder and wide-support
-# (at most 17) and 29 on exact-shallow (p99 34, at most 45); a support of
+# CG takes a median of 12 and 13 iterations on deep-ladder and wide-support
+# (at most 17) and 29 on exact-shallow (p99 33, at most 39); a support of
 # twice R (512 lines at R = 256) takes 47-59, one of 4R 283-341, and falls
 # back to the prime grids.
 CG_ITERATIONS = 100

@@ -77,14 +77,14 @@ def test_noise_stability_to_envelope_edge():
 
 
 def test_envelope_corners():
-    """At the envelope's far corner, R = 6910 (K = 130977, the largest
+    """At the envelope's far corner, R = 7338 (K = 130977, the largest
     below 2^17) on grids padded to just under 2^46 in d = 1, 2 and 3, every
     trial meets the success rule: noiseless and at the noise edge
     eta = NOISE_EDGE*mu, with amplitudes drawn in [mu, delta_ratio*mu], all
-    at mu, or all at delta_ratio*mu.  (One line more, R = 6911, gives
+    at mu, or all at delta_ratio*mu.  (One line more, R = 7339, gives
     K = 2^17, which test_lattice.py::TestEnvelope shows is rejected before
     the first sample.)"""
-    r, params = 6910, SupportParams(r_bound=6910)
+    r, params = 7338, SupportParams(r_bound=7338)
     edge = NOISE_EDGE * params.mu
     top = params.delta_ratio * params.mu
     # (axis, dims, eta, amplitude or None for drawn, seed); the d = 1 and

@@ -291,11 +291,12 @@ class TestEnvelope:
                     in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags", [["--r", "1000000000000"],
-                                       ["--delta-ratio", "1e307"]],
+                                       ["--delta-ratio", "1e307", "--r", "4"]],
                              ids=["r-1e12", "delta-ratio-1e307"])
     def test_k_bound_past_2_17(self, flags, signal_file, capsys):
-        # These put K's bound past 1e13 or at infinity, which is rejected
-        # before it is rounded up to an 11-smooth size.
+        # These put K's bound past 1e13 or at infinity (2R*Delta/delta =
+        # 2e308 at R = 4 and delta = 0.4), which is rejected before it is
+        # rounded up to an 11-smooth size.
         code = main(["transform", "--signal", signal_file] + flags)
         assert code == EXIT_ENVELOPE
         assert ("outside the supported envelope: base modulus K bound"

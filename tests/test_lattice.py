@@ -269,8 +269,8 @@ class TestEnvelope:
     @pytest.mark.parametrize("dims,axis,r_bound,message", [
         (3, 1 << 16, 4, "padded grid size"),       # N = 2^48
         (5, 1 << 16, 4, "padded grid size"),       # N = 2^80
-        (1, 1 << 20, 6911, "base modulus K 131072"),  # bound 130996 rounds up to 2^17
-        (1, 1 << 20, 6915, "base modulus K bound"),   # bound 131075 >= 2^17
+        (1, 1 << 20, 7339, "base modulus K 131072"),  # bound 130983 rounds up to 2^17
+        (1, 1 << 20, 7344, "base modulus K bound"),   # bound 131076 >= 2^17
     ])
     def test_rejected_before_sampling(self, dims, axis, r_bound, message):
         lat = RankOneLattice(dims, axis)
@@ -285,20 +285,20 @@ class TestEnvelope:
         assert ledger.total_requests == 0
 
     def test_largest_base_modulus_is_planned(self):
-        # R = 6910 has the largest K below 2^17 at the defaults: its bound
-        # 130976 rounds up to the 11-smooth 130977 = 3^5 * 7^2 * 11.
-        params = SupportParams(r_bound=6910)
+        # R = 7338 has the largest K below 2^17 at the defaults: its bound
+        # 130964 rounds up to the 11-smooth 130977 = 3^5 * 7^2 * 11.
+        params = SupportParams(r_bound=7338)
         assert params.k_base == 130977
         assert plan_ladder(1 << 20, params.k_base) == (130977, 392931, 1178793)
 
     def test_edge_of_envelope_runs(self):
-        # At R = 1 (K = 10) the ladder pads N = 10 * 5 * 6^4 * 8^10, about
-        # 63.3 * 2^40, to itself: the largest padded N inside 2^46.  One
+        # At R = 1 (K = 9) the ladder pads N = 9 * 6^2 * 7^7 * 8^6, about
+        # 63.6 * 2^40, to itself: the largest padded N inside 2^46.  One
         # more point needs 15 growth factors of at most 8 with a larger
         # product, which pads past 2^46.  The line at edge - 1 has the
         # largest flat index, where mulmod's limb products are largest.
         params = SupportParams(r_bound=1)
-        edge = 10 * 5 * 6**4 * 8**10
+        edge = 9 * 6**2 * 7**7 * 8**6
         lat = RankOneLattice(1, edge)
         for line in [(5,), (edge - 1,)]:
             sampler = md_sample_adapter({line: 1.0}, lat)

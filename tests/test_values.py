@@ -231,18 +231,18 @@ class TestComputeValues:
     def test_stats_records_redraws(self):
         # On this instance and algorithm seed the first prime-grid draw after
         # md_sfft's support search fails the contraction check; the second
-        # is accepted and recovers the spectrum.  (Seed 4: the draws follow
+        # is accepted and recovers the spectrum.  (Seed 2: the draws follow
         # the last level's coprimes in the rng stream, so the seed picks the
-        # draw, and at seeds 0-3 the first is accepted.)
+        # draw, and at seeds 0-1 the first is accepted.)
         entries, lattice, noise = bench.random_instance(256, 2, 256, 0.0, 0)
-        params, rng = bench.make_params(256, 0.0), np.random.default_rng(4)
+        params, rng = bench.make_params(256, 0.0), np.random.default_rng(2)
         sampler = md_sample_adapter(entries, lattice, noise)
         support = find_support(sampler, plan_ladder(lattice.total, params.k_base),
                                params, rng)
         support = support[support < lattice.total]
         values, redraws = prime_grid_values(support, lattice.total, params, sampler, rng)
         assert redraws == 1
-        # The support holds 2 spurious lines as well; their values are 0.
+        # The support holds 3 spurious lines as well; their values are 0.
         truth = {j + 256 * k: a for (j, k), a in entries.items()}
         assert set(truth) < set(support.tolist())
         expected = [truth.get(j, 0.0) for j in support.tolist()]
@@ -341,11 +341,11 @@ def dense_normal(bins, k_base):
 
 
 class TestFit:
-    @pytest.mark.parametrize("k_base,lines", [(7, 2), (10, 3), (14, 3), (30, 5), (45, 6),
-                                              (924, 40), (5120, 60)])
+    @pytest.mark.parametrize("k_base,lines", [(7, 2), (9, 3), (10, 3), (14, 3), (30, 5),
+                                              (45, 6), (924, 40), (5120, 60)])
     def test_normal_matrix_matches_dense(self, k_base, lines):
         # Lines crowd into a few bins too, so most pairs are near in some
-        # round.  K = 7 and 10 are the smallest K the defaults give at
+        # round.  K = 7 and 9 are the smallest K the defaults give at
         # R = 1, at delta_ratio 1 and 3, where images wrap most.
         rng = np.random.default_rng(k_base)
         bins = rng.uniform(0, k_base, (LAST_ROUNDS, lines))
@@ -356,8 +356,8 @@ class TestFit:
         dense = dense_normal(bins, k_base)
         assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("axis,dims,sparsity,k_base", [(128, 2, 50, 726),
-                                                           (256, 2, 256, 4125)])
+    @pytest.mark.parametrize("axis,dims,sparsity,k_base", [(128, 2, 50, 675),
+                                                           (256, 2, 256, 3872)])
     def test_noiseless_recovery(self, axis, dims, sparsity, k_base):
         params = bench.make_params(sparsity, 0.0)
         assert params.k_base == k_base
@@ -369,8 +369,8 @@ class TestFit:
             assert set(got) == set(entries) and stats["fallbacks"] == 0
             assert relative_l2_error(got, entries, lattice) <= 1e-10
 
-    @pytest.mark.parametrize("sparsity,k_base,eta", [(1, 10, 0.0), (2, 22, 0.0),
-                                                     (3, 35, 0.0), (3, 35, 0.025)])
+    @pytest.mark.parametrize("sparsity,k_base,eta", [(1, 9, 0.0), (2, 20, 0.0),
+                                                     (3, 32, 0.0), (3, 32, 0.025)])
     def test_small_k_wrapped_footprint(self, sparsity, k_base, eta):
         # N = 2^40: a line's footprint of 2 * 20 + 2 bins wraps round K.
         params = bench.make_params(sparsity, eta)
@@ -392,7 +392,7 @@ class TestFit:
 
     def test_one_level_ladder_reads_the_base_dft(self):
         lattice, params = RankOneLattice(1, 16), SupportParams(r_bound=2)
-        assert params.k_base == 22 and plan_ladder(16, params.k_base) == (16,)
+        assert params.k_base == 20 and plan_ladder(16, params.k_base) == (16,)
         entries = {(3,): 1.0, (11,): 0.7}
         ledger = SampleLedger()
         got = md_sfft(md_sample_adapter(entries, lattice, ledger=ledger), lattice,
@@ -408,13 +408,13 @@ class TestFit:
 
     @pytest.mark.parametrize("axis,dims,sparsity", [
         (36, 1, 3), (70, 1, 3), (7, 2, 3), (101, 1, 8), (20, 2, 16), (1089, 1, 50),
-        (80, 1, 3), (9, 2, 3), (250, 1, 8), (21, 2, 16), (1815, 1, 50), (12, 3, 50)])
+        (80, 1, 3), (8, 2, 3), (240, 1, 8), (21, 2, 16), (1687, 1, 50), (11, 3, 50)])
     def test_small_grid_sampled_whole(self, axis, dims, sparsity):
         # K < N <= 5K/2: the grid is one level of its least 11-smooth size,
         # so the run draws that level's half period and nothing more, where
         # the ladder (K, 2K) or (K, 3K) drew a base level and three probe
-        # rounds (R = 50, N = 1089: 987 distinct samples against 545; N =
-        # 1815: 1132 against 908).
+        # rounds (R = 50, N = 1089: 923 distinct samples against 545; N =
+        # 1687: 1044 against 848).
         entries, lattice, noise = bench.random_instance(axis, dims, sparsity, 0.0, axis)
         params, n = SupportParams(r_bound=sparsity), lattice.total
         assert params.k_base < n and 2 * n <= 5 * params.k_base
