@@ -618,10 +618,10 @@ class TestProbeSurvival:
         # 0.02 is about two binomial standard deviations at 2000 rounds and
         # three at 4700.  N = 2^20, R = 16 reads 0.144 over 3252 rounds of
         # three seeds.  With the paper's width and a threshold halved under
-        # noise it read 0.25 noiseless and 0.45 at eta = 0.01.  At R = 1 and 2 K is smallest (9 and 20),
-        # so a parent's RHO translates sit only K/RHO = 1.125 and 2.5
-        # probe-grid steps apart: 0.15-0.16 and 0.13.  No true line fails a
-        # round.
+        # noise it read 0.25 noiseless and 0.45 at eta = 0.01.  At R = 1 and
+        # 2 K is smallest (9 and 20), so a parent's RHO translates sit only
+        # K/RHO = 1.125 and 2.5 probe-grid steps apart: 0.15-0.16 and 0.13.
+        # No true line fails a round.
         for shape, seeds in (((1 << 20, 16), (31, 32, 33)),
                              ((1 << 40, 1), range(25)),
                              ((1 << 40, 2), range(5))):
@@ -646,14 +646,14 @@ class TestProbeSurvival:
             assert true_failures == 0, shape
 
     @pytest.mark.parametrize("delta_ratio", [2.0, 5.0])
-    @pytest.mark.parametrize("eta", [0.0, NOISE_EDGE * 0.5])
+    @pytest.mark.parametrize("eta", [0.0, NOISE_EDGE * 0.5])  # mu = 0.5
     def test_spurious_rate_away_from_the_default_range(self, delta_ratio, eta):
-        # The same bound where delta is 0.4 but the probe is narrower
-        # (delta_ratio 2: K = 8, 18 and 175) or wider (5: K = 11, 24 and
-        # 224) than at the default.  R = 1, 2 and 16 read 0.181, 0.122 and
-        # 0.155 at delta_ratio 2, and 0.130, 0.110 and 0.163 at 5, noiseless
-        # and at the noise edge alike; R = 2 takes a sixth seed to reach
-        # 2000 rounds.  No true line fails a round.
+        # The same bound, noiseless and at the noise edge, where delta is 0.4
+        # but the probe is narrower (delta_ratio 2: K = 8, 18 and 175) or
+        # wider (5: K = 11, 24 and 224) than at the default.  R = 1, 2 and
+        # 16 read 0.181, 0.122 and 0.155 at delta_ratio 2, and 0.130, 0.110
+        # and 0.163 at 5, noiseless and at the noise edge alike; R = 2 takes
+        # a sixth seed to reach 2000 rounds.  No true line fails a round.
         assert SupportParams(r_bound=1, delta_ratio=delta_ratio).delta == 0.4
         for shape, seeds in (((1 << 20, 16), (31, 32, 33)),
                              ((1 << 40, 1), range(25)),
