@@ -37,3 +37,4 @@ print(f"samples used: {ledger.unique_count:,} "
 print(f"ladder levels: {stats['ladder_steps']}, "
       f"prime-grid fallbacks: {stats['fallbacks']}, "
       f"measurement redraws: {stats['redraws']}")
+print(f"attempts: {stats['attempts']}")

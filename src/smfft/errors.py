@@ -21,6 +21,11 @@ class ContractionFailure(SmfftError):
     """Every measurement re-draw was rejected by the contraction test."""
 
 
+class Uncertified(SmfftError):
+    """A fit on a first attempt missed CG's tolerance, or its residual
+    exceeded the noise bound; md_sfft then searches again at the full K."""
+
+
 class EnvelopeError(SmfftError):
     """The problem lies outside the pipeline's exact envelope.  Raised before
     any sample by SupportParams.k_base and plan_ladder (K or the padded N too

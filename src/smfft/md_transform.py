@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core_math import as_index
-from .errors import EnvelopeError, IndexOutOfRange
+from .errors import CandidateBlowup, EnvelopeError, IndexOutOfRange, Uncertified
 from .signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from .support_recovery import LastLevel, SupportParams, find_support, plan_ladder
+from .support_recovery import LastLevel, SupportParams, find_support, plan_attempts
 from .value_recovery import compute_values
 
 
@@ -88,9 +88,18 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     """Recover a d-dimensional sparse nonnegative spectrum end to end.
 
     The sampler must be an oracle for the flattened 1-D problem (see
-    :func:`md_sample_adapter`).  The ladder is planned before the first
-    sample, so a padded N above 2^46 or a base modulus K of 2^17 or more
-    raises EnvelopeError (see :func:`plan_ladder`) with nothing sampled.
+    :func:`md_sample_adapter`).  The ladders are planned before the first
+    sample (:func:`plan_attempts`), so a padded N above 2^46 or a base
+    modulus K of 2^17 or more raises EnvelopeError (see :func:`plan_ladder`)
+    with nothing sampled.
+
+    From R = HALF_K_FROM on, a ladder is first searched from K/2 under a
+    K-point last level, and its result stands only if the fit's residual
+    certifies it.  On CandidateBlowup, a CG miss or an uncertified
+    residual, the whole search runs once more from K, on the same oracle
+    and ``rng``, with the prime-grid fallback.  ``stats`` records the
+    attempts made, 1 or 2, and the ladder steps, fallbacks and redraws of
+    the last.
 
     The recovery is homogeneous in (spectrum, mu, eta), so it runs in units
     of 2^e, the power of two at mu: mu, eta and the samples (by the run's
@@ -107,18 +116,26 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
         params = replace(params, mu=math.ldexp(params.mu, -e),
                          eta=math.ldexp(params.eta, -e))
     n_total = lattice.total
-    moduli = plan_ladder(n_total, params.k_base)
-    if stats is not None:
-        stats["ladder_steps"] = len(moduli)
-        stats["redraws"] = 0
-        stats["fallbacks"] = 0
-    level = LastLevel(sampler, moduli, math.ldexp(1.0, -e))
+    plans = plan_attempts(n_total, params)
+    if stats is None:
+        stats = {}
+    stats.update(redraws=0, fallbacks=0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            support = find_support(level, moduli, params, rng)
-            # Ladder padding can admit indices beyond M^d; those cannot be real.
-            support = support[support < n_total]
-            values = compute_values(support, level, n_total, params, rng, stats)
+            for attempt, moduli in enumerate(plans, 1):
+                stats.update(attempts=attempt, ladder_steps=len(moduli))
+                level = LastLevel(sampler, moduli, math.ldexp(1.0, -e), params.k_base)
+                try:
+                    support = find_support(level, moduli, params, rng)
+                    # Ladder padding can admit indices beyond M^d; those
+                    # cannot be real.
+                    support = support[support < n_total]
+                    values = compute_values(support, level, n_total, params, rng,
+                                            stats, certify=attempt < len(plans))
+                    break
+                except (CandidateBlowup, Uncertified):
+                    if attempt == len(plans):
+                        raise
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc

@@ -17,6 +17,10 @@ rounds that those few extra unknowns leave the fit well conditioned
 (:data:`LAST_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
 q as an int64 array that broadcasts.
 
+From R = :data:`HALF_K_FROM` on, md_sfft first searches a ladder planned
+from K/2 (:func:`plan_attempts`), whose base and inner levels probe with a
+K/2-point window and whose last level keeps the K-point one.
+
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
 only, in one oracle call, and transformed from that half by a real inverse
@@ -77,12 +81,24 @@ INNER_ROUNDS = 2
 # value stage fits every line it is given from these rounds' samples; a
 # spurious line's value is 0, so it is dropped, but each adds an unknown to
 # the fit.  That many cost the fit little: on the benchmark shapes CG takes a
-# median of 12-29 iterations (at most 39, inside value_recovery's cap of
+# median of 13-29 iterations (at most 39, inside value_recovery's cap of
 # 100).  2 rounds would pass 0.56 R: over the benchmark's seeds 0-4 at
 # delta 0.3 they still succeed in all 50, 40 and 100 trials, with 4%, 9%
 # and 17% fewer median samples, but 2 of exact-shallow's 100 fits miss CG's
 # cap and fall back to the prime grids, never run in the envelope at 3.
 LAST_ROUNDS = 3
+
+# The R from which md_sfft first searches at K/2 under a K-point last level,
+# and K is rounded to an even size so that K/2 is whole.  Replayed ladders
+# (noiseless and at the noise edge) pass a spurious candidate in an inner
+# round at K/2 far more often than ALPHA: 0.52-0.56, 0.40 and 0.32 of
+# rounds at R = 1, 2 and 5, 0.295 at 16, 0.287 at 50 and 0.268 at 256,
+# against 0.14-0.16 at K.  From R = 16 on RHO * 0.3^INNER_ROUNDS = 0.72 < 1,
+# so spurious survivors stay bounded from level to level; below it that
+# product is 0.8-2.5.  True lines lose a round at K/2 rarely (none in those
+# replays); the value stage's certificate catches the result, and the
+# retry at K recovers it.
+HALF_K_FROM = 16
 
 
 @dataclass(frozen=True)
@@ -133,10 +149,12 @@ class SupportParams:
         """Base modulus K: the paper's bound ceil(max{8, 2/ALPHA}/pi * R *
         sqrt(log(2R*Delta/delta) log(2*Delta/delta))) rounded up to the next
         11-smooth size, so every size-K FFT takes a fast radix path (a
-        larger K only widens the filter's margin).  A bound of 2^17 or more,
-        an infinite one included, raises EnvelopeError before it is rounded.
-        A bound just below 2^17 can round up to exactly 2^17 (R = 7339-7343
-        at the defaults); that K is returned, and plan_ladder rejects it."""
+        larger K only widens the filter's margin); from R = HALF_K_FROM on,
+        to the next even one, so that the first attempt's K/2 is whole too
+        (R = 50: 686 = 2 * 7^3).  A bound of 2^17 or more, an infinite one
+        included, raises EnvelopeError before it is rounded.  A bound just
+        below 2^17 can round up to exactly 2^17 (R = 7323-7343 at the
+        defaults); that K is returned, and plan_ladder rejects it."""
         r = max(self.r_bound, 1)
         l1 = math.log(2 * r * self.delta_ratio / self.delta)
         l2 = math.log(2 * self.delta_ratio / self.delta)
@@ -144,6 +162,8 @@ class SupportParams:
         bound = c * r * math.sqrt(l1 * l2)
         if not bound < 1 << 17:
             raise EnvelopeError(f"base modulus K bound {bound:.4g} reaches 2^17")
+        if self.r_bound >= HALF_K_FROM:
+            return 2 * next_fast_len(-(-math.ceil(bound) // 2))
         return next_fast_len(math.ceil(bound))
 
     @property
@@ -194,18 +214,21 @@ def _window_cut(delta_ratio: float, delta: float) -> float:
 
 
 @functools.cache
-def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
-    """The ladder moduli M_1 = K, M_{k+1} = rho_k * M_k, rho_k in [2, RHO].
+def plan_ladder(requested_n: int, k_base: int, half: bool = False) -> tuple[int, ...]:
+    """The ladder moduli M_1 = K, M_{k+1} = rho_k * M_k, rho_k in [2, RHO];
+    with ``half``, M_1 = K/2 for an even K, and K divides the last modulus.
 
     The last modulus is the padded size N >= requested_n.  The number of
     ladder steps is minimized first (factors as large as allowed), then the
-    overshoot: of every nondecreasing tuple of that many factors, the first
-    in lexicographic order with the smallest padded N wins.  The plan is a
-    pure function of (requested_n, k_base), computed once for each pair.
+    overshoot: of every nondecreasing tuple of that many factors (with an
+    even product under ``half``), the first in lexicographic order with the
+    smallest padded N wins.  The plan is a pure function of its arguments,
+    computed once for each.
 
     A grid of at most 5K/2 points is sampled whole instead, as the one level
-    next_fast_len(requested_n): about N/2 samples, where the ladder (K, 3K)
-    draws about 1.55K; past 5K/2 the padded grid can draw more than it.
+    next_fast_len(requested_n), ``half`` or not: about N/2 samples, where
+    the ladder (K, 3K) draws about 1.55K; past 5K/2 the padded grid can draw
+    more than it.
 
     This is where the envelope is decided, before any sample is drawn: a K
     of 2^17 or more, or a padded N above MAX_MODULUS = 2^46, raises
@@ -219,18 +242,37 @@ def plan_ladder(requested_n: int, k_base: int) -> tuple[int, ...]:
         raise EnvelopeError(f"base modulus K {k_base} reaches 2^17")
     if requested_n > MAX_MODULUS:
         raise EnvelopeError(f"padded grid size of at least {requested_n} exceeds 2^46")
+    if half and k_base % 2:
+        raise ValueError(f"a ladder from K/2 needs an even K, got {k_base}")
     if 2 * requested_n <= 5 * k_base:
         return (next_fast_len(requested_n),)
-    target = -(-requested_n // k_base)  # ceil division
+    base = k_base // 2 if half else k_base
+    target = -(-requested_n // base)  # ceil division
     steps = 0
     while RHO**steps < target:  # exact: a float log overshoots at powers of RHO
         steps += 1
+    # RHO is even, so the largest tuple, RHO^steps, always qualifies.
     factors = min((c for c in itertools.combinations_with_replacement(
-        range(2, RHO + 1), steps) if math.prod(c) >= target), key=math.prod)
-    moduli = tuple(k_base * math.prod(factors[:i]) for i in range(steps + 1))
+        range(2, RHO + 1), steps) if math.prod(c) >= target
+        and base * math.prod(c) % k_base == 0), key=math.prod)
+    moduli = tuple(base * math.prod(factors[:i]) for i in range(steps + 1))
     if moduli[-1] > MAX_MODULUS:
         raise EnvelopeError(f"padded grid size {moduli[-1]} exceeds 2^46")
     return moduli
+
+
+def plan_attempts(requested_n: int, params: SupportParams) -> list[tuple[int, ...]]:
+    """The ladders md_sfft searches, in order, before any sample is drawn:
+    from K/2 where R >= HALF_K_FROM and the plan from K has more than one
+    level, unless the plan from K/2 pads past 2^46 where that one does not;
+    then from K, the plan of a retry or of the only attempt."""
+    plans = [plan_ladder(requested_n, params.k_base)]
+    if params.r_bound >= HALF_K_FROM and len(plans[0]) > 1:
+        try:
+            plans.insert(0, plan_ladder(requested_n, params.k_base, half=True))
+        except EnvelopeError:
+            pass
+    return plans
 
 
 def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
@@ -288,16 +330,19 @@ def probe_index(n, q, m_k: int, k_base: int):
 
 
 def find_aliased_support(candidate: np.ndarray, m_k: int, params: SupportParams,
-                         sampler, rng: np.random.Generator, rounds: int) -> np.ndarray:
+                         sampler, rng: np.random.Generator, rounds: int,
+                         k_base: int | None = None) -> np.ndarray:
     """Prune a sorted int64 candidate array down to the aliased support at
     modulus m_k, returned as a sorted int64 array.
 
-    Probes ``rounds`` independent shuffle rounds as one batch; a candidate
-    survives only if its probe clears the threshold in every round.  True
-    aliased support always survives (noiseless); each spurious candidate
-    survives all rounds with probability at most ALPHA^rounds.
+    Probes ``rounds`` independent shuffle rounds as one batch, each with a
+    window of ``k_base`` points (K = params.k_base by default), which must
+    divide m_k; a candidate survives only if its probe clears the threshold
+    in every round.  True aliased support always survives (noiseless); each
+    spurious candidate survives all rounds with probability at most
+    ALPHA^rounds at K.
     """
-    k_base = params.k_base
+    k_base = k_base or params.k_base
     qs = np.array([sample_coprime(m_k, rng) for _ in range(rounds)])
     phi = compute_phi(sampler, m_k, k_base, qs, params.probe_x)
     probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
@@ -310,11 +355,14 @@ class LastLevel:
     the ladder ``moduli``: the shuffles q_r (the steps) and raw half periods
     of the last level's probe rounds, or the base level's one period when
     the ladder has one level.  find_support runs on it, and the value stage
-    reads the plan (K, one level or a ladder) and the kept rounds from it.
+    reads the plan (one level or a ladder), the last level's window ``k``
+    (K; moduli[0] by default) and the kept rounds from it.
     """
 
-    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
+    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0,
+                 k: int | None = None):
         self.sampler, self.moduli, self.scale = sampler, moduli, scale
+        self.k = k or moduli[0]
         self.qs: list[int] = []
         self.halves: list[np.ndarray] = []
 
@@ -331,10 +379,12 @@ class LastLevel:
 def find_support(sampler, moduli: tuple[int, ...],
                  params: SupportParams, rng: np.random.Generator) -> np.ndarray:
     """Full support search: dealias level by level along the ladder
-    ``moduli`` from :func:`plan_ladder`, whose first is K or a small grid.
+    ``moduli`` from :func:`plan_ladder`, whose first is K, K/2 or a small
+    grid.
 
-    Every level but the last runs :data:`INNER_ROUNDS` probe rounds, the
-    last :data:`LAST_ROUNDS`.  Returns the support as a sorted int64 array.
+    Every level but the last runs :data:`INNER_ROUNDS` probe rounds with a
+    window of moduli[0] points, the last :data:`LAST_ROUNDS` with one of
+    K = params.k_base points.  Returns the support as a sorted int64 array.
     Run on a :class:`LastLevel`, it leaves there the samples the value
     stage reads.
     """
@@ -348,6 +398,8 @@ def find_support(sampler, moduli: tuple[int, ...],
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check the sparsity bound R and the mu/delta_ratio estimates")
-        rounds = LAST_ROUNDS if m_k == moduli[-1] else INNER_ROUNDS
-        aliased = find_aliased_support(candidate, m_k, params, sampler, rng, rounds)
+        last = m_k == moduli[-1]
+        aliased = find_aliased_support(
+            candidate, m_k, params, sampler, rng, LAST_ROUNDS if last else INNER_ROUNDS,
+            params.k_base if last else moduli[0])
     return aliased

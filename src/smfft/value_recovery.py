@@ -16,6 +16,12 @@ the last level's 3 rounds let through as well, at most R/8 in expectation;
 each is one more unknown, fitted to about 0.  The stage draws no sample.  A
 grid of at most 5K/2 points is sampled whole: its DFT is the spectrum.
 
+The fit's residual over every bin of the last level's rounds, with the
+dropped entries at 0, certifies the result of md_sfft's first attempt at
+K/2 (:class:`Fit`): noise of level eta leaves about
+eta*sqrt(L*sum_m g(m)^2/K) of it, and a true line of amplitude a left out
+of the result about a/2.
+
 If CG misses its tolerance within :data:`CG_ITERATIONS`, prime-modulus
 measurements give the values instead (:func:`prime_grid_values`): T grids of
 random prime size p, each requested for k/p, k = 0..p//2, and read at the
@@ -30,12 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import gaussian_half, mulmod, primes_below
-from .errors import ContractionFailure
+from .errors import ContractionFailure, Uncertified
 from .support_recovery import LastLevel, SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
@@ -55,10 +62,10 @@ FOOTPRINT = 20
 # diagonal to the normal matrix there, s*sqrt(2 ln 1e14) = 27.1 bins.
 _REACH = _WIDTH * math.sqrt(2 * math.log(1e14))
 # CG's iteration cap.  Inside the envelope, with the last level's 3 rounds,
-# CG takes a median of 12 and 13 iterations on deep-ladder and wide-support
-# (at most 17) and 29 on exact-shallow (p99 33, at most 39); a support of
-# twice R (512 lines at R = 256) takes 47-59, one of 4R 283-341, and falls
-# back to the prime grids.
+# CG takes a median of 13 iterations on deep-ladder and wide-support (at
+# most 20 and 18) and 29 on exact-shallow (at most 39) over perfbench's
+# seeds 0-60; a support of twice R (512 lines at R = 256) takes 47-59, one
+# of 4R 283-341, and falls back to the prime grids.
 CG_ITERATIONS = 100
 
 
@@ -217,19 +224,41 @@ def normal_matrix(bins: np.ndarray, k_base: int):
             np.concatenate([vals, vals]))
 
 
-def fit_values(support: np.ndarray, level: LastLevel, tol: float) -> np.ndarray | None:
+class Fit(NamedTuple):
+    """The fitted values and the certificate of the kept ones."""
+
+    values: np.ndarray
+    # ||phi - A*a|| over every bin of the last level's L rounds, a being the
+    # values with those at most mu/2 set to 0, and the bound it must meet:
+    # max(2*eta*sqrt(L*sum_m g(m)^2/K), 1e-5*||phi||).  Noise of modulus at
+    # most eta in every sample leaves at most half the bound (Parseval), and
+    # correct noisy fits read 0.87-0.99 of that half.  The floor covers the
+    # cancellation of the residual's identity, about 1e-7*||phi||.
+    residual: float
+    bound: float
+
+    @property
+    def certified(self) -> bool:
+        return self.residual <= self.bound
+
+
+def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> Fit | None:
     """Least-squares values on the sorted int64 ``support`` from the last
     ladder level's half periods; None if CG has not brought the residual of
-    the normal equations to ``tol`` times their right-hand side's norm
-    within CG_ITERATIONS iterations.
+    the normal equations to tol times their right-hand side's norm within
+    CG_ITERATIONS iterations.  tol is 1e-11 noiseless and 1e-5 at the noise
+    levels the workloads run; in between, eta/(10*mu) keeps the fit's
+    error, about the residual, below the eta-sized error a noisy run is
+    allowed.
 
     The normal matrix's diagonal is constant, so CG with a Jacobi
     preconditioner is plain CG; it starts from rhs/diag.
     """
-    k_base, modulus = level.moduli[0], level.moduli[-1]
+    tol = min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
+    k_base, modulus = level.k, level.moduli[-1]
     bins = mulmod(support, np.array(level.qs)[:, None], modulus) / (modulus // k_base)
-    phi = np.fft.irfft(np.array(level.halves) * gaussian_half(k_base, WINDOW_X),
-                       n=k_base, axis=1)
+    window = gaussian_half(k_base, WINDOW_X)
+    phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)
     # A^T phi, in units of C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
     # sqrt(2)), read from the bins floor(u) + offsets around each line, out
     # of each round's spectrum wrapped as often as K needs.
@@ -248,8 +277,9 @@ def fit_values(support: np.ndarray, level: LastLevel, tol: float) -> np.ndarray 
         return diag * v + np.bincount(rows, vals * v[cols], len(v))
 
     # Solved in units of the power of two at the largest |rhs| entry, so the
-    # norms stay finite; the system is linear, so that is exact.
-    unit = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max()))[1])
+    # norms stay finite; the system is linear, so that is exact.  (The unit
+    # is held at 2^1022 and below, so that it is a float for subnormal data.)
+    unit = math.ldexp(1.0, -max(math.frexp(float(np.abs(rhs).max()))[1], -1022))
     rhs = rhs * unit
     x = rhs / diag
     residual = rhs - normal(x)
@@ -264,23 +294,34 @@ def fit_values(support: np.ndarray, level: LastLevel, tol: float) -> np.ndarray 
         residual = residual - alpha * image
         rr, rr_old = residual @ residual, rr
         direction = residual + (rr / rr_old) * direction
-    return x / unit if math.sqrt(rr) <= target else None
+    if math.sqrt(rr) > target:
+        return None
+    # ||phi - A*a||^2 = ||phi||^2 - 2 a.A^T phi + a.A^T A a, and A^T phi and
+    # A^T A are rhs and the normal matrix times 1/(s*sqrt(2*pi)), all in the
+    # fit's units, where the squares stay finite.
+    kept = np.where(x > unit * params.mu / 2, x, 0.0)
+    flat = phi.ravel() * unit
+    phi_norm = math.sqrt(flat @ flat)
+    square = (phi_norm**2 - (2 * kept @ rhs - kept @ normal(kept))
+              / (_WIDTH * math.sqrt(2 * math.pi)))
+    # sum_m g(m)^2 over the K offsets -(K-1)//2..K//2, g(0) = 1 counted once.
+    noise = unit * params.eta * math.sqrt(len(bins) * (2 * window @ window - 1) / k_base)
+    return Fit(x / unit, math.sqrt(max(square, 0.0)) / unit,
+               max(2 * noise, 1e-5 * phi_norm) / unit)
 
 
 def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
                    params: SupportParams, rng: np.random.Generator,
-                   stats: dict | None = None) -> dict[int, float]:
+                   stats: dict | None = None, certify: bool = False) -> dict[int, float]:
     """Recover the spectrum values on the int64 array ``support`` from the
     rounds ``level`` kept of the last ladder level, to accuracy
     O(max(eta, 1e-10)); an empty support gives ``{}``.
 
     On a one-level plan, a grid of at most 5K/2 points sampled whole, the
     values are its full DFT at the support.  Otherwise they are fitted
-    (:func:`fit_values`) to a relative residual of 1e-11 noiseless and 1e-5
-    at the noise levels the workloads run.  In between, eta/(10*mu) keeps
-    the fit's error, about the residual, below the eta-sized error a noisy
-    run is allowed.  If CG misses that within CG_ITERATIONS,
-    :func:`prime_grid_values` draws through ``level`` and ``rng`` instead
+    (:func:`fit_values`).  With ``certify``, a CG miss or a residual above
+    its bound raises Uncertified.  Without it, a CG miss makes
+    :func:`prime_grid_values` draw through ``level`` and ``rng`` instead
     (a prime p is never the last modulus, so the kept rounds stay), and
     ``stats`` records fallbacks = 1 and the redraws it returns.  Entries
     below mu/2 are dropped: mu bounds every true amplitude from below, so
@@ -292,10 +333,14 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     if len(level.moduli) == 1:
         values = np.fft.irfft(level.halves[0], n=level.moduli[0])[support]
     else:
-        tol = min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
-        values = fit_values(support, level, tol)
-        if values is None:
+        fit = fit_values(support, level, params)
+        if certify and (fit is None or not fit.certified):
+            raise Uncertified("CG missed its tolerance" if fit is None else
+                              f"fit residual {fit.residual:.3g} above {fit.bound:.3g}")
+        if fit is None:
             values, redraws = prime_grid_values(support, n_total, params, level, rng)
             if stats is not None:
                 stats.update(fallbacks=1, redraws=redraws)
+        else:
+            values = fit.values
     return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

@@ -12,7 +12,7 @@ from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter
                                 md_sfft, relative_l2_error)
 from smfft.signal import (NoiseModel, SampleLedger, Sampler, SparseSpectrum,
                           load_signal_spec)
-from smfft.support_recovery import SupportParams, plan_ladder
+from smfft.support_recovery import SupportParams, plan_attempts, plan_ladder
 
 
 def multi_indices(flat, lat):
@@ -285,11 +285,31 @@ class TestEnvelope:
         assert ledger.total_requests == 0
 
     def test_largest_base_modulus_is_planned(self):
-        # R = 7338 has the largest K below 2^17 at the defaults: its bound
-        # 130964 rounds up to the 11-smooth 130977 = 3^5 * 7^2 * 11.
-        params = SupportParams(r_bound=7338)
-        assert params.k_base == 130977
-        assert plan_ladder(1 << 20, params.k_base) == (130977, 392931, 1178793)
+        # R = 7322 has the largest K below 2^17 at the defaults: its bound
+        # 130666 rounds up to the even 11-smooth 130680 = 2^3 * 3^3 * 5 *
+        # 11^2 (R = 7323-7343 round up to 2^17).
+        params = SupportParams(r_bound=7322)
+        assert params.k_base == 130680
+        assert plan_ladder(1 << 20, params.k_base) == (130680, 392040, 1176120)
+        assert plan_ladder(1 << 20, params.k_base, half=True) == (65340, 196020, 1176120)
+
+    def test_first_attempt_from_k_where_k_half_pads_past_the_envelope(self):
+        # At R = 50 (K = 686) this 1-D grid pads to 0.99401 * 2^46 from K
+        # but to 1.00488 * 2^46 from K/2 = 343, so the only ladder md_sfft
+        # searches is the one from K, which no input it took before may lose.
+        params, n = SupportParams(r_bound=50), 69_947_341_405_523
+        with pytest.raises(EnvelopeError, match="padded grid size"):
+            plan_ladder(n, params.k_base, half=True)
+        assert plan_attempts(n, params) == [plan_ladder(n, params.k_base)]
+        lat = RankOneLattice(1, n)
+        rng = np.random.default_rng(3)
+        entries = {(int(j),): float(a) for j, a in
+                   zip(rng.choice(n, 50, replace=False), rng.uniform(0.5, 1.5, 50))}
+        stats = {}
+        got = md_sfft(md_sample_adapter(entries, lat), lat, params,
+                      np.random.default_rng(4), stats)
+        assert got == pytest.approx(entries, abs=1e-8)
+        assert stats["attempts"] == 1 and stats["ladder_steps"] == 14
 
     def test_edge_of_envelope_runs(self):
         # At R = 1 (K = 9) the ladder pads N = 9 * 6^2 * 7^7 * 8^6, about

@@ -15,11 +15,11 @@ from smfft.errors import CandidateBlowup, EnvelopeError
 from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                                 md_sfft, relative_l2_error)
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
-from smfft.support_recovery import (ALPHA, INNER_ROUNDS, LAST_ROUNDS,
+from smfft.support_recovery import (ALPHA, HALF_K_FROM, INNER_ROUNDS, LAST_ROUNDS,
                                     NOISE_EDGE, RHO, SupportParams, compute_phi,
                                     dealias_candidates, find_aliased_support,
                                     find_support, initial_aliased_support,
-                                    plan_ladder, probe_index)
+                                    plan_attempts, plan_ladder, probe_index)
 
 from reference import aliased_spectrum, trial_division_primes
 
@@ -64,23 +64,26 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
     return survivors
 
 
-def reference_plan(requested_n, k_base):
+def reference_plan(requested_n, k_base, half=False):
     """(first modulus, steps, product of the factors).  A grid of at most
     5K/2 points is one level, its least 11-smooth size, found by counting
-    up; otherwise K, the fewest steps, then the smallest padded N, from the
-    set of every product of that many factors in [2, RHO], built by
-    multiplying."""
+    up; otherwise K (K/2 with ``half``), the fewest steps, then the
+    smallest padded N, from the set of every product of that many factors
+    in [2, RHO], built by multiplying (an even one with ``half``, so that
+    K divides the last modulus)."""
     if requested_n <= 2.5 * k_base:
         size = requested_n
         while any(size % p == 0 for p in trial_division_primes(size + 1) if p > 11):
             size += 1
         return size, 0, 1
-    target = -(-requested_n // k_base)
+    first = k_base // 2 if half else k_base
+    target = -(-requested_n // first)
     steps, products = 0, {1}
     while max(products) < target:
         steps += 1
         products = {p * f for p in products for f in range(2, RHO + 1)}
-    return k_base, steps, min(p for p in products if p >= target)
+    return first, steps, min(p for p in products
+                             if p >= target and (p % 2 == 0 or not half))
 
 
 def factorizations(n, count, least=2):
@@ -97,36 +100,41 @@ def factorizations(n, count, least=2):
 # (50, 10321**3), wide-support (256, 465**3) and exact-shallow
 # (256, 256**2)), each planned from its default K; every plan matches
 # reference_plan and is the least factorization of its product (K = 9, 20,
-# 198, 675 and 3872).
+# 198, 686 and 3872).
 PINNED_PLANS = {
     (1, 9952744261968): (6, 6, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8),
     (2, 21990232555520): (2, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
     (16, 25160244722316): (3, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
-    (50, 10436770529280): (6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8),
+    (50, 10436770529280): (5, 5, 6, 7, 7, 8, 8, 8, 8, 8, 8, 8),
     (256, 58926951301120): (5, 5, 6, 7, 7, 8, 8, 8, 8, 8, 8, 8),
     (1, 61970091588132): (5, 5, 6, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8),
     (1, 61675272240708): (4, 5, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
     (2, 16520162207310): (5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8),
     (16, 19062002596725): (5, 5, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8),
-    (50, 64038991937844): (6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8),
+    (50, 64038991937844): (4, 5, 5, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8),
     (256, 45079976734720): (4, 5, 5, 7, 8, 8, 8, 8, 8, 8, 8, 8),
-    (50, 1099424306161): (2, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8),
+    (50, 1099424306161): (5, 5, 5, 7, 7, 8, 8, 8, 8, 8, 8),
     (256, 100544625): (7, 8, 8, 8, 8),
     (256, 65536): (3, 6),
 }
 
 
-def level_rounds(moduli, m):
-    """The probe rounds find_support runs at modulus m of the ladder."""
-    return LAST_ROUNDS if m == moduli[-1] else INNER_ROUNDS
+def level_probe(moduli, m, params):
+    """The probe rounds and window find_support runs at modulus m of the
+    ladder: the last level's with K points, the others' with moduli[0]."""
+    if m == moduli[-1]:
+        return LAST_ROUNDS, params.k_base
+    return INNER_ROUNDS, moduli[0]
 
 
-def probe_survival(shape, eta, seeds, delta_ratio=3.0):
+def probe_survival(shape, eta, seeds, delta_ratio=3.0, half=False):
     """Replay find_support's ladder on random instances of ``shape`` =
-    (N, R), amplitudes in [mu, delta_ratio*mu], with its rounds and
-    survivors at each level, and count the probe rounds that spurious and
-    true candidates pass: (spurious passes, spurious rounds, true
-    failures)."""
+    (N, R), amplitudes in [mu, delta_ratio*mu], with its rounds, windows
+    and survivors at each level, and count the probe rounds that spurious
+    and true candidates pass: (spurious passes, spurious rounds, true
+    failures).  The ladder is planned from K, the retry's, or with
+    ``half`` the one md_sfft searches first (from K/2 where R >=
+    HALF_K_FROM)."""
     n, r = shape
     passed = rounds = true_failures = 0
     for seed in seeds:
@@ -136,13 +144,12 @@ def probe_survival(shape, eta, seeds, delta_ratio=3.0):
         amps = rng.uniform(params.mu, delta_ratio * params.mu, r)
         spectrum = SparseSpectrum(n, {int(j): float(a) for j, a in zip(lines, amps)})
         sampler = Sampler(spectrum, NoiseModel(eta, seed))
-        moduli = plan_ladder(n, params.k_base)
-        k = moduli[0]
-        aliased = initial_aliased_support(sampler, k, params)
+        moduli = plan_attempts(n, params)[0] if half else plan_ladder(n, params.k_base)
+        aliased = initial_aliased_support(sampler, moduli[0], params)
         for m_prev, m in zip(moduli, moduli[1:]):
             candidate = dealias_candidates(aliased, m_prev, m // m_prev)
-            qs = np.array([sample_coprime(m, rng)
-                           for _ in range(level_rounds(moduli, m))])
+            level_rounds, k = level_probe(moduli, m, params)
+            qs = np.array([sample_coprime(m, rng) for _ in range(level_rounds)])
             phi = compute_phi(sampler, m, k, qs, params.probe_x)
             probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
             passes = np.abs(probes) >= params.threshold
@@ -161,25 +168,30 @@ class TestSupportParams:
         assert SupportParams(r_bound=3).k_base == 32
 
     def test_k_base_table_defaults_r50(self):
-        # ceil(10/pi * 50 * sqrt(ln(750) * ln(15))) = 674 = 2 * 337,
-        # rounded up to the 11-smooth 675 = 3^3 * 5^2
-        assert SupportParams(r_bound=50).k_base == 675
+        # ceil(10/pi * 50 * sqrt(ln(750) * ln(15))) = 674 = 2 * 337, rounded
+        # up to the even 11-smooth 686 = 2 * 7^3, so that K/2 = 343 is whole
+        # (the 11-smooth 675 = 3^3 * 5^2 is odd).
+        assert SupportParams(r_bound=50).k_base == 686
 
     def test_k_base_is_next_smooth_size_over_bound(self):
-        # Over R = 1..7338 (K < 2^17) rounding up costs at most 6%: most at
-        # R = 6, where the bound 67 rounds up to 70 (4.5%).
+        # Over R = 1..7322 (K < 2^17) rounding up costs at most 6%: most at
+        # R = 28, where the bound 361 rounds up to the even 378 (4.7%); below
+        # R = 16, at R = 6, where 67 rounds up to 70 (4.5%).  From R = 16 on
+        # K is even.
         def smooth(n):
             for f in (2, 3, 5, 7, 11):
                 while n % f == 0:
                     n //= f
             return n == 1
 
-        for r in range(1, 7339):
+        for r in range(1, 7323):
             p = SupportParams(r_bound=r)
             l1 = math.log(2 * r * p.delta_ratio / p.delta)
             l2 = math.log(2 * p.delta_ratio / p.delta)
             bound = math.ceil(max(8, 2 / ALPHA) / math.pi * r * math.sqrt(l1 * l2))
             assert bound <= p.k_base <= 1.06 * bound and smooth(p.k_base), r
+            assert r < HALF_K_FROM or p.k_base % 2 == 0, r
+        assert SupportParams(r_bound=7323).k_base == 1 << 17
 
     @pytest.mark.parametrize("fields", [
         {"r_bound": 10**12}, {"r_bound": 4, "delta_ratio": 1e307}],
@@ -291,7 +303,7 @@ class TestSupportParams:
 
         monkeypatch.setattr(support_recovery, "next_fast_len", counting)
         p, q = SupportParams(r_bound=50), SupportParams(r_bound=50)
-        assert p.k_base == p.k_base == 675
+        assert p.k_base == p.k_base == 686
         assert len(calls) == 1
         assert p == q and hash(p) == hash(q)
 
@@ -367,6 +379,41 @@ class TestLadder:
             assert moduli[0] == first and len(factors) == steps, n
             assert list(factors) == sorted(factors) and math.prod(factors) == product, n
             assert factors == min(factorizations(product, steps)), n
+
+    @pytest.mark.parametrize("seed", [2, 3, 5, 8])
+    def test_half_plans_match_brute_force(self, seed):
+        # From K/2 = 7 (K = 14): the fewest steps, then the smallest padded
+        # N whose factors have an even product, so that K divides it.  A
+        # grid of at most 5K/2 points is still one level.
+        rng = np.random.default_rng(seed)
+        k = 14
+        requests = {k + 1, 5 * k // 2, 5 * k // 2 + 1, 4 * k + 1, k * RHO + 1}
+        for steps in range(1, 6):
+            top = k // 2 * RHO**steps
+            requests.update({top - 1, top, top + 1, *rng.integers(k + 1, top, 6).tolist()})
+        for n in sorted(requests):
+            moduli = plan_ladder(n, k, half=True)
+            factors = tuple(b // a for a, b in zip(moduli, moduli[1:]))
+            first, steps, product = reference_plan(n, k, half=True)
+            assert moduli[0] == first and len(factors) == steps, n
+            assert list(factors) == sorted(factors) and math.prod(factors) == product, n
+            assert factors == min(factorizations(product, steps)), n
+            assert moduli[-1] >= n and (steps == 0 or moduli[-1] % k == 0), n
+
+    def test_half_plan_needs_an_even_k(self):
+        with pytest.raises(ValueError, match="even K"):
+            plan_ladder(1000, 7, half=True)
+
+    def test_attempts_planned_from_half_k_from_r_16(self):
+        # md_sfft searches from K/2 first from R = HALF_K_FROM on, and only
+        # on a ladder: a grid of at most 5K/2 points is sampled whole.
+        for r in (15, 16, 50):
+            params = SupportParams(r_bound=r)
+            k = params.k_base
+            full = plan_ladder(10**9, k)
+            expected = [plan_ladder(10**9, k, half=True), full] if r >= 16 else [full]
+            assert plan_attempts(10**9, params) == expected, r
+            assert plan_attempts(2 * k, params) == [(2 * k,)], r
 
     @pytest.mark.parametrize("r_bound,requested_n", list(PINNED_PLANS))
     def test_pinned_plans(self, r_bound, requested_n):
@@ -465,24 +512,28 @@ class CountingSampler(Sampler):
 class TestSamplePeriod:
     @pytest.mark.parametrize("r_bound", [15, 16, 17, 18])
     def test_request_counts(self, r_bound):
-        # One request of K//2 + 1 points per period: the base level, then
-        # each of a level's probe rounds, INNER_ROUNDS = 2 at the inner
-        # moduli and LAST_ROUNDS = 3 at the last (odd K = 189, even K = 198,
-        # 210 and 224).
+        # One request of w//2 + 1 points per period of a w-point window: the
+        # base level, then each of a level's probe rounds, INNER_ROUNDS = 2
+        # at the inner moduli and LAST_ROUNDS = 3 at the last, whose window
+        # is K.  Below R = 16 the one ladder runs from K (odd K = 189); from
+        # there the first runs from K/2 with one level more (K = 198, 210
+        # and 224, so odd K/2 = 99 and 105 and even 112), then the retry's
+        # from K.
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
         spectrum = SparseSpectrum(n, {3: 1.0, 5 * k + 7: 0.75, n - 1: 1.25})
-        sampler = CountingSampler(spectrum)
-        moduli = plan_ladder(n, k)
-        assert moduli == (k, 8 * k, 64 * k, n)
-        got = find_support(sampler, moduli, params, np.random.default_rng(0))
-        assert got.tolist() == sorted(spectrum.entries)
-        period = k // 2 + 1
+        plans = [(k // 2, k, 8 * k, 64 * k, n)] if r_bound >= HALF_K_FROM else []
+        assert plan_attempts(n, params) == [*plans, (k, 8 * k, 64 * k, n)]
         assert INNER_ROUNDS == 2
-        assert sampler.requested == {k: period, 8 * k: 2 * period,
-                                     64 * k: 2 * period,
-                                     n: LAST_ROUNDS * period}
+        for moduli in plan_attempts(n, params):
+            sampler = CountingSampler(spectrum)
+            got = find_support(sampler, moduli, params, np.random.default_rng(0))
+            assert got.tolist() == sorted(spectrum.entries)
+            period = moduli[0] // 2 + 1
+            assert sampler.requested == {moduli[0]: period,
+                                         **dict.fromkeys(moduli[1:-1], 2 * period),
+                                         n: LAST_ROUNDS * (k // 2 + 1)}
 
 
 class TestComputePhi:
@@ -613,7 +664,8 @@ class TestProbeSurvival:
     @pytest.mark.parametrize("eta", [0.0, 0.01])
     def test_spurious_rate_per_round_within_alpha(self, eta):
         # A spurious candidate passes one probe round with probability at
-        # most ALPHA = 0.2, which the rounds per level assume.  Measured
+        # most ALPHA = 0.2, which the rounds per level assume, on the ladder
+        # from K that a retry runs and that bounds it.  Measured
         # here over at least 2000 candidate-rounds per shape; the margin
         # 0.02 is about two binomial standard deviations at 2000 rounds and
         # three at 4700.  N = 2^20, R = 16 reads 0.144 over 3252 rounds of
@@ -645,6 +697,21 @@ class TestProbeSurvival:
             assert passed / rounds <= ALPHA + 0.02, shape
             assert true_failures == 0, shape
 
+    @pytest.mark.parametrize("eta", [0.0, NOISE_EDGE * 0.5])  # mu = 0.5
+    def test_no_true_line_fails_on_the_first_ladder(self, eta):
+        # md_sfft's first ladder runs from K/2 (R >= HALF_K_FROM), where a
+        # spurious candidate passes many more rounds than ALPHA: 0.235 of
+        # all rounds at R = 16 (N = 2^20, 3 seeds; 0.144 from K) and 0.264
+        # at R = 50 (N = 2^40, 4 seeds; 0.152), the last level's at K
+        # included, and 0.295 and 0.287 of the inner rounds alone,
+        # noiseless and at the noise edge alike.  No bound is set on those:
+        # the certificate and the retry from K stand behind that ladder.
+        # But no true line may fail a round there.
+        for shape, seeds in (((1 << 20, 16), (31, 32, 33)), ((1 << 40, 50), (0,))):
+            passed, rounds, true_failures = probe_survival(shape, eta, seeds, half=True)
+            assert rounds >= 2000, shape
+            assert true_failures == 0, shape
+
     @pytest.mark.parametrize("delta_ratio", [2.0, 5.0])
     @pytest.mark.parametrize("eta", [0.0, NOISE_EDGE * 0.5])  # mu = 0.5
     def test_spurious_rate_away_from_the_default_range(self, delta_ratio, eta):
@@ -665,24 +732,30 @@ class TestProbeSurvival:
             assert true_failures == 0, shape
 
 
-# Sparsity bounds up to 24 whose base modulus K is even (parity 0) or odd.
-R_BY_K_PARITY = {parity: [r for r in range(1, 25)
-                          if SupportParams(r_bound=r).k_base % 2 == parity]
-                 for parity in (0, 1)}
+def base_window(r):
+    """The window of the base and inner levels md_sfft probes first at the
+    defaults: K/2 from R = HALF_K_FROM on, K below."""
+    k = SupportParams(r_bound=r).k_base
+    return k // 2 if r >= HALF_K_FROM else k
+
+
+# Sparsity bounds up to 24 whose first ladder's base window is even (parity
+# 0) or odd: K below R = 16, K/2 from there (99 at R = 16, 343 at R = 50).
+R_BY_WINDOW_PARITY = {parity: [r for r in range(1, 25) if base_window(r) % 2 == parity]
+                      for parity in (0, 1)}
 
 
 def assert_true_lines_clear(spectrum, params, rng):
-    """Replay find_support's ladder, noiseless, and check that every true
-    aliased line clears the threshold at the base level and in every probe
-    round of every level."""
+    """Replay the ladder md_sfft searches first, noiseless, and check that
+    every true aliased line clears the threshold at the base level and in
+    every probe round of every level."""
     sampler = Sampler(spectrum)
-    moduli = plan_ladder(spectrum.ambient_size, params.k_base)
-    k = moduli[0]
-    base = initial_aliased_support(sampler, k, params)
-    assert set(aliased_spectrum(spectrum, k)) <= set(base.tolist())
+    moduli = plan_attempts(spectrum.ambient_size, params)[0]
+    base = initial_aliased_support(sampler, moduli[0], params)
+    assert set(aliased_spectrum(spectrum, moduli[0])) <= set(base.tolist())
     for m in moduli[1:]:
-        qs = np.array([sample_coprime(m, rng)
-                       for _ in range(level_rounds(moduli, m))])
+        level_rounds, k = level_probe(moduli, m, params)
+        qs = np.array([sample_coprime(m, rng) for _ in range(level_rounds)])
         phi = compute_phi(sampler, m, k, qs, params.probe_x)
         truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
         probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
@@ -694,9 +767,10 @@ class TestFindSupport:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_true_lines_clear_every_probe(self, parity, data):
-        # The nonnegativity invariant, for odd and even K (for even K the
-        # real transform reads only the real part of the K/2 sample).
-        r = data.draw(st.sampled_from(R_BY_K_PARITY[parity]))
+        # The nonnegativity invariant, for odd and even windows (for an even
+        # one the real transform reads only the real part of its middle
+        # sample).
+        r = data.draw(st.sampled_from(R_BY_WINDOW_PARITY[parity]))
         n = data.draw(st.integers(2, 1 << 20))
         lines = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                    max_size=r, unique=True))
