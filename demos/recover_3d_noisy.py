@@ -38,3 +38,4 @@ print(f"ladder levels: {stats['ladder_steps']}, "
       f"prime-grid fallbacks: {stats['fallbacks']}, "
       f"measurement redraws: {stats['redraws']}")
 print(f"attempts: {stats['attempts']}")
+print(f"certified: {stats['residual'] <= stats['bound']}")

@@ -93,13 +93,16 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     modulus K of 2^17 or more raises EnvelopeError (see :func:`plan_ladder`)
     with nothing sampled.
 
-    From R = HALF_K_FROM on, a ladder is first searched from K/2 under a
-    K-point last level, and its result stands only if the fit's residual
-    certifies it.  On CandidateBlowup, a CG miss or an uncertified
-    residual, the whole search runs once more from K, on the same oracle
-    and ``rng``, with the prime-grid fallback.  ``stats`` records the
-    attempts made, 1 or 2, and the ladder steps, fallbacks and redraws of
-    the last.
+    From R = HALF_K_FROM on, the support is first searched with K/2-point
+    windows at the inner levels under a K-point last level, and its result
+    stands only if the fit's residual certifies it.  On CandidateBlowup, a
+    CG miss or an uncertified residual, the whole search runs once more
+    from K, on the same oracle and ``rng``, with the prime-grid fallback.
+    ``stats`` records the attempts made, 1 or 2, and the ladder steps,
+    fallbacks and redraws of the last, and the fit's residual and bound
+    (:class:`~smfft.value_recovery.Fit`) of the result that stands: None
+    where no fit stands (a grid sampled whole, an empty support or a
+    prime-grid fallback).
 
     The recovery is homogeneous in (spectrum, mu, eta), so it runs in units
     of 2^e, the power of two at mu: mu, eta and the samples (by the run's
@@ -119,14 +122,14 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     plans = plan_attempts(n_total, params)
     if stats is None:
         stats = {}
-    stats.update(redraws=0, fallbacks=0)
+    stats.update(redraws=0, fallbacks=0, residual=None, bound=None)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for attempt, moduli in enumerate(plans, 1):
+            for attempt, (moduli, window) in enumerate(plans, 1):
                 stats.update(attempts=attempt, ladder_steps=len(moduli))
                 level = LastLevel(sampler, moduli, math.ldexp(1.0, -e), params.k_base)
                 try:
-                    support = find_support(level, moduli, params, rng)
+                    support = find_support(level, moduli, params, rng, window)
                     # Ladder padding can admit indices beyond M^d; those
                     # cannot be real.
                     support = support[support < n_total]

@@ -17,9 +17,9 @@ rounds that those few extra unknowns leave the fit well conditioned
 (:data:`LAST_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
 q as an int64 array that broadcasts.
 
-From R = :data:`HALF_K_FROM` on, md_sfft first searches a ladder planned
-from K/2 (:func:`plan_attempts`), whose base and inner levels probe with a
-K/2-point window and whose last level keeps the K-point one.
+From R = :data:`HALF_K_FROM` on, md_sfft first searches with K/2-point
+windows at the inner levels and the K-point one at the last, on the ladder
+from K/2 or from K that requests fewer points (:func:`plan_attempts`).
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
@@ -261,18 +261,40 @@ def plan_ladder(requested_n: int, k_base: int, half: bool = False) -> tuple[int,
     return moduli
 
 
-def plan_attempts(requested_n: int, params: SupportParams) -> list[tuple[int, ...]]:
-    """The ladders md_sfft searches, in order, before any sample is drawn:
-    from K/2 where R >= HALF_K_FROM and the plan from K has more than one
-    level, unless the plan from K/2 pads past 2^46 where that one does not;
-    then from K, the plan of a retry or of the only attempt."""
-    plans = [plan_ladder(requested_n, params.k_base)]
-    if params.r_bound >= HALF_K_FROM and len(plans[0]) > 1:
+def plan_attempts(requested_n: int, params: SupportParams) -> list[tuple[tuple[int, ...], int]]:
+    """The searches md_sfft runs, in order, before any sample is drawn, as
+    (ladder, inner window) pairs for :func:`find_support`.
+
+    Where R >= HALF_K_FROM and the plan from K has more than one level, the
+    first search takes the ladder from K/2 or the one from K, whichever
+    requests fewer points, the one from K/2 on a tie: a base period of
+    b//2 + 1 points at b = moduli[0], INNER_ROUNDS periods of K/4 + 1 at
+    each inner level and LAST_ROUNDS of K/2 + 1 at the last.  Either is
+    probed with K/2-point windows at its inner levels, so the ladder from
+    K wins exactly where it takes a level fewer: its base DFT of K/2 + 1
+    points replaces two inner rounds of K/4 + 1.  That search is skipped
+    where it probes nothing at K/2 (a ladder from K with no inner level),
+    and where the ladder from K/2 pads past 2^46 and the one from K does
+    not.  The last search, a retry or the only one, is the ladder from K
+    with K-point windows.
+    """
+    k = params.k_base
+    full = plan_ladder(requested_n, k)
+    attempts = [(full, k)]
+    if params.r_bound >= HALF_K_FROM and len(full) > 1:
         try:
-            plans.insert(0, plan_ladder(requested_n, params.k_base, half=True))
+            half = plan_ladder(requested_n, k, half=True)
         except EnvelopeError:
-            pass
-    return plans
+            return attempts
+
+        def requests(moduli):
+            return (moduli[0] // 2 + 1 + INNER_ROUNDS * (k // 4 + 1) * (len(moduli) - 2)
+                    + LAST_ROUNDS * (k // 2 + 1))
+
+        first = min(half, full, key=requests)
+        if first[0] != k or len(first) > 2:
+            attempts.insert(0, (first, k // 2))
+    return attempts
 
 
 def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
@@ -356,7 +378,9 @@ class LastLevel:
     of the last level's probe rounds, or the base level's one period when
     the ladder has one level.  find_support runs on it, and the value stage
     reads the plan (one level or a ladder), the last level's window ``k``
-    (K; moduli[0] by default) and the kept rounds from it.
+    and the kept rounds from it.  That window is K on every ladder md_sfft
+    searches, from K/2 or from K, whatever its inner windows; ``k``
+    defaults to moduli[0].
     """
 
     def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0,
@@ -376,17 +400,19 @@ class LastLevel:
         return samples
 
 
-def find_support(sampler, moduli: tuple[int, ...],
-                 params: SupportParams, rng: np.random.Generator) -> np.ndarray:
+def find_support(sampler, moduli: tuple[int, ...], params: SupportParams,
+                 rng: np.random.Generator, window: int | None = None) -> np.ndarray:
     """Full support search: dealias level by level along the ladder
     ``moduli`` from :func:`plan_ladder`, whose first is K, K/2 or a small
     grid.
 
-    Every level but the last runs :data:`INNER_ROUNDS` probe rounds with a
-    window of moduli[0] points, the last :data:`LAST_ROUNDS` with one of
-    K = params.k_base points.  Returns the support as a sorted int64 array.
-    Run on a :class:`LastLevel`, it leaves there the samples the value
-    stage reads.
+    The base level is one DFT of moduli[0] points.  Every later level but
+    the last runs :data:`INNER_ROUNDS` probe rounds with a window of
+    ``window`` points (K = params.k_base by default; K/2 on md_sfft's first
+    search, see :func:`plan_attempts`), the last :data:`LAST_ROUNDS` with
+    one of K points.  Returns the support as a sorted int64 array.  Run on
+    a :class:`LastLevel`, it leaves there the samples the value stage
+    reads.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]
@@ -401,5 +427,5 @@ def find_support(sampler, moduli: tuple[int, ...],
         last = m_k == moduli[-1]
         aliased = find_aliased_support(
             candidate, m_k, params, sampler, rng, LAST_ROUNDS if last else INNER_ROUNDS,
-            params.k_base if last else moduli[0])
+            None if last else window)
     return aliased

@@ -4,7 +4,8 @@ The last ladder level requests L half periods y_r[m] = f((m*q_r mod M)/M),
 m = 0..K/2, one per shuffle q_r, and support_recovery.LastLevel keeps them.
 In round r, line j sits at bin u_rj = K*(q_r*j mod M)/M of K bins.  Each
 half is weighted by the Gaussian g(m) = exp(-(2x*m/K)^2), the probe's window
-at a larger x, and transformed by one batched real inverse FFT of size K.
+at a larger x cut at CG's tolerance (:func:`fit_window`), and transformed by
+one batched real inverse FFT of size K.
 By Poisson summation a line of amplitude a then reads
 a*C*exp(-((n - u_rj)/s)^2) at bin n, summed over its wrapped images, with
 s = 2x/pi and C = K*sqrt(pi)/(2x): the gridding of
@@ -17,8 +18,8 @@ each is one more unknown, fitted to about 0.  The stage draws no sample.  A
 grid of at most 5K/2 points is sampled whole: its DFT is the spectrum.
 
 The fit's residual over every bin of the last level's rounds, with the
-dropped entries at 0, certifies the result of md_sfft's first attempt at
-K/2 (:class:`Fit`): noise of level eta leaves about
+dropped entries at 0, certifies the result of md_sfft's first attempt
+(:class:`Fit`): noise of level eta leaves about
 eta*sqrt(L*sum_m g(m)^2/K) of it, and a true line of amplitude a left out
 of the result about a/2.
 
@@ -51,16 +52,9 @@ BLOCKS = 4  # T; the contraction probability bound needs T >= 4
 # probability at most 2^-A; A = ceil(-log2 1e-4) puts that below 1e-4.
 DRAWS = 14
 
-# x: the fit's window g(m) = exp(-(2x*m/K)^2) is cut at |m| = K/2, where it
-# is exp(-x^2) = 6e-13 of its peak.
+# x: noiseless, the fit's window g(m) = exp(-(2x*m/K)^2) is cut at |m| = K/2,
+# where it is exp(-x^2) = 6e-13 of its peak (see fit_window).
 WINDOW_X = 5.3
-_WIDTH = 2 * WINDOW_X / math.pi  # s, the response's width in bins: 3.37
-# A line's right-hand side is read from the bins within FOOTPRINT of it; its
-# response has fallen to exp(-(20/s)^2) = 6e-16 of its peak there.
-FOOTPRINT = 20
-# D: two lines farther apart than this in a round add below 1e-14 of the
-# diagonal to the normal matrix there, s*sqrt(2 ln 1e14) = 27.1 bins.
-_REACH = _WIDTH * math.sqrt(2 * math.log(1e14))
 # CG's iteration cap.  Inside the envelope, with the last level's 3 rounds,
 # CG takes a median of 13 iterations on deep-ladder and wide-support (at
 # most 20 and 18) and 29 on exact-shallow (at most 39) over perfbench's
@@ -181,36 +175,37 @@ def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
         f"all {DRAWS} measurement draws rejected for |support|={len(support)}")
 
 
-def normal_matrix(bins: np.ndarray, k_base: int):
+def normal_matrix(bins: np.ndarray, k_base: int, width: float, reach: float):
     """The fit's normal matrix for lines at the L x |S| float array ``bins``
-    (u_rj), in units of C^2*s*sqrt(pi/2): sum_r sum_h exp(-(d_r +
-    h*K)^2/(2s^2)), with d_r two lines' bin distance in round r, wrapped
-    into [-K/2, K/2], and h*K its images.
+    (u_rj), at the response width s = ``width``, in units of
+    C^2*s*sqrt(pi/2): sum_r sum_h exp(-(d_r + h*K)^2/(2s^2)), with d_r two
+    lines' bin distance in round r, wrapped into [-K/2, K/2], and h*K its
+    images.
 
     Returns (diag, rows, cols, vals).  The diagonal, L times the kernel at
     0, is the same for every line.  Off it, each round lists the pairs
-    within D = _REACH bins of each other, in both orders; a pair listed in
+    within D = ``reach`` bins of each other, in both orders; a pair listed in
     several rounds adds up.  The images kept, |h| <= D/K + 1/2, follow from
     K, so a small K, where a line's footprint wraps, takes the same path.
     """
-    reach = int(_REACH / k_base + 0.5)
-    images = k_base * np.arange(-reach, reach + 1)
+    wraps = int(reach / k_base + 0.5)
+    images = k_base * np.arange(-wraps, wraps + 1)
 
     def kernel(d):
-        return np.exp(-(d[:, None] + images) ** 2 / (2 * _WIDTH**2)).sum(axis=1)
+        return np.exp(-(d[:, None] + images) ** 2 / (2 * width**2)).sum(axis=1)
 
     rounds, n = bins.shape
     order = np.argsort(bins, axis=1)
     # Each round's sorted bins, the rounds laid end to end with gaps wider
     # than K + D, so that no search below crosses into another round.
     p = (np.take_along_axis(bins, order, 1)
-         + 2 * (k_base + _REACH) * np.arange(rounds)[:, None]).ravel()
+         + 2 * (k_base + reach) * np.arange(rounds)[:, None]).ravel()
     line = np.arange(p.size)
     end = line - line % n + n
     # Sorted line a pairs with the b > a of its round within D ahead of it,
     # and with those within D behind it across the wrap: two index ranges.
-    near = np.searchsorted(p, p + _REACH, "right")
-    far = np.maximum(np.searchsorted(p, p + k_base - _REACH), near)
+    near = np.searchsorted(p, p + reach, "right")
+    far = np.maximum(np.searchsorted(p, p + k_base - reach), near)
     starts = np.concatenate([line + 1, far])
     counts = np.concatenate([near, end]) - starts
     a = np.repeat(np.concatenate([line, line]), counts)
@@ -224,6 +219,42 @@ def normal_matrix(bins: np.ndarray, k_base: int):
             np.concatenate([vals, vals]))
 
 
+class FitWindow(NamedTuple):
+    """The fit's window at a CG tolerance tol, and what follows from its x."""
+
+    x: float  # g(m) = exp(-(2x*m/K)^2) is exp(-x^2) of its peak at |m| = K/2
+    width: float  # s = 2x/pi, the response's width in bins
+    footprint: int  # the bins on either side of a line its rhs is read from
+    reach: float  # D, the farthest two lines in a round pair in the matrix
+
+
+def fit_window(tol: float) -> FitWindow:
+    """The fit's :class:`FitWindow` at the CG tolerance ``tol`` in
+    [1e-11, 1e-5] (:func:`fit_tolerance`).
+
+    x^2 = WINDOW_X^2 - ln(tol/1e-11) cuts the window at 6e-13 of its peak
+    noiseless (x = 5.3) and at 0.063*tol at every tol, a fixed share below
+    what CG resolves: x = 3.78 at 1e-5.  The smaller x narrows the response,
+    s = 3.37 bins noiseless and 2.41 at 1e-5, so each line's right-hand side
+    reads fewer bins, ceil(s*sqrt(35)) = 20 and 15, where its response has
+    fallen to exp(-35) = 6e-16, and the normal matrix holds fewer pairs:
+    two lines farther apart than s*sqrt(2 ln 1e14) = 27.1 and 19.3 bins in
+    a round add below 1e-14 of the diagonal there.
+    """
+    x = math.sqrt(WINDOW_X**2 - math.log(tol / 1e-11))
+    width = 2 * x / math.pi
+    return FitWindow(x, width, math.ceil(width * math.sqrt(35)),
+                     width * math.sqrt(2 * math.log(1e14)))
+
+
+def fit_tolerance(params: SupportParams) -> float:
+    """CG's tolerance on the fit's normal equations: 1e-11 noiseless and
+    1e-5 at the noise levels the workloads run; in between, eta/(10*mu)
+    keeps the fit's error, about the residual, below the eta-sized error a
+    noisy run is allowed."""
+    return min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
+
+
 class Fit(NamedTuple):
     """The fitted values and the certificate of the kept ones."""
 
@@ -232,7 +263,10 @@ class Fit(NamedTuple):
     # values with those at most mu/2 set to 0, and the bound it must meet:
     # max(2*eta*sqrt(L*sum_m g(m)^2/K), 1e-5*||phi||).  Noise of modulus at
     # most eta in every sample leaves at most half the bound (Parseval), and
-    # correct noisy fits read 0.87-0.99 of that half.  The floor covers the
+    # correct noisy fits read 0.87-1.03 of that half (perfbench seeds 0-10).
+    # A lost true line of amplitude 0.51-0.52 at the noise edge reads
+    # 8.8-10.4 times the bound: the noisy window (x = 3.78) raises the bound
+    # and a line's response norm alike, by about 1.18.  The floor covers the
     # cancellation of the residual's identity, about 1e-7*||phi||.
     residual: float
     bound: float
@@ -245,33 +279,32 @@ class Fit(NamedTuple):
 def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> Fit | None:
     """Least-squares values on the sorted int64 ``support`` from the last
     ladder level's half periods; None if CG has not brought the residual of
-    the normal equations to tol times their right-hand side's norm within
-    CG_ITERATIONS iterations.  tol is 1e-11 noiseless and 1e-5 at the noise
-    levels the workloads run; in between, eta/(10*mu) keeps the fit's
-    error, about the residual, below the eta-sized error a noisy run is
-    allowed.
+    the normal equations to tol (:func:`fit_tolerance`) times their
+    right-hand side's norm within CG_ITERATIONS iterations.  The window is
+    :func:`fit_window`'s at that tol.
 
     The normal matrix's diagonal is constant, so CG with a Jacobi
     preconditioner is plain CG; it starts from rhs/diag.
     """
-    tol = min(1e-5, max(1e-11, params.eta / (10 * params.mu)))
+    tol = fit_tolerance(params)
+    cut, width, footprint, reach = fit_window(tol)
     k_base, modulus = level.k, level.moduli[-1]
     bins = mulmod(support, np.array(level.qs)[:, None], modulus) / (modulus // k_base)
-    window = gaussian_half(k_base, WINDOW_X)
+    window = gaussian_half(k_base, cut)
     phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)
     # A^T phi, in units of C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
     # sqrt(2)), read from the bins floor(u) + offsets around each line, out
     # of each round's spectrum wrapped as often as K needs.
-    offsets = np.arange(-FOOTPRINT, FOOTPRINT + 2)
-    wrapped = np.take(phi, np.arange(-FOOTPRINT, k_base + FOOTPRINT + 1), axis=1, mode="wrap")
+    offsets = np.arange(-footprint, footprint + 2)
+    wrapped = np.take(phi, np.arange(-footprint, k_base + footprint + 1), axis=1, mode="wrap")
     first = np.floor(bins)
     reads = sliding_window_view(wrapped, len(offsets), axis=1)[
         np.arange(len(bins))[:, None], first.astype(np.int64)]
-    weights = np.subtract.outer((bins - first) / _WIDTH, offsets / _WIDTH)
+    weights = np.subtract.outer((bins - first) / width, offsets / width)
     # In place: a fresh array of this size per step costs its page faults.
     np.exp(np.negative(np.square(weights, out=weights), out=weights), out=weights)
     rhs = math.sqrt(2) * np.einsum("rjt,rjt->j", weights, reads)
-    diag, rows, cols, vals = normal_matrix(bins, k_base)
+    diag, rows, cols, vals = normal_matrix(bins, k_base, width, reach)
 
     def normal(v):
         return diag * v + np.bincount(rows, vals * v[cols], len(v))
@@ -303,7 +336,7 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     flat = phi.ravel() * unit
     phi_norm = math.sqrt(flat @ flat)
     square = (phi_norm**2 - (2 * kept @ rhs - kept @ normal(kept))
-              / (_WIDTH * math.sqrt(2 * math.pi)))
+              / (width * math.sqrt(2 * math.pi)))
     # sum_m g(m)^2 over the K offsets -(K-1)//2..K//2, g(0) = 1 counted once.
     noise = unit * params.eta * math.sqrt(len(bins) * (2 * window @ window - 1) / k_base)
     return Fit(x / unit, math.sqrt(max(square, 0.0)) / unit,
@@ -323,7 +356,9 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     its bound raises Uncertified.  Without it, a CG miss makes
     :func:`prime_grid_values` draw through ``level`` and ``rng`` instead
     (a prime p is never the last modulus, so the kept rounds stay), and
-    ``stats`` records fallbacks = 1 and the redraws it returns.  Entries
+    ``stats`` records fallbacks = 1 and the redraws it returns; after a fit
+    that stands, it records the fit's residual and bound, certified or
+    not.  Entries
     below mu/2 are dropped: mu bounds every true amplitude from below, so
     they can only be spurious survivors, whose exact value is zero.
     """
@@ -343,4 +378,6 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
                 stats.update(fallbacks=1, redraws=redraws)
         else:
             values = fit.values
+            if stats is not None:
+                stats.update(residual=fit.residual, bound=fit.bound)
     return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

@@ -300,7 +300,7 @@ class TestEnvelope:
         params, n = SupportParams(r_bound=50), 69_947_341_405_523
         with pytest.raises(EnvelopeError, match="padded grid size"):
             plan_ladder(n, params.k_base, half=True)
-        assert plan_attempts(n, params) == [plan_ladder(n, params.k_base)]
+        assert plan_attempts(n, params) == [(plan_ladder(n, params.k_base), params.k_base)]
         lat = RankOneLattice(1, n)
         rng = np.random.default_rng(3)
         entries = {(int(j),): float(a) for j, a in

@@ -119,22 +119,22 @@ PINNED_PLANS = {
 }
 
 
-def level_probe(moduli, m, params):
+def level_probe(moduli, window, m, params):
     """The probe rounds and window find_support runs at modulus m of the
-    ladder: the last level's with K points, the others' with moduli[0]."""
+    ladder: the last level's with K points, the others' with ``window``."""
     if m == moduli[-1]:
         return LAST_ROUNDS, params.k_base
-    return INNER_ROUNDS, moduli[0]
+    return INNER_ROUNDS, window
 
 
-def probe_survival(shape, eta, seeds, delta_ratio=3.0, half=False):
+def probe_survival(shape, eta, seeds, delta_ratio=3.0, first=False):
     """Replay find_support's ladder on random instances of ``shape`` =
     (N, R), amplitudes in [mu, delta_ratio*mu], with its rounds, windows
     and survivors at each level, and count the probe rounds that spurious
     and true candidates pass: (spurious passes, spurious rounds, true
-    failures).  The ladder is planned from K, the retry's, or with
-    ``half`` the one md_sfft searches first (from K/2 where R >=
-    HALF_K_FROM)."""
+    failures).  The search is the retry's, from K with K-point windows,
+    or with ``first`` the one md_sfft runs first (K/2-point inner windows
+    where R >= HALF_K_FROM, :func:`plan_attempts`)."""
     n, r = shape
     passed = rounds = true_failures = 0
     for seed in seeds:
@@ -144,11 +144,11 @@ def probe_survival(shape, eta, seeds, delta_ratio=3.0, half=False):
         amps = rng.uniform(params.mu, delta_ratio * params.mu, r)
         spectrum = SparseSpectrum(n, {int(j): float(a) for j, a in zip(lines, amps)})
         sampler = Sampler(spectrum, NoiseModel(eta, seed))
-        moduli = plan_attempts(n, params)[0] if half else plan_ladder(n, params.k_base)
+        moduli, window = plan_attempts(n, params)[0 if first else -1]
         aliased = initial_aliased_support(sampler, moduli[0], params)
         for m_prev, m in zip(moduli, moduli[1:]):
             candidate = dealias_candidates(aliased, m_prev, m // m_prev)
-            level_rounds, k = level_probe(moduli, m, params)
+            level_rounds, k = level_probe(moduli, window, m, params)
             qs = np.array([sample_coprime(m, rng) for _ in range(level_rounds)])
             phi = compute_phi(sampler, m, k, qs, params.probe_x)
             probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
@@ -405,15 +405,51 @@ class TestLadder:
             plan_ladder(1000, 7, half=True)
 
     def test_attempts_planned_from_half_k_from_r_16(self):
-        # md_sfft searches from K/2 first from R = HALF_K_FROM on, and only
-        # on a ladder: a grid of at most 5K/2 points is sampled whole.
-        for r in (15, 16, 50):
+        # md_sfft searches with K/2-point inner windows first from R =
+        # HALF_K_FROM on, and only on a ladder: a grid of at most 5K/2
+        # points is sampled whole.  At N = 10^9 the ladders from K/2 and
+        # from K both take 9 levels at R = 16, so the first search runs
+        # from K/2; at R = 50 the one from K takes 8 against 9, so it runs
+        # on that one.
+        for r, first_from_k in ((15, None), (16, False), (50, True)):
             params = SupportParams(r_bound=r)
             k = params.k_base
             full = plan_ladder(10**9, k)
-            expected = [plan_ladder(10**9, k, half=True), full] if r >= 16 else [full]
-            assert plan_attempts(10**9, params) == expected, r
-            assert plan_attempts(2 * k, params) == [(2 * k,)], r
+            first = [] if first_from_k is None else [
+                (full if first_from_k else plan_ladder(10**9, k, half=True), k // 2)]
+            assert plan_attempts(10**9, params) == [*first, (full, k)], r
+            assert plan_attempts(2 * k, params) == [((2 * k,), k)], r
+
+    @pytest.mark.parametrize("r_bound,requested_n,first", [
+        # wide-support (465^3) and the 3-D demo's grid (128^3): from K the
+        # ladder takes a level fewer, 12 oracle calls instead of 14 at R =
+        # 256, and the retry shares its base period.
+        (256, 465**3, (3872, 27104, 216832, 1734656, 13877248, 111017984)),
+        (50, 128**3, (686, 4116, 32928, 263424, 2107392)),
+        # deep-ladder (10321^3) and exact-shallow (256^2) take as many
+        # levels from K/2 as from K, so they keep the ladder from K/2.
+        (50, 10321**3, (343, 1029, 8232, 65856, 526848, 4214784, 33718272, 269746176,
+                        2157969408, 17263755264, 138110042112, 1104880336896)),
+        (256, 256**2, (1936, 11616, 69696)),
+    ])
+    def test_first_search_from_k_where_it_saves_a_level(self, r_bound, requested_n, first):
+        params = SupportParams(r_bound=r_bound)
+        k = params.k_base
+        full = plan_ladder(requested_n, k)
+        assert plan_attempts(requested_n, params) == [(first, k // 2), (full, k)]
+        half = plan_ladder(requested_n, k, half=True)
+        assert (first == full) == (len(half) == len(full) + 1)
+
+    def test_no_first_search_that_probes_nothing_at_k_half(self):
+        # N in (4K, 8K]: from K the ladder (K, M) saves a level and has no
+        # inner level, so the first search would be the retry's: it runs
+        # once.  On (5K/2, 4K] the one from K/2 has a single step and runs
+        # first.
+        params = SupportParams(r_bound=50)
+        k = params.k_base
+        assert plan_attempts(5 * k, params) == [((k, 5 * k), k)]
+        assert plan_attempts(3 * k, params) == [((k // 2, 3 * k), k // 2),
+                                                ((k, 3 * k), k)]
 
     @pytest.mark.parametrize("r_bound,requested_n", list(PINNED_PLANS))
     def test_pinned_plans(self, r_bound, requested_n):
@@ -515,25 +551,52 @@ class TestSamplePeriod:
         # One request of w//2 + 1 points per period of a w-point window: the
         # base level, then each of a level's probe rounds, INNER_ROUNDS = 2
         # at the inner moduli and LAST_ROUNDS = 3 at the last, whose window
-        # is K.  Below R = 16 the one ladder runs from K (odd K = 189); from
-        # there the first runs from K/2 with one level more (K = 198, 210
-        # and 224, so odd K/2 = 99 and 105 and even 112), then the retry's
-        # from K.
+        # is K.  Below R = 16 the one search runs from K (odd K = 189).
+        # From there the ladder from K/2 would take a level more at N =
+        # 512K, so the first search runs on the ladder from K with K/2-point
+        # inner windows (K = 198, 210 and 224, so odd K/2 = 99 and 105 and
+        # even 112), then the retry with K-point ones.
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
         spectrum = SparseSpectrum(n, {3: 1.0, 5 * k + 7: 0.75, n - 1: 1.25})
-        plans = [(k // 2, k, 8 * k, 64 * k, n)] if r_bound >= HALF_K_FROM else []
-        assert plan_attempts(n, params) == [*plans, (k, 8 * k, 64 * k, n)]
+        ladder = (k, 8 * k, 64 * k, n)
+        first = [(ladder, k // 2)] if r_bound >= HALF_K_FROM else []
+        assert plan_attempts(n, params) == [*first, (ladder, k)]
         assert INNER_ROUNDS == 2
-        for moduli in plan_attempts(n, params):
+        for moduli, window in plan_attempts(n, params):
             sampler = CountingSampler(spectrum)
-            got = find_support(sampler, moduli, params, np.random.default_rng(0))
+            got = find_support(sampler, moduli, params, np.random.default_rng(0), window)
             assert got.tolist() == sorted(spectrum.entries)
-            period = moduli[0] // 2 + 1
-            assert sampler.requested == {moduli[0]: period,
-                                         **dict.fromkeys(moduli[1:-1], 2 * period),
+            assert sampler.requested == {moduli[0]: moduli[0] // 2 + 1,
+                                         **dict.fromkeys(moduli[1:-1], 2 * (window // 2 + 1)),
                                          n: LAST_ROUNDS * (k // 2 + 1)}
+
+    @pytest.mark.parametrize("r_bound,requested_n", [
+        (16, 256 * 198), (16, 512 * 198), (50, 128**3), (50, 10321**3),
+        (256, 465**3), (256, 256**2)])
+    def test_first_search_requests_the_planned_count(self, r_bound, requested_n):
+        # The first search's requested points are the closed-form count
+        # plan_attempts minimises, (b//2 + 1) + INNER_ROUNDS (K/4 + 1) per
+        # inner level + LAST_ROUNDS (K/2 + 1), b the base, and no other
+        # ladder of the two costs fewer.
+        params = SupportParams(r_bound=r_bound)
+        k = params.k_base
+        rng = np.random.default_rng(r_bound)
+        lines = rng.choice(requested_n, r_bound, replace=False)
+        spectrum = SparseSpectrum(requested_n, {int(j): 1.0 for j in lines})
+
+        def count(moduli):
+            return (moduli[0] // 2 + 1 + INNER_ROUNDS * (k // 4 + 1) * (len(moduli) - 2)
+                    + LAST_ROUNDS * (k // 2 + 1))
+
+        (moduli, window), _ = plan_attempts(requested_n, params)
+        assert window == k // 2
+        sampler = CountingSampler(spectrum)
+        find_support(sampler, moduli, params, rng, window)
+        assert sum(sampler.requested.values()) == count(moduli)
+        assert count(moduli) == min(count(plan_ladder(requested_n, k, half=True)),
+                                    count(plan_ladder(requested_n, k)))
 
 
 class TestComputePhi:
@@ -708,7 +771,7 @@ class TestProbeSurvival:
         # the certificate and the retry from K stand behind that ladder.
         # But no true line may fail a round there.
         for shape, seeds in (((1 << 20, 16), (31, 32, 33)), ((1 << 40, 50), (0,))):
-            passed, rounds, true_failures = probe_survival(shape, eta, seeds, half=True)
+            passed, rounds, true_failures = probe_survival(shape, eta, seeds, first=True)
             assert rounds >= 2000, shape
             assert true_failures == 0, shape
 
@@ -733,28 +796,29 @@ class TestProbeSurvival:
 
 
 def base_window(r):
-    """The window of the base and inner levels md_sfft probes first at the
-    defaults: K/2 from R = HALF_K_FROM on, K below."""
+    """The window of the inner levels md_sfft probes first at the
+    defaults: K/2 from R = HALF_K_FROM on, K below (the base level's DFT
+    is K/2 or K points from R = HALF_K_FROM on)."""
     k = SupportParams(r_bound=r).k_base
     return k // 2 if r >= HALF_K_FROM else k
 
 
-# Sparsity bounds up to 24 whose first ladder's base window is even (parity
+# Sparsity bounds up to 24 whose first search's inner window is even (parity
 # 0) or odd: K below R = 16, K/2 from there (99 at R = 16, 343 at R = 50).
 R_BY_WINDOW_PARITY = {parity: [r for r in range(1, 25) if base_window(r) % 2 == parity]
                       for parity in (0, 1)}
 
 
 def assert_true_lines_clear(spectrum, params, rng):
-    """Replay the ladder md_sfft searches first, noiseless, and check that
+    """Replay the search md_sfft runs first, noiseless, and check that
     every true aliased line clears the threshold at the base level and in
     every probe round of every level."""
     sampler = Sampler(spectrum)
-    moduli = plan_attempts(spectrum.ambient_size, params)[0]
+    moduli, window = plan_attempts(spectrum.ambient_size, params)[0]
     base = initial_aliased_support(sampler, moduli[0], params)
     assert set(aliased_spectrum(spectrum, moduli[0])) <= set(base.tolist())
     for m in moduli[1:]:
-        level_rounds, k = level_probe(moduli, m, params)
+        level_rounds, k = level_probe(moduli, window, m, params)
         qs = np.array([sample_coprime(m, rng) for _ in range(level_rounds)])
         phi = compute_phi(sampler, m, k, qs, params.probe_x)
         truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)

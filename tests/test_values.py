@@ -329,11 +329,10 @@ class TestComputeValues:
         assert len(picks) == vr.DRAWS == 14
 
 
-def dense_normal(bins, k_base):
+def dense_normal(bins, k_base, width):
     """A^T A / (s*sqrt(pi/2)) from explicit footprints: column j of A holds
-    line j's response exp(-((n - u_rj + h*K)/s)^2), summed over every image
-    h that reaches the K bins of round r."""
-    width = 2 * vr.WINDOW_X / math.pi
+    line j's response exp(-((n - u_rj + h*K)/s)^2), s = ``width``, summed
+    over every image h that reaches the K bins of round r."""
     images = k_base * np.arange(-(80 // k_base) - 2, 80 // k_base + 3)
     grid = np.arange(k_base)[:, None, None]
     columns = [np.exp(-((grid - u[None, :, None] + images) / width) ** 2).sum(axis=2)
@@ -343,20 +342,37 @@ def dense_normal(bins, k_base):
 
 
 class TestFit:
+    @pytest.mark.parametrize("tol,x,footprint,reach", [(1e-11, 5.3, 20, 27.1),
+                                                       (1e-5, 3.78, 15, 19.3)])
+    def test_window_cut_at_the_tolerance(self, tol, x, footprint, reach):
+        # Noiseless the window is cut at x = 5.3, exactly; at the workloads'
+        # noisy tolerance at 3.78, where it is the same 0.063*tol of its peak.
+        window = vr.fit_window(tol)
+        assert window.x == pytest.approx(x, abs=5e-3) and window.footprint == footprint
+        assert window.width == 2 * window.x / math.pi
+        assert window.reach == pytest.approx(reach, abs=0.05)
+        assert math.exp(-window.x**2) == pytest.approx(math.exp(-5.3**2) * tol / 1e-11)
+        assert vr.fit_window(1e-11).x == vr.WINDOW_X
+        for eta, expected in ((0.0, 1e-11), (1e-2, 1e-5), (1e-9, 2e-10)):
+            assert vr.fit_tolerance(SupportParams(r_bound=1, eta=eta)) == pytest.approx(expected)
+
     @pytest.mark.parametrize("k_base,lines", [(7, 2), (9, 3), (10, 3), (14, 3), (30, 5),
                                               (45, 6), (924, 40), (5120, 60)])
     def test_normal_matrix_matches_dense(self, k_base, lines):
         # Lines crowd into a few bins too, so most pairs are near in some
         # round.  K = 7 and 9 are the smallest K the defaults give at
-        # R = 1, at delta_ratio 1 and 3, where images wrap most.
+        # R = 1, at delta_ratio 1 and 3, where images wrap most.  Both the
+        # noiseless window and the workloads' noisy one.
         rng = np.random.default_rng(k_base)
         bins = rng.uniform(0, k_base, (LAST_ROUNDS, lines))
         bins[:, :lines // 2] = rng.uniform(0, min(k_base, 60), (LAST_ROUNDS, lines // 2))
-        diag, rows, cols, vals = normal_matrix(bins, k_base)
-        sparse = np.diag(np.full(lines, diag))
-        np.add.at(sparse, (rows, cols), vals)
-        dense = dense_normal(bins, k_base)
-        assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
+        for tol in (1e-11, 1e-5):
+            window = vr.fit_window(tol)
+            diag, rows, cols, vals = normal_matrix(bins, k_base, window.width, window.reach)
+            sparse = np.diag(np.full(lines, diag))
+            np.add.at(sparse, (rows, cols), vals)
+            dense = dense_normal(bins, k_base, window.width)
+            assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("axis,dims,sparsity,k_base", [(128, 2, 50, 686),
                                                            (256, 2, 256, 3872)])
@@ -469,37 +485,42 @@ class TestFit:
 
 def first_attempt(entries, lattice, noise, params, rng):
     """The support md_sfft's first attempt finds, and the LastLevel it ran
-    on: the ladder from K/2 under a K-point last level where R >= 16."""
-    moduli = plan_attempts(lattice.total, params)[0]
+    on: K/2-point inner windows under a K-point last level where R >= 16."""
+    moduli, window = plan_attempts(lattice.total, params)[0]
     level = LastLevel(md_sample_adapter(entries, lattice, noise), moduli, k=params.k_base)
-    support = find_support(level, moduli, params, rng)
+    support = find_support(level, moduli, params, rng, window)
     return np.sort(support[support < lattice.total]), level
 
 
-def noise_formula(eta, level):
+def fit_window(params):
+    """The window fit_values uses at these params."""
+    return vr.fit_window(vr.fit_tolerance(params))
+
+
+def noise_formula(params, level):
     """eta*sqrt(L*sum_o g(o)^2/K), the fit's window g written out at every
     offset o = -(K-1)//2..K//2 of its K: by Parseval, the norm over the L
     rounds' K bins that noise of modulus eta in every sample reaches."""
     k = level.k
     offsets = np.arange(k // 2 - k + 1, k // 2 + 1)
-    window = np.exp(-(2 * vr.WINDOW_X * offsets / k) ** 2)
-    return eta * math.sqrt(len(level.halves) * (window @ window) / k)
+    window = np.exp(-(2 * fit_window(params).x * offsets / k) ** 2)
+    return params.eta * math.sqrt(len(level.halves) * (window @ window) / k)
 
 
-def windowed_rounds(level):
+def windowed_rounds(level, params):
     """phi: the last level's rounds as the fit windows and transforms them."""
-    return np.fft.irfft(np.array(level.halves) * gaussian_half(level.k, vr.WINDOW_X),
+    return np.fft.irfft(np.array(level.halves) * gaussian_half(level.k, fit_window(params).x),
                         n=level.k, axis=1)
 
 
-def direct_residual(values, support, level, mu):
+def direct_residual(values, support, level, params):
     """||phi - A*a|| written out: phi the last level's windowed rounds, A's
     column j in round r line j's response exp(-((n - u_rj + h*K)/s)^2)/(s*
     sqrt(pi)) at every bin n, summed over the images h that reach the K
     bins, and a the values with those at most mu/2 set to 0."""
     k, m = level.k, level.moduli[-1]
-    width = 2 * vr.WINDOW_X / math.pi
-    kept = np.where(values > mu / 2, values, 0.0)
+    width = fit_window(params).width
+    kept = np.where(values > params.mu / 2, values, 0.0)
     images = k * np.arange(-(80 // k) - 2, 80 // k + 3)
     grid = np.arange(k)[:, None, None]
     model = []
@@ -507,7 +528,8 @@ def direct_residual(values, support, level, mu):
         bins = np.array([int(j) * int(q) % m * k / m for j in support])
         model.append(np.exp(-((grid - bins[None, :, None] + images) / width) ** 2)
                      .sum(axis=2) @ kept)
-    return np.linalg.norm(windowed_rounds(level) - np.array(model) / (width * math.sqrt(math.pi)))
+    return np.linalg.norm(windowed_rounds(level, params)
+                          - np.array(model) / (width * math.sqrt(math.pi)))
 
 
 class BoundedNoise:
@@ -556,9 +578,11 @@ class TestFirstAttempt:
         # The first attempt's support holds every true line and certifies;
         # without the weakest one it does not, noiseless and at the noise
         # edge, and compute_values raises for md_sfft to retry.  The lost
-        # line (amplitude 0.51-0.52) leaves a residual of 0.255-0.269, about
-        # half its amplitude: 8.6-9.0 times the bound at the noise edge and
-        # 4600-4900 times its floor noiseless.
+        # line (amplitude 0.51-0.52) leaves a residual of 0.26-0.31 in the
+        # noiseless window and 0.31-0.37 in the noisy one: 4800-6200 times
+        # the bound's floor noiseless, and 8.8-10.4 times the bound at the
+        # noise edge.  The noisy window's x = 3.78 raises the noise bound by
+        # about sqrt(5.3/3.78) = 1.18, and a line's response norm by as much.
         params = bench.make_params(50, eta)
         for seed in range(7100, 7103):
             entries, lattice, noise = bench.random_instance(465, 3, 50, eta, seed)
@@ -577,7 +601,7 @@ class TestFirstAttempt:
     def test_identity_matches_the_direct_residual(self):
         # The certificate's residual, from the fit's own rhs and normal
         # matrix, against ||phi - A*a|| written out, on 12 noisy fits: the
-        # same to 2e-9 (1e-6 is asked), and 0.87-0.97 of the noise formula.
+        # same to 2e-8 (1e-6 is asked), and 0.89-1.01 of the noise formula.
         for axis, eta in ((10321, 0.01), (465, NOISE_EDGE * 0.5)):
             params = bench.make_params(50, eta)
             for seed in range(6):
@@ -585,9 +609,9 @@ class TestFirstAttempt:
                 support, level = first_attempt(entries, lattice, noise, params,
                                                np.random.default_rng(seed + 2))
                 fit = vr.fit_values(support, level, params)
-                direct = direct_residual(fit.values, support, level, params.mu)
+                direct = direct_residual(fit.values, support, level, params)
                 assert fit.residual == pytest.approx(direct, rel=1e-6), (axis, seed)
-                assert 0.8 <= fit.residual / noise_formula(eta, level) <= 1.05
+                assert 0.8 <= fit.residual / noise_formula(params, level) <= 1.05
                 assert fit.certified
 
     @given(data=st.data())
@@ -615,7 +639,7 @@ class TestFirstAttempt:
                 level.sample_progression(0, sample_coprime(moduli[-1], rng),
                                          level.k // 2 + 1, moduli[-1])
             fit = vr.fit_values(lines, level, params)
-            formula = noise_formula(eta, level)
+            formula = noise_formula(params, level)
             assert fit.bound >= 2 * formula * (1 - 1e-12)
             if entries:
                 assert fit.certified
@@ -637,5 +661,7 @@ class TestFirstAttempt:
         got = md_sfft(md_sample_adapter(entries, lattice, noise, ledger), lattice,
                       bench.make_params(r, eta), rng, stats)
         assert (ledger.unique_count, int(rng.integers(1 << 62))) == (samples, draw)
+        residual, bound = stats.pop("residual"), stats.pop("bound")
         assert stats == {"attempts": 1, "ladder_steps": steps, "fallbacks": 0, "redraws": 0}
+        assert residual <= bound
         assert set(got) == set(entries)
