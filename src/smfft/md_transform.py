@@ -127,7 +127,7 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
         with np.errstate(over="raise", invalid="raise"):
             for attempt, (moduli, window) in enumerate(plans, 1):
                 stats.update(attempts=attempt, ladder_steps=len(moduli))
-                level = LastLevel(sampler, moduli, math.ldexp(1.0, -e), params.k_base)
+                level = LastLevel(sampler, moduli, math.ldexp(1.0, -e))
                 try:
                     support = find_support(level, moduli, params, rng, window)
                     # Ladder padding can admit indices beyond M^d; those

@@ -222,8 +222,9 @@ def load_signal_spec(path: str):
     1-tuples.  An index with the wrong number of components, a component
     outside [0, axis_size), or a repeated index is a ParseError, as is a
     boolean or fractional dims, axis_size, index or noise seed, a value or
-    eta that is not a JSON number, or a noise section that is not an object
-    or whose "kind" is not "gaussian" when eta > 0 and "none" when eta = 0.
+    eta that is not a JSON number or is an integer too large for a float,
+    or a noise section that is not an object or whose "kind" is not
+    "gaussian" when eta > 0 and "none" when eta = 0.
     """
     try:
         with open(path) as fh:
@@ -255,6 +256,6 @@ def load_signal_spec(path: str):
         if kind != ("gaussian" if noise.eta > 0 else "none"):
             raise ParseError(f"noise kind {kind!r} does not match eta {noise.eta}: "
                              'use "gaussian" when eta > 0, "none" when eta = 0')
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed signal spec {path}: {exc}") from exc
     return dims, axis, entries, noise

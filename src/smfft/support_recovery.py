@@ -19,7 +19,8 @@ q as an int64 array that broadcasts.
 
 From R = :data:`HALF_K_FROM` on, md_sfft first searches with K/2-point
 windows at the inner levels and the K-point one at the last, on the ladder
-from K/2 or from K that requests fewer points (:func:`plan_attempts`).
+from K where that has fewer levels than the one from K/2, else on that one
+(:func:`plan_attempts`).
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
@@ -266,17 +267,16 @@ def plan_attempts(requested_n: int, params: SupportParams) -> list[tuple[tuple[i
     (ladder, inner window) pairs for :func:`find_support`.
 
     Where R >= HALF_K_FROM and the plan from K has more than one level, the
-    first search takes the ladder from K/2 or the one from K, whichever
-    requests fewer points, the one from K/2 on a tie: a base period of
-    b//2 + 1 points at b = moduli[0], INNER_ROUNDS periods of K/4 + 1 at
-    each inner level and LAST_ROUNDS of K/2 + 1 at the last.  Either is
-    probed with K/2-point windows at its inner levels, so the ladder from
-    K wins exactly where it takes a level fewer: its base DFT of K/2 + 1
-    points replaces two inner rounds of K/4 + 1.  That search is skipped
-    where it probes nothing at K/2 (a ladder from K with no inner level),
-    and where the ladder from K/2 pads past 2^46 and the one from K does
-    not.  The last search, a retry or the only one, is the ladder from K
-    with K-point windows.
+    first search is probed with K/2-point windows at its inner levels, on
+    the ladder from K where that has fewer levels than the one from K/2,
+    else on the one from K/2.  That is the one of the two that requests
+    fewer points: the ladder from K/2 has as many levels, and a base of
+    K//4 + 1 points where the one from K has K/2 + 1, or one more, whose
+    INNER_ROUNDS = 2 periods of K//4 + 1 outweigh the K/2 - K//4 its base
+    saves.  That search is skipped where it probes nothing at K/2 (a ladder
+    from K with no inner level), and where the ladder from K/2 pads past
+    2^46 and the one from K does not.  The last search, a retry or the only
+    one, is the ladder from K with K-point windows.
     """
     k = params.k_base
     full = plan_ladder(requested_n, k)
@@ -286,12 +286,7 @@ def plan_attempts(requested_n: int, params: SupportParams) -> list[tuple[tuple[i
             half = plan_ladder(requested_n, k, half=True)
         except EnvelopeError:
             return attempts
-
-        def requests(moduli):
-            return (moduli[0] // 2 + 1 + INNER_ROUNDS * (k // 4 + 1) * (len(moduli) - 2)
-                    + LAST_ROUNDS * (k // 2 + 1))
-
-        first = min(half, full, key=requests)
+        first = full if len(full) < len(half) else half
         if first[0] != k or len(first) > 2:
             attempts.insert(0, (first, k // 2))
     return attempts
@@ -377,16 +372,11 @@ class LastLevel:
     the ladder ``moduli``: the shuffles q_r (the steps) and raw half periods
     of the last level's probe rounds, or the base level's one period when
     the ladder has one level.  find_support runs on it, and the value stage
-    reads the plan (one level or a ladder), the last level's window ``k``
-    and the kept rounds from it.  That window is K on every ladder md_sfft
-    searches, from K/2 or from K, whatever its inner windows; ``k``
-    defaults to moduli[0].
+    reads the plan (one level or a ladder) and the kept rounds from it.
     """
 
-    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0,
-                 k: int | None = None):
+    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
         self.sampler, self.moduli, self.scale = sampler, moduli, scale
-        self.k = k or moduli[0]
         self.qs: list[int] = []
         self.halves: list[np.ndarray] = []
 
@@ -410,9 +400,9 @@ def find_support(sampler, moduli: tuple[int, ...], params: SupportParams,
     the last runs :data:`INNER_ROUNDS` probe rounds with a window of
     ``window`` points (K = params.k_base by default; K/2 on md_sfft's first
     search, see :func:`plan_attempts`), the last :data:`LAST_ROUNDS` with
-    one of K points.  Returns the support as a sorted int64 array.  Run on
-    a :class:`LastLevel`, it leaves there the samples the value stage
-    reads.
+    one of K points whatever ``window`` is.  Returns the support as a
+    sorted int64 array.  Run on a :class:`LastLevel`, it leaves there the
+    samples the value stage reads, in the window K.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]

@@ -124,12 +124,13 @@ def neumann_solve(system: MeasurementSystem, terms: int):
     """Truncated Neumann series sum_{n=0}^{Z} (I - (1/T)B*B)^n f0hat.
 
     Returns (solution, residual_norms).  The norms are in units of the power
-    of two at the largest |f0hat| entry, so their squares stay finite; they
-    certify the contraction: an accepted draw must halve them at each
-    recorded step.
+    of two at the largest |f0hat| entry (2^-1022 at the least), so their
+    squares stay finite; they certify the contraction: an accepted draw
+    must halve them at each recorded step.
     """
-    # The series is linear, so solving in those units is exact.
-    unit = math.ldexp(1.0, -math.frexp(float(np.abs(system.f0hat).max()))[1])
+    # The series is linear, so solving in those units is exact.  (The unit
+    # is held at 2^1022 and below, as in fit_values, for subnormal data.)
+    unit = math.ldexp(1.0, -max(math.frexp(float(np.abs(system.f0hat).max()))[1], -1022))
     residual = system.f0hat * unit
     solution = residual.copy()
     norms = [float(np.linalg.norm(residual))]
@@ -281,14 +282,15 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     ladder level's half periods; None if CG has not brought the residual of
     the normal equations to tol (:func:`fit_tolerance`) times their
     right-hand side's norm within CG_ITERATIONS iterations.  The window is
-    :func:`fit_window`'s at that tol.
+    :func:`fit_window`'s at that tol, over the last level's K =
+    params.k_base points (:func:`~smfft.support_recovery.find_support`).
 
     The normal matrix's diagonal is constant, so CG with a Jacobi
     preconditioner is plain CG; it starts from rhs/diag.
     """
     tol = fit_tolerance(params)
     cut, width, footprint, reach = fit_window(tol)
-    k_base, modulus = level.k, level.moduli[-1]
+    k_base, modulus = params.k_base, level.moduli[-1]
     bins = mulmod(support, np.array(level.qs)[:, None], modulus) / (modulus // k_base)
     window = gaussian_half(k_base, cut)
     phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)

@@ -1,9 +1,9 @@
 """End-to-end acceptance gate.
 
-Eleven checks covering exact recovery, noise robustness, noise stability up
-to the envelope's edge, its far corner, the failure probability, runtime
-scaling in N and R, sample complexity, lattice exactness, the lemma battery,
-and byte-level reproducibility.  Each
+Twelve checks covering exact recovery, noise robustness, noise stability up
+to the envelope's edge, its far corner, structured supports, the failure
+probability, runtime scaling in N and R, sample complexity, lattice
+exactness, the lemma battery, and byte-level reproducibility.  Each
 emits a single PASS/FAIL summary line on the real stdout so it stays
 visible even under pytest capture.
 
@@ -22,11 +22,14 @@ import sys
 
 import numpy as np
 
-from smfft.bench import (bench_n_rows, bench_r_rows, make_params,
+from smfft.bench import (bench_n_rows, bench_r_rows, make_params, meets_success_rule,
                          random_instance, run_trial, scored_run)
 from smfft.cli import main as cli_main
 from smfft.errors import SmfftError
-from smfft.support_recovery import NOISE_EDGE, SupportParams
+from smfft.md_transform import (RankOneLattice, md_sample_adapter, md_sfft,
+                                relative_l2_error)
+from smfft.signal import NoiseModel
+from smfft.support_recovery import NOISE_EDGE, SupportParams, plan_attempts
 
 from lemma_checks import LEMMAS, measure, shuffle_isomorphism_failures
 
@@ -105,6 +108,58 @@ def test_envelope_corners():
     _report("envelope-corners", good == len(trials),
             f"{good}/{len(trials)} succeed at R = {r}, K = {params.k_base}; "
             f"worst error/max(eta, 1e-8) {max(worst):.3g}")
+
+
+def structured_supports(n, r, k, deepest, rng):
+    """Four supports of r flat indices on a grid of n points that a uniform
+    draw almost never gives: a contiguous block, r lines in one residue
+    class of ``deepest`` (n/deepest > r), r in one class mod K, and an
+    arithmetic progression of step n//r."""
+    step = n // r
+    return {
+        "block": rng.integers(0, n - r + 1) + np.arange(r),
+        "deep class": rng.integers(0, deepest)
+        + deepest * rng.choice(n // deepest, r, replace=False),
+        "class mod K": rng.integers(0, k) + k * rng.choice(n // k, r, replace=False),
+        "progression": rng.integers(0, step) + step * np.arange(r),
+    }
+
+
+def test_structured_supports():
+    """Each structured support of R = 50 lines (structured_supports), on
+    465^3 and 10321^3, noiseless and at eta = 0.025 (the noise edge at
+    mu = 0.5), two seeds each, meets the success rule on the first attempt
+    with a certified fit and no prime-grid fallback.  The deep class is
+    one of the deepest modulus M_j of the first search's ladder with
+    N/M_j > R."""
+    r, runs, failed, deepest_seen = 50, 0, [], []
+    for axis in (465, 10321):
+        lattice = RankOneLattice(3, axis)
+        n = lattice.total
+        for eta in (0.0, NOISE_EDGE * 0.5):
+            params = make_params(r, eta)
+            ladder, _ = plan_attempts(n, params)[0]
+            deepest = max(m for m in ladder if n / m > r)
+            deepest_seen.append(deepest)
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                for name, flat in structured_supports(n, r, params.k_base, deepest,
+                                                      rng).items():
+                    entries = dict(zip(lattice.unflatten(flat),
+                                       rng.uniform(0.5, 1.5, r).tolist()))
+                    stats = {}
+                    got = md_sfft(md_sample_adapter(entries, lattice, NoiseModel(eta, seed + 1)),
+                                  lattice, params, np.random.default_rng(seed + 2), stats)
+                    err = relative_l2_error(got, entries, lattice)
+                    runs += 1
+                    if not (meets_success_rule(got, entries, err, eta)
+                            and stats["attempts"] == 1 and stats["fallbacks"] == 0
+                            and stats["residual"] <= stats["bound"]):
+                        failed.append((axis, eta, seed, name))
+    _report("structured-supports", not failed,
+            f"{runs - len(failed)}/{runs} succeed on the first attempt, certified; "
+            f"deepest classes mod {', '.join(map(str, sorted(set(deepest_seen))))}; "
+            f"failed: {failed}")
 
 
 def test_failure_probability_within_p():

@@ -259,6 +259,21 @@ class TestSpecIndices:
         assert main(["transform", "--signal", str(path)]) == EXIT_PARSE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values,noise", [
+        ([10**400], {}),
+        ([1.0], {"kind": "gaussian", "eta": 10**400}),
+    ], ids=["value", "eta"])
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_integer_too_large_for_a_float_is_parse_error(self, command, values, noise,
+                                                          tmp_path, capsys):
+        # float() of a 400-digit JSON integer raises OverflowError, which
+        # used to escape as a traceback and exit 1.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1],
+                                    "values": values, "noise": noise}))
+        assert main([command, "--signal", str(path)]) == EXIT_PARSE
+        assert "too large to convert to float" in capsys.readouterr().err
+
     def test_one_dimensional_list_index(self, tmp_path, capsys):
         code, out = run(["transform", "--signal",
                          write_spec(tmp_path, 1, 40, [[5], 23])], capsys)

@@ -119,6 +119,34 @@ PINNED_PLANS = {
 }
 
 
+def first_search_requests(moduli, k):
+    """The points find_support requests on the first search's ladder
+    ``moduli``: a base period of b//2 + 1 at b = moduli[0], INNER_ROUNDS
+    periods of K/4 + 1 at each inner level and LAST_ROUNDS of K/2 + 1 at
+    the last."""
+    return (moduli[0] // 2 + 1 + INNER_ROUNDS * (k // 4 + 1) * (len(moduli) - 2)
+            + LAST_ROUNDS * (k // 2 + 1))
+
+
+def request_count_attempts(requested_n, params):
+    """plan_attempts by request count: the first search on whichever of
+    the ladders from K/2 and from K requests fewer points
+    (:func:`first_search_requests`), the one from K/2 on a tie, with
+    plan_attempts' gates."""
+    k = params.k_base
+    full = plan_ladder(requested_n, k)
+    attempts = [(full, k)]
+    if params.r_bound >= HALF_K_FROM and len(full) > 1:
+        try:
+            half = plan_ladder(requested_n, k, half=True)
+        except EnvelopeError:
+            return attempts
+        first = min(half, full, key=lambda moduli: first_search_requests(moduli, k))
+        if first[0] != k or len(first) > 2:
+            attempts.insert(0, (first, k // 2))
+    return attempts
+
+
 def level_probe(moduli, window, m, params):
     """The probe rounds and window find_support runs at modulus m of the
     ladder: the last level's with K points, the others' with ``window``."""
@@ -451,6 +479,33 @@ class TestLadder:
         assert plan_attempts(3 * k, params) == [((k // 2, 3 * k), k // 2),
                                                 ((k, 3 * k), k)]
 
+    @pytest.mark.parametrize("r_bound", [*range(16, 40), 50, 64, 100, 256, 1000, 7322])
+    def test_level_rule_matches_the_request_count(self, r_bound):
+        # plan_attempts takes the ladder from K where it has fewer levels
+        # than the one from K/2; that is the ladder of the two that requests
+        # fewer points.  Checked at the one-level edge 5K/2, the 4K and 8K
+        # edges of the skipped first search, each power-of-RHO edge of
+        # either ladder, seeded sizes, and 2^46, past which either ladder
+        # can pad (raising EnvelopeError, or dropping the first search).
+        params = SupportParams(r_bound=r_bound)
+        k, top = params.k_base, 1 << 46
+        sizes = {k + 1, 5 * k // 2, 5 * k // 2 + 1, 4 * k, 4 * k + 1, 8 * k, 8 * k + 1,
+                 top - 1, top}
+        for base in (k // 2, k):
+            edges = itertools.takewhile(lambda n: n < top, (base * RHO**s for s in range(1, 20)))
+            sizes.update(n + d for n in edges for d in (0, 1))
+        rng = np.random.default_rng(r_bound)
+        sizes.update(int(2**e) for e in rng.uniform(math.log2(k + 1), 46, 6))
+
+        def outcome(plan, n):
+            try:
+                return plan(n, params)
+            except EnvelopeError:
+                return EnvelopeError
+
+        for n in sorted(n for n in sizes if k < n <= top):
+            assert outcome(plan_attempts, n) == outcome(request_count_attempts, n), n
+
     @pytest.mark.parametrize("r_bound,requested_n", list(PINNED_PLANS))
     def test_pinned_plans(self, r_bound, requested_n):
         k = SupportParams(r_bound=r_bound).k_base
@@ -577,26 +632,22 @@ class TestSamplePeriod:
         (256, 465**3), (256, 256**2)])
     def test_first_search_requests_the_planned_count(self, r_bound, requested_n):
         # The first search's requested points are the closed-form count
-        # plan_attempts minimises, (b//2 + 1) + INNER_ROUNDS (K/4 + 1) per
-        # inner level + LAST_ROUNDS (K/2 + 1), b the base, and no other
-        # ladder of the two costs fewer.
+        # first_search_requests gives, and no other ladder of the two costs
+        # fewer: the level rule plan_attempts applies picks the cheaper one
+        # (test_level_rule_matches_the_request_count).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         rng = np.random.default_rng(r_bound)
         lines = rng.choice(requested_n, r_bound, replace=False)
         spectrum = SparseSpectrum(requested_n, {int(j): 1.0 for j in lines})
-
-        def count(moduli):
-            return (moduli[0] // 2 + 1 + INNER_ROUNDS * (k // 4 + 1) * (len(moduli) - 2)
-                    + LAST_ROUNDS * (k // 2 + 1))
-
         (moduli, window), _ = plan_attempts(requested_n, params)
         assert window == k // 2
         sampler = CountingSampler(spectrum)
         find_support(sampler, moduli, params, rng, window)
-        assert sum(sampler.requested.values()) == count(moduli)
-        assert count(moduli) == min(count(plan_ladder(requested_n, k, half=True)),
-                                    count(plan_ladder(requested_n, k)))
+        count = first_search_requests(moduli, k)
+        assert sum(sampler.requested.values()) == count
+        assert count == min(first_search_requests(plan_ladder(requested_n, k, half=True), k),
+                            first_search_requests(plan_ladder(requested_n, k), k))
 
 
 class TestComputePhi:

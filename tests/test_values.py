@@ -14,8 +14,8 @@ from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
 from smfft.support_recovery import (LAST_ROUNDS, NOISE_EDGE, LastLevel, SupportParams,
                                     find_support, plan_attempts, plan_ladder)
-from smfft.value_recovery import (BLOCKS, apply_normal, compute_values,
-                                  contraction_ok, draw_measurement,
+from smfft.value_recovery import (BLOCKS, MeasurementSystem, apply_normal,
+                                  compute_values, contraction_ok, draw_measurement,
                                   neumann_solve, normal_matrix, prime_grid_values,
                                   prime_pool)
 
@@ -163,6 +163,23 @@ class TestOperators:
         if contraction_ok(norms):
             assert np.allclose(solution, amps, atol=1e-8)
             assert norms[-1] < norms[0] * 2**-30
+
+    @pytest.mark.parametrize("f0hat", [[1e-310, 5e-311], [2e-308, 1e-308]])
+    def test_neumann_subnormal_data(self, f0hat):
+        # Subnormal data used to raise OverflowError: the unit 2^-e at the
+        # largest entry overflowed.  Held at 2^1022, it gives the norms of
+        # the data scaled by 2^1022, which that system reports in its own
+        # unit 2^-shift (shift = -7 and 0 here), exactly.
+        def system(scale):
+            return MeasurementSystem([7, 11, 13, 17], [np.array([0, 1])] * 4,
+                                     np.array(f0hat) * scale)
+
+        solution, norms = neumann_solve(system(1.0), 3)
+        scaled_solution, scaled_norms = neumann_solve(system(2.0**1022), 3)
+        shift = math.frexp(max(f0hat) * 2.0**1022)[1]
+        assert norms == [math.ldexp(v, shift) for v in scaled_norms]
+        assert np.isfinite(solution).all() and contraction_ok(norms)
+        assert solution == pytest.approx(scaled_solution * 2.0**-1022, rel=1e-12)
 
 
 class TestContractionCertificate:
@@ -487,7 +504,7 @@ def first_attempt(entries, lattice, noise, params, rng):
     """The support md_sfft's first attempt finds, and the LastLevel it ran
     on: K/2-point inner windows under a K-point last level where R >= 16."""
     moduli, window = plan_attempts(lattice.total, params)[0]
-    level = LastLevel(md_sample_adapter(entries, lattice, noise), moduli, k=params.k_base)
+    level = LastLevel(md_sample_adapter(entries, lattice, noise), moduli)
     support = find_support(level, moduli, params, rng, window)
     return np.sort(support[support < lattice.total]), level
 
@@ -501,7 +518,7 @@ def noise_formula(params, level):
     """eta*sqrt(L*sum_o g(o)^2/K), the fit's window g written out at every
     offset o = -(K-1)//2..K//2 of its K: by Parseval, the norm over the L
     rounds' K bins that noise of modulus eta in every sample reaches."""
-    k = level.k
+    k = params.k_base
     offsets = np.arange(k // 2 - k + 1, k // 2 + 1)
     window = np.exp(-(2 * fit_window(params).x * offsets / k) ** 2)
     return params.eta * math.sqrt(len(level.halves) * (window @ window) / k)
@@ -509,8 +526,9 @@ def noise_formula(params, level):
 
 def windowed_rounds(level, params):
     """phi: the last level's rounds as the fit windows and transforms them."""
-    return np.fft.irfft(np.array(level.halves) * gaussian_half(level.k, fit_window(params).x),
-                        n=level.k, axis=1)
+    k = params.k_base
+    return np.fft.irfft(np.array(level.halves) * gaussian_half(k, fit_window(params).x),
+                        n=k, axis=1)
 
 
 def direct_residual(values, support, level, params):
@@ -518,7 +536,7 @@ def direct_residual(values, support, level, params):
     column j in round r line j's response exp(-((n - u_rj + h*K)/s)^2)/(s*
     sqrt(pi)) at every bin n, summed over the images h that reach the K
     bins, and a the values with those at most mu/2 set to 0."""
-    k, m = level.k, level.moduli[-1]
+    k, m = params.k_base, level.moduli[-1]
     width = fit_window(params).width
     kept = np.where(values > params.mu / 2, values, 0.0)
     images = k * np.arange(-(80 // k) - 2, 80 // k + 3)
@@ -637,7 +655,7 @@ class TestFirstAttempt:
                                            on_circle), moduli)
             for _ in range(LAST_ROUNDS):
                 level.sample_progression(0, sample_coprime(moduli[-1], rng),
-                                         level.k // 2 + 1, moduli[-1])
+                                         params.k_base // 2 + 1, moduli[-1])
             fit = vr.fit_values(lines, level, params)
             formula = noise_formula(params, level)
             assert fit.bound >= 2 * formula * (1 - 1e-12)
