@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import functools
 import inspect
 import json
@@ -122,20 +121,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse a report path that cannot be written before any sample is
-    drawn: a directory, or a file in a missing or read-only directory."""
+    """Refuse, before any sample is drawn, a report path the OS will not
+    open for writing; a file this check creates is removed again."""
     if not out:
         return
-    folder = os.path.dirname(out) or "."
-    if os.path.isdir(out):
-        reason = errno.EISDIR
-    elif not os.path.isdir(folder):
-        reason = errno.ENOENT
-    elif not os.access(folder, os.W_OK):
-        reason = errno.EACCES
-    else:
-        return
-    raise ParseError(f"cannot write report {out}: {os.strerror(reason)}")
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise ParseError(f"cannot write report {out}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(out)
 
 
 def _run_file(args, check: bool) -> tuple[str, int]:

@@ -59,6 +59,8 @@ class NoiseModel:
     def __post_init__(self):
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"noise seed must be in [0, 2^64), got {self.seed}")
 
 
 # Integers below 2^53 convert to float64 exactly, which the ledger's float
@@ -221,10 +223,11 @@ def load_signal_spec(path: str):
     tuples to amplitudes.  A 1-D file may list scalar indices; they become
     1-tuples.  An index with the wrong number of components, a component
     outside [0, axis_size), or a repeated index is a ParseError, as is a
-    boolean or fractional dims, axis_size, index or noise seed, a value or
-    eta that is not a JSON number or is an integer too large for a float,
-    or a noise section that is not an object or whose "kind" is not
-    "gaussian" when eta > 0 and "none" when eta = 0.
+    boolean or fractional dims, axis_size, index or noise seed, a noise
+    seed outside [0, 2^64), a value or eta that is not a JSON number or is
+    an integer too large for a float, or a noise section that is not an
+    object or whose "kind" is not "gaussian" when eta > 0 and "none" when
+    eta = 0.
     """
     try:
         with open(path) as fh:

@@ -266,28 +266,28 @@ def plan_attempts(requested_n: int, params: SupportParams) -> list[tuple[tuple[i
     """The searches md_sfft runs, in order, before any sample is drawn, as
     (ladder, inner window) pairs for :func:`find_support`.
 
-    Where R >= HALF_K_FROM and the plan from K has more than one level, the
-    first search is probed with K/2-point windows at its inner levels, on
-    the ladder from K where that has fewer levels than the one from K/2,
-    else on the one from K/2.  That is the one of the two that requests
-    fewer points: the ladder from K/2 has as many levels, and a base of
-    K//4 + 1 points where the one from K has K/2 + 1, or one more, whose
-    INNER_ROUNDS = 2 periods of K//4 + 1 outweigh the K/2 - K//4 its base
-    saves.  That search is skipped where it probes nothing at K/2 (a ladder
-    from K with no inner level), and where the ladder from K/2 pads past
-    2^46 and the one from K does not.  The last search, a retry or the only
-    one, is the ladder from K with K-point windows.
+    Where R >= HALF_K_FROM, the first search is probed with K/2-point
+    windows at its inner levels, on the ladder from K where that has fewer
+    levels than the one from K/2, else on the one from K/2.  That is the one
+    of the two that requests fewer points: the ladder from K/2 has as many
+    levels, and a base of K//4 + 1 points where the one from K has K/2 + 1,
+    or one more, whose INNER_ROUNDS = 2 periods of K//4 + 1 outweigh the
+    K/2 - K//4 its base saves.  That search is skipped where it probes
+    nothing at K/2 (a ladder from K with no inner level; a grid sampled
+    whole is one), and where the ladder from K/2 pads past 2^46 and the one
+    from K does not.  The last search, a retry or the only one, is the
+    ladder from K with K-point windows.
     """
     k = params.k_base
     full = plan_ladder(requested_n, k)
     attempts = [(full, k)]
-    if params.r_bound >= HALF_K_FROM and len(full) > 1:
+    if params.r_bound >= HALF_K_FROM:
         try:
             half = plan_ladder(requested_n, k, half=True)
         except EnvelopeError:
             return attempts
         first = full if len(full) < len(half) else half
-        if first[0] != k or len(first) > 2:
+        if first != full or len(first) > 2:
             attempts.insert(0, (first, k // 2))
     return attempts
 

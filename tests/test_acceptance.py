@@ -1,11 +1,11 @@
 """End-to-end acceptance gate.
 
-Twelve checks covering exact recovery, noise robustness, noise stability up
-to the envelope's edge, its far corner, structured supports, the failure
-probability, runtime scaling in N and R, sample complexity, lattice
-exactness, the lemma battery, and byte-level reproducibility.  Each
-emits a single PASS/FAIL summary line on the real stdout so it stays
-visible even under pytest capture.
+Thirteen checks covering exact recovery, noise robustness, noise stability
+up to the envelope's edge, its far corner, structured supports at R = 50 and
+at that corner, the failure probability, runtime scaling in N and R, sample
+complexity, lattice exactness, the lemma battery, and byte-level
+reproducibility.  Each emits a single PASS/FAIL summary line on the real
+stdout so it stays visible even under pytest capture.
 
 The lemma battery (lemma_checks.py) checks the number-theoretic facts the
 guarantees rest on against brute force at small sizes.  test_lemma_suite
@@ -125,26 +125,25 @@ def structured_supports(n, r, k, deepest, rng):
     }
 
 
-def test_structured_supports():
-    """Each structured support of R = 50 lines (structured_supports), on
-    465^3 and 10321^3, noiseless and at eta = 0.025 (the noise edge at
-    mu = 0.5), two seeds each, meets the success rule on the first attempt
-    with a certified fit and no prime-grid fallback.  The deep class is
-    one of the deepest modulus M_j of the first search's ladder with
-    N/M_j > R."""
-    r, runs, failed, deepest_seen = 50, 0, [], []
-    for axis in (465, 10321):
-        lattice = RankOneLattice(3, axis)
+def check_structured_supports(name, r, grids, etas, seeds):
+    """Each structured support of r lines (structured_supports) on each
+    (axis, dims) grid, at each noise level and seed, meets the success rule
+    on the first attempt with a certified fit and no prime-grid fallback.
+    The deep class is one of the deepest modulus M_j of the first search's
+    ladder with N/M_j > r."""
+    runs, failed, deepest_seen = 0, [], []
+    for axis, dims in grids:
+        lattice = RankOneLattice(dims, axis)
         n = lattice.total
-        for eta in (0.0, NOISE_EDGE * 0.5):
+        for eta in etas:
             params = make_params(r, eta)
             ladder, _ = plan_attempts(n, params)[0]
             deepest = max(m for m in ladder if n / m > r)
             deepest_seen.append(deepest)
-            for seed in (0, 1):
+            for seed in seeds:
                 rng = np.random.default_rng(seed)
-                for name, flat in structured_supports(n, r, params.k_base, deepest,
-                                                      rng).items():
+                for shape, flat in structured_supports(n, r, params.k_base, deepest,
+                                                       rng).items():
                     entries = dict(zip(lattice.unflatten(flat),
                                        rng.uniform(0.5, 1.5, r).tolist()))
                     stats = {}
@@ -155,11 +154,30 @@ def test_structured_supports():
                     if not (meets_success_rule(got, entries, err, eta)
                             and stats["attempts"] == 1 and stats["fallbacks"] == 0
                             and stats["residual"] <= stats["bound"]):
-                        failed.append((axis, eta, seed, name))
-    _report("structured-supports", not failed,
-            f"{runs - len(failed)}/{runs} succeed on the first attempt, certified; "
-            f"deepest classes mod {', '.join(map(str, sorted(set(deepest_seen))))}; "
-            f"failed: {failed}")
+                        failed.append((axis, eta, seed, shape))
+    _report(name, not failed,
+            f"{runs - len(failed)}/{runs} succeed at R = {r} on the first attempt, "
+            f"certified; deepest classes mod "
+            f"{', '.join(map(str, sorted(set(deepest_seen))))}; failed: {failed}")
+
+
+def test_structured_supports():
+    """check_structured_supports at R = 50 on 465^3 and 10321^3,
+    noiseless and at eta = 0.025 (the noise edge at mu = 0.5), seeds 0 and
+    1."""
+    check_structured_supports("structured-supports", 50, ((465, 3), (10321, 3)),
+                              (0.0, NOISE_EDGE * 0.5), (0, 1))
+
+
+def test_structured_supports_at_the_corner():
+    """check_structured_supports at the envelope's far corner, R = 7322,
+    on test_envelope_corners' grids (70,158,290,780,160 in d = 1, 5,000,000^2
+    and 41,243^3), noiseless and at the noise edge eta = NOISE_EDGE*mu,
+    seed 0.  N/K is about 5.4e8 > R, so every shape fits."""
+    check_structured_supports(
+        "structured-supports-corner", 7322,
+        ((70_158_290_780_160, 1), (5_000_000, 2), (41_243, 3)),
+        (0.0, NOISE_EDGE * SupportParams(r_bound=7322).mu), (0,))
 
 
 def test_failure_probability_within_p():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
@@ -73,6 +74,44 @@ class TestTransform:
                 else ["bench-n", "--trials", "1"])
         assert main(args + ["--out", str(tmp_path)]) == EXIT_PARSE
         assert f"cannot write report {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    def test_out_under_a_regular_file_fails_before_sampling(self, signal_file, tmp_path,
+                                                            capsys, monkeypatch):
+        # The check used to model the OS's rules and called this "No such
+        # file or directory"; it now reports what the open says.
+        self.refuse_to_run(monkeypatch)
+        dest = tmp_path / "sig.json" / "r.json"
+        assert main(["transform", "--signal", signal_file, "--out", str(dest)]) == EXIT_PARSE
+        assert f"cannot write report {dest}: Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes to a read-only file")
+    def test_read_only_out_fails_before_sampling(self, signal_file, tmp_path, capsys,
+                                                 monkeypatch):
+        # It used to pass the check and fail in the write, after the run.
+        self.refuse_to_run(monkeypatch)
+        dest = tmp_path / "report.json"
+        dest.write_text("kept\n")
+        dest.chmod(0o444)
+        assert main(["transform", "--signal", signal_file, "--out", str(dest)]) == EXIT_PARSE
+        assert f"cannot write report {dest}: Permission denied" in capsys.readouterr().err
+        assert dest.read_text() == "kept\n"
+
+    def test_out_to_devnull(self, signal_file, capsys):
+        # A writable file in a folder the user cannot write to: the check
+        # used to refuse /dev/null for any unprivileged user.
+        code, out = run(["transform", "--signal", signal_file, "--out", os.devnull],
+                        capsys)
+        assert code == 0 and out == ""
+
+    def test_checked_out_path_is_not_left_behind(self, tmp_path, capsys):
+        # The spec is read after the check, so the run fails after the
+        # report path was opened; the file the check created is gone.
+        spec = tmp_path / "bad.json"
+        spec.write_text("{")
+        dest = tmp_path / "report.json"
+        assert main(["transform", "--signal", str(spec), "--out", str(dest)]) == EXIT_PARSE
+        assert "cannot read signal spec" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_requires_signal(self, capsys):
         code = main(["transform"])
@@ -273,6 +312,20 @@ class TestSpecIndices:
                                     "values": values, "noise": noise}))
         assert main([command, "--signal", str(path)]) == EXIT_PARSE
         assert "too large to convert to float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1])
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_noise_seed_is_64_bits(self, command, seed, tmp_path, capsys):
+        # The noise is keyed by the seed modulo 2^64, so seeds 1 and
+        # 2^64 + 1 (and -(2^64 - 1)) used to give the same noise.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 40, "support": [1],
+                                    "values": [1.0], "noise": {"kind": "gaussian",
+                                                               "eta": 0.01, "seed": seed}}))
+        refused = not 0 <= seed < 2**64
+        assert main([command, "--signal", str(path)]) == (EXIT_PARSE if refused else 0)
+        assert (f"noise seed must be in [0, 2^64), got {seed}"
+                in capsys.readouterr().err) == refused
 
     def test_one_dimensional_list_index(self, tmp_path, capsys):
         code, out = run(["transform", "--signal",

@@ -264,6 +264,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(eta=float("nan"))
 
+    def test_seed_outside_64_bits(self):
+        # The noise is keyed by the seed modulo 2^64; a seed outside
+        # [0, 2^64) would alias one inside it.
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"noise seed must be in \[0, 2\^64\)"):
+                NoiseModel(0.0, seed)
+        assert NoiseModel(0.0, 2**64 - 1).seed == 2**64 - 1
+
     def test_sampler_noise_is_repeatable(self):
         spectrum = SparseSpectrum(64, {3: 1.0})
         noise = NoiseModel(eta=0.01, seed=9)

@@ -483,14 +483,15 @@ class TestLadder:
     def test_level_rule_matches_the_request_count(self, r_bound):
         # plan_attempts takes the ladder from K where it has fewer levels
         # than the one from K/2; that is the ladder of the two that requests
-        # fewer points.  Checked at the one-level edge 5K/2, the 4K and 8K
-        # edges of the skipped first search, each power-of-RHO edge of
-        # either ladder, seeded sizes, and 2^46, past which either ladder
-        # can pad (raising EnvelopeError, or dropping the first search).
+        # fewer points.  Checked on the one-level plans 1, K/2 and K, the
+        # one-level edge 5K/2, the 4K and 8K edges of the skipped first
+        # search, each power-of-RHO edge of either ladder, seeded sizes, and
+        # 2^46, past which either ladder can pad (raising EnvelopeError, or
+        # dropping the first search).
         params = SupportParams(r_bound=r_bound)
         k, top = params.k_base, 1 << 46
-        sizes = {k + 1, 5 * k // 2, 5 * k // 2 + 1, 4 * k, 4 * k + 1, 8 * k, 8 * k + 1,
-                 top - 1, top}
+        sizes = {1, k // 2, k, k + 1, 5 * k // 2, 5 * k // 2 + 1, 4 * k, 4 * k + 1,
+                 8 * k, 8 * k + 1, top - 1, top}
         for base in (k // 2, k):
             edges = itertools.takewhile(lambda n: n < top, (base * RHO**s for s in range(1, 20)))
             sizes.update(n + d for n in edges for d in (0, 1))
@@ -503,7 +504,7 @@ class TestLadder:
             except EnvelopeError:
                 return EnvelopeError
 
-        for n in sorted(n for n in sizes if k < n <= top):
+        for n in sorted(sizes):
             assert outcome(plan_attempts, n) == outcome(request_count_attempts, n), n
 
     @pytest.mark.parametrize("r_bound,requested_n", list(PINNED_PLANS))
