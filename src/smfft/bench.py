@@ -30,7 +30,8 @@ def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
                     seed: int):
     """A random sparse nonnegative instance: at every N, R distinct flat
     indices drawn uniformly over the whole grid, then their amplitudes
-    uniformly in [0.5, 1.5]; the noise is seeded ``seed + 1``."""
+    uniformly in [0.5, 1.5]; the noise is seeded ``(seed + 1) % 2**64``,
+    in the noise hash's range for every seed a sweep derives."""
     lattice = RankOneLattice(dims, axis_size)
     if sparsity > lattice.total:
         raise ValueError(f"sparsity R = {sparsity} exceeds the grid size N = {lattice.total}")
@@ -38,7 +39,7 @@ def random_instance(axis_size: int, dims: int, sparsity: int, eta: float,
     flat = rng.choice(lattice.total, size=sparsity, replace=False)
     amps = rng.uniform(0.5, 1.5, size=len(flat))
     entries = dict(zip(lattice.unflatten(flat), amps.tolist()))
-    noise = NoiseModel(eta, seed + 1)
+    noise = NoiseModel(eta, (seed + 1) % 2**64)
     return entries, lattice, noise
 
 

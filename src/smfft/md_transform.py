@@ -100,19 +100,21 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     from K, on the same oracle and ``rng``, with the prime-grid fallback.
     ``stats`` records the attempts made, 1 or 2, and the ladder steps,
     fallbacks and redraws of the last, and the fit's residual and bound
-    (:class:`~smfft.value_recovery.Fit`) of the result that stands: None
-    where no fit stands (a grid sampled whole, an empty support or a
-    prime-grid fallback).
+    (:class:`~smfft.value_recovery.Fit`) of the result that stands, in the
+    caller's units as the values are: None where no fit stands (a grid
+    sampled whole, an empty support or a prime-grid fallback).
 
     The recovery is homogeneous in (spectrum, mu, eta), so it runs in units
     of 2^e, the power of two at mu: mu, eta and the samples (by the run's
-    one oracle, a :class:`LastLevel`) are scaled by 2^-e and the values by
-    2^e, all exactly, and period sums near 1e306 stay in float64's range.
-    For mu in [0.5, 1), e = 0 and nothing is rescaled.  (e is held at -1023
-    and up, so that 2^-e is a float.)  A sum that still overflows, or turns
-    invalid, in these units comes from amplitudes far above delta_ratio*mu:
-    both stages run with numpy's overflow and invalid-value errors raised,
-    and either becomes EnvelopeError.
+    one oracle, a :class:`LastLevel`) are scaled by 2^-e, and the values,
+    residual and bound by 2^e, all exactly, and period sums near 1e306 stay
+    in float64's range.  This is the run's one rescaling: neither stage
+    keeps a unit of its own.  For mu in [0.5, 1), e = 0 and nothing is
+    rescaled.  (e is held at -1023 and up, so that 2^-e is a float.)  A sum
+    that still overflows, or turns invalid, in these units comes from
+    amplitudes far above delta_ratio*mu: both stages run with numpy's
+    overflow and invalid-value errors raised, and either becomes
+    EnvelopeError.
     """
     e = max(math.frexp(params.mu)[1], -1023)
     if e:
@@ -142,6 +144,9 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc
+    if stats["residual"] is not None:
+        stats.update(residual=math.ldexp(stats["residual"], e),
+                     bound=math.ldexp(stats["bound"], e))
     return {key: math.ldexp(v, e) for key, v in
             zip(lattice.unflatten(np.fromiter(values, np.int64)), values.values())}
 

@@ -123,22 +123,16 @@ def apply_normal(system: MeasurementSystem, x: np.ndarray) -> np.ndarray:
 def neumann_solve(system: MeasurementSystem, terms: int):
     """Truncated Neumann series sum_{n=0}^{Z} (I - (1/T)B*B)^n f0hat.
 
-    Returns (solution, residual_norms).  The norms are in units of the power
-    of two at the largest |f0hat| entry (2^-1022 at the least), so their
-    squares stay finite; they certify the contraction: an accepted draw
-    must halve them at each recorded step.
+    Returns (solution, residual_norms).  The norms certify the contraction:
+    an accepted draw must halve them at each recorded step.
     """
-    # The series is linear, so solving in those units is exact.  (The unit
-    # is held at 2^1022 and below, as in fit_values, for subnormal data.)
-    unit = math.ldexp(1.0, -max(math.frexp(float(np.abs(system.f0hat).max()))[1], -1022))
-    residual = system.f0hat * unit
-    solution = residual.copy()
+    residual, solution = system.f0hat, system.f0hat.copy()
     norms = [float(np.linalg.norm(residual))]
     for _ in range(terms):
         residual = residual - apply_normal(system, residual)
         solution += residual
         norms.append(float(np.linalg.norm(residual)))
-    return solution / unit, norms
+    return solution, norms
 
 
 def contraction_ok(norms: list[float]) -> bool:
@@ -150,7 +144,7 @@ def contraction_ok(norms: list[float]) -> bool:
     every later one zero, which all three checks accept.
     """
     return (norms[1] <= norms[0] / 2 and norms[2] <= max(norms[1] / 2, 1e-300)
-            and norms[-1] <= math.ldexp(norms[0], 1 - len(norms)))
+            and norms[-1] <= norms[0] / 2 ** (len(norms) - 1))
 
 
 def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
@@ -178,7 +172,7 @@ def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
 
 def normal_matrix(bins: np.ndarray, k_base: int, width: float, reach: float):
     """The fit's normal matrix for lines at the L x |S| float array ``bins``
-    (u_rj), at the response width s = ``width``, in units of
+    (u_rj), at the response width s = ``width``, divided by
     C^2*s*sqrt(pi/2): sum_r sum_h exp(-(d_r + h*K)^2/(2s^2)), with d_r two
     lines' bin distance in round r, wrapped into [-K/2, K/2], and h*K its
     images.
@@ -286,7 +280,9 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     params.k_base points (:func:`~smfft.support_recovery.find_support`).
 
     The normal matrix's diagonal is constant, so CG with a Jacobi
-    preconditioner is plain CG; it starts from rhs/diag.
+    preconditioner is plain CG; it starts from rhs/diag.  In md_sfft's
+    units of mu its sums of squares stay finite up to values near 1e150;
+    one that overflows is md_sfft's EnvelopeError.
     """
     tol = fit_tolerance(params)
     cut, width, footprint, reach = fit_window(tol)
@@ -294,7 +290,7 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     bins = mulmod(support, np.array(level.qs)[:, None], modulus) / (modulus // k_base)
     window = gaussian_half(k_base, cut)
     phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)
-    # A^T phi, in units of C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
+    # A^T phi, divided by C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
     # sqrt(2)), read from the bins floor(u) + offsets around each line, out
     # of each round's spectrum wrapped as often as K needs.
     offsets = np.arange(-footprint, footprint + 2)
@@ -311,11 +307,6 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     def normal(v):
         return diag * v + np.bincount(rows, vals * v[cols], len(v))
 
-    # Solved in units of the power of two at the largest |rhs| entry, so the
-    # norms stay finite; the system is linear, so that is exact.  (The unit
-    # is held at 2^1022 and below, so that it is a float for subnormal data.)
-    unit = math.ldexp(1.0, -max(math.frexp(float(np.abs(rhs).max()))[1], -1022))
-    rhs = rhs * unit
     x = rhs / diag
     residual = rhs - normal(x)
     direction, rr = residual, residual @ residual
@@ -332,17 +323,14 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     if math.sqrt(rr) > target:
         return None
     # ||phi - A*a||^2 = ||phi||^2 - 2 a.A^T phi + a.A^T A a, and A^T phi and
-    # A^T A are rhs and the normal matrix times 1/(s*sqrt(2*pi)), all in the
-    # fit's units, where the squares stay finite.
-    kept = np.where(x > unit * params.mu / 2, x, 0.0)
-    flat = phi.ravel() * unit
-    phi_norm = math.sqrt(flat @ flat)
+    # A^T A are rhs and the normal matrix times 1/(s*sqrt(2*pi)).
+    kept = np.where(x > params.mu / 2, x, 0.0)
+    phi_norm = math.sqrt(phi.ravel() @ phi.ravel())
     square = (phi_norm**2 - (2 * kept @ rhs - kept @ normal(kept))
               / (width * math.sqrt(2 * math.pi)))
     # sum_m g(m)^2 over the K offsets -(K-1)//2..K//2, g(0) = 1 counted once.
-    noise = unit * params.eta * math.sqrt(len(bins) * (2 * window @ window - 1) / k_base)
-    return Fit(x / unit, math.sqrt(max(square, 0.0)) / unit,
-               max(2 * noise, 1e-5 * phi_norm) / unit)
+    noise = params.eta * math.sqrt(len(bins) * (2 * window @ window - 1) / k_base)
+    return Fit(x, math.sqrt(max(square, 0.0)), max(2 * noise, 1e-5 * phi_norm))
 
 
 def compute_values(support: np.ndarray, level: LastLevel, n_total: int,

@@ -231,6 +231,20 @@ class TestTransform:
         assert ("outside the supported envelope: a sum overflows in units of mu"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_fit_overflowing_units_of_mu(self, command, tmp_path, capsys):
+        # At the default mu the 1e200 samples and the support stage's sums
+        # fit float64, but the fit's sums of squares do not.  The fit used to
+        # rescale by a unit of its own, miss CG's tolerance on the many
+        # candidates the oracle's rounding lights, and hand over to the
+        # prime grids: transform exited 0 with 68 lines, and verify 3.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 100, "support": [5, 23, 71],
+                                    "values": [1e200, 0.75e200, 1.25e200]}))
+        assert main([command, "--signal", str(path)]) == EXIT_ENVELOPE
+        assert ("outside the supported envelope: a sum overflows in units of mu"
+                in capsys.readouterr().err)
+
     def test_subnormal_amplitudes_verify(self, tmp_path, capsys):
         # mu = 5e-310 is below 2^-1023, where the unit 2^e of mu is held so
         # that 2^-e stays a float; the run still works in near-unit values.
@@ -443,6 +457,15 @@ class TestBench:
         first = lines[1].split(",")
         assert first[0] == str(64**3)
         assert first[-1] == "1"
+
+    def test_bench_r_seed_near_2_64(self, capsys):
+        # A trial's noise is seeded (seed + 1) mod 2^64.  Seeded seed + 1,
+        # it was refused past 2^64, so the last 64-bit base seed made the
+        # sweep exit 2 with no row.
+        code, out = run(["bench-r", "--trials", "1", "--m", "32",
+                         "--seed", str(2**64 - 1)], capsys)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 7  # header + 6 sparsity levels
 
     @pytest.mark.parametrize("command,args,kwargs", [
         ("bench-n", [], {}),

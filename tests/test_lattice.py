@@ -239,6 +239,8 @@ class TestMdSfft:
         # 2^e: the same draws and exactly 2^e times the values recovered at
         # mu = 0.5, where no rescaling happens.  So do the prime grids, drawn
         # through the same rescaled oracle, when the fit is made to miss.
+        # The fit's residual and bound leave in the caller's units too: they
+        # used to read the same at every e.
         lat = RankOneLattice(2, 64)
         rng = np.random.default_rng(9)
         flat = rng.choice(lat.total, 12, replace=False)
@@ -251,15 +253,18 @@ class TestMdSfft:
             stats = {}
             got = md_sfft(sampler, lat, params, np.random.default_rng(4), stats)
             assert stats["fallbacks"] == fallback
-            return got
+            assert (stats["residual"] is None) == bool(fallback)
+            return got, [stats["residual"], stats["bound"]]
 
         for fallback in (0, 1):
             if fallback:
                 monkeypatch.setattr(value_recovery, "fit_values", lambda *args: None)
-            base = recover(1.0, fallback)
+            base, certificate = recover(1.0, fallback)
             assert set(base) == set(entries)
-            assert recover(math.ldexp(1.0, e), fallback) == {
-                k: math.ldexp(v, e) for k, v in base.items()}
+            got, scaled = recover(math.ldexp(1.0, e), fallback)
+            assert got == {k: math.ldexp(v, e) for k, v in base.items()}
+            assert scaled == (certificate if fallback else
+                              [math.ldexp(v, e) for v in certificate])
 
 
 class TestEnvelope:
