@@ -8,13 +8,12 @@ and the final recovered values.
 
 import numpy as np
 
-from smfft import (LastLevel, SampleLedger, Sampler, SparseSpectrum,
-                   SupportParams, dealias_candidates, find_support, plan_ladder)
-from smfft.value_recovery import compute_values
+from smfft import (RankOneLattice, SampleLedger, SupportParams,
+                   md_sample_adapter, md_sfft)
+from smfft.support_recovery import dealias_candidates, plan_ladder
 
 N = 40
 truth = {1: 1.0, 23: 1.0, 35: 1.0}
-spectrum = SparseSpectrum(N, truth)
 
 # Aliasing: sampling at rate M folds the support mod M.
 for m in (10, 20):
@@ -39,15 +38,12 @@ else:
     print(f"base modulus K={params.k_base}, ladder moduli {moduli}: "
           f"{len(moduli) - 1} growth step(s) pad N = {N} to {moduli[-1]}")
 
+lattice = RankOneLattice(1, N)
 ledger = SampleLedger()
-sampler = Sampler(spectrum, ledger=ledger)
-rng = np.random.default_rng(0)
-# The search runs on an oracle that keeps the last level's samples; the
-# value stage reads the values from them and draws nothing more.
-level = LastLevel(sampler, moduli)
-support = find_support(level, moduli, params, rng)
-print("recovered support:", support.tolist())
-values = compute_values(support, level, N, params, rng)
-for j in support:
-    print(f"  fhat[{j}] = {values[j]:.12f}")
+sampler = md_sample_adapter({(j,): a for j, a in truth.items()}, lattice,
+                            ledger=ledger)
+recovered = md_sfft(sampler, lattice, params, np.random.default_rng(0))
+print("recovered support:", [j for (j,) in recovered])
+for (j,), value in recovered.items():
+    print(f"  fhat[{j}] = {value:.12f}")
 print(f"{ledger.unique_count} distinct samples of a length-{N} signal")

@@ -29,9 +29,9 @@ class Uncertified(SmfftError):
 class EnvelopeError(SmfftError):
     """The problem lies outside the pipeline's exact envelope.  Raised before
     any sample by SupportParams.k_base and plan_ladder (K or the padded N too
-    large for the ladder's int64 arithmetic), and by md_sfft when a sample
-    or a sum of its support or value stage overflows in units of mu, the
-    one rescaling of a run: amplitudes far above mu."""
+    large for the ladder's int64 arithmetic), by LastLevel when the oracle's
+    samples overflow float64, and by md_sfft when a scaled sample or a sum
+    of a stage overflows in units of mu: amplitudes far above mu."""
 
 
 class ParseError(SmfftError):

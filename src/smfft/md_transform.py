@@ -98,11 +98,11 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     stands only if the fit's residual certifies it.  On CandidateBlowup, a
     CG miss or an uncertified residual, the whole search runs once more
     from K, on the same oracle and ``rng``, with the prime-grid fallback.
-    ``stats`` records the attempts made, 1 or 2, and the ladder steps,
-    fallbacks and redraws of the last, and the fit's residual and bound
-    (:class:`~smfft.value_recovery.Fit`) of the result that stands, in the
-    caller's units as the values are: None where no fit stands (a grid
-    sampled whole, an empty support or a prime-grid fallback).
+    ``stats`` records the attempts made, 1 or 2, the ladder steps, fallbacks
+    and redraws of the last, and the standing result's
+    :class:`~smfft.value_recovery.Fit`: ``residual`` and ``bound`` in the
+    caller's units, as the values are, and ``certified``, each None where no
+    fit stands (a grid sampled whole, an empty support or a fallback).
 
     The recovery is homogeneous in (spectrum, mu, eta), so it runs in units
     of 2^e, the power of two at mu: mu, eta and the samples (by the run's
@@ -114,7 +114,7 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     that still overflows, or turns invalid, in these units comes from
     amplitudes far above delta_ratio*mu: both stages run with numpy's
     overflow and invalid-value errors raised, and either becomes
-    EnvelopeError.
+    EnvelopeError, as do oracle samples past float64's range (LastLevel).
     """
     e = max(math.frexp(params.mu)[1], -1023)
     if e:
@@ -124,7 +124,7 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     plans = plan_attempts(n_total, params)
     if stats is None:
         stats = {}
-    stats.update(redraws=0, fallbacks=0, residual=None, bound=None)
+    stats.update(redraws=0, fallbacks=0, residual=None, bound=None, certified=None)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for attempt, (moduli, window) in enumerate(plans, 1):

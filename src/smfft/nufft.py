@@ -49,8 +49,9 @@ def _correction(modes: np.ndarray, grid: int, tau: float) -> np.ndarray:
 def _plan(count: int):
     """For a request of ``count`` modes: the fine grid, 2x oversampled for
     them, each mode's index on the grid and the kernel correction there.
-    A run requests few distinct counts (K//2 + 1 outside the fallback), so
-    each is planned once; the arrays are shared, so they are read-only."""
+    A run requests few distinct counts outside the fallback: K//2 + 1, and
+    K//4 + 1 when it searches from K/2 (the base DFT at K/2 and the inner
+    rounds).  Each is planned once; the arrays are shared, so read-only."""
     s = np.arange(count) - middle(count)  # modes in [-middle, count - middle)
     grid = next_fast_len(max(4 * (count - middle(count)) + 2, 4 * _MSP))
     tau = math.pi * _MSP / (math.sqrt(2.0) * grid * grid)

@@ -373,6 +373,7 @@ class LastLevel:
     of the last level's probe rounds, or the base level's one period when
     the ladder has one level.  find_support runs on it, and the value stage
     reads the plan (one level or a ladder) and the kept rounds from it.
+    Samples that overflow float64 in ``sampler`` raise EnvelopeError.
     """
 
     def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
@@ -381,7 +382,10 @@ class LastLevel:
         self.halves: list[np.ndarray] = []
 
     def sample_progression(self, start, step, count, den):
-        samples = self.sampler.sample_progression(start, step, count, den)
+        try:
+            samples = self.sampler.sample_progression(start, step, count, den)
+        except FloatingPointError as exc:
+            raise EnvelopeError(f"the oracle's samples overflow float64 ({exc})") from exc
         if self.scale != 1.0:
             samples = samples * self.scale
         if den == self.moduli[-1]:

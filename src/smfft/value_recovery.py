@@ -336,8 +336,8 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
 def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
                    params: SupportParams, rng: np.random.Generator,
                    stats: dict | None = None, certify: bool = False) -> dict[int, float]:
-    """Recover the spectrum values on the int64 array ``support`` from the
-    rounds ``level`` kept of the last ladder level, to accuracy
+    """Recover the spectrum values on the sorted int64 array ``support``
+    from the rounds ``level`` kept of the last ladder level, to accuracy
     O(max(eta, 1e-10)); an empty support gives ``{}``.
 
     On a one-level plan, a grid of at most 5K/2 points sampled whole, the
@@ -347,12 +347,11 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     :func:`prime_grid_values` draw through ``level`` and ``rng`` instead
     (a prime p is never the last modulus, so the kept rounds stay), and
     ``stats`` records fallbacks = 1 and the redraws it returns; after a fit
-    that stands, it records the fit's residual and bound, certified or
-    not.  Entries
-    below mu/2 are dropped: mu bounds every true amplitude from below, so
-    they can only be spurious survivors, whose exact value is zero.
+    that stands, it records the fit's residual, bound and verdict
+    (:attr:`Fit.certified`).  Entries below mu/2 are dropped: mu bounds
+    every true amplitude from below, so they can only be spurious
+    survivors, whose exact value is zero.
     """
-    support = np.sort(support)
     if not support.size:
         return {}
     if len(level.moduli) == 1:
@@ -369,5 +368,5 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
         else:
             values = fit.values
             if stats is not None:
-                stats.update(residual=fit.residual, bound=fit.bound)
+                stats.update(residual=fit.residual, bound=fit.bound, certified=fit.certified)
     return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}

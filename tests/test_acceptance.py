@@ -153,7 +153,7 @@ def check_structured_supports(name, r, grids, etas, seeds):
                     runs += 1
                     if not (meets_success_rule(got, entries, err, eta)
                             and stats["attempts"] == 1 and stats["fallbacks"] == 0
-                            and stats["residual"] <= stats["bound"]):
+                            and stats["certified"]):
                         failed.append((axis, eta, seed, shape))
     _report(name, not failed,
             f"{runs - len(failed)}/{runs} succeed at R = {r} on the first attempt, "

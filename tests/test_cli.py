@@ -245,6 +245,20 @@ class TestTransform:
         assert ("outside the supported envelope: a sum overflows in units of mu"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    def test_oracle_overflowing_float64(self, command, tmp_path, capsys):
+        # The three lines lie within delta_ratio 3 of mu = 1e308, but the
+        # synthetic oracle's samples, their sums, pass float64's maximum
+        # before anything is scaled.  The error names the oracle: it used to
+        # blame amplitudes far above mu.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 2, "axis_size": 32,
+                                    "support": [[1, 2], [5, 7], [30, 31]],
+                                    "values": [1.5e308, 1.2e308, 1.7e308]}))
+        assert main([command, "--signal", str(path), "--mu", "1e308"]) == EXIT_ENVELOPE
+        assert ("outside the supported envelope: the oracle's samples overflow float64"
+                in capsys.readouterr().err)
+
     def test_subnormal_amplitudes_verify(self, tmp_path, capsys):
         # mu = 5e-310 is below 2^-1023, where the unit 2^e of mu is held so
         # that 2^-e stays a float; the run still works in near-unit values.

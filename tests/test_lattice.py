@@ -254,6 +254,9 @@ class TestMdSfft:
             got = md_sfft(sampler, lat, params, np.random.default_rng(4), stats)
             assert stats["fallbacks"] == fallback
             assert (stats["residual"] is None) == bool(fallback)
+            # The verdict is unit-free: residual <= bound, None without a fit.
+            assert stats["certified"] == (None if fallback else
+                                          stats["residual"] <= stats["bound"])
             return got, [stats["residual"], stats["bound"]]
 
         for fallback in (0, 1):

@@ -30,3 +30,17 @@ def test_readme_states_the_package_line_count():
     total = sum(len(path.read_text().splitlines())
                 for path in (root / "src" / "smfft").glob("*.py"))
     assert int(stated) == total
+
+
+def test_top_level_exports_the_library_only():
+    # The stages (find_support, compute_values, LastLevel, ...) are the
+    # driver's parts: they are imported from their modules, and md_sfft is
+    # the one driver the top level offers.
+    assert set(smfft.__all__) == {
+        "CandidateBlowup", "ContractionFailure", "EnvelopeError", "IndexOutOfRange",
+        "ParseError", "SmfftError",
+        "RankOneLattice", "flatten_index", "md_sample_adapter", "md_sfft",
+        "relative_l2_error",
+        "NoiseModel", "SampleLedger", "Sampler", "SparseSpectrum", "load_signal_spec",
+        "SupportParams",
+    }

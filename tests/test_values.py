@@ -664,6 +664,7 @@ class TestFirstAttempt:
                       bench.make_params(r, eta), rng, stats)
         assert (ledger.unique_count, int(rng.integers(1 << 62))) == (samples, draw)
         residual, bound = stats.pop("residual"), stats.pop("bound")
+        assert stats.pop("certified") is True
         assert stats == {"attempts": 1, "ladder_steps": steps, "fallbacks": 0, "redraws": 0}
         assert residual <= bound
         assert set(got) == set(entries)
