@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (("transform", "recover the sparse spectrum of a signal"),
                        ("verify", "recover and check against ground truth")):
         p = sub.add_parser(name, help=text, allow_abbrev=False)
-        p.add_argument("--signal", metavar="FILE",
+        p.add_argument("--signal", metavar="FILE", required=True,
                        help="signal spec JSON file (sets d, M and the noise)")
         p.add_argument("--r", type=int, help="sparsity bound R")
         for flag, dest, kind, what in TUNING_FLAGS:
@@ -135,8 +135,6 @@ def _check_out(out: str | None) -> None:
 
 
 def _run_file(args, check: bool) -> tuple[str, int]:
-    if not args.signal:
-        raise ParseError("--signal FILE is required for this command")
     dims, axis, entries, noise = load_signal_spec(args.signal)
     r_bound = args.r if args.r is not None else len(entries)
     tuning = {dest: getattr(args, dest) for _, dest, _, _ in TUNING_FLAGS
@@ -176,7 +174,3 @@ def main(argv=None) -> int:
         _, prefix, code = next(row for row in FAILURES if isinstance(exc, row[0]))
         print(f"{prefix}: {exc}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,8 +30,9 @@ class EnvelopeError(SmfftError):
     """The problem lies outside the pipeline's exact envelope.  Raised before
     any sample by SupportParams.k_base and plan_ladder (K or the padded N too
     large for the ladder's int64 arithmetic), by LastLevel when the oracle's
-    samples overflow float64, and by md_sfft when a scaled sample or a sum
-    of a stage overflows in units of mu: amplitudes far above mu."""
+    samples overflow float64 or are not finite, and by md_sfft when a scaled
+    sample or a sum of a stage overflows in units of mu: amplitudes far
+    above mu."""
 
 
 class ParseError(SmfftError):

@@ -114,7 +114,9 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     that still overflows, or turns invalid, in these units comes from
     amplitudes far above delta_ratio*mu: both stages run with numpy's
     overflow and invalid-value errors raised, and either becomes
-    EnvelopeError, as do oracle samples past float64's range (LastLevel).
+    EnvelopeError.  The oracle itself runs under the caller's numpy error
+    state, and samples it overflows or returns as inf or NaN are
+    EnvelopeError too, naming the oracle's samples (:class:`LastLevel`).
     """
     e = max(math.frexp(params.mu)[1], -1023)
     if e:
@@ -125,11 +127,13 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     if stats is None:
         stats = {}
     stats.update(redraws=0, fallbacks=0, residual=None, bound=None, certified=None)
+    caller_errstate = np.geterr()
     try:
         with np.errstate(over="raise", invalid="raise"):
             for attempt, (moduli, window) in enumerate(plans, 1):
                 stats.update(attempts=attempt, ladder_steps=len(moduli))
-                level = LastLevel(sampler, moduli, math.ldexp(1.0, -e))
+                level = LastLevel(sampler, moduli, math.ldexp(1.0, -e),
+                                  caller_errstate)
                 try:
                     support = find_support(level, moduli, params, rng, window)
                     # Ladder padding can admit indices beyond M^d; those

@@ -187,7 +187,10 @@ class Sampler:
 
     def sample_progression(self, start: int, step: int, count: int,
                            den: int) -> np.ndarray:
-        """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1."""
+        """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1.
+
+        Whatever the caller's numpy error state, a sum that overflows
+        float64 or turns invalid raises FloatingPointError."""
         if den < 1 or count < 1:
             raise ValueError("need den >= 1 and count >= 1")
         # In Python ints: the largest numerator, start + (count-1)*step, is
@@ -200,12 +203,13 @@ class Sampler:
         if self.ledger is not None:
             self.ledger.record(nums, den)
 
-        jr = (self._support % den).astype(np.int64)
-        centre = (int(start) + middle(count) * int(step)) % den
-        phase = np.exp((-_TWO_PI * mulmod(jr, centre, den)) / den * 1j)
-        out = nufft_exp_sum(self._amps * phase, mulmod(jr, step, den) / den, count)
-        if self.noise.eta > 0:
-            out += make_noise(self.noise, nums, den)
+        with np.errstate(over="raise", invalid="raise"):
+            jr = (self._support % den).astype(np.int64)
+            centre = (int(start) + middle(count) * int(step)) % den
+            phase = np.exp((-_TWO_PI * mulmod(jr, centre, den)) / den * 1j)
+            out = nufft_exp_sum(self._amps * phase, mulmod(jr, step, den) / den, count)
+            if self.noise.eta > 0:
+                out += make_noise(self.noise, nums, den)
         return out
 
 

@@ -82,7 +82,7 @@ INNER_ROUNDS = 2
 # value stage fits every line it is given from these rounds' samples; a
 # spurious line's value is 0, so it is dropped, but each adds an unknown to
 # the fit.  That many cost the fit little: on the benchmark shapes CG takes a
-# median of 13-29 iterations (at most 39, inside value_recovery's cap of
+# median of 12-29 iterations (at most 39, inside value_recovery's cap of
 # 100).  2 rounds would pass 0.56 R: over the benchmark's seeds 0-4 at
 # delta 0.3 they still succeed in all 50, 40 and 100 trials, with 4%, 9%
 # and 17% fewer median samples, but 2 of exact-shallow's 100 fits miss CG's
@@ -373,19 +373,27 @@ class LastLevel:
     of the last level's probe rounds, or the base level's one period when
     the ladder has one level.  find_support runs on it, and the value stage
     reads the plan (one level or a ladder) and the kept rounds from it.
-    Samples that overflow float64 in ``sampler`` raise EnvelopeError.
+    ``sampler`` runs under numpy's error state ``errstate`` (the one at
+    construction by default), so a caller's oracle keeps the error state
+    its caller chose.  Samples that overflow float64 in ``sampler``, or that
+    it returns as inf or NaN, raise EnvelopeError.
     """
 
-    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
+    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0,
+                 errstate: dict | None = None):
         self.sampler, self.moduli, self.scale = sampler, moduli, scale
+        self.errstate = np.geterr() if errstate is None else errstate
         self.qs: list[int] = []
         self.halves: list[np.ndarray] = []
 
     def sample_progression(self, start, step, count, den):
         try:
-            samples = self.sampler.sample_progression(start, step, count, den)
+            with np.errstate(**self.errstate):
+                samples = self.sampler.sample_progression(start, step, count, den)
         except FloatingPointError as exc:
             raise EnvelopeError(f"the oracle's samples overflow float64 ({exc})") from exc
+        if not np.isfinite(samples).all():
+            raise EnvelopeError("the oracle's samples are not finite")
         if self.scale != 1.0:
             samples = samples * self.scale
         if den == self.moduli[-1]:

@@ -56,10 +56,10 @@ DRAWS = 14
 # where it is exp(-x^2) = 6e-13 of its peak (see fit_window).
 WINDOW_X = 5.3
 # CG's iteration cap.  Inside the envelope, with the last level's 3 rounds,
-# CG takes a median of 13 iterations on deep-ladder and wide-support (at
-# most 20 and 18) and 29 on exact-shallow (at most 39) over perfbench's
-# seeds 0-60; a support of twice R (512 lines at R = 256) takes 47-59, one
-# of 4R 283-341, and falls back to the prime grids.
+# CG takes a median of 12, 13 and 29 iterations on deep-ladder, wide-support
+# and exact-shallow (at most 18, 17 and 39) over perfbench's seeds 0-60; a
+# support of twice R (512 lines at R = 256) takes 47-59, one of 4R 283-341,
+# and falls back to the prime grids.
 CG_ITERATIONS = 100
 
 

@@ -12,8 +12,9 @@ from smfft.cli import EXIT_ENVELOPE, EXIT_PARSE, EXIT_SUPPORT, TUNING_FLAGS, mai
 from smfft.md_transform import flatten_index
 from smfft.support_recovery import SupportParams
 
+DEMOS = Path(__file__).parents[1] / "demos"
 # A 32^2 spectrum with amplitudes near 1e306, also run by CI's entry-point step.
-HUGE_SPEC = Path(__file__).parents[1] / "demos" / "signal_huge.json"
+HUGE_SPEC = DEMOS / "signal_huge.json"
 
 
 @pytest.fixture()
@@ -95,6 +96,14 @@ class TestTransform:
         assert main(["transform", "--signal", signal_file, "--out", str(dest)]) == EXIT_PARSE
         assert f"cannot write report {dest}: Permission denied" in capsys.readouterr().err
         assert dest.read_text() == "kept\n"
+
+    def test_failed_write_is_parse_error(self, signal_file, tmp_path, capsys,
+                                         monkeypatch):
+        # A report path that passed the check but fails at write time
+        # (here a directory, the check turned off) is still exit 2.
+        monkeypatch.setattr(cli, "_check_out", lambda out: None)
+        assert main(["transform", "--signal", signal_file, "--out", str(tmp_path)]) == EXIT_PARSE
+        assert f"cannot write report {tmp_path}: Is a directory" in capsys.readouterr().err
 
     def test_out_to_devnull(self, signal_file, capsys):
         # A writable file in a folder the user cannot write to: the check
@@ -210,7 +219,7 @@ class TestTransform:
         # At 1e306 a sum over a period of samples leaves float64's range
         # unless the run works in units of mu; under pytest an overflow
         # warning is an error.  CI runs the same file through the installed
-        # entry point.
+        # entry point without --mu, where it exits 5.
         assert max(json.loads(HUGE_SPEC.read_text())["values"]) == 1.25e306
         code, out = run(["verify", "--signal", str(HUGE_SPEC), "--mu", "1e299"], capsys)
         assert code == 0
@@ -403,6 +412,28 @@ class TestVerify:
     def test_success_exit_zero(self, signal_file, capsys):
         code, _ = run(["verify", "--signal", signal_file], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("spec,flags,samples", [
+        ("signal_3d.json", [], None),
+        # The file's amplitudes are 1.0 and 0.5, so delta_ratio 2 is its own
+        # dynamic range: the narrowest probe window it allows.
+        ("signal_3d.json", ["--delta-ratio", "2"], None),
+        ("signal_3d.json", ["--seed", "7"], None),
+        # 16 points are at most 5K/2: the grid is sampled whole and its
+        # values read off its DFT, a path no benchmark workload takes.
+        ("signal_one_level.json", [], 9),
+        # A 1-D grid of 35 * 8^13 (about 2^44.1) points, padded to itself,
+        # with two lines at its last two flat indices, where the oracle takes
+        # mulmod's limb path at its largest products.
+        ("signal_top_of_grid.json", [], 463),
+    ], ids=["3d", "3d-delta-ratio-2", "3d-seed-7", "one-level", "top-of-grid"])
+    def test_demo_spec(self, spec, flags, samples, capsys):
+        code, out = run(["verify", "--signal", str(DEMOS / spec)] + flags, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["success"] is True
+        if samples is not None:
+            assert report["samples"] == samples
 
     @pytest.mark.parametrize("command", ["transform", "verify"])
     def test_one_dimensional_file(self, command, tmp_path, capsys):

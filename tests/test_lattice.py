@@ -172,6 +172,12 @@ class TestRelativeL2Error:
         assert relative_l2_error({}, truth, lat) == pytest.approx(1.0)
         assert relative_l2_error({(3,): 1e300}, truth, lat) == pytest.approx(2 / 5**0.5)
 
+    def test_empty_truth(self):
+        # No norm to divide by: an empty result is exact, any line infinitely off.
+        lat = RankOneLattice(1, 8)
+        assert relative_l2_error({}, {}, lat) == 0.0
+        assert relative_l2_error({(3,): 1.0}, {}, lat) == math.inf
+
 
 class TestMdSfft:
     @pytest.mark.parametrize("dims,axis", [(1, 4096), (2, 64), (3, 16)])
@@ -232,6 +238,37 @@ class TestMdSfft:
             runs.append((got, ledger.unique_count))
         assert set(runs[0][0]) == set(entries)
         assert runs[1] == runs[0]
+
+    def test_oracle_runs_under_the_callers_error_state(self):
+        # An oracle whose own arithmetic overflows, harmlessly, under the
+        # caller's errstate(over="ignore"): md_sfft's raised errors used to
+        # reach it, and the run ended in EnvelopeError.
+        lat = RankOneLattice(2, 64)
+        entries = {(1, 2): 1.0, (30, 17): 0.75, (0, 5): 1.25}
+        inner = md_sample_adapter(entries, lat)
+
+        class Wasteful:
+            def sample_progression(self, *args):
+                np.float64(1e300) * 1e10  # overflows to inf, discarded
+                return inner.sample_progression(*args)
+
+        with np.errstate(over="ignore"):
+            got = md_sfft(Wasteful(), lat, SupportParams(r_bound=3), np.random.default_rng(0))
+        assert set(got) == set(entries)
+
+    def test_infinite_sample_names_the_oracle(self):
+        # It used to blame amplitudes far above mu.
+        lat = RankOneLattice(2, 64)
+        inner = md_sample_adapter({(1, 2): 1.0, (30, 17): 0.75, (0, 5): 1.25}, lat)
+
+        class Infinite:
+            def sample_progression(self, *args):
+                samples = inner.sample_progression(*args)
+                samples[0] = np.inf
+                return samples
+
+        with pytest.raises(EnvelopeError, match="the oracle's samples are not finite"):
+            md_sfft(Infinite(), lat, SupportParams(r_bound=3), np.random.default_rng(0))
 
     @pytest.mark.parametrize("e", [-1000, -3, 2, 600, 1000])
     def test_runs_in_units_of_mu(self, e, monkeypatch):
