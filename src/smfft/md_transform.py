@@ -127,24 +127,22 @@ def md_sfft(sampler, lattice: RankOneLattice, params: SupportParams,
     if stats is None:
         stats = {}
     stats.update(redraws=0, fallbacks=0, residual=None, bound=None, certified=None)
-    caller_errstate = np.geterr()
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            for attempt, (moduli, window) in enumerate(plans, 1):
-                stats.update(attempts=attempt, ladder_steps=len(moduli))
-                level = LastLevel(sampler, moduli, math.ldexp(1.0, -e),
-                                  caller_errstate)
-                try:
+        for attempt, (moduli, window) in enumerate(plans, 1):
+            stats.update(attempts=attempt, ladder_steps=len(moduli))
+            level = LastLevel(sampler, moduli, math.ldexp(1.0, -e))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
                     support = find_support(level, moduli, params, rng, window)
                     # Ladder padding can admit indices beyond M^d; those
                     # cannot be real.
                     support = support[support < n_total]
                     values = compute_values(support, level, n_total, params, rng,
                                             stats, certify=attempt < len(plans))
-                    break
-                except (CandidateBlowup, Uncertified):
-                    if attempt == len(plans):
-                        raise
+                break
+            except (CandidateBlowup, Uncertified):
+                if attempt == len(plans):
+                    raise
     except FloatingPointError as exc:
         raise EnvelopeError(f"a sum overflows in units of mu ({exc}): the "
                             "amplitudes lie far above mu") from exc

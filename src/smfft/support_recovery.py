@@ -373,16 +373,15 @@ class LastLevel:
     of the last level's probe rounds, or the base level's one period when
     the ladder has one level.  find_support runs on it, and the value stage
     reads the plan (one level or a ladder) and the kept rounds from it.
-    ``sampler`` runs under numpy's error state ``errstate`` (the one at
-    construction by default), so a caller's oracle keeps the error state
-    its caller chose.  Samples that overflow float64 in ``sampler``, or that
-    it returns as inf or NaN, raise EnvelopeError.
+    ``sampler`` runs under numpy's error state at construction, so a
+    caller's oracle keeps the error state its caller chose.  Samples that
+    overflow float64 in ``sampler``, or that it returns as inf or NaN,
+    raise EnvelopeError.
     """
 
-    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0,
-                 errstate: dict | None = None):
+    def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
         self.sampler, self.moduli, self.scale = sampler, moduli, scale
-        self.errstate = np.geterr() if errstate is None else errstate
+        self.errstate = np.geterr()
         self.qs: list[int] = []
         self.halves: list[np.ndarray] = []
 
