@@ -16,9 +16,6 @@ from .md_transform import (RankOneLattice, md_sample_adapter, md_sfft,
 from .signal import NoiseModel, SampleLedger
 from .support_recovery import SupportParams
 
-CSV_COLUMNS = ("N", "R", "d", "eta", "seed", "time_ms", "samples",
-               "rel_l2_error", "success")
-
 # Default sweeps: N = M^3 over a geometric grid (cost is N-independent, so
 # the sweep extends far past any dense baseline), and an R sweep at N ~ 1e8.
 BENCH_N_AXIS_SIZES = (102, 256, 645, 1626, 4096, 10321)
@@ -111,9 +108,11 @@ def bench_r_rows(axis_size: int = BENCH_R_AXIS_SIZE, dims: int = 3,
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    """The rows of a sweep, which holds at least one, as CSV under a header
+    of the first row's keys (:func:`scored_run`'s schema)."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_format(row[c]) for c in CSV_COLUMNS))
+        lines.append(",".join(_format(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 

@@ -30,9 +30,10 @@ class EnvelopeError(SmfftError):
     """The problem lies outside the pipeline's exact envelope.  Raised before
     any sample by SupportParams.k_base and plan_ladder (K or the padded N too
     large for the ladder's int64 arithmetic), by LastLevel when the oracle's
-    samples overflow float64 or are not finite, and by md_sfft when a scaled
-    sample or a sum of a stage overflows in units of mu: amplitudes far
-    above mu."""
+    samples overflow float64 or are not finite, by md_sfft when a scaled
+    sample or a sum of a stage overflows in units of mu (amplitudes far
+    above mu), and by compute_values when a kept value lies outside
+    [mu - 3*eta, delta_ratio*mu + 3*eta]."""
 
 
 class ParseError(SmfftError):

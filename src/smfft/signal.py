@@ -213,6 +213,15 @@ class Sampler:
         return out
 
 
+def _known_keys(section: dict, keys: tuple[str, ...], name: str) -> None:
+    """Reject a key of a spec file's ``section`` outside ``keys``: a typo
+    would otherwise fall back to the key's default."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ParseError(f"unknown {name} key {', '.join(map(repr, unknown))}; "
+                         f"expected {', '.join(keys)}")
+
+
 def _spec_float(value) -> float:
     """A real field of a spec file: a JSON number, not a boolean or string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -231,7 +240,9 @@ def load_signal_spec(path: str):
     seed outside [0, 2^64), a value or eta that is not a JSON number or is
     an integer too large for a float, or a noise section that is not an
     object or whose "kind" is not "gaussian" when eta > 0 and "none" when
-    eta = 0.
+    eta = 0.  So is a key the loader does not read: at the top level any
+    but "dims", "axis_size", "support", "values" and "noise", in the noise
+    section any but "kind", "eta" and "seed".
     """
     try:
         with open(path) as fh:
@@ -243,6 +254,7 @@ def load_signal_spec(path: str):
         axis = as_index(doc["axis_size"])
         support = doc["support"]
         values = doc["values"]
+        _known_keys(doc, ("dims", "axis_size", "support", "values", "noise"), "top-level")
         if len(support) != len(values):
             raise ParseError("support and values lengths differ")
         entries = {}
@@ -257,6 +269,7 @@ def load_signal_spec(path: str):
         noise_doc = doc.get("noise", {})
         if not isinstance(noise_doc, dict):
             raise ParseError(f"noise section {json.dumps(noise_doc)} is not an object")
+        _known_keys(noise_doc, ("kind", "eta", "seed"), "noise")
         noise = NoiseModel(eta=_spec_float(noise_doc.get("eta", 0.0)),
                            seed=as_index(noise_doc.get("seed", 0)))
         kind = noise_doc.get("kind", "none")

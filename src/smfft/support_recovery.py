@@ -348,18 +348,17 @@ def probe_index(n, q, m_k: int, k_base: int):
 
 def find_aliased_support(candidate: np.ndarray, m_k: int, params: SupportParams,
                          sampler, rng: np.random.Generator, rounds: int,
-                         k_base: int | None = None) -> np.ndarray:
+                         k_base: int) -> np.ndarray:
     """Prune a sorted int64 candidate array down to the aliased support at
     modulus m_k, returned as a sorted int64 array.
 
     Probes ``rounds`` independent shuffle rounds as one batch, each with a
-    window of ``k_base`` points (K = params.k_base by default), which must
+    window of ``k_base`` points (params.k_base or its half), which must
     divide m_k; a candidate survives only if its probe clears the threshold
     in every round.  True aliased support always survives (noiseless); each
     spurious candidate survives all rounds with probability at most
     ALPHA^rounds at K.
     """
-    k_base = k_base or params.k_base
     qs = np.array([sample_coprime(m_k, rng) for _ in range(rounds)])
     phi = compute_phi(sampler, m_k, k_base, qs, params.probe_x)
     probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
@@ -402,18 +401,18 @@ class LastLevel:
 
 
 def find_support(sampler, moduli: tuple[int, ...], params: SupportParams,
-                 rng: np.random.Generator, window: int | None = None) -> np.ndarray:
+                 rng: np.random.Generator, window: int) -> np.ndarray:
     """Full support search: dealias level by level along the ladder
     ``moduli`` from :func:`plan_ladder`, whose first is K, K/2 or a small
     grid.
 
     The base level is one DFT of moduli[0] points.  Every later level but
     the last runs :data:`INNER_ROUNDS` probe rounds with a window of
-    ``window`` points (K = params.k_base by default; K/2 on md_sfft's first
-    search, see :func:`plan_attempts`), the last :data:`LAST_ROUNDS` with
-    one of K points whatever ``window`` is.  Returns the support as a
-    sorted int64 array.  Run on a :class:`LastLevel`, it leaves there the
-    samples the value stage reads, in the window K.
+    ``window`` points (K = params.k_base, or K/2 on md_sfft's first search,
+    see :func:`plan_attempts`), the last :data:`LAST_ROUNDS` with one of K
+    points whatever ``window`` is.  Returns the support as a sorted int64
+    array.  Run on a :class:`LastLevel`, it leaves there the samples the
+    value stage reads, in the window K.
     """
     aliased = initial_aliased_support(sampler, moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]
@@ -428,5 +427,5 @@ def find_support(sampler, moduli: tuple[int, ...], params: SupportParams,
         last = m_k == moduli[-1]
         aliased = find_aliased_support(
             candidate, m_k, params, sampler, rng, LAST_ROUNDS if last else INNER_ROUNDS,
-            None if last else window)
+            params.k_base if last else window)
     return aliased

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import gaussian_half, mulmod, primes_below
-from .errors import ContractionFailure, Uncertified
+from .errors import ContractionFailure, EnvelopeError, Uncertified
 from .support_recovery import LastLevel, SupportParams
 
 BLOCKS = 4  # T; the contraction probability bound needs T >= 4
@@ -87,15 +87,14 @@ def prime_pool(r_bound: int, n_total: int) -> np.ndarray:
     return primes[start:start + count]
 
 
-def draw_measurement(support: np.ndarray, r_bound: int, n_total: int,
+def draw_measurement(support: np.ndarray, pool: np.ndarray,
                      rng: np.random.Generator, sampler) -> MeasurementSystem:
-    """Draw T primes i.i.d. from the pool, sample each grid and fold it into
-    the right-hand side f0hat at the support residues.
+    """Draw T primes i.i.d. from ``pool`` (:func:`prime_pool`), sample each
+    grid and fold it into the right-hand side f0hat at the support residues.
 
     ``support`` is an int64 array.  Draws are with replacement; a repeated
     prime simply weights its residue blocks twice in the normal equations.
     """
-    pool = prime_pool(r_bound, n_total)
     picks = pool[rng.integers(0, len(pool), BLOCKS)].tolist()
     class_ids = []
     f0hat = np.zeros(len(support))
@@ -155,14 +154,15 @@ def prime_grid_values(support: np.ndarray, n_total: int, params: SupportParams,
 
     Up to DRAWS measurement draws are attempted; each accepted draw is
     solved with Z = max(2, ceil(-log2 max(eta, 1e-10))) Neumann terms.
-    The prime pool is sized by max(R, |support|), so a support larger than
-    R does not lower the chance of a contracting draw.  Raises
-    ContractionFailure when every draw is rejected.
+    Every draw picks from one prime pool, built once and sized by
+    max(R, |support|), so a support larger than R does not lower the chance
+    of a contracting draw.  Raises ContractionFailure when every draw is
+    rejected.
     """
     z_terms = max(2, math.ceil(-math.log2(max(params.eta, 1e-10))))
+    pool = prime_pool(max(params.r_bound, len(support)), n_total)
     for attempt in range(DRAWS):
-        system = draw_measurement(support, max(params.r_bound, len(support)),
-                                  n_total, rng, sampler)
+        system = draw_measurement(support, pool, rng, sampler)
         solution, norms = neumann_solve(system, z_terms)
         if contraction_ok(norms):
             return solution, attempt
@@ -335,7 +335,7 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
 
 def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
                    params: SupportParams, rng: np.random.Generator,
-                   stats: dict | None = None, certify: bool = False) -> dict[int, float]:
+                   stats: dict, certify: bool = False) -> dict[int, float]:
     """Recover the spectrum values on the sorted int64 array ``support``
     from the rounds ``level`` kept of the last ladder level, to accuracy
     O(max(eta, 1e-10)); an empty support gives ``{}``.
@@ -350,7 +350,9 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     that stands, it records the fit's residual, bound and verdict
     (:attr:`Fit.certified`).  Entries below mu/2 are dropped: mu bounds
     every true amplitude from below, so they can only be spurious
-    survivors, whose exact value is zero.
+    survivors, whose exact value is zero.  A kept value outside the declared
+    range [mu - 3*eta, delta_ratio*mu + 3*eta], with a relative slack of
+    1e-9 for rounding, raises EnvelopeError, whichever source gave it.
     """
     if not support.size:
         return {}
@@ -363,10 +365,17 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
                               f"fit residual {fit.residual:.3g} above {fit.bound:.3g}")
         if fit is None:
             values, redraws = prime_grid_values(support, n_total, params, level, rng)
-            if stats is not None:
-                stats.update(fallbacks=1, redraws=redraws)
+            stats.update(fallbacks=1, redraws=redraws)
         else:
             values = fit.values
-            if stats is not None:
-                stats.update(residual=fit.residual, bound=fit.bound, certified=fit.certified)
-    return {j: float(v) for j, v in zip(support.tolist(), values) if v > params.mu / 2}
+            stats.update(residual=fit.residual, bound=fit.bound, certified=fit.certified)
+    keep = values > params.mu / 2
+    kept = values[keep]
+    low = (params.mu - 3 * params.eta) * (1 - 1e-9)
+    high = (params.delta_ratio * params.mu + 3 * params.eta) * (1 + 1e-9)
+    outside = kept[(kept < low) | (kept > high)]
+    if outside.size:
+        raise EnvelopeError(
+            f"kept value {outside[0] / params.mu:.6g} mu lies outside the declared "
+            f"range [{low / params.mu:.6g}, {high / params.mu:.6g}] mu")
+    return dict(zip(support[keep].tolist(), kept.tolist()))

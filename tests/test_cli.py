@@ -161,6 +161,15 @@ class TestTransform:
         assert main(["transform", "--signal", str(path)]) == EXIT_PARSE
         assert "does not match eta" in capsys.readouterr().err
 
+    def test_unknown_key_is_parse_error(self, tmp_path, capsys):
+        # A misspelt "noise" used to run noiseless samples and exit 0.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 3, "axis_size": 16,
+                                    "support": [[1, 2, 3], [0, 0, 1]], "values": [1.0, 0.5],
+                                    "nosie": {"kind": "gaussian", "eta": 0.01, "seed": 4}}))
+        assert main(["verify", "--signal", str(path)]) == EXIT_PARSE
+        assert "unknown top-level key 'nosie'" in capsys.readouterr().err
+
     def test_negative_eta_is_parse_error(self, tmp_path, capsys):
         # It used to recover the spectrum exactly and then report a value
         # failure (exit 4) against a negative error cap.
@@ -219,9 +228,10 @@ class TestTransform:
         # At 1e306 a sum over a period of samples leaves float64's range
         # unless the run works in units of mu; under pytest an overflow
         # warning is an error.  CI runs the same file through the installed
-        # entry point without --mu, where it exits 5.
+        # entry point without --mu, where it exits 5.  mu = 5e305 declares
+        # [mu, 3*mu] at the default delta_ratio, which holds the file's lines.
         assert max(json.loads(HUGE_SPEC.read_text())["values"]) == 1.25e306
-        code, out = run(["verify", "--signal", str(HUGE_SPEC), "--mu", "1e299"], capsys)
+        code, out = run(["verify", "--signal", str(HUGE_SPEC), "--mu", "5e305"], capsys)
         assert code == 0
         assert json.loads(out)["rel_l2_error"] < 1e-9
 
@@ -407,6 +417,18 @@ class TestEnvelope:
         assert ("outside the supported envelope: base modulus K bound"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("scale", [1e13, 1e15, 1e17])
+    def test_values_above_the_declared_range(self, scale, tmp_path, capsys):
+        # Lines f times [1.0, 0.75, 1.25] at the default mu = 0.5 and
+        # delta_ratio 3.  The oracle's rounding, about 1e-13 of the largest
+        # line, lit candidates far above mu: these runs exited 0 with 9 and
+        # 18 certified lines, and with 71 through the prime grids.
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 1, "axis_size": 100, "support": [5, 23, 71],
+                                    "values": [scale, 0.75 * scale, 1.25 * scale]}))
+        assert main(["verify", "--signal", str(path)]) == EXIT_ENVELOPE
+        assert "mu lies outside the declared range" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_success_exit_zero(self, signal_file, capsys):
@@ -522,9 +544,10 @@ class TestBench:
     def test_unset_flags_keep_function_defaults(self, command, args, kwargs,
                                                 capsys, monkeypatch):
         # The CLI passes on only the flags that were set, so it runs the
-        # sweep the bench function itself runs with those arguments.
+        # sweep the bench function itself runs with those arguments.  The
+        # stub returns one row, as every sweep does, for the CSV header.
         seen = []
-        monkeypatch.setattr(bench, "sweep", lambda *a: seen.append(a) or [])
+        monkeypatch.setattr(bench, "sweep", lambda *a: seen.append(a) or [{"N": 1}])
         assert main([command] + args) == 0
         {"bench-n": bench.bench_n_rows, "bench-r": bench.bench_r_rows}[command](**kwargs)
         assert seen[0] == seen[1]

@@ -400,6 +400,21 @@ class TestLoadSignalSpec:
         with pytest.raises(ParseError, match="does not match eta"):
             load_signal_spec(str(path))
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"nosie": {"kind": "gaussian", "eta": 0.01, "seed": 4}},
+         "unknown top-level key 'nosie'"),
+        ({"noise": {"kind": "gaussian", "eta": 0.01, "sed": 4}}, "unknown noise key 'sed'")],
+        ids=["top-level", "noise"])
+    def test_unknown_key(self, tmp_path, extra, message):
+        # A misspelt key used to fall back to its default: noiseless samples
+        # for "nosie", seed 0 for "sed".
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"dims": 3, "axis_size": 16,
+                                    "support": [[1, 2, 3], [0, 0, 1]],
+                                    "values": [1.0, 0.5], **extra}))
+        with pytest.raises(ParseError, match=message):
+            load_signal_spec(str(path))
+
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dims": 1, "axis_size": 4,

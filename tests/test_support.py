@@ -49,10 +49,9 @@ def reference_phi(sampler, m, k, q, x):
     return kernel @ folded / k
 
 
-def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds):
-    """The set-based probe loop: a window and an np.add.at fold per round, and
-    one Python-int probe index per candidate."""
-    k = params.k_base
+def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds, k):
+    """The set-based probe loop: a K-point window and an np.add.at fold per
+    round, and one Python-int probe index per candidate."""
     survivors = set(candidate)
     for _ in range(rounds):
         if not survivors:
@@ -714,7 +713,7 @@ class TestFindAliasedSupport:
             candidates.add(int(rng.integers(0, m)))
         got = find_aliased_support(np.array(sorted(candidates)), m, params,
                                    Sampler(spectrum), np.random.default_rng(1),
-                                   LAST_ROUNDS)
+                                   LAST_ROUNDS, params.k_base)
         assert got.tolist() == sorted(truth)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -736,7 +735,7 @@ class TestFindAliasedSupport:
         def run(find, cand):
             ledger, probe_rng = SampleLedger(), np.random.default_rng(seed + 10)
             survivors = find(cand, m, params, Sampler(spectrum, noise, ledger),
-                             probe_rng, LAST_ROUNDS)
+                             probe_rng, LAST_ROUNDS, k)
             return (sorted(int(n) for n in survivors), ledger.unique_count,
                     ledger.total_requests, probe_rng.integers(1 << 62))
 
@@ -762,9 +761,9 @@ class TestFindAliasedSupport:
         sampler = Sampler(spectrum, NoiseModel(eta=0.01, seed=3))
         candidate = np.arange(m, dtype=np.int64)
         got = find_aliased_support(candidate, m, params, sampler,
-                                   np.random.default_rng(5), rounds)
+                                   np.random.default_rng(5), rounds, k)
         assert got.tolist() == sorted(reference_find_aliased_support(
-            candidate.tolist(), m, params, sampler, np.random.default_rng(5), rounds))
+            candidate.tolist(), m, params, sampler, np.random.default_rng(5), rounds, k))
         probe_rng = np.random.default_rng(5)
         qs = [sample_coprime(m, probe_rng) for _ in range(rounds)]
         phi = compute_phi(sampler, m, k, qs, params.probe_x)
@@ -945,7 +944,7 @@ class TestFindSupport:
         params = SupportParams(r_bound=16)
         got = find_support(Sampler(SparseSpectrum(n, truth)),
                            plan_ladder(n, params.k_base), params,
-                           np.random.default_rng(seed + 100))
+                           np.random.default_rng(seed + 100), params.k_base)
         assert set(truth) <= set(got.tolist())
         lattice = RankOneLattice(dims=1, axis_size=n)
         entries = {(j,): v for j, v in truth.items()}
@@ -958,7 +957,7 @@ class TestFindSupport:
         spectrum = SparseSpectrum(64, {})
         params = SupportParams(r_bound=4)
         assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base),
-                            params, np.random.default_rng(0)).size == 0
+                            params, np.random.default_rng(0), params.k_base).size == 0
 
     def test_candidate_blowup_guard(self):
         # A wildly wrong mu makes every index pass the initial threshold.
@@ -969,7 +968,7 @@ class TestFindSupport:
         params = SupportParams(r_bound=2, mu=0.01)
         with pytest.raises(CandidateBlowup):
             find_support(Sampler(spectrum), plan_ladder(n, params.k_base),
-                         params, np.random.default_rng(0))
+                         params, np.random.default_rng(0), params.k_base)
 
     def test_spurious_output_within_p(self):
         # At most 2 (RHO - 1) R ALPHA^LAST_ROUNDS spurious lines reach the
@@ -985,8 +984,8 @@ class TestFindSupport:
         for seed in range(runs):
             entries, lattice, noise = random_instance(1 << 20, 2, 4, 1e-2, seed)
             moduli = plan_ladder(lattice.total, params.k_base)
-            got = set(find_support(md_sample_adapter(entries, lattice, noise), moduli,
-                                   params, np.random.default_rng(seed)).tolist())
+            got = set(find_support(md_sample_adapter(entries, lattice, noise), moduli, params,
+                                   np.random.default_rng(seed), params.k_base).tolist())
             truth = {flatten_index(key, lattice) for key in entries}
             spurious += bool(got - truth)
             missed += bool(truth - got)

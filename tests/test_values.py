@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import smfft.value_recovery as vr
 from smfft import bench, support_recovery
 from smfft.core_math import gaussian_half, next_fast_len, sample_coprime
-from smfft.errors import ContractionFailure, SmfftError, Uncertified
+from smfft.errors import ContractionFailure, EnvelopeError, SmfftError, Uncertified
 from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                                 md_sfft, relative_l2_error)
 from smfft.signal import NoiseModel, SampleLedger, Sampler, SparseSpectrum
@@ -35,7 +35,7 @@ def search(sampler, n, params, rng):
     """The support find_support returns, and the LastLevel it ran on."""
     moduli = plan_ladder(n, params.k_base)
     level = LastLevel(sampler, moduli)
-    return find_support(level, moduli, params, rng), level
+    return find_support(level, moduli, params, rng, params.k_base), level
 
 
 class TestPrimePool:
@@ -55,7 +55,7 @@ class TestPrimePool:
 class TestMeasurement:
     def test_residue_maps_and_rhs_shapes(self):
         _, sampler = make_instance(200, [3, 77, 150], [1.0, 1.0, 1.0])
-        sys_ = draw_measurement(np.array([3, 77, 150]), 3, 200,
+        sys_ = draw_measurement(np.array([3, 77, 150]), prime_pool(3, 200),
                                 np.random.default_rng(0), sampler)
         assert len(sys_.primes) == BLOCKS
         assert sys_.f0hat.shape == (3,) and sys_.f0hat.dtype == np.float64
@@ -68,7 +68,7 @@ class TestMeasurement:
     def test_one_request_per_conjugate_pair(self):
         spectrum = SparseSpectrum(200, {3: 1.0, 77: 1.0, 150: 1.0})
         ledger = SampleLedger()
-        sys_ = draw_measurement(np.array([3, 77, 150]), 3, 200,
+        sys_ = draw_measurement(np.array([3, 77, 150]), prime_pool(3, 200),
                                 np.random.default_rng(0), Sampler(spectrum, ledger=ledger))
         assert ledger.total_requests == sum(p // 2 + 1 for p in sys_.primes)
 
@@ -97,7 +97,7 @@ class TestOperators:
         rng = np.random.default_rng(1)
         support = sorted(int(j) for j in rng.choice(4096, 20, replace=False))
         _, sampler = make_instance(4096, support, [1.0] * 20)
-        system = draw_measurement(np.array(support), 20, 4096, rng, sampler)
+        system = draw_measurement(np.array(support), prime_pool(20, 4096), rng, sampler)
         dense = self._dense_normal(system, support)
         x = rng.normal(size=20)
         got = apply_normal(system, x)
@@ -112,7 +112,7 @@ class TestOperators:
         rng = np.random.default_rng(5)
         support = np.sort(rng.choice(1 << 40, 300, replace=False))
         _, sampler = make_instance(1 << 40, support.tolist(), [1.0] * 300)
-        system = draw_measurement(support, 5, 1 << 40, rng, sampler)
+        system = draw_measurement(support, prime_pool(5, 1 << 40), rng, sampler)
         x = rng.normal(size=300)
         expected = np.zeros_like(x)
         for p, ids in zip(system.primes, system.class_ids):
@@ -128,7 +128,7 @@ class TestOperators:
         support = sorted(int(j) for j in rng.choice(4096, 15, replace=False))
         amps = rng.uniform(0.5, 1.5, 15)
         _, sampler = make_instance(4096, support, amps)
-        system = draw_measurement(np.array(support), 15, 4096, rng, sampler)
+        system = draw_measurement(np.array(support), prime_pool(15, 4096), rng, sampler)
         expected = self._dense_normal(system, support) @ amps
         assert np.allclose(system.f0hat, expected, atol=1e-9)
 
@@ -142,7 +142,7 @@ class TestOperators:
         support = np.sort(rng.choice(1 << 30, 40, replace=False))
         spectrum = SparseSpectrum(1 << 30, {int(j): 1.0 for j in support})
         sampler = Sampler(spectrum, NoiseModel(eta, 1))
-        system = draw_measurement(support, 40, 1 << 30, rng, sampler)
+        system = draw_measurement(support, prime_pool(40, 1 << 30), rng, sampler)
         expected = np.zeros(len(support))
         for p in system.primes:
             half = sampler.sample_progression(0, 1, p // 2 + 1, p)
@@ -157,7 +157,7 @@ class TestOperators:
         support = sorted(int(j) for j in rng.choice(10000, 12, replace=False))
         amps = rng.uniform(0.5, 1.5, 12)
         _, sampler = make_instance(10000, support, amps)
-        system = draw_measurement(np.array(support), 12, 10000, rng, sampler)
+        system = draw_measurement(np.array(support), prime_pool(12, 10000), rng, sampler)
         solution, norms = neumann_solve(system, 40)
         if contraction_ok(norms):
             assert np.allclose(solution, amps, atol=1e-8)
@@ -195,7 +195,7 @@ class TestComputeValues:
         _, sampler = make_instance(n, support, amps)
         params, rng = SupportParams(r_bound=30), np.random.default_rng(seed + 50)
         found, level = search(sampler, n, params, rng)
-        values = compute_values(found, level, n, params, rng)
+        values = compute_values(found, level, n, params, rng, {})
         assert sorted(values) == support
         for j, a in zip(support, amps):
             assert values[j] == pytest.approx(a, abs=1e-8)
@@ -212,7 +212,7 @@ class TestComputeValues:
         padded = np.array(sorted(true + [7, 9999]))
         fitted = vr.fit_values(padded, level, params).values
         assert np.abs(fitted[[0, 3]]).max() < 1e-10
-        values = compute_values(padded, level, n, params, rng)
+        values = compute_values(padded, level, n, params, rng, {})
         assert sorted(values) == true
 
     def test_noisy_accuracy(self):
@@ -224,7 +224,7 @@ class TestComputeValues:
         sampler = Sampler(spectrum, NoiseModel(0.01, 3))
         params, rng = SupportParams(r_bound=50, eta=0.01), np.random.default_rng(2)
         found, level = search(sampler, n, params, rng)
-        values = compute_values(found, level, n, params, rng)
+        values = compute_values(found, level, n, params, rng, {})
         err = np.sqrt(sum((values.get(j, 0.0) - a) ** 2
                           for j, a in zip(support, amps)))
         assert err / np.linalg.norm(amps) < 3e-2
@@ -239,7 +239,7 @@ class TestComputeValues:
         params, rng = bench.make_params(256, 0.0), np.random.default_rng(2)
         sampler = md_sample_adapter(entries, lattice, noise)
         support = find_support(sampler, plan_ladder(lattice.total, params.k_base),
-                               params, rng)
+                               params, rng, params.k_base)
         support = support[support < lattice.total]
         values, redraws = prime_grid_values(support, lattice.total, params, sampler, rng)
         assert redraws == 1
@@ -286,6 +286,17 @@ class TestComputeValues:
         for j, a in zip(support, amps):
             assert values[(j,)] == pytest.approx(a, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(465, 3, 50, 1e-2), (256, 2, 256, 0.0)])
+    def test_values_below_the_declared_range(self, shape):
+        # mu = 2.0 on lines in [0.5, 1.5]: these runs returned 22-147 values
+        # below mu, wrong and uncertified, with no error.
+        axis, dims, r, eta = shape
+        for seed in range(3):
+            entries, lattice, noise = bench.random_instance(axis, dims, r, eta, 8100 + seed)
+            with pytest.raises(EnvelopeError, match="mu lies outside the declared range"):
+                md_sfft(md_sample_adapter(entries, lattice, noise), lattice,
+                        SupportParams(r_bound=r, mu=2.0, eta=eta), np.random.default_rng(seed))
+
     def test_fallback_draws_through_the_level(self, monkeypatch):
         # When the fit misses, the prime grids are drawn through the
         # LastLevel: every grid request reaches the wrapped oracle's ledger,
@@ -314,20 +325,22 @@ class TestComputeValues:
         _, sampler = make_instance(64, [1], [1.0])
         assert compute_values(np.array([], dtype=np.int64), LastLevel(sampler, (64,)),
                               64, SupportParams(r_bound=1),
-                              np.random.default_rng(0)) == {}
+                              np.random.default_rng(0), {}) == {}
 
     def test_contraction_failure_raised(self, monkeypatch):
         # If no draw ever certifies contraction, the redraw loop gives up
-        # after its 14 draws.
+        # after its 14 draws, all from the one prime pool it builds.
         monkeypatch.setattr(vr, "contraction_ok", lambda norms: False)
         draw, picks = vr.draw_measurement, []
         monkeypatch.setattr(vr, "draw_measurement",
                             lambda *args: picks.append(1) or draw(*args))
+        pool, pools = vr.prime_pool, []
+        monkeypatch.setattr(vr, "prime_pool", lambda *args: pools.append(1) or pool(*args))
         _, sampler = make_instance(4096, [1, 2000], [1.0, 1.0])
         with pytest.raises(ContractionFailure, match="all 14 measurement draws"):
             prime_grid_values(np.array([1, 2000]), 4096, SupportParams(r_bound=2),
                               sampler, np.random.default_rng(0))
-        assert len(picks) == vr.DRAWS == 14
+        assert len(picks) == vr.DRAWS == 14 and len(pools) == 1
 
 
 def dense_normal(bins, k_base, width):
@@ -419,10 +432,11 @@ class TestFit:
         assert ledger.unique_count == 16 // 2 + 1
         assert got == pytest.approx(entries, abs=1e-14)
         # Every index filled: adjacent lines overlap in the one round q = 1,
-        # where the fit reads 1.6e-4 off and the DFT 1e-14.
+        # where the fit reads 1.6e-4 off and the DFT 1e-14.  The lines reach
+        # 2.0, so the declared range is [0.5, 2.0]: delta_ratio 4.
         entries = {(j,): 0.5 + 0.1 * j for j in range(16)}
         got = md_sfft(md_sample_adapter(entries, lattice), lattice,
-                      SupportParams(r_bound=16), np.random.default_rng(0))
+                      SupportParams(r_bound=16, delta_ratio=4), np.random.default_rng(0))
         assert got == pytest.approx(entries, abs=1e-12)
 
     @pytest.mark.parametrize("axis,dims,sparsity", [
@@ -598,7 +612,7 @@ class TestFirstAttempt:
             assert fit.residual > 5 * fit.bound, seed
             with pytest.raises(Uncertified, match="residual"):
                 compute_values(lost, level, lattice.total, params,
-                               np.random.default_rng(0), certify=True)
+                               np.random.default_rng(0), {}, certify=True)
 
     def test_identity_matches_the_direct_residual(self):
         # The certificate's residual, from the fit's own rhs and normal
