@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 # Largest modulus for which mulmod stays exact in int64: with operands
-# below 2^46, its 16-bit limb products stay below 2^62.
+# below 2^46, the float quotient of a product is off by at most 1.
 MAX_MODULUS = 1 << 46
 
 
@@ -31,15 +31,22 @@ def mulmod(n, q, m: int):
 
     ``n`` is an int or an int64 array with entries in [0, m), and q is an
     int or an int64 array in [0, m) that broadcasts against n.  While
-    (m - 1) * max(q) < 2^63 the product is one int64 product; otherwise it
-    is reduced in 16-bit limbs of q, so no intermediate exceeds 2^62.
+    (m - 1) * max(q) < 2^63 the product is one int64 product.  Otherwise
+    two ints multiply exactly as Python ints, and arrays subtract the
+    float quotient's multiple of m from n*q in wrapping int64 arithmetic:
+    below 2^46 that quotient is off by at most 1, so the difference lies
+    in (-m, 2m) and one correction on each side reduces it.
     """
     top = q.max(initial=0) if isinstance(q, np.ndarray) else q
     if (int(m) - 1) * int(top) < 1 << 63:
         return n * q % m
-    s = 0
-    for shift in (32, 16, 0):
-        s = ((s << 16) + n * ((q >> shift) & 0xFFFF)) % m
+    if not isinstance(n, np.ndarray) and not isinstance(q, np.ndarray):
+        return int(n) * int(q) % m
+    quotient = np.multiply(n, q, dtype=float)
+    quotient /= m
+    s = n * q - np.floor(quotient, out=quotient).astype(np.int64) * m
+    s += m * (s < 0)
+    s -= m * (s >= m)
     return s
 
 

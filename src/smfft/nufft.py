@@ -6,7 +6,8 @@ gridding (Dutt-Rokhlin / Greengard-Lee): spread each source onto a 2x
 oversampled grid, take one FFT, and divide out the kernel's transform.
 The caller phases c_j to the middle mode, where it can make that phase exact.
 
-One call costs O(R + count log count).  With spreading width 28 the
+One row of sources costs O(R + count log count), and a call may hold many
+rows of one count.  With spreading width 28 the
 relative error is ~1e-13 of the l1 norm of the input, far below the
 accuracy targets of the recovery pipeline.
 """
@@ -27,6 +28,10 @@ _MSP = 2 * _SPREAD_HALF
 _OFFSETS = np.arange(-_SPREAD_HALF, _SPREAD_HALF + 1)
 # The kernel's exponent per squared cell, (pi/grid)^2 / tau: the grid cancels.
 _KERNEL_RATE = math.pi * math.sqrt(2.0) / _MSP
+# Kernel cells spread per block of rows (at least one row): numpy's ufunc
+# buffer size, so that a batch's temporaries stay the size of about one
+# row of R = 256, under the heap sizes at which glibc trims and re-faults.
+_BLOCK = 1 << 13
 
 
 def middle(count: int) -> int:
@@ -63,29 +68,55 @@ def _plan(count: int):
 def nufft_exp_sum(coeffs: np.ndarray, nu: np.ndarray,
                   count: int) -> np.ndarray:
     """Approximate F(k) = sum_j c_j * exp(-2*pi*i*(k - middle(count))*nu_j),
-    c = coeffs.  For sum_j c_j * exp(-2*pi*i*(k0 + k)*nu_j), pass the
-    coefficients c_j * exp(-2*pi*i*(k0 + middle(count))*nu_j).
+    c = coeffs, for each row of sources.  For sum_j c_j *
+    exp(-2*pi*i*(k0 + k)*nu_j), pass the coefficients c_j *
+    exp(-2*pi*i*(k0 + middle(count))*nu_j).
 
     Parameters
     ----------
-    coeffs : complex array (R,), phased to the middle mode middle(count)
-    nu : float array (R,), frequencies in [0, 1)
+    coeffs : complex array (..., R), phased to the middle mode middle(count)
+    nu : float array (..., R), frequencies in [0, 1)
     count : int, number of grid indices k = 0..count-1
+
+    Returns the complex array (..., count).  Rows are spread and
+    transformed a block at a time (:data:`_BLOCK`), row r of a block into
+    its slice r*(grid + _MSP) of one padded grid, and each block takes one
+    FFT along its rows.
     """
     grid, index, correction = _plan(count)
-    pos = np.asarray(nu, dtype=float) * grid
+    shape, width = np.shape(nu), grid + _MSP
+    pos = np.asarray(nu, dtype=float).reshape(math.prod(shape[:-1]), shape[-1]) * grid
     near = np.rint(pos)
-    # The Gaussian at the _MSP + 1 cells nearest each source, in place.
-    kernel = np.add.outer(near - pos, _OFFSETS)
-    np.square(kernel, out=kernel)
-    kernel *= -_KERNEL_RATE
-    np.exp(kernel, out=kernel)
-    # Spread into the grid padded _SPREAD_HALF cells a side, fold the wings.
-    cells = (near.astype(np.int64) % grid)[:, None] + (_OFFSETS + _SPREAD_HALF)
-    padded = np.zeros(grid + _MSP, dtype=complex)
-    np.add.at(padded, cells.ravel(),
-              (np.asarray(coeffs, dtype=complex)[:, None] * kernel).ravel())
-    fine = padded[_SPREAD_HALF:grid + _SPREAD_HALF]
-    fine[:_SPREAD_HALF] += padded[grid + _SPREAD_HALF:]
-    fine[-_SPREAD_HALF:] += padded[:_SPREAD_HALF]
-    return np.fft.fft(fine)[index] * correction
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(pos.shape)
+    out = np.empty((len(pos), count), dtype=complex)
+    step = max(1, _BLOCK // ((_MSP + 1) * shape[-1] or 1))
+    for lo in range(0, len(pos), step):
+        rows = slice(lo, lo + step)
+        # The Gaussian at the _MSP + 1 cells nearest each source, in place.
+        kernel = np.empty(near[rows].shape + (_MSP + 1,))
+        kernel[...] = _OFFSETS
+        kernel += (near[rows] - pos[rows])[..., None]
+        np.square(kernel, out=kernel)
+        kernel *= -_KERNEL_RATE
+        np.exp(kernel, out=kernel)
+        # Spread into the grid padded _SPREAD_HALF cells a side, viewed as
+        # interleaved floats, the real parts and then the imaginary ones
+        # (the sums a complex spread makes); then fold the wings.
+        padded = np.zeros((len(kernel), width), dtype=complex)
+        flat = padded.reshape(-1).view(float)
+        first = near[rows].astype(np.int64) % grid
+        first += width * np.arange(len(first))[:, None]
+        cells = np.empty(kernel.shape, dtype=np.int64)
+        cells[...] = 2 * (_OFFSETS + _SPREAD_HALF)
+        cells += 2 * first[..., None]
+        weights = np.multiply(kernel, coeffs[rows].real[..., None])
+        np.add.at(flat, cells.ravel(), weights.ravel())
+        cells += 1
+        np.multiply(kernel, coeffs[rows].imag[..., None], out=weights)
+        np.add.at(flat, cells.ravel(), weights.ravel())
+        del kernel, cells, weights
+        fine = padded[:, _SPREAD_HALF:grid + _SPREAD_HALF]
+        fine[:, :_SPREAD_HALF] += padded[:, grid + _SPREAD_HALF:]
+        fine[:, -_SPREAD_HALF:] += padded[:, :_SPREAD_HALF]
+        np.multiply(np.fft.fft(fine)[:, index], correction, out=out[rows])
+    return out.reshape(shape[:-1] + (count,))

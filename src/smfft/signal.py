@@ -172,6 +172,10 @@ class Sampler:
     (start*j + k*step*j) mod den: one exponential sum in k, evaluated by
     gridded nufft in O(R + count log count), centred on the middle point
     c = start + middle(count)*step, where the phases (c*j) mod den are exact.
+    A request may hold one such progression per entry of an int64 array of
+    steps, all of one length over one denominator: a point written over a
+    multiple of its denominator, (a*f)/(d*f), is the same point, with the
+    same noise and ledger entry.
     """
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
@@ -185,9 +189,12 @@ class Sampler:
         wide = support and support[-1] >= 1 << 63
         self._support = np.array(support, dtype=object if wide else np.int64)
 
-    def sample_progression(self, start: int, step: int, count: int,
+    def sample_progression(self, start: int, step: int | np.ndarray, count: int,
                            den: int) -> np.ndarray:
-        """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1.
+        """Samples of f at ((start + k*step) mod den)/den for k = 0..count-1,
+        one row per step: ``step`` is an int or an int64 array, and the
+        result has shape np.shape(step) + (count,).  A batch of rows is one
+        ledger record, one noise hash and one nufft pass.
 
         Whatever the caller's numpy error state, a sum that overflows
         float64 or turns invalid raises FloatingPointError."""
@@ -198,14 +205,16 @@ class Sampler:
         if den > MAX_MODULUS or (int(den) - 1) * int(count) >= 1 << 63:
             raise ValueError("progression exceeds exact-arithmetic guards")
         start %= den
-        step %= den
-        nums = (start + step * np.arange(count, dtype=np.int64)) % den
+        step = np.asarray(step % den, dtype=np.int64)[..., None]
+        nums = np.multiply(step, np.arange(count, dtype=np.int64))
+        nums += start
+        nums %= den
         if self.ledger is not None:
             self.ledger.record(nums, den)
 
         with np.errstate(over="raise", invalid="raise"):
             jr = (self._support % den).astype(np.int64)
-            centre = (int(start) + middle(count) * int(step)) % den
+            centre = (start + middle(count) * step) % den
             phase = np.exp((-_TWO_PI * mulmod(jr, centre, den)) / den * 1j)
             out = nufft_exp_sum(self._amps * phase, mulmod(jr, step, den) / den, count)
             if self.noise.eta > 0:

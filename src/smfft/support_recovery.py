@@ -4,9 +4,11 @@ The ladder starts at a base modulus K sized so a full size-K DFT is cheap,
 then grows the working modulus by bounded factors.  At each level the
 candidate set (translated copies of the previous aliased support) is pruned
 by randomized probe rounds, run as one batch: shuffle frequencies by one
-random coprime multiplier q per round (one oracle call each), weight each
-round's samples by a Gaussian window, take one batched size-K transform,
-and keep the candidates whose probe clears the threshold in every round.
+random coprime multiplier q per round, weight each round's samples by a
+Gaussian window, take one batched size-K transform, and keep the
+candidates whose probe clears the threshold in every round.  No sample
+depends on the data, so find_support requests a whole search's samples
+before the first level, one oracle call per request length.
 Nonnegativity of the spectrum guarantees true support always survives;
 random shuffling makes spurious candidates fail some round with high
 probability.  The inner levels run just enough rounds that spurious
@@ -14,8 +16,8 @@ survivors do not compound from level to level (:data:`INNER_ROUNDS`).  Only
 the last level's spurious survivors reach the output, and the value stage
 fits each to about 0 and drops it, so the last level runs just enough
 rounds that those few extra unknowns leave the fit well conditioned
-(:data:`LAST_ROUNDS`).  compute_phi, probe_index and core_math.mulmod take
-q as an int64 array that broadcasts.
+(:data:`LAST_ROUNDS`).  probe_index and core_math.mulmod take q as an int64
+array that broadcasts.
 
 From R = :data:`HALF_K_FROM` on, md_sfft first searches with K/2-point
 windows at the inner levels and the K-point one at the last, on the ladder
@@ -24,7 +26,7 @@ from K where that has fewer levels than the one from K/2, else on that one
 
 The spectrum is real, so f(-x) = conj f(x): every period of samples, the
 base level's and each probe round's, is requested for its offsets 0..P//2
-only, in one oracle call, and transformed from that half by a real inverse
+only, as one row of a batch, and transformed from that half by a real inverse
 FFT of size K.  The window is even, so it is evaluated on that half alone,
 the weighted period stays Hermitian, and irfft reads only the real part of
 the K/2 sample when K is even.
@@ -301,36 +303,32 @@ def dealias_candidates(aliased: np.ndarray, m_k: int, rho_k: int) -> np.ndarray:
     return (m_k * np.arange(rho_k, dtype=np.int64)[:, None] + aliased).ravel()
 
 
-def initial_aliased_support(sampler, m1: int, params: SupportParams) -> np.ndarray:
-    """Aliased support at the base level via one full size-M_1 DFT, as a
-    sorted int64 array.
+def initial_aliased_support(samples: np.ndarray, m1: int, params: SupportParams) -> np.ndarray:
+    """Aliased support at the base level via one full size-M_1 DFT of the
+    half period ``samples`` (f at k/M_1, k = 0..M_1//2), as a sorted int64
+    array.
 
     The aliased coefficients are sums of nonnegative entries, so an index is
     in the aliased support iff its coefficient clears the threshold.
     """
-    fhat = np.fft.irfft(sampler.sample_progression(0, 1, m1 // 2 + 1, m1), n=m1)
+    fhat = np.fft.irfft(samples, n=m1)
     return np.flatnonzero(np.abs(fhat) >= params.threshold).astype(np.int64, copy=False)
 
 
-def compute_phi(sampler, m_k: int, k_base: int, qs, x: float) -> np.ndarray:
-    """Probe spectra phi at the K grid points j*M_k/K, one row per Q in the
-    ints or int64 array ``qs``.
+def compute_phi(rows: np.ndarray, k_base: int, x: float) -> np.ndarray:
+    """Probe spectra phi at the K grid points j*M_k/K, one per row of the
+    L x (K//2 + 1) samples ``rows``.
 
-    Row Q samples f at (m*Q mod M)/M, which under the convention
-    f(y) = sum_l fhat_l*exp(-2*pi*i*l*y) relabels line l to l*Q.  One
-    oracle call per row requests the half m = 0..K//2 of the K-point window
-    -(K-1)//2..K//2; the rest are its conjugates.  The half is weighted by
-    the even Gaussian (2x/sqrt(pi))*exp(-(2x*m/K)^2) and transformed by a
-    real size-K inverse DFT (kernel exp(+2*pi*i*n*m/K)/K), so a line of
-    amplitude a, d bins from grid point n of a row's shuffled spectrum,
-    reads about a*exp(-(d*pi/(2x))^2) there, matching :func:`probe_index`.
+    Row Q holds f at (m*Q mod M_k)/M_k, m = 0..K//2, which under the
+    convention f(y) = sum_l fhat_l*exp(-2*pi*i*l*y) relabels line l to l*Q:
+    the half of the K-point window -(K-1)//2..K//2 whose rest are its
+    conjugates.  The half is weighted by the even Gaussian
+    (2x/sqrt(pi))*exp(-(2x*m/K)^2) and transformed by a real size-K inverse
+    DFT (kernel exp(+2*pi*i*n*m/K)/K), so a line of amplitude a, d bins from
+    grid point n of a row's shuffled spectrum, reads about
+    a*exp(-(d*pi/(2x))^2) there, matching :func:`probe_index`.
     """
-    if m_k % k_base != 0:
-        raise ValueError("k_base must divide m_k")
-    half = np.empty((len(qs), k_base // 2 + 1), dtype=complex)
-    for row, q in zip(half, qs):
-        row[:] = sampler.sample_progression(0, q, half.shape[1], m_k)
-    half *= 2 * x / math.sqrt(math.pi) * gaussian_half(k_base, x)
+    half = rows * (2 * x / math.sqrt(math.pi) * gaussian_half(k_base, x))
     return np.fft.irfft(half, n=k_base, axis=1)
 
 
@@ -347,31 +345,34 @@ def probe_index(n, q, m_k: int, k_base: int):
 
 
 def find_aliased_support(candidate: np.ndarray, m_k: int, params: SupportParams,
-                         sampler, rng: np.random.Generator, rounds: int,
-                         k_base: int) -> np.ndarray:
+                         rows: np.ndarray, qs: np.ndarray, k_base: int) -> np.ndarray:
     """Prune a sorted int64 candidate array down to the aliased support at
     modulus m_k, returned as a sorted int64 array.
 
-    Probes ``rounds`` independent shuffle rounds as one batch, each with a
-    window of ``k_base`` points (params.k_base or its half), which must
-    divide m_k; a candidate survives only if its probe clears the threshold
-    in every round.  True aliased support always survives (noiseless); each
-    spurious candidate survives all rounds with probability at most
-    ALPHA^rounds at K.
+    Probes the shuffle rounds ``qs`` (an int64 array of multipliers
+    coprime to m_k) as one batch, each from its row of ``rows``, f at
+    (m*q mod m_k)/m_k for m = 0..k_base//2, with a window of ``k_base``
+    points (params.k_base or its half), which must divide m_k; a candidate
+    survives only if its probe clears the threshold in every round.  True
+    aliased support always survives (noiseless); each spurious candidate
+    survives all rounds with probability at most ALPHA^rounds at K.
     """
-    qs = np.array([sample_coprime(m_k, rng) for _ in range(rounds)])
-    phi = compute_phi(sampler, m_k, k_base, qs, params.probe_x)
-    probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m_k, k_base), 1)
-    return candidate[(np.abs(probes) >= params.threshold).all(axis=0)]
+    if m_k % k_base != 0:
+        raise ValueError("k_base must divide m_k")
+    phi = compute_phi(rows, k_base, params.probe_x).ravel()
+    index = probe_index(candidate, qs[:, None], m_k, k_base)
+    index += k_base * np.arange(len(qs))[:, None]
+    return candidate[(np.abs(phi[index]) >= params.threshold).all(axis=0)]
 
 
 class LastLevel:
-    """A run's one oracle: it passes every request on to ``sampler``,
-    scales the samples by ``scale``, and keeps those at the last modulus of
-    the ladder ``moduli``: the shuffles q_r (the steps) and raw half periods
-    of the last level's probe rounds, or the base level's one period when
-    the ladder has one level.  find_support runs on it, and the value stage
-    reads the plan (one level or a ladder) and the kept rounds from it.
+    """A run's one oracle: it passes every request on to ``sampler`` and
+    scales the samples by ``scale``; it holds the ladder ``moduli`` and,
+    once :func:`find_support` has run on it, the last level's shuffles
+    ``qs`` and raw half periods ``halves`` (or, when the ladder has one
+    level, that level's step 1 and its one period).  The value stage reads
+    the plan (one level or a ladder) and those rounds from it, and draws
+    its prime grids, if any, through it.
     ``sampler`` runs under numpy's error state at construction, so a
     caller's oracle keeps the error state its caller chose.  Samples that
     overflow float64 in ``sampler``, or that it returns as inf or NaN,
@@ -381,8 +382,8 @@ class LastLevel:
     def __init__(self, sampler, moduli: tuple[int, ...], scale: float = 1.0):
         self.sampler, self.moduli, self.scale = sampler, moduli, scale
         self.errstate = np.geterr()
-        self.qs: list[int] = []
-        self.halves: list[np.ndarray] = []
+        self.qs = np.zeros(0, dtype=np.int64)
+        self.halves = np.zeros((0, 0), dtype=complex)
 
     def sample_progression(self, start, step, count, den):
         try:
@@ -394,9 +395,6 @@ class LastLevel:
             raise EnvelopeError("the oracle's samples are not finite")
         if self.scale != 1.0:
             samples = samples * self.scale
-        if den == self.moduli[-1]:
-            self.qs.append(step)
-            self.halves.append(samples)
         return samples
 
 
@@ -411,10 +409,34 @@ def find_support(sampler, moduli: tuple[int, ...], params: SupportParams,
     ``window`` points (K = params.k_base, or K/2 on md_sfft's first search,
     see :func:`plan_attempts`), the last :data:`LAST_ROUNDS` with one of K
     points whatever ``window`` is.  Returns the support as a sorted int64
-    array.  Run on a :class:`LastLevel`, it leaves there the samples the
-    value stage reads, in the window K.
+    array.
+
+    The sampling does not depend on the data, so it is planned and drawn
+    first: every level's shuffles q, level by level, then every period
+    written over the last modulus M (offset m of a w-point window at M_k
+    is (m*q*(M/M_k) mod M)/M, the base's step M/M_1), in one oracle call per
+    request length.  An empty support or CandidateBlowup at some level
+    leaves the later levels' samples drawn and unread.  Run on a
+    :class:`LastLevel`, it leaves there the last level's shuffles and rows,
+    the samples the value stage reads, in the window K.
     """
-    aliased = initial_aliased_support(sampler, moduli[0], params)
+    m = moduli[-1]
+    # Level 0, the base, samples one period at step 1 over M_1.
+    windows = [moduli[0], *[window] * (len(moduli) - 2), params.k_base][:len(moduli)]
+    qs = [np.ones(1, dtype=np.int64)] + [np.array([sample_coprime(m_k, rng) for _ in range(
+        LAST_ROUNDS if m_k == m else INNER_ROUNDS)], dtype=np.int64) for m_k in moduli[1:]]
+    counts = [w // 2 + 1 for w in windows]
+    rows = [None] * len(moduli)
+    for count in dict.fromkeys(counts):
+        group = [i for i, c in enumerate(counts) if c == count]
+        batch = sampler.sample_progression(
+            0, np.concatenate([qs[i] * (m // moduli[i]) for i in group]), count, m)
+        split = np.cumsum([len(qs[i]) for i in group[:-1]])
+        for i, part in zip(group, np.split(batch, split)):
+            rows[i] = part
+    if isinstance(sampler, LastLevel):
+        sampler.qs, sampler.halves = qs[-1], rows[-1]
+    aliased = initial_aliased_support(rows[0][0], moduli[0], params)
     cap = CANDIDATE_CAP_FACTOR * RHO * moduli[0]
     for level, (m_prev, m_k) in enumerate(zip(moduli, moduli[1:]), 1):
         if not aliased.size:  # an empty support stays empty
@@ -424,8 +446,6 @@ def find_support(sampler, moduli: tuple[int, ...], params: SupportParams,
             raise CandidateBlowup(
                 f"{len(candidate)} candidates at level {level} exceed cap {cap}; "
                 "check the sparsity bound R and the mu/delta_ratio estimates")
-        last = m_k == moduli[-1]
-        aliased = find_aliased_support(
-            candidate, m_k, params, sampler, rng, LAST_ROUNDS if last else INNER_ROUNDS,
-            params.k_base if last else window)
+        aliased = find_aliased_support(candidate, m_k, params, rows[level], qs[level],
+                                       windows[level])
     return aliased

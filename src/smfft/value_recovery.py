@@ -1,7 +1,8 @@
 """Value recovery on a known support, from the last ladder level's samples.
 
 The last ladder level requests L half periods y_r[m] = f((m*q_r mod M)/M),
-m = 0..K/2, one per shuffle q_r, and support_recovery.LastLevel keeps them.
+m = 0..K/2, one per shuffle q_r, and support_recovery.find_support leaves
+them on the run's LastLevel.
 In round r, line j sits at bin u_rj = K*(q_r*j mod M)/M of K bins.  Each
 half is weighted by the Gaussian g(m) = exp(-(2x*m/K)^2), the probe's window
 at a larger x cut at CG's tolerance (:func:`fit_window`), and transformed by
@@ -287,14 +288,18 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     tol = fit_tolerance(params)
     cut, width, footprint, reach = fit_window(tol)
     k_base, modulus = params.k_base, level.moduli[-1]
-    bins = mulmod(support, np.array(level.qs)[:, None], modulus) / (modulus // k_base)
+    bins = mulmod(support, level.qs[:, None], modulus) / (modulus // k_base)
     window = gaussian_half(k_base, cut)
-    phi = np.fft.irfft(np.array(level.halves) * window, n=k_base, axis=1)
+    phi = np.fft.irfft(level.halves * window, n=k_base, axis=1)
     # A^T phi, divided by C*s*sqrt(pi/2) = K/sqrt(2) (irfft's 1/K and the
     # sqrt(2)), read from the bins floor(u) + offsets around each line, out
     # of each round's spectrum wrapped as often as K needs.
     offsets = np.arange(-footprint, footprint + 2)
     wrapped = np.take(phi, np.arange(-footprint, k_base + footprint + 1), axis=1, mode="wrap")
+    # phi is read no more: freed before the fit's two largest arrays, it
+    # lowers the fit's peak, the heap a trial grows and glibc trims again.
+    phi_norm = math.sqrt(phi.ravel() @ phi.ravel())
+    del phi
     first = np.floor(bins)
     reads = sliding_window_view(wrapped, len(offsets), axis=1)[
         np.arange(len(bins))[:, None], first.astype(np.int64)]
@@ -325,7 +330,6 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     # ||phi - A*a||^2 = ||phi||^2 - 2 a.A^T phi + a.A^T A a, and A^T phi and
     # A^T A are rhs and the normal matrix times 1/(s*sqrt(2*pi)).
     kept = np.where(x > params.mu / 2, x, 0.0)
-    phi_norm = math.sqrt(phi.ravel() @ phi.ravel())
     square = (phi_norm**2 - (2 * kept @ rhs - kept @ normal(kept))
               / (width * math.sqrt(2 * math.pi)))
     # sum_m g(m)^2 over the K offsets -(K-1)//2..K//2, g(0) = 1 counted once.
@@ -344,9 +348,8 @@ def compute_values(support: np.ndarray, level: LastLevel, n_total: int,
     values are its full DFT at the support.  Otherwise they are fitted
     (:func:`fit_values`).  With ``certify``, a CG miss or a residual above
     its bound raises Uncertified.  Without it, a CG miss makes
-    :func:`prime_grid_values` draw through ``level`` and ``rng`` instead
-    (a prime p is never the last modulus, so the kept rounds stay), and
-    ``stats`` records fallbacks = 1 and the redraws it returns; after a fit
+    :func:`prime_grid_values` draw through ``level`` and ``rng`` instead,
+    and ``stats`` records fallbacks = 1 and the redraws it returns; after a fit
     that stands, it records the fit's residual, bound and verdict
     (:attr:`Fit.certified`).  Entries below mu/2 are dropped: mu bounds
     every true amplitude from below, so they can only be spurious

@@ -446,7 +446,7 @@ class TestVerify:
         ("signal_one_level.json", [], 9),
         # A 1-D grid of 35 * 8^13 (about 2^44.1) points, padded to itself,
         # with two lines at its last two flat indices, where the oracle takes
-        # mulmod's limb path at its largest products.
+        # mulmod's float-quotient path at its largest products.
         ("signal_top_of_grid.json", [], 463),
     ], ids=["3d", "3d-delta-ratio-2", "3d-seed-7", "one-level", "top-of-grid"])
     def test_demo_spec(self, spec, flags, samples, capsys):

@@ -33,7 +33,7 @@ def test_sample_coprime_is_coprime_and_hits_all():
 
 
 # Where (m - 1)^2 crosses 2^63: below it every q in [0, m) takes mulmod's
-# one-product path, above it the largest q take the 16-bit limbs.
+# one-product path, above it the largest q take the float quotient.
 _SQRT_2_63 = math.isqrt((1 << 63) - 1)
 
 
@@ -61,9 +61,28 @@ class TestMulmod:
         qs = np.array(data.draw(st.lists(residue, min_size=1, max_size=4)), dtype=np.int64)
         self._check(n, qs[:, None], m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_quotient_at_the_largest_moduli(self, data):
+        # Past one int64 product, arrays take the float quotient's multiple
+        # of m, off by at most 1 below 2^46: equal to Python ints at m =
+        # 2^46 and at random moduli, with the operands 0, 1 and m - 1 on
+        # both sides, and 3,000 random products per modulus.
+        m = data.draw(st.one_of(st.just(1 << 46), st.integers(_SQRT_2_63 + 1, 1 << 46)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
+        edges = np.array([0, 1, m - 1], dtype=np.int64)
+        n = np.concatenate([edges, rng.integers(0, m, 3000)])
+        q = np.concatenate([edges[::-1], rng.integers(0, m, 3000)])
+        got = mulmod(n, q, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(a) * int(b) % m for a, b in zip(n.tolist(), q.tolist())]
+        self._check(edges, edges[:, None], m)
+        # Two ints stay Python ints, never a wrapping np.int64 product.
+        assert mulmod(m - 1, m - 1, m) == 1 and type(mulmod(m - 1, m - 1, m)) is int
+
     @pytest.mark.parametrize("m,q", [
         (4398048608257 + 1, 2097151),  # (m - 1) * q = 2^63 - 1: one product
-        ((1 << 45) + 1, 1 << 18),      # (m - 1) * q = 2^63: limbs
+        ((1 << 45) + 1, 1 << 18),      # (m - 1) * q = 2^63: float quotient
         ((1 << 32) + 1, 1 << 31),
     ])
     def test_edge_of_one_product(self, m, q):

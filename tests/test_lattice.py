@@ -361,7 +361,7 @@ class TestEnvelope:
         # 63.6 * 2^40, to itself: the largest padded N inside 2^46.  One
         # more point needs 15 growth factors of at most 8 with a larger
         # product, which pads past 2^46.  The line at edge - 1 has the
-        # largest flat index, where mulmod's limb products are largest.
+        # largest flat index, where mulmod's products are largest.
         params = SupportParams(r_bound=1)
         edge = 9 * 6**2 * 7**7 * 8**6
         lat = RankOneLattice(1, edge)

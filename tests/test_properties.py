@@ -94,7 +94,8 @@ def test_probe_false_positive_rate_is_small():
         truth = set(aliased_spectrum(spectrum, m))
         spurious = [x for x in rng.integers(0, m, 60) if x not in truth]
         q = sample_coprime(m, rng)
-        phi, = compute_phi(sampler, m, k, [q], params.probe_x)
+        half = sampler.sample_progression(0, np.array([q]), k // 2 + 1, m)
+        phi, = compute_phi(half, k, params.probe_x)
         for x in spurious:
             total += 1
             if abs(phi[probe_index(int(x), q, m, k)]) >= params.threshold:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import fractions
 import itertools
 import math
 
@@ -61,6 +62,24 @@ def reference_find_aliased_support(candidate, m, params, sampler, rng, rounds, k
         survivors = {n for n in survivors
                      if abs(phi[reference_probe_index(n, q, m, k)]) >= params.threshold}
     return survivors
+
+
+def level_rows(sampler, m, k, qs):
+    """The half periods f at (j*q mod m)/m, j = 0..k//2, one row per
+    multiplier of ``qs``, in one request."""
+    return sampler.sample_progression(0, np.asarray(qs, dtype=np.int64), k // 2 + 1, m)
+
+
+def base_samples(sampler, m1):
+    """The base level's half period: f at j/m1 for j = 0..m1//2."""
+    return sampler.sample_progression(0, 1, m1 // 2 + 1, m1)
+
+
+def probe_level(candidate, m, params, sampler, rng, rounds, k):
+    """find_aliased_support on ``rounds`` shuffles drawn from ``rng`` and
+    the rows requested for them."""
+    qs = np.array([sample_coprime(m, rng) for _ in range(rounds)], dtype=np.int64)
+    return find_aliased_support(candidate, m, params, level_rows(sampler, m, k, qs), qs, k)
 
 
 def reference_plan(requested_n, k_base, half=False):
@@ -172,12 +191,12 @@ def probe_survival(shape, eta, seeds, delta_ratio=3.0, first=False):
         spectrum = SparseSpectrum(n, {int(j): float(a) for j, a in zip(lines, amps)})
         sampler = Sampler(spectrum, NoiseModel(eta, seed))
         moduli, window = plan_attempts(n, params)[0 if first else -1]
-        aliased = initial_aliased_support(sampler, moduli[0], params)
+        aliased = initial_aliased_support(base_samples(sampler, moduli[0]), moduli[0], params)
         for m_prev, m in zip(moduli, moduli[1:]):
             candidate = dealias_candidates(aliased, m_prev, m // m_prev)
             level_rounds, k = level_probe(moduli, window, m, params)
             qs = np.array([sample_coprime(m, rng) for _ in range(level_rounds)])
-            phi = compute_phi(sampler, m, k, qs, params.probe_x)
+            phi = compute_phi(level_rows(sampler, m, k, qs), k, params.probe_x)
             probes = np.take_along_axis(phi, probe_index(candidate, qs[:, None], m, k), 1)
             passes = np.abs(probes) >= params.threshold
             true = np.isin(candidate, lines % m)
@@ -589,28 +608,51 @@ class TestProbeIndex:
 
 
 class CountingSampler(Sampler):
-    """A sampler that counts the points requested over each denominator."""
+    """A sampler that records every request as (start, steps, count, den)."""
 
     def __init__(self, spectrum):
         super().__init__(spectrum)
-        self.requested = collections.Counter()
+        self.calls = []
 
     def sample_progression(self, start, step, count, den):
-        self.requested[den] += count
+        self.calls.append((start, np.atleast_1d(step).tolist(), count, den))
         return super().sample_progression(start, step, count, den)
+
+
+def requested_periods(calls):
+    """Each requested row as the frozenset of its points in lowest terms."""
+    return collections.Counter(
+        frozenset(fractions.Fraction((start + i * q) % den, den) for i in range(count))
+        for start, steps, count, den in calls for q in steps)
+
+
+def planned_periods(moduli, window, params, rng):
+    """The periods find_support's search samples, each at its own modulus:
+    the base's w//2 + 1 points j/M_1, then per level its rounds' points
+    (j*q mod M_k)/M_k, j = 0..w//2, with the shuffles q drawn from ``rng``
+    level by level, as find_support draws them."""
+    periods = [(1, moduli[0] // 2 + 1, moduli[0])]
+    for m in moduli[1:]:
+        level_rounds, k = level_probe(moduli, window, m, params)
+        periods += [(sample_coprime(m, rng), k // 2 + 1, m) for _ in range(level_rounds)]
+    return requested_periods([(0, [q], count, m) for q, count, m in periods])
 
 
 class TestSamplePeriod:
     @pytest.mark.parametrize("r_bound", [15, 16, 17, 18])
     def test_request_counts(self, r_bound):
-        # One request of w//2 + 1 points per period of a w-point window: the
-        # base level, then each of a level's probe rounds, INNER_ROUNDS = 2
-        # at the inner moduli and LAST_ROUNDS = 3 at the last, whose window
-        # is K.  Below R = 16 the one search runs from K (odd K = 189).
-        # From there the ladder from K/2 would take a level more at N =
-        # 512K, so the first search runs on the ladder from K with K/2-point
-        # inner windows (K = 198, 210 and 224, so odd K/2 = 99 and 105 and
-        # even 112), then the retry with K-point ones.
+        # Each period is requested for w//2 + 1 points of a w-point window,
+        # the same points in lowest terms as a request over its own modulus:
+        # the base level, then each of a level's probe rounds, INNER_ROUNDS
+        # = 2 at the inner moduli and LAST_ROUNDS = 3 at the last, whose
+        # window is K.  Every point is written over the last modulus, and
+        # the periods of one length go in one call: one call on a search
+        # with K-point windows, two on one with K/2-point inner windows.
+        # Below R = 16 the one search runs from K (odd K = 189).  From there
+        # the ladder from K/2 would take a level more at N = 512K, so the
+        # first search runs on the ladder from K with K/2-point inner
+        # windows (K = 198, 210 and 224, so odd K/2 = 99 and 105 and even
+        # 112), then the retry with K-point ones.
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         n = 512 * k
@@ -623,18 +665,21 @@ class TestSamplePeriod:
             sampler = CountingSampler(spectrum)
             got = find_support(sampler, moduli, params, np.random.default_rng(0), window)
             assert got.tolist() == sorted(spectrum.entries)
-            assert sampler.requested == {moduli[0]: moduli[0] // 2 + 1,
-                                         **dict.fromkeys(moduli[1:-1], 2 * (window // 2 + 1)),
-                                         n: LAST_ROUNDS * (k // 2 + 1)}
+            assert [(den, count) for _, _, count, den in sampler.calls] == (
+                [(n, k // 2 + 1)] if window == k else [(n, k // 2 + 1), (n, window // 2 + 1)])
+            assert requested_periods(sampler.calls) == planned_periods(
+                moduli, window, params, np.random.default_rng(0))
 
     @pytest.mark.parametrize("r_bound,requested_n", [
         (16, 256 * 198), (16, 512 * 198), (50, 128**3), (50, 10321**3),
         (256, 465**3), (256, 256**2)])
     def test_first_search_requests_the_planned_count(self, r_bound, requested_n):
         # The first search's requested points are the closed-form count
-        # first_search_requests gives, and no other ladder of the two costs
-        # fewer: the level rule plan_attempts applies picks the cheaper one
-        # (test_level_rule_matches_the_request_count).
+        # first_search_requests gives, in two calls (the periods of
+        # moduli[0]//2 + 1 and K/4 + 1 points, then the last level's of
+        # K/2 + 1, on a ladder from K/2), and no other ladder of the two
+        # costs fewer: the level rule plan_attempts applies picks the
+        # cheaper one (test_level_rule_matches_the_request_count).
         params = SupportParams(r_bound=r_bound)
         k = params.k_base
         rng = np.random.default_rng(r_bound)
@@ -645,7 +690,8 @@ class TestSamplePeriod:
         sampler = CountingSampler(spectrum)
         find_support(sampler, moduli, params, rng, window)
         count = first_search_requests(moduli, k)
-        assert sum(sampler.requested.values()) == count
+        assert len(sampler.calls) == 2
+        assert sum(len(steps) * n for _, steps, n, _ in sampler.calls) == count
         assert count == min(first_search_requests(plan_ladder(requested_n, k, half=True), k),
                             first_search_requests(plan_ladder(requested_n, k), k))
 
@@ -663,7 +709,7 @@ class TestComputePhi:
         m = 2 * k
         sampler = Sampler(spectrum)
         q = 137  # coprime to m = 550
-        phi, = compute_phi(sampler, m, k, [q], params.probe_x)
+        phi, = compute_phi(level_rows(sampler, m, k, [q]), k, params.probe_x)
         assert len(phi) == k
         hot = set()
         for line in aliased_spectrum(spectrum, m):
@@ -685,7 +731,7 @@ class TestComputePhi:
         sampler, x = Sampler(spectrum), 1.5
         for m in (2 * k, 4 * k):
             qs = (1, 3, m - 1)
-            phi = compute_phi(sampler, m, k, qs, x)
+            phi = compute_phi(level_rows(sampler, m, k, qs), k, x)
             assert phi.shape == (len(qs), k) and phi.dtype == np.float64
             for row, q in zip(phi, qs):
                 reference = reference_phi(sampler, m, k, q, x)
@@ -695,8 +741,9 @@ class TestComputePhi:
 
     def test_requires_divisibility(self):
         sampler = Sampler(SparseSpectrum(40, {1: 1.0}))
-        with pytest.raises(ValueError):
-            compute_phi(sampler, 10, 4, [3], 1.0)
+        with pytest.raises(ValueError, match="k_base must divide m_k"):
+            probe_level(np.array([1]), 10, SupportParams(r_bound=1), sampler,
+                        np.random.default_rng(0), 1, 4)
 
 
 class TestFindAliasedSupport:
@@ -711,9 +758,8 @@ class TestFindAliasedSupport:
         candidates = set(truth)
         while len(candidates) < 3 * len(truth):
             candidates.add(int(rng.integers(0, m)))
-        got = find_aliased_support(np.array(sorted(candidates)), m, params,
-                                   Sampler(spectrum), np.random.default_rng(1),
-                                   LAST_ROUNDS, params.k_base)
+        got = probe_level(np.array(sorted(candidates)), m, params, Sampler(spectrum),
+                          np.random.default_rng(1), LAST_ROUNDS, params.k_base)
         assert got.tolist() == sorted(truth)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -739,7 +785,7 @@ class TestFindAliasedSupport:
             return (sorted(int(n) for n in survivors), ledger.unique_count,
                     ledger.total_requests, probe_rng.integers(1 << 62))
 
-        got = run(find_aliased_support, candidate)
+        got = run(probe_level, candidate)
         # Python ints for the reference, whose n*q must not wrap.
         assert got == run(reference_find_aliased_support, candidate.tolist())
         assert set(truth) <= set(got[0])
@@ -760,13 +806,12 @@ class TestFindAliasedSupport:
                                           rng.choice(4 * m, 16, replace=False)})
         sampler = Sampler(spectrum, NoiseModel(eta=0.01, seed=3))
         candidate = np.arange(m, dtype=np.int64)
-        got = find_aliased_support(candidate, m, params, sampler,
-                                   np.random.default_rng(5), rounds, k)
+        got = probe_level(candidate, m, params, sampler, np.random.default_rng(5), rounds, k)
         assert got.tolist() == sorted(reference_find_aliased_support(
             candidate.tolist(), m, params, sampler, np.random.default_rng(5), rounds, k))
         probe_rng = np.random.default_rng(5)
         qs = [sample_coprime(m, probe_rng) for _ in range(rounds)]
-        phi = compute_phi(sampler, m, k, qs, params.probe_x)
+        phi = compute_phi(level_rows(sampler, m, k, qs), k, params.probe_x)
         passes = np.array([np.abs(row[probe_index(candidate, q, m, k)]) >= params.threshold
                            for row, q in zip(phi, qs)])
         assert len(passes) == rounds
@@ -866,12 +911,12 @@ def assert_true_lines_clear(spectrum, params, rng):
     every probe round of every level."""
     sampler = Sampler(spectrum)
     moduli, window = plan_attempts(spectrum.ambient_size, params)[0]
-    base = initial_aliased_support(sampler, moduli[0], params)
+    base = initial_aliased_support(base_samples(sampler, moduli[0]), moduli[0], params)
     assert set(aliased_spectrum(spectrum, moduli[0])) <= set(base.tolist())
     for m in moduli[1:]:
         level_rounds, k = level_probe(moduli, window, m, params)
         qs = np.array([sample_coprime(m, rng) for _ in range(level_rounds)])
-        phi = compute_phi(sampler, m, k, qs, params.probe_x)
+        phi = compute_phi(level_rows(sampler, m, k, qs), k, params.probe_x)
         truth = np.array(sorted(aliased_spectrum(spectrum, m)), dtype=np.int64)
         probes = np.take_along_axis(phi, probe_index(truth, qs[:, None], m, k), 1)
         assert (probes >= params.threshold).all(), (m, probes.min())
@@ -928,7 +973,8 @@ class TestFindSupport:
     def test_initial_level(self):
         spectrum = SparseSpectrum(40, {1: 1.0, 23: 1.0, 35: 1.0})
         params = SupportParams(r_bound=3)
-        got = initial_aliased_support(Sampler(spectrum), params.k_base, params)
+        got = initial_aliased_support(base_samples(Sampler(spectrum), params.k_base),
+                                      params.k_base, params)
         assert got.tolist() == [1, 3, 23]  # K = 32 < 40: line 35 folds to 3
 
     @pytest.mark.parametrize("seed", range(5))
@@ -958,6 +1004,23 @@ class TestFindSupport:
         params = SupportParams(r_bound=4)
         assert find_support(Sampler(spectrum), plan_ladder(64, params.k_base),
                             params, np.random.default_rng(0), params.k_base).size == 0
+
+    def test_empty_spectrum_draws_every_level(self):
+        # The samples are planned before the data are read, so an empty
+        # base level leaves every probe round drawn and unread: at R = 1
+        # the base and all 13 rounds of the ladder (9, 63, ..., 1058841),
+        # 70 points, in one call.
+        spectrum = SparseSpectrum(1 << 20, {})
+        params = SupportParams(r_bound=1)
+        k = params.k_base
+        moduli = plan_ladder(1 << 20, k)
+        assert moduli == (9, 63, 441, 3087, 21609, 151263, 1058841)
+        sampler = CountingSampler(spectrum)
+        assert find_support(sampler, moduli, params, np.random.default_rng(0), k).size == 0
+        rounds = INNER_ROUNDS * (len(moduli) - 2) + LAST_ROUNDS
+        assert [(len(steps), count) for _, steps, count, _ in sampler.calls] == [
+            (1 + rounds, k // 2 + 1)]
+        assert (1 + rounds) * (k // 2 + 1) == 70
 
     def test_candidate_blowup_guard(self):
         # A wildly wrong mu makes every index pass the initial threshold.

@@ -306,7 +306,7 @@ class TestComputeValues:
         sampler = Sampler(SparseSpectrum(n, dict(zip(true, amps))), ledger=ledger)
         params, rng = SupportParams(r_bound=3), np.random.default_rng(1)
         found, level = search(sampler, n, params, rng)
-        qs, halves = list(level.qs), [half.copy() for half in level.halves]
+        qs, halves = level.qs.copy(), level.halves.copy()
         before = ledger.total_requests
         draw, systems = vr.draw_measurement, []
         monkeypatch.setattr(vr, "draw_measurement",
@@ -316,8 +316,7 @@ class TestComputeValues:
         values = compute_values(found, level, n, params, rng, stats)
         assert stats["fallbacks"] == 1 and systems
         assert values == pytest.approx(dict(zip(true, amps)), abs=1e-8)
-        assert level.qs == qs and len(level.halves) == len(halves)
-        assert all(np.array_equal(a, b) for a, b in zip(level.halves, halves))
+        assert np.array_equal(level.qs, qs) and np.array_equal(level.halves, halves)
         assert ledger.total_requests - before == sum(
             p // 2 + 1 for system in systems for p in system.primes)
 
@@ -557,9 +556,10 @@ class BoundedNoise:
         self.sampler, self.eta, self.rng, self.on_circle = sampler, eta, rng, on_circle
 
     def sample_progression(self, start, step, count, den):
-        radius = 1.0 if self.on_circle else self.rng.uniform(0, 1, count)
+        shape = np.shape(step) + (count,)
+        radius = 1.0 if self.on_circle else self.rng.uniform(0, 1, shape)
         return (self.sampler.sample_progression(start, step, count, den)
-                + self.eta * radius * np.exp(2j * np.pi * self.rng.uniform(0, 1, count)))
+                + self.eta * radius * np.exp(2j * np.pi * self.rng.uniform(0, 1, shape)))
 
 
 class TestFirstAttempt:
@@ -651,9 +651,10 @@ class TestFirstAttempt:
         for entries in ({}, dict(zip(lines.tolist(), rng.uniform(0.5, 1.5, r).tolist()))):
             level = LastLevel(BoundedNoise(Sampler(SparseSpectrum(n, entries)), eta, rng,
                                            on_circle), moduli)
-            for _ in range(LAST_ROUNDS):
-                level.sample_progression(0, sample_coprime(moduli[-1], rng),
-                                         params.k_base // 2 + 1, moduli[-1])
+            # The last level's rounds, handed to the level as find_support does.
+            level.qs = np.array([sample_coprime(moduli[-1], rng) for _ in range(LAST_ROUNDS)])
+            level.halves = level.sample_progression(0, level.qs, params.k_base // 2 + 1,
+                                                    moduli[-1])
             fit = vr.fit_values(lines, level, params)
             formula = noise_formula(params, level)
             assert fit.bound >= 2 * formula * (1 - 1e-12)
