@@ -15,6 +15,10 @@ import numpy as np
 # Largest modulus for which mulmod stays exact in int64: with operands
 # below 2^46, the float quotient of a product is off by at most 1.
 MAX_MODULUS = 1 << 46
+# numpy's ufunc buffer size: the nufft and the fit work in blocks of about
+# this many floats, whose arrays stay on the heap rather than being mapped
+# and faulted in afresh per call.
+BUFFER = 1 << 13
 
 
 def as_index(value) -> int:

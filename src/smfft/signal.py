@@ -19,7 +19,7 @@ import numpy as np
 
 from .core_math import MAX_MODULUS, as_index, mulmod
 from .errors import ParseError
-from .nufft import middle, nufft_exp_sum
+from .nufft import nufft_exp_sum
 
 _TWO_PI = 2.0 * math.pi
 
@@ -169,13 +169,13 @@ class Sampler:
     one), a noise model, and the ledger that records its requests, if one is
     given.  Every batch request is an arithmetic progression mod the
     denominator, so sample k is a sum over lines j with phases
-    (start*j + k*step*j) mod den: one exponential sum in k, evaluated by
-    gridded nufft in O(R + count log count), centred on the middle point
-    c = start + middle(count)*step, where the phases (c*j) mod den are exact.
-    A request may hold one such progression per entry of an int64 array of
-    steps, all of one length over one denominator: a point written over a
-    multiple of its denominator, (a*f)/(d*f), is the same point, with the
-    same noise and ledger entry.
+    (start*j + k*step*j) mod den: one exponential sum in k over the
+    frequencies (step*j mod den)/den, evaluated by gridded nufft in
+    O(R + count log count) on the real amplitudes, phased by the exact
+    (start*j mod den)/den where start != 0.  A request may hold one such
+    progression per entry of an int64 array of steps, all of one length
+    over one denominator: (a*f)/(d*f) is the point a/d, with the same
+    sample, noise and ledger entry.
     """
 
     def __init__(self, spectrum: SparseSpectrum, noise: NoiseModel | None = None,
@@ -214,9 +214,9 @@ class Sampler:
 
         with np.errstate(over="raise", invalid="raise"):
             jr = (self._support % den).astype(np.int64)
-            centre = (start + middle(count) * step) % den
-            phase = np.exp((-_TWO_PI * mulmod(jr, centre, den)) / den * 1j)
-            out = nufft_exp_sum(self._amps * phase, mulmod(jr, step, den) / den, count)
+            coeffs = (self._amps * np.exp((-_TWO_PI * mulmod(jr, start, den)) / den * 1j)
+                      if start else self._amps)
+            out = nufft_exp_sum(coeffs, mulmod(jr, step, den) / den, count)
             if self.noise.eta > 0:
                 out += make_noise(self.noise, nums, den)
         return out

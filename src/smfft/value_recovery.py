@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_math import gaussian_half, mulmod, primes_below
+from .core_math import BUFFER, gaussian_half, mulmod, primes_below
 from .errors import ContractionFailure, EnvelopeError, Uncertified
 from .support_recovery import LastLevel, SupportParams
 
@@ -296,17 +296,21 @@ def fit_values(support: np.ndarray, level: LastLevel, params: SupportParams) -> 
     # of each round's spectrum wrapped as often as K needs.
     offsets = np.arange(-footprint, footprint + 2)
     wrapped = np.take(phi, np.arange(-footprint, k_base + footprint + 1), axis=1, mode="wrap")
-    # phi is read no more: freed before the fit's two largest arrays, it
+    # phi is read no more: freed before the right-hand side is read, it
     # lowers the fit's peak, the heap a trial grows and glibc trims again.
     phi_norm = math.sqrt(phi.ravel() @ phi.ravel())
     del phi
-    first = np.floor(bins)
-    reads = sliding_window_view(wrapped, len(offsets), axis=1)[
-        np.arange(len(bins))[:, None], first.astype(np.int64)]
-    weights = np.subtract.outer((bins - first) / width, offsets / width)
-    # In place: a fresh array of this size per step costs its page faults.
-    np.exp(np.negative(np.square(weights, out=weights), out=weights), out=weights)
-    rhs = math.sqrt(2) * np.einsum("rjt,rjt->j", weights, reads)
+    first, frac = np.divmod(bins, 1.0)
+    # Blocks of rounds of at most BUFFER cells, in place; cells is each
+    # line's first bin in the rounds' spectra laid end to end.
+    cells = first.astype(np.int64) + wrapped.shape[1] * np.arange(len(bins))[:, None]
+    windows = sliding_window_view(wrapped.ravel(), len(offsets))
+    rhs, step = np.zeros(len(support)), max(1, BUFFER // (len(support) * len(offsets)))
+    for lo in range(0, len(bins), step):
+        w = np.square(np.subtract.outer(frac[lo:lo + step] / width, offsets / width))
+        np.exp(np.negative(w, out=w), out=w)
+        rhs += np.einsum("rjt,rjt->j", w, windows[cells[lo:lo + step]])
+    rhs *= math.sqrt(2)
     diag, rows, cols, vals = normal_matrix(bins, k_base, width, reach)
 
     def normal(v):

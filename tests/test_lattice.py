@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfft import value_recovery
+from smfft import bench, value_recovery
 from smfft.errors import EnvelopeError, IndexOutOfRange, ParseError
 from smfft.md_transform import (RankOneLattice, flatten_index, md_sample_adapter,
                                 md_sfft, relative_l2_error)
@@ -269,6 +269,44 @@ class TestMdSfft:
 
         with pytest.raises(EnvelopeError, match="the oracle's samples are not finite"):
             md_sfft(Infinite(), lat, SupportParams(r_bound=3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("axis,dims,r_true,r_bound,eta,seed", [
+        (10321, 3, 50, 50, 1e-2, 7000),  # deep-ladder
+        (465, 3, 256, 256, 1e-2, 7000),  # wide-support
+        (256, 2, 256, 256, 0.0, 7000),  # exact-shallow
+        (256, 2, 1024, 256, 0.0, 5000),  # a CG miss: the prime-grid fallback
+    ])
+    def test_oracle_contract(self, axis, dims, r_true, r_bound, eta, seed):
+        # Inside the envelope every request is (0, steps, count, M), steps an
+        # int64 array and M the attempt's last modulus, one call per request
+        # length and attempt; the fallback's are (0, 1, p//2 + 1, p), p prime.
+        # So the synthetic oracle's amplitudes reach the nufft real.
+        entries, lattice, noise = bench.random_instance(axis, dims, r_true, eta, seed)
+        inner, calls = md_sample_adapter(entries, lattice, noise), []
+
+        class Recording:
+            def sample_progression(self, *args):
+                calls.append(args)
+                return inner.sample_progression(*args)
+
+        params, stats = bench.make_params(r_bound, eta), {}
+        md_sfft(Recording(), lattice, params, np.random.default_rng(seed + 2), stats)
+        lasts = [moduli[-1] for moduli, _ in plan_attempts(lattice.total, params)]
+        attempt, lengths = 0, set()
+        for start, step, count, den in calls:
+            assert start == 0
+            if isinstance(step, np.ndarray):
+                assert step.dtype == np.int64
+                if den != lasts[attempt] or count in lengths:
+                    attempt, lengths = attempt + 1, set()
+                assert den == lasts[attempt]
+                lengths.add(count)
+            else:
+                assert (step, count) == (1, den // 2 + 1)
+                assert all(den % d for d in range(2, math.isqrt(den) + 1))
+        assert attempt + 1 == stats["attempts"]
+        assert sum(not isinstance(step, np.ndarray) for _, step, _, _ in calls) == (
+            value_recovery.BLOCKS * (1 + stats["redraws"]) * stats["fallbacks"])
 
     @pytest.mark.parametrize("e", [-1000, -3, 2, 600, 1000])
     def test_runs_in_units_of_mu(self, e, monkeypatch):

@@ -14,15 +14,12 @@ def direct(coeffs, nu, k0, count):
 
 
 def from_index(coeffs, nu, k0, count):
-    """F(k0 + k) for k = 0..count-1: the sum is centred on k = middle(count),
-    so the middle index k0 + middle(count) is folded into the coefficients,
-    as the sampler folds its centre point into its phases."""
-    centre = k0 + nufft.middle(count)
-    return nufft_exp_sum(coeffs * np.exp(-2j * np.pi * np.mod(centre * nu, 1.0)),
-                         nu, count)
+    """F(k0 + k) for k = 0..count-1: the offset k0 is folded into the
+    coefficients, as the sampler folds a progression's start into its
+    amplitudes."""
+    return nufft_exp_sum(coeffs * np.exp(-2j * np.pi * np.mod(k0 * nu, 1.0)), nu, count)
 
 
-# The oracle's own shapes are (R, count) = (50, 364) and (256, 2063).
 @pytest.mark.parametrize("r,count,k0", [(1, 150, 0), (16, 700, -350),
                                         (64, 2048, -1024), (256, 6826, -3413),
                                         (50, 364, 0), (256, 2063, 0)])
@@ -35,12 +32,53 @@ def test_matches_direct(r, count, k0):
     assert np.max(np.abs(got - direct(coeffs, nu, k0, count))) / scale < 1e-11
 
 
+# The oracle's own shapes (R, count): the base and inner levels of
+# deep-ladder, its last level, and wide-support's inner and last levels.
+@pytest.mark.parametrize("r,count", [(50, 172), (50, 344), (256, 969), (256, 1937)])
+def test_real_amplitudes_match_direct(r, count):
+    # The sampler's path: real amplitudes, several rows of frequencies.
+    rng = np.random.default_rng(r * count)
+    nu = rng.uniform(0, 1, (3, r))
+    amps = rng.uniform(0.5, 1.5, r)
+    got = nufft_exp_sum(amps, nu, count)
+    want = np.array([direct(amps, row, 0, count) for row in nu])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(amps)
+
+
+def test_complex_coefficients_are_two_real_passes():
+    # A progression's start makes the coefficients complex; they broadcast
+    # against the rows like the real amplitudes, one pass per part.
+    rng = np.random.default_rng(11)
+    nu = rng.uniform(0, 1, (2, 40))
+    coeffs = rng.uniform(0.5, 1.5, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    got = nufft_exp_sum(coeffs, nu, 300)
+    assert np.array_equal(got, nufft_exp_sum(coeffs.real, nu, 300)
+                          + 1j * nufft_exp_sum(coeffs.imag, nu, 300))
+    want = np.array([direct(coeffs, row, 0, 300) for row in nu])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("count", [1, 172, 969, 6826])
+def test_correction_is_the_kernels_transform(count):
+    # 1/correction is the kernel's continuous transform at the modes, here
+    # by 60-node Gauss-Legendre quadrature of phi(t/h) cos(2*pi*k*t/G)
+    # over [-h, h], h = W/2.
+    from numpy.polynomial.legendre import leggauss
+
+    grid, correction = nufft._plan(count)
+    x, w = leggauss(60)
+    half = nufft._WIDTH / 2
+    phi = np.exp(nufft._BETA * (np.sqrt(1 - x**2) - 1))
+    psi = half * np.cos(2 * np.pi * np.outer(np.arange(count), half * x) / grid) @ (w * phi)
+    assert np.max(np.abs(correction * psi - 1)) <= 1e-13
+
+
 def test_rational_frequencies_near_wraparound():
     # Frequencies just below 1 wrap onto the grid without artifacts.
     nu = np.array([1 - 1e-9, 1e-9, 0.5])
     coeffs = np.array([1.0, 1.0, 1.0], dtype=complex)
     got = nufft_exp_sum(coeffs, nu, 400)
-    assert np.max(np.abs(got - direct(coeffs, nu, -nufft.middle(400), 400))) < 1e-10
+    assert np.max(np.abs(got - direct(coeffs, nu, 0, 400))) < 1e-10
 
 
 def test_clustered_frequencies():

@@ -126,8 +126,9 @@ class TestSampler:
         assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
     def test_longest_request_at_top_of_grid(self):
-        # count 2^16 + 1 at den near 2^46: the nufft's centred sum spans
-        # +-2^15 modes, and the centre phase is exact integer arithmetic.
+        # count 2^16 + 1 at den near 2^46 from a start near den: the start's
+        # phase is exact integer arithmetic, and the nufft's sum spans
+        # 2^16 + 1 modes of frequencies rounded once.
         den = (1 << 46) - 59
         rng = np.random.default_rng(46)
         support = [den - 1, den - 2, *rng.integers(1 << 40, den, 6).tolist(), (1 << 62) + 7]
@@ -205,12 +206,10 @@ class TestBatchedRequests:
     @given(st.data())
     def test_point_over_a_multiple_of_its_denominator(self, data):
         # (j*q mod d)/d written as (j*q*f mod d*f)/(d*f), as the support
-        # search writes every level over the last modulus: the noise is the
-        # same bit for bit, the sample agrees to 2e-14 of the amplitudes'
-        # sum, and the ledger counts each point once.  Only the phases
-        # round differently over d*f, by about 1e-16 each, and the nufft's
-        # kernel correction scales that up at the edge modes: 8.7e-15 was
-        # the most over 3000 random draws of these shapes.
+        # search writes every level over the last modulus: the sample and
+        # its noise are the same bit for bit, and the ledger counts each
+        # point once.  Both quotients are the one rational, correctly
+        # rounded, so the nufft sees the same frequencies.
         d = data.draw(st.integers(2, 1 << 20))
         f = data.draw(st.integers(1, (1 << 46) // d))
         q = data.draw(st.integers(1, d - 1))
@@ -225,7 +224,7 @@ class TestBatchedRequests:
         nums = q * np.arange(count, dtype=np.int64) % d
         assert np.array_equal(make_noise(noise, nums, d).view(np.uint64),
                               make_noise(noise, nums * f, d * f).view(np.uint64))
-        assert np.abs(high - low).max() <= 2e-14 * sum(spectrum.entries.values())
+        assert np.array_equal(high.view(np.uint64), low.view(np.uint64))
         assert ledger.unique_count == len(set(nums.tolist()))
         assert ledger.total_requests == 2 * count
 
